@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its result as one JSON line.
 
-    python3 perfbench/run.py --workload train_ndsnn --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload train_ndsnn --seed 1 --seconds 25 --trace 0
 
 Each invocation is one fresh process running one workload of
 ``perfbench/workloads.json`` against the ``repro`` package in ``src/``
@@ -49,8 +49,7 @@ os.environ.update(_PINNED)
 # Run every thread on one CPU.  The servers' worker threads take turns
 # on the interpreter lock; handing it between CPUs made their
 # throughput swing by up to 50% from run to run on a 2-vCPU host.
-if CONFIG["cpus"] == 1:
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402

@@ -9,14 +9,15 @@ max_batch=8)`` with the default 5 ms ``max_latency_s``.
 Independent clients make this an open loop: one generator thread
 submits on a Poisson schedule drawn from the seed, and every latency
 counts from when its request was due.  After a warm-up, the run
-repeats rounds of three phases: ``burst`` queues a fixed number of
-requests on a fresh server and times its workers draining them;
-``low`` runs a rate at which requests nearly always arrive alone and
+repeats rounds of three phases: ``burst`` queues a fixed set of
+requests on a fresh server and times its workers draining them, again
+and again for its share of the round; ``low`` runs a rate at which requests nearly always arrive alone and
 ``high`` about a third of the burst throughput measured on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections import defaultdict
@@ -27,11 +28,15 @@ from common import (
     Tracer,
     check_phase,
     drain,
+    host_probe,
     open_loop,
     pct,
     peak_rss_mb,
     phase_summary,
     poisson_dues,
+    rate_at_reference,
+    repeat_for,
+    time_at_reference,
 )
 from repro.serve import InferenceServer, ModelRegistry
 from repro.snn.models import SpikingMLP
@@ -107,19 +112,24 @@ def instrument_server(tracer: Tracer, server, due_of: dict, waits, rows) -> None
 
 def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result):
     phases = spec["phases"]
-    deployments = [
-        Deployment(spec, seed, os.path.join(run_dir, f"model-{index}.reprom"))
-        for index in range(spec["setup_repeats"])
-    ]
-    deployment = deployments[-1]
+    setup_s, export_s, load_s, probes = [], [], [], []
+    for index in range(spec["setup_repeats"]):
+        deployment = None  # one set-up alive at a time, so peak_rss_mb is one deployer's
+        gc.collect()
+        probes.append(host_probe())
+        deployment = Deployment(spec, seed, os.path.join(run_dir, f"model-{index}.reprom"))
+        setup_s.append(deployment.setup_s)
+        export_s.append(deployment.export_s)
+        load_s.append(deployment.load_s)
 
     # Every input is drawn up front, in one order, so traced and
-    # untraced runs of a seed see the same requests.  The bursts and the
-    # open-loop phases run in interleaved rounds, so every phase samples
-    # the whole run.
+    # untraced runs of a seed see the same requests; every burst sends
+    # the same ones.  The bursts and the open-loop phases run in
+    # interleaved rounds, so every phase samples the whole run.
     rng = np.random.default_rng(seed)
     pool = rng.random((spec["sample_pool"], spec["model"]["width"]), dtype=np.float32)
-    burst, rounds = phases["burst"], spec["rounds"]
+    rounds = spec["rounds"]
+    burst_s = phases["burst"]["share_of_seconds"] * seconds / rounds
     open_phases = ("low", "high")
     schedules = {
         phase: [poisson_dues(rng, phases[phase]["rate_per_s"],
@@ -127,19 +137,34 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
                 for _ in range(rounds)]
         for phase in open_phases
     }
-    bursts = rounds * burst["per_round"]
     picks = {
-        "warmup": rng.integers(len(pool), size=phases["warmup"]["requests"]),
-        "burst": iter(rng.integers(len(pool), size=(2 * bursts, burst["requests"]))),
+        label: rng.integers(len(pool), size=phases[label]["requests"])
+        for label in ("warmup", "burst")
     }
     for phase in open_phases:
         picks[phase] = [rng.integers(len(pool), size=len(dues)) for dues in schedules[phase]]
+
+    # Correctness: every response equals a sequential predict of its
+    # sample.  Each phase run is checked as it ends and only counts are
+    # kept, so memory does not grow with the number of bursts.
+    reference = deployment.registry.session(NAME)
+    expected = np.stack([reference.predict(pool[i:i + 1])[0] for i in range(len(pool))])
+    counts = {"attempted": 0, "errors": 0, "mismatched": 0}
+
+    def check(phase_run, picked):
+        counts["attempted"] += len(picked)
+        counts["errors"] += phase_run.errors
+        counts["mismatched"] += sum(
+            output is not None and not np.array_equal(output, expected[pick])
+            for output, pick in zip(phase_run.outputs, picked)
+        )
+        phase_run.outputs = None
 
     tracer = Tracer() if trace else None
     traced = False
     due_of, keep = {}, []
     waits, rows = defaultdict(list), defaultdict(list)
-    runs, servers = [], []
+    servers = []
 
     def new_server():
         server = deployment.server(spec)
@@ -161,25 +186,29 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
 
     def drained(label, picked):
         server = new_server()
+        probes.append(host_probe())
         phase_run = drain(server, submitter(server, label, picked), len(picked))
-        runs.append((label, phase_run, picked))
+        check(phase_run, picked)
         return phase_run.throughput()
+
+    def bursts(budget_s):
+        return repeat_for(budget_s, lambda: drained("burst", picks["burst"]))
 
     drained("warmup", picks["warmup"])
     if trace:
-        untraced_rates = [drained("burst", next(picks["burst"])) for _ in range(bursts)]
+        untraced_rates = bursts(rounds * burst_s)
         for session in deployment.sessions:
             tracer.wrap(session, "predict", "serve.predict")
         traced = True
         traced_start = time.perf_counter()
     rates, chunks = [], defaultdict(list)
     for round_index in range(rounds):
-        rates.extend(drained("burst", next(picks["burst"])) for _ in range(burst["per_round"]))
+        rates.extend(bursts(burst_s))
         with new_server() as server:
             for phase in open_phases:
                 picked = picks[phase][round_index]
                 chunk = open_loop(submitter(server, phase, picked), schedules[phase][round_index])
-                runs.append((phase, chunk, picked))
+                check(chunk, picked)
                 chunks[phase].append(chunk)
     if trace:
         traced_end = time.perf_counter()
@@ -191,28 +220,17 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
     stats = {key: sum(server.stats()[key] for server in servers)
              for key in ("batches", "failed", "restarts")}
 
-    # Correctness: every response equals a sequential predict of its sample.
-    reference = deployment.registry.session(NAME)
-    expected = np.stack([reference.predict(pool[i:i + 1])[0] for i in range(len(pool))])
-    attempted = errors = mismatched = 0
-    for label, phase_run, picked in runs:
-        attempted += len(picked)
-        errors += phase_run.errors
-        for output, pick in zip(phase_run.outputs, picked):
-            if output is not None and not np.array_equal(output, expected[pick]):
-                mismatched += 1
-    result.ops(attempted, errors + mismatched)
-    result.check("every response bit-equal to a sequential predict", mismatched == 0,
-                 f"{mismatched} of {attempted} differ")
+    result.ops(counts["attempted"], counts["errors"] + counts["mismatched"])
+    result.check("every response bit-equal to a sequential predict", counts["mismatched"] == 0,
+                 f"{counts['mismatched']} of {counts['attempted']} differ")
     result.check("server: no failed requests, no restarts",
                  stats["failed"] == 0 and stats["restarts"] == 0, str(stats))
 
-    print("burst drain rate per repeat: " + ", ".join(f"{r:.1f}" for r in rates) + " req/s")
-    result.metric("setup_s", np.median([d.setup_s for d in deployments]))
-    # Best of the bursts: see common.phase_summary on host speed swings.
-    result.metric("throughput_per_s", max(rates))
-    result.metric("p50_ms", summaries["low"]["p50_ms"])
-    result.metric("p90_ms", summaries["low"]["p90_ms"])
+    print(f"burst drain rate over {len(rates)} bursts: best {max(rates):.1f}, "
+          f"median {np.median(rates):.1f} req/s; set-up median {np.median(setup_s):.4f} s; "
+          f"host probe fastest {min(probes) * 1e3:.2f} ms, median {np.median(probes) * 1e3:.2f} ms")
+    result.metric("setup_s", time_at_reference(setup_s, probes))
+    result.metric("throughput_per_s", rate_at_reference(max(rates), probes))
     result.metric("peak_rss_mb", peak_rss_mb())
     if not trace:
         return None
@@ -222,8 +240,8 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
     print(f"traced region: wall {wall:.4f} s x {spec['workers']} workers; self time by layer:")
     tracer.report()
     predict = totals.get("serve.predict", (0.0, 0.0, 0))
-    result.metric("packaging.export_ms", np.median([d.export_s for d in deployments]) * 1e3)
-    result.metric("packaging.load_ms", np.median([d.load_s for d in deployments]) * 1e3)
+    result.metric("packaging.export_ms", np.median(export_s) * 1e3)
+    result.metric("packaging.load_ms", np.median(load_s) * 1e3)
     for phase in open_phases:
         wait_ms = np.asarray(waits[phase]) * 1e3
         result.metric(f"serve.queue_wait_{phase}_p50_ms", pct(wait_ms, 50))
@@ -235,8 +253,9 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
     result.metric("serve.restarts", stats["restarts"])
     result.metric("gen.late_p90_ms", max(summary["late_p90_ms"] for summary in summaries.values()))
     result.metric("gen.backlog_end", max(summary["backlog_end"] for summary in summaries.values()))
-    result.metric("gen.high_rate_p50_ms", summaries["high"]["p50_ms"])
-    result.metric("gen.high_rate_p90_ms", summaries["high"]["p90_ms"])
+    for phase in open_phases:
+        result.metric(f"gen.{phase}_rate_p50_ms", summaries[phase]["p50_ms"])
+        result.metric(f"gen.{phase}_rate_p90_ms", summaries[phase]["p90_ms"])
     result.metric("trace.wall_s", wall)
     # Worker-seconds of the traced region spent outside any traced call.
     result.metric("trace.unattributed_s", spec["workers"] * wall - sum(busy.values()))

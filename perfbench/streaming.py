@@ -10,21 +10,34 @@ of serving.
 
 After a warm-up feed, the run repeats rounds of three phases:
 ``replay`` queues a whole feed on a fresh server and times its workers
-draining it; ``low`` and ``high`` replay feeds at fixed rates by
-rescaling the feed's own Poisson timestamps.  Each feed's devices have
-their own ids and a whole number of windows, so every window closes
-inside its phase.
+draining it, again and again for its share of the round; ``low`` and
+``high`` replay feeds at fixed rates by rescaling the feed's own
+Poisson timestamps.  Each feed's devices have their own ids and a whole
+number of windows, so every window closes inside its phase.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import defaultdict
 
 import numpy as np
 
 import repro.stream  # noqa: F401  (imported first: repro.data.telemetry alone hits a circular import)
-from common import Tracer, check_phase, drain, open_loop, pct, peak_rss_mb, phase_summary
+from common import (
+    Tracer,
+    check_phase,
+    drain,
+    host_probe,
+    open_loop,
+    pct,
+    peak_rss_mb,
+    phase_summary,
+    rate_at_reference,
+    repeat_for,
+    time_at_reference,
+)
 from repro.data.telemetry import make_telemetry_stream
 from repro.serve import StreamServer
 from repro.snn.models import SpikingMLP
@@ -106,14 +119,66 @@ def instrument(tracer: Tracer, sessions, due_of: dict, waits) -> None:
         session.process = traced_process
 
 
+class Tally:
+    """Correctness of every phase run, checked as soon as it ends.
+
+    Every window must be bit-equal to the offline pass over its frames,
+    and the window count exact.  Repeated replays of one feed must
+    reproduce the first replay's windows exactly, which that replay's
+    offline check covers.  Only counts and the first replay's logits
+    are kept, so memory does not grow with the number of replays.
+    ``seconds`` is the time spent checking, which the traced wall time
+    leaves out.
+    """
+
+    def __init__(self, spec: dict, verifier: StreamSession) -> None:
+        self.window = spec["window"]
+        self.verifier = verifier
+        self.attempted = self.errors = self.mismatched = 0
+        self.windows = self.expected_windows = 0
+        self.first_replay = None
+        self.seconds = 0.0
+
+    def add(self, label: str, phase_run, events: list) -> None:
+        start = time.perf_counter()
+        try:
+            self._check(label, phase_run, events)
+        finally:
+            self.seconds += time.perf_counter() - start
+
+    def _check(self, label: str, phase_run, events: list) -> None:
+        self.attempted += len(events)
+        self.errors += phase_run.errors
+        self.expected_windows += len(events) // self.window
+        emitted = [output for output in phase_run.outputs if output is not None]
+        phase_run.outputs = None  # checked below; only its timings are kept
+        self.windows += len(emitted)
+        if label == "replay" and self.first_replay is not None:
+            self.mismatched += sum(
+                not np.array_equal(output.logits, first)
+                for output, first in zip(emitted, self.first_replay)
+            ) + abs(len(emitted) - len(self.first_replay))
+            return
+        if label == "replay":
+            self.first_replay = [output.logits for output in emitted]
+        for output in emitted:
+            if not np.array_equal(self.verifier.offline_reference(output.frames), output.logits):
+                self.mismatched += 1
+
+
 def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result):
     phases = spec["phases"]
-    setups = [Setup(spec, seed, seconds) for _ in range(spec["setup_repeats"])]
-    setup = setups[-1]
-    verifier = build_session(spec, seed)
+    setup_s, probes = [], []
+    for _ in range(spec["setup_repeats"]):
+        setup = None  # one set-up alive at a time, so peak_rss_mb is one operator's
+        gc.collect()
+        probes.append(host_probe())
+        setup = Setup(spec, seed, seconds)
+        setup_s.append(setup.setup_s)
+    tally = Tally(spec, build_session(spec, seed))
     tracer = Tracer() if trace else None
     due_of, waits = {}, defaultdict(list)
-    runs, servers = [], []
+    servers = []
 
     def new_server():
         ready = list(setup.sessions)
@@ -134,82 +199,58 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
     def drained(label):
         events = setup.feeds[label]
         server = new_server()
+        probes.append(host_probe())
         phase_run = drain(server, submitter(server, label, events), len(events))
-        runs.append((label, phase_run, events))
+        tally.add(label, phase_run, events)
         return phase_run.throughput()
 
     # Replays and open-loop chunks run in interleaved rounds, so every
     # phase samples the whole run.
-    rounds, per_round = spec["rounds"], phases["replay"]["per_round"]
+    rounds = spec["rounds"]
+    replay_s = phases["replay"]["share_of_seconds"] * seconds / rounds
     drained("warmup")
     if trace:
-        untraced_rates = [drained("replay") for _ in range(rounds * per_round)]
+        untraced_rates = repeat_for(rounds * replay_s, lambda: drained("replay"))
         instrument(tracer, setup.sessions, due_of, waits)
-        traced_start = time.perf_counter()
+        traced_start, checked_s = time.perf_counter(), tally.seconds
     rates, chunks = [], defaultdict(list)
     for round_index in range(rounds):
-        rates.extend(drained("replay") for _ in range(per_round))
+        rates.extend(repeat_for(replay_s, lambda: drained("replay")))
         with new_server() as server:
             for phase in ("low", "high"):
                 events = setup.feeds[phase][round_index]
                 dues = rescaled_dues(spec, events, phases[phase]["rate_per_s"])
                 chunk = open_loop(submitter(server, phase, events, record=trace), dues)
-                runs.append((phase, chunk, events))
+                tally.add(phase, chunk, events)
                 chunks[phase].append(chunk)
     if trace:
-        traced_end = time.perf_counter()
+        wall = time.perf_counter() - traced_start - (tally.seconds - checked_s)
         busy = tracer.busy_by_thread()
     summaries = {}
     for phase in ("low", "high"):
         summaries[phase] = phase_summary(phase, chunks[phase], phases[phase]["warmup_s"])
         check_phase(result, phase, summaries[phase], phases[phase])
     stats = [server.stats() for server in servers]
-
-    # Correctness: the exact window count, and every window bit-equal to
-    # the offline pass over its frames.  Repeated replays of one feed
-    # must reproduce the first replay's windows exactly, which that
-    # replay's offline check covers.
-    attempted = errors = mismatched = windows = expected_windows = 0
-    first_replay = None
-    for label, phase_run, events in runs:
-        attempted += len(events)
-        errors += phase_run.errors
-        expected_windows += len(events) // spec["window"]
-        emitted = [output for output in phase_run.outputs if output is not None]
-        windows += len(emitted)
-        if label == "replay" and first_replay is not None:
-            mismatched += sum(
-                not np.array_equal(output.logits, first.logits)
-                for output, first in zip(emitted, first_replay)
-            ) + abs(len(emitted) - len(first_replay))
-            continue
-        if label == "replay":
-            first_replay = emitted
-        for output in emitted:
-            if not np.array_equal(verifier.offline_reference(output.frames), output.logits):
-                mismatched += 1
-    result.ops(attempted, errors + mismatched)
-    result.check("window count exact", windows == expected_windows,
-                 f"{windows} windows, expected {expected_windows}")
-    result.check("every window bit-equal to offline_reference", mismatched == 0,
-                 f"{mismatched} of {windows} differ")
+    result.ops(tally.attempted, tally.errors + tally.mismatched)
+    result.check("window count exact", tally.windows == tally.expected_windows,
+                 f"{tally.windows} windows, expected {tally.expected_windows}")
+    result.check("every window bit-equal to offline_reference", tally.mismatched == 0,
+                 f"{tally.mismatched} of {tally.windows} differ")
     failed = sum(entry["failed"] for entry in stats)
     restarts = sum(entry["restarts"] for entry in stats)
     result.check("servers: no failed events, no restarts", failed == 0 and restarts == 0,
                  f"failed {failed}, restarts {restarts}")
 
-    print("replay throughput per repeat: " + ", ".join(f"{r:.1f}" for r in rates) + " events/s")
-    result.metric("setup_s", np.median([s.setup_s for s in setups]))
-    # Best of the replays: see common.phase_summary on host speed swings.
-    result.metric("throughput_per_s", max(rates))
-    result.metric("p50_ms", summaries["low"]["p50_ms"])
-    result.metric("p90_ms", summaries["low"]["p90_ms"])
+    print(f"replay throughput over {len(rates)} replays: best {max(rates):.1f}, "
+          f"median {np.median(rates):.1f} events/s; set-up median {np.median(setup_s):.4f} s; "
+          f"host probe fastest {min(probes) * 1e3:.2f} ms, median {np.median(probes) * 1e3:.2f} ms")
+    result.metric("setup_s", time_at_reference(setup_s, probes))
+    result.metric("throughput_per_s", rate_at_reference(max(rates), probes))
     result.metric("peak_rss_mb", peak_rss_mb())
     if not trace:
         return None
 
     totals = tracer.totals()
-    wall = traced_end - traced_start
     print(f"traced region: wall {wall:.4f} s x {spec['workers']} workers; self time by layer:")
     tracer.report()
     _, process_s, processed = totals.get("stream.process", (0.0, 0.0, 0))
@@ -221,11 +262,12 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
     result.metric("stream.forward_once_ms", forward_s * per_event)
     result.metric("stream.overhead_ms", (process_s - forward_s) * per_event)
     result.metric("stream.events", processed)
-    result.metric("stream.windows", windows)
+    result.metric("stream.windows", tally.windows)
     result.metric("gen.late_p90_ms", max(summaries[p]["late_p90_ms"] for p in summaries))
     result.metric("gen.backlog_end", max(summaries[p]["backlog_end"] for p in summaries))
-    result.metric("gen.high_rate_p50_ms", summaries["high"]["p50_ms"])
-    result.metric("gen.high_rate_p90_ms", summaries["high"]["p90_ms"])
+    for phase in ("low", "high"):
+        result.metric(f"gen.{phase}_rate_p50_ms", summaries[phase]["p50_ms"])
+        result.metric(f"gen.{phase}_rate_p90_ms", summaries[phase]["p90_ms"])
     result.metric("trace.wall_s", wall)
     # Worker-seconds of the traced region spent outside any traced call.
     result.metric("trace.unattributed_s", spec["workers"] * wall - sum(busy.values()))

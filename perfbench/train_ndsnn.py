@@ -22,6 +22,7 @@ benchmark measures.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -30,7 +31,15 @@ import time
 
 import numpy as np
 
-from common import Traced, Tracer, pct, peak_rss_mb
+from common import (
+    Traced,
+    Tracer,
+    host_probe,
+    pct,
+    peak_rss_mb,
+    rate_at_reference,
+    time_at_reference,
+)
 from repro.experiments.config import scaled_config
 from repro.experiments.runner import (
     build_experiment_model,
@@ -52,6 +61,7 @@ CALIBRATION_DIR = os.path.join(HERE, "calibration")
 REFERENCE_PATH = os.path.join(HERE, "reference", "train_ndsnn.json")
 #: Seconds of ``--seconds`` per fit; the job itself has a fixed size.
 SECONDS_PER_FIT = 3.0
+PROBES_PER_FIT = 3
 
 
 def job_config(job: dict, seed: int):
@@ -196,11 +206,9 @@ def check_fit(result, label, job, history, reference, first_losses) -> bool:
         np.allclose(shares, reference["csr_share"], rtol=0.0, atol=1e-9),
         f"{shares} vs {reference['csr_share']}",
     )
-    for name in masks.states:
-        ok &= result.check(
-            f"{label}: {name} cutoff comes from the pinned cache",
-            masks.explain_dispatch(name)["cutoff_source"] == "calibrated",
-        )
+    cutoffs = masks.calibration.to_meta()
+    ok &= result.check(f"{label}: dispatch cutoffs equal the pinned cache's",
+                       cutoffs == reference["cutoffs"], f"{cutoffs} vs {reference['cutoffs']}")
     targets = method.ramp.sparsity_at(method.history[-1].iteration)
     for name in masks.states:
         target = max(1, int(round((1.0 - targets[name]) * masks.layer_size(name))))
@@ -225,9 +233,14 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
     steps_per_fit = iterations_per_epoch(config) * config.epochs
     fits = max(2, int(seconds // SECONDS_PER_FIT))
     tracer = Tracer() if trace else None
-    setup_s, calibrate_s, epoch_s, step_s = [], [], [], []
+    setup_s, calibrate_s, epoch_s, step_s, probes = [], [], [], [], []
     first_losses = None
     for index in range(fits):
+        job = None  # one job alive at a time, so peak_rss_mb is one researcher's
+        gc.collect()
+        # A fit is one long unit, so probe a few times per fit to catch
+        # the host's fastest moments about as often as the fits do.
+        probes.extend(host_probe() for _ in range(PROBES_PER_FIT))
         job = Job(config)
         setup_s.append(job.setup_s)
         calibrate_s.append(job.calibrate_s)
@@ -253,7 +266,7 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
 
     # Every fit repeats identical work, so each epoch and each step is
     # timed as the fastest of its repeats: a shared host's CPU speed swings
-    # by up to 2x over seconds to minutes (see common.phase_summary).
+    # by up to 2x over seconds to minutes (see workloads.json).
     samples = config.epochs * config.train_samples
     best_fit_s = float(np.min(epoch_s, axis=0).sum())
     step_ms = np.min(step_s, axis=0) * 1e3
@@ -262,13 +275,15 @@ def run(spec: dict, seed: int, seconds: float, trace: bool, run_dir: str, result
           + f"; best epochs {samples / best_fit_s:.1f}")
     print(f"best step latency: p50 {pct(step_ms, 50):.3f} ms  p90 {pct(step_ms, 90):.3f} ms  "
           f"p99 {pct(step_ms, 99):.3f} ms over {step_ms.size} steps")
-    result.metric("setup_s", np.median(setup_s))
-    result.metric("throughput_per_s", samples / best_fit_s)
-    result.metric("p50_ms", pct(step_ms, 50))
-    result.metric("p90_ms", pct(step_ms, 90))
+    print(f"set-up median {np.median(setup_s):.4f} s; host probe fastest "
+          f"{min(probes) * 1e3:.2f} ms, median {np.median(probes) * 1e3:.2f} ms")
+    result.metric("setup_s", time_at_reference(setup_s, probes))
+    result.metric("throughput_per_s", rate_at_reference(samples / best_fit_s, probes))
     result.metric("peak_rss_mb", peak_rss_mb())
     if not trace:
         return None
+    result.metric("train.step_p50_ms", pct(step_ms, 50))
+    result.metric("train.step_p90_ms", pct(step_ms, 90))
 
     totals = tracer.totals()
 

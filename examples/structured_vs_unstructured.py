@@ -4,7 +4,7 @@ The paper targets unstructured sparsity (maximum accuracy per removed
 weight, needs index storage); structured pruning removes whole filters
 (hardware-friendly, no indices, but coarser).  This example trains both
 at matched sparsity and compares accuracy and real storage cost using
-the CSR encoder from `repro.sparse.storage`.
+the CSR pattern from `repro.sparse.storage`.
 
 Run:  python examples/structured_vs_unstructured.py
 """
@@ -15,7 +15,7 @@ from repro.data import DataLoader, make_dataset
 from repro.experiments.tables import format_table
 from repro.optim import SGD, CosineAnnealingLR
 from repro.snn.models import SpikingConvNet
-from repro.sparse import NDSNN, StructuredFilterPruning, csr_encode
+from repro.sparse import NDSNN, CSRPattern, StructuredFilterPruning
 from repro.train import Trainer
 
 
@@ -48,7 +48,9 @@ def storage_kb(method, structured: bool) -> float:
             alive_rows = int((mask.reshape(mask.shape[0], -1).max(axis=1) > 0).sum())
             bits += alive_rows * (parameter.size // parameter.shape[0]) * 32
         else:
-            bits += csr_encode(parameter.data).storage_bits()
+            # Unstructured: CSR values + column indices + row pointers.
+            pattern = CSRPattern.from_mask(parameter.data != 0)
+            bits += pattern.nnz * 64 + (pattern.shape[0] + 1) * 32
     return bits / 8 / 1024
 
 

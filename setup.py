@@ -3,8 +3,8 @@
 The offline build environment lacks the ``wheel`` package, so PEP 660
 editable installs (which require ``bdist_wheel``) are unavailable.
 This shim lets ``pip install -e . --no-use-pep517 --no-build-isolation``
-take the legacy ``setup.py develop`` path. Metadata lives in
-``pyproject.toml``.
+take the legacy ``setup.py develop`` path.  All package metadata lives
+here; there is no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup
@@ -15,5 +15,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.21"],
+    install_requires=["numpy>=1.21", "scipy"],
 )

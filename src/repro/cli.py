@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--precision", default=None, choices=("f32", "f16", "int8"),
             help="--package runtime: f32 (default; pre-scale quantized "
                  "values into frozen float32 buffers at load) or the "
-                 "artifact's stored f16/int8 (dequantize row-blocks on "
-                 "the fly, minimal memory)",
+                 "artifact's stored f16/int8 (CSR kernels run straight "
+                 "off the mapped values, minimal memory)",
         )
         parser.add_argument("--method", default="ndsnn", choices=METHOD_CHOICES + ("structured",))
         parser.add_argument(

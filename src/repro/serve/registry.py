@@ -180,12 +180,12 @@ class ModelRegistry:
         rebuilds only the model geometry (under
         :func:`~repro.nn.init.skip_init`) and aliases the shared map
         for its CSR values and f16 biases — N workers cost one copy of
-        the weights.  ``precision`` picks the runtime: the default
+        the weights.  ``precision`` picks the value buffers: the default
         ``"f32"`` pre-scales quantized values into frozen float32 CSR
-        buffers at load (full engine dispatch speed); ``"f16"`` /
-        ``"int8"`` keep the mapped buffers at stored precision and
-        dequantize row-blocks on the fly.  No training-stack module is
-        imported on this path.
+        buffers at load; ``"f16"`` / ``"int8"`` run the same CSR
+        kernels straight off the mapped buffers at stored precision
+        (see :func:`~repro.sparse.packaging.build_packed_runtime`).  No
+        training-stack module is imported on this path.
         """
         from ..sparse.packaging import PackedModel, build_packed_runtime
 

@@ -35,22 +35,8 @@ from .structured import (
     filter_norms,
     sever_dead_channels,
 )
-from .storage import (
-    HAVE_SCIPY,
-    CSRMatrix,
-    CSRPattern,
-    csr_decode,
-    csr_encode,
-    model_csr_storage_bits,
-)
-from .inference import (
-    CSRConv2d,
-    CSRLinear,
-    compress_model,
-    compressed_storage_bits,
-    compression_report,
-    serving_storage_report,
-)
+from .storage import CSRPattern, model_csr_storage_bits
+from .inference import serving_storage_report
 from .packaging import (
     PRECISIONS,
     PackedManager,
@@ -120,17 +106,8 @@ __all__ = [
     "sever_dead_channels",
     "compact_model",
     "dead_output_rows",
-    "CSRMatrix",
     "CSRPattern",
-    "HAVE_SCIPY",
-    "csr_encode",
-    "csr_decode",
     "model_csr_storage_bits",
-    "CSRLinear",
-    "CSRConv2d",
-    "compress_model",
-    "compressed_storage_bits",
-    "compression_report",
     "serving_storage_report",
     "PRECISIONS",
     "PackedManager",

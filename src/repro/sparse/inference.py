@@ -1,174 +1,15 @@
-"""Sparse inference: run trained sparse models from CSR storage.
+"""Sparse inference reporting: what a serving engine stores and runs.
 
-Deployment counterpart of the §III-D memory analysis: after NDSNN
-training, the surviving weights are packed into CSR (values + column
-indices + row pointers) and inference runs directly off that compressed
-representation — no dense weight tensor is materialized.  This is how
-the model would ship to an edge target.
-
-Currently linear layers execute via CSR matvec; convolutions execute
-via the equivalent CSR matmul over im2col patches.  Outputs are
-bit-identical to the dense masked model (verified by tests).
+Deployment counterpart of the §III-D memory analysis.  Frozen sessions
+(from checkpoints or packed ``.reprom`` artifacts) run every sparse
+layer straight off its :class:`~repro.sparse.storage.CSRPattern`; this
+module reports, per layer, the route taken and the storage that layer
+costs in theory (CSR bits) and on disk (packed bytes).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
-
-from ..nn.module import Module
-from ..nn.layers import Conv2d, Linear
-from ..tensor import Tensor, im2col
-from .storage import CSRMatrix, csr_encode
-
-
-class CSRLinear(Module):
-    """Inference-only linear layer backed by a CSR weight matrix.
-
-    ``matrix.data`` may be float32, float16, or int8; int8 needs the
-    per-row ``scales`` (from the packed artifact's absmax calibration)
-    and is dequantized row-block by row-block during the forward, so
-    the mapped int8 buffer is never expanded wholesale.  The bias keeps
-    its stored dtype (f16 in packed artifacts) — numpy upcasts on use.
-    """
-
-    def __init__(
-        self,
-        matrix: CSRMatrix,
-        bias: np.ndarray = None,
-        scales: np.ndarray = None,
-    ) -> None:
-        super().__init__()
-        self.matrix = matrix
-        self.bias_value = None if bias is None else np.asarray(bias)
-        self.scales = scales
-
-    @classmethod
-    def from_layer(cls, layer: Linear) -> "CSRLinear":
-        bias = layer.bias.data if layer.bias is not None else None
-        return cls(csr_encode(layer.weight.data), bias)
-
-    def _row_values(self, start: int, stop: int, row: int) -> np.ndarray:
-        values = self.matrix.data[start:stop]
-        if self.scales is not None:
-            return values.astype(np.float32) * self.scales[row]
-        if values.dtype != np.float32:
-            return values.astype(np.float32)
-        return values
-
-    def forward(self, x: Tensor) -> Tensor:
-        # y = x W^T: compute row-wise via the CSR structure.
-        data = x.data
-        out = np.zeros((data.shape[0], self.matrix.shape[0]), dtype=np.float32)
-        indptr, indices = self.matrix.indptr, self.matrix.indices
-        for row in range(self.matrix.shape[0]):
-            start, stop = indptr[row], indptr[row + 1]
-            if start == stop:
-                continue
-            out[:, row] = data[:, indices[start:stop]] @ self._row_values(start, stop, row)
-        if self.bias_value is not None:
-            out += self.bias_value
-        return Tensor(out)
-
-    def storage_bits(self, value_bits: int = 32, index_bits: int = 32) -> int:
-        return self.matrix.storage_bits(value_bits=value_bits, index_bits=index_bits)
-
-
-class CSRConv2d(Module):
-    """Inference-only convolution backed by a CSR filter matrix.
-
-    Filters are stored as a CSR ``(F, C*kh*kw)`` matrix; the forward
-    pass lowers input patches with im2col and multiplies row-by-row.
-    """
-
-    def __init__(
-        self,
-        matrix: CSRMatrix,
-        bias: np.ndarray,
-        kernel_size: int,
-        stride: int,
-        padding: int,
-        in_channels: int,
-        scales: np.ndarray = None,
-    ) -> None:
-        super().__init__()
-        self.matrix = matrix
-        self.bias_value = None if bias is None else np.asarray(bias)
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.in_channels = in_channels
-        self.scales = scales
-
-    @classmethod
-    def from_layer(cls, layer: Conv2d) -> "CSRConv2d":
-        bias = layer.bias.data if layer.bias is not None else None
-        return cls(
-            csr_encode(layer.weight.data),
-            bias,
-            kernel_size=layer.kernel_size,
-            stride=layer.stride,
-            padding=layer.padding,
-            in_channels=layer.in_channels,
-        )
-
-    def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} input channels, got {c}")
-        k, s, p = self.kernel_size, self.stride, self.padding
-        cols = im2col(x.data, (k, k), (s, s), (p, p))  # (N, C*k*k, L)
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        f = self.matrix.shape[0]
-        out = np.zeros((n, f, cols.shape[2]), dtype=np.float32)
-        indptr, indices, values = self.matrix.indptr, self.matrix.indices, self.matrix.data
-        for row in range(f):
-            start, stop = indptr[row], indptr[row + 1]
-            if start == stop:
-                continue
-            row_values = values[start:stop]
-            if self.scales is not None:
-                row_values = row_values.astype(np.float32) * self.scales[row]
-            elif row_values.dtype != np.float32:
-                row_values = row_values.astype(np.float32)
-            out[:, row, :] = np.einsum(
-                "k,nkl->nl", row_values, cols[:, indices[start:stop], :],
-                optimize=True,
-            )
-        out = out.reshape(n, f, out_h, out_w)
-        if self.bias_value is not None:
-            out += self.bias_value.reshape(1, f, 1, 1)
-        return Tensor(out)
-
-    def storage_bits(self, value_bits: int = 32, index_bits: int = 32) -> int:
-        return self.matrix.storage_bits(value_bits=value_bits, index_bits=index_bits)
-
-
-def compress_model(model: Module) -> Module:
-    """Replace every Linear/Conv2d in ``model`` with its CSR twin, in place.
-
-    Returns the same model object for chaining.  The model should be in
-    eval mode; training through CSR layers is unsupported.
-    """
-    for module in model.modules():
-        for name, child in list(module._modules.items()):
-            if isinstance(child, Linear):
-                setattr(module, name, CSRLinear.from_layer(child))
-            elif isinstance(child, Conv2d):
-                setattr(module, name, CSRConv2d.from_layer(child))
-    model.eval()
-    return model
-
-
-def compressed_storage_bits(model: Module, value_bits: int = 32, index_bits: int = 32) -> int:
-    """Total CSR storage of a compressed model's weight layers."""
-    total = 0
-    for module in model.modules():
-        if isinstance(module, (CSRLinear, CSRConv2d)):
-            total += module.storage_bits(value_bits=value_bits, index_bits=index_bits)
-    return total
+from typing import Dict
 
 
 def serving_storage_report(manager, precision: str = None) -> Dict[str, object]:
@@ -220,19 +61,3 @@ def serving_storage_report(manager, precision: str = None) -> Dict[str, object]:
             "file_bytes": package.file_bytes,
         }
     return report
-
-
-def compression_report(model: Module) -> Dict[str, float]:
-    """Summary stats of a compressed model (layer count, bits, density)."""
-    layers: List = [
-        module for module in model.modules() if isinstance(module, (CSRLinear, CSRConv2d))
-    ]
-    nnz = sum(layer.matrix.nnz for layer in layers)
-    total = sum(layer.matrix.shape[0] * layer.matrix.shape[1] for layer in layers)
-    return {
-        "num_compressed_layers": len(layers),
-        "nonzeros": nnz,
-        "dense_weights": total,
-        "density": nnz / total if total else 0.0,
-        "storage_bits": compressed_storage_bits(model),
-    }

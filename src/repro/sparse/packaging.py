@@ -29,8 +29,8 @@ Because every tensor sits at an aligned offset,
 :class:`PackedModel` opens the file with ``np.memmap`` and serves
 **zero-copy**: an ``f32`` artifact's CSR value buffers *are* views into
 the map, and quantized artifacts served at their stored precision keep
-their value/bias buffers mapped as well.  Loading imports only the
-model zoo and the sparse kernels — never ``repro.train`` or
+their value, scale and bias buffers mapped as well.  Loading imports
+only the model zoo and the sparse kernels — never ``repro.train`` or
 ``repro.experiments`` — so edge targets ship without the training
 stack.
 """
@@ -45,9 +45,8 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..nn.init import skip_init
-from ..nn.layers import Conv2d, Linear
 from ..utils import atomic_replace
-from .storage import CSRMatrix, CSRPattern
+from .storage import CSRPattern
 
 MAGIC = b"REPROM\x00\x01"
 FORMAT_VERSION = 1
@@ -606,16 +605,16 @@ def _decode_layer_indices(package: PackedModel, entry: Dict) -> Tuple[np.ndarray
     return indices, indptr
 
 
-def _layer_values_f32(package: PackedModel, entry: Dict) -> Tuple[np.ndarray, bool]:
-    """Float32 values of one layer; second value: aliases the map."""
+def _layer_values_f32(package: PackedModel, entry: Dict) -> np.ndarray:
+    """Float32 values of one layer (f32 artifacts: a view into the map)."""
     stored = package.tensor(entry["tensors"]["values"])
     if package.precision == "f32":
-        return stored, True
+        return stored
     if package.precision == "f16":
-        return stored.astype(np.float32), False
+        return stored.astype(np.float32)
     scales = package.tensor(entry["tensors"]["scales"])
     indptr = package.tensor(entry["tensors"]["indptr"])
-    return dequantize_rows(stored, scales, indptr), False
+    return dequantize_rows(stored, scales, indptr)
 
 
 def _assign_dense_entries(package: PackedModel, model) -> None:
@@ -646,20 +645,13 @@ def _assign_dense_entries(package: PackedModel, model) -> None:
             module.update_buffer(buffer_name, view)
 
 
-def _module_index(model) -> Dict[str, Tuple[object, str, object]]:
-    """weight-parameter name -> (parent module, attr name, module)."""
-    index = {}
-    named = dict(model.named_modules())
-    for module_name, module in named.items():
-        if "weight" not in module._parameters:
-            continue
-        weight_name = f"{module_name}.weight" if module_name else "weight"
-        if module_name and "." in module_name:
-            parent_name, attr = module_name.rsplit(".", 1)
-        else:
-            parent_name, attr = "", module_name
-        index[weight_name] = (named[parent_name], attr, module)
-    return index
+def _weight_owners(model) -> Dict[str, object]:
+    """weight-parameter name -> the module owning it."""
+    return {
+        f"{name}.weight" if name else "weight": module
+        for name, module in model.named_modules()
+        if "weight" in module._parameters
+    }
 
 
 def _dense_from_pattern(pattern, values: np.ndarray) -> np.ndarray:
@@ -676,19 +668,18 @@ def build_packed_runtime(
 ):
     """``(model, manager)`` serving pair from an mmap'd package.
 
-    ``precision`` picks the runtime:
+    Every sparse layer runs through a frozen
+    :class:`~repro.sparse.storage.CSRPattern` bound as the layer's
+    ``weight_state``; ``precision`` picks its value buffer:
 
-    * ``"f32"`` (the default) — the engine fast path: quantized values
-      are pre-scaled into float32 CSR buffers at load (f32 artifacts
-      alias the map outright) and forwards run through the scipy-backed
-      :class:`~repro.sparse.storage.CSRPattern` kernels at frozen-f32
-      speed.
-    * ``"f16"`` / ``"int8"`` — memory-minimal: layers are replaced with
-      :class:`~repro.sparse.inference.CSRLinear` /
-      :class:`~repro.sparse.inference.CSRConv2d` whose value buffers
-      stay mapped at the stored precision and are dequantized
-      row-block by row-block during the forward (requires a matching
-      artifact precision).
+    * ``"f32"`` (the default) — quantized values are pre-scaled into
+      float32 buffers at load (f32 artifacts alias the map outright)
+      and each layer takes the route recorded in the manifest.
+    * ``"f16"`` / ``"int8"`` — memory-minimal: the value buffers stay
+      mapped at the stored precision (int8 rows are rescaled by the
+      stored per-row scales after each product) and every layer routes
+      CSR, so no dense weight is materialized.  Requires a matching
+      artifact precision.
     """
     runtime = precision or "f32"
     if runtime not in PRECISIONS:
@@ -703,62 +694,28 @@ def build_packed_runtime(
     model.eval()
     _assign_dense_entries(package, model)
     manager = PackedManager(package, runtime)
-    modules = _module_index(model)
+    owners = _weight_owners(model)
     for entry in package.meta["layers"]:
         name = entry["name"]
-        if name not in modules:
+        if name not in owners:
             raise KeyError(f"package layer {name!r} not in model")
-        parent, attr, module = modules[name]
+        module = owners[name]
         indices, indptr = _decode_layer_indices(package, entry)
         if runtime == "f32":
-            values, aliased = _layer_values_f32(package, entry)
-            pattern = CSRPattern.from_arrays(
-                indices, indptr, entry["shape"], entry["orig_shape"], values=values
-            )
-            pattern.freeze()
-            state = PackedState(name, entry["route"], pattern)
-            manager.add_state(state)
-            if entry["route"] == "csr":
-                object.__setattr__(module, "weight_state", state)
-            else:
-                module.weight.data = _dense_from_pattern(pattern, pattern.values)
-                module.weight.requires_grad = False
+            values, route = _layer_values_f32(package, entry), entry["route"]
         else:
-            from .inference import CSRConv2d, CSRLinear
-
-            stored = package.tensor(entry["tensors"]["values"])
-            matrix = CSRMatrix(
-                data=stored,
-                indices=indices.astype(np.int64),
-                indptr=indptr.astype(np.int64),
-                shape=tuple(entry["shape"]),
-                orig_shape=tuple(entry["orig_shape"]),
-            )
-            scales = (
-                package.tensor(entry["tensors"]["scales"])
-                if runtime == "int8" else None
-            )
-            bias = module.bias.data if module.bias is not None else None
-            if isinstance(module, Conv2d):
-                replacement = CSRConv2d(
-                    matrix, bias,
-                    kernel_size=module.kernel_size,
-                    stride=module.stride,
-                    padding=module.padding,
-                    in_channels=module.in_channels,
-                    scales=scales,
-                )
-            elif isinstance(module, Linear):
-                replacement = CSRLinear(matrix, bias, scales=scales)
-            else:
-                raise TypeError(
-                    f"layer {name!r} is neither Linear nor Conv2d"
-                )
-            setattr(parent, attr, replacement)
-            pattern = CSRPattern.from_arrays(
-                indices, indptr, entry["shape"], entry["orig_shape"],
-                values=stored,
-            )
-            pattern.frozen = True
-            manager.add_state(PackedState(name, entry["route"], pattern))
+            values, route = package.tensor(entry["tensors"]["values"]), "csr"
+        pattern = CSRPattern.from_arrays(
+            indices, indptr, entry["shape"], entry["orig_shape"], values=values
+        )
+        if runtime == "int8":
+            pattern.scales = package.tensor(entry["tensors"]["scales"])
+        pattern.freeze()
+        state = PackedState(name, route, pattern)
+        manager.add_state(state)
+        if route == "csr":
+            object.__setattr__(module, "weight_state", state)
+        else:
+            module.weight.data = _dense_from_pattern(pattern, pattern.values)
+            module.weight.requires_grad = False
     return model, manager

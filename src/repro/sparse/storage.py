@@ -2,134 +2,36 @@
 
 Section III-D of the paper counts training memory assuming CSR storage
 of the sparse weight matrices (one column index per non-zero plus one
-row pointer per filter row).  This module provides an actual CSR
-implementation so the footprint model is backed by working code: 4-D
-convolution filters are stored as ``(F, C*kh*kw)`` matrices, matching
-the paper's reshaping convention.
+row pointer per filter row).  :class:`CSRPattern` is that storage made
+executable, and the one sparse runtime the library has: 4-D convolution
+filters are stored as ``(F, C*kh*kw)`` matrices, matching the paper's
+reshaping convention.
 
-Beyond storage, :class:`CSRPattern` is the compute side of the CSR
-fast path: it caches the index structure of a *mask* (which only
-changes at drop-and-grow rounds) separately from the weight *values*
-(which change every optimizer step), and exposes the two products the
-training step needs — ``W @ X`` for the forward pass and ``W^T @ G``
-for the input gradient.  SciPy's sparse kernels are used when present;
-a vectorized ``reduceat``-based pure-numpy fallback keeps the path
-alive without the dependency.
+A pattern caches the index structure of a *mask* (which only changes at
+drop-and-grow rounds) separately from the weight *values* (which change
+every optimizer step), and exposes the two products the training step
+needs — ``W @ X`` for the forward pass and ``W^T @ G`` for the input
+gradient — through SciPy's sparse kernels.  The same pattern serves
+packed artifacts at their stored value precision: f16 or int8 values
+go straight to SciPy (which accumulates in float32), and int8 rows are
+rescaled by an optional per-row ``scales`` array after the product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by the kernel tests
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover
-    _scipy_sparse = None
-
-HAVE_SCIPY = _scipy_sparse is not None
+from scipy import sparse as _scipy_sparse
 
 
-@dataclass
-class CSRMatrix:
-    """A 2-D sparse matrix in CSR form.
-
-    Attributes
-    ----------
-    data:
-        Non-zero values, row-major.
-    indices:
-        Column index of each non-zero.
-    indptr:
-        Row pointers: row ``i`` occupies ``data[indptr[i]:indptr[i+1]]``.
-    shape:
-        Dense ``(rows, cols)`` shape.
-    orig_shape:
-        Original tensor shape (e.g. 4-D conv filters) for round-trips.
-    """
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: Tuple[int, int]
-    orig_shape: Tuple[int, ...]
-
-    @property
-    def nnz(self) -> int:
-        return int(self.data.size)
-
-    @property
-    def density(self) -> float:
-        rows, cols = self.shape
-        total = rows * cols
-        return self.nnz / total if total else 0.0
-
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.density
-
-    def storage_bits(self, value_bits: int = 32, index_bits: int = 32) -> int:
-        """Exact storage cost in bits (paper §III-D accounting).
-
-        ``nnz`` values + ``nnz`` column indices + ``rows + 1`` pointers.
-        """
-        return self.nnz * value_bits + self.nnz * index_bits + (self.shape[0] + 1) * index_bits
-
-    def to_dense(self) -> np.ndarray:
-        """Reconstruct the dense tensor in its original shape."""
-        rows, cols = self.shape
-        dense = np.zeros((rows, cols), dtype=self.data.dtype)
-        for row in range(rows):
-            start, stop = self.indptr[row], self.indptr[row + 1]
-            dense[row, self.indices[start:stop]] = self.data[start:stop]
-        return dense.reshape(self.orig_shape)
-
-    def row(self, index: int) -> np.ndarray:
-        """One dense row (a filter's flattened weights)."""
-        dense_row = np.zeros(self.shape[1], dtype=self.data.dtype)
-        start, stop = self.indptr[index], self.indptr[index + 1]
-        dense_row[self.indices[start:stop]] = self.data[start:stop]
-        return dense_row
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix-vector product (inference-style usage)."""
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"vector length {x.shape[0]} != cols {self.shape[1]}")
-        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
-        for row in range(self.shape[0]):
-            start, stop = self.indptr[row], self.indptr[row + 1]
-            out[row] = self.data[start:stop] @ x[self.indices[start:stop]]
-        return out
-
-
-def _as_matrix(tensor: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
+def _as_matrix(tensor: np.ndarray) -> np.ndarray:
     """Reshape a weight tensor to the paper's 2-D convention."""
     if tensor.ndim == 2:
-        return tensor, tensor.shape
+        return tensor
     if tensor.ndim == 4:
-        f = tensor.shape[0]
-        matrix = tensor.reshape(f, -1)
-        return matrix, matrix.shape
+        return tensor.reshape(tensor.shape[0], -1)
     raise ValueError(f"unsupported tensor rank {tensor.ndim} (need 2-D or 4-D)")
-
-
-def csr_encode(tensor: np.ndarray) -> CSRMatrix:
-    """Encode a (possibly 4-D) weight tensor as CSR."""
-    matrix, shape = _as_matrix(np.asarray(tensor))
-    rows, _ = shape
-    # np.nonzero scans row-major, which is exactly CSR data order.
-    row_idx, col_idx = np.nonzero(matrix)
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_idx, minlength=rows), out=indptr[1:])
-    return CSRMatrix(
-        data=matrix[row_idx, col_idx].astype(matrix.dtype),
-        indices=col_idx.astype(np.int64),
-        indptr=indptr,
-        shape=shape,
-        orig_shape=tuple(np.asarray(tensor).shape),
-    )
 
 
 class CSRPattern:
@@ -141,20 +43,24 @@ class CSRPattern:
     dense weights, and with write-through maintenance (the optimizer
     step updates it directly, see
     :meth:`~repro.sparse.engine.MaskedParameter.write_through`) the
-    kernels run without any per-call re-gather.  With SciPy present the
-    cached ``csr_matrix`` and its transpose view share ``values`` as
-    their data buffer, so forward and input-gradient products both run
-    at sparse cost from a single refresh.
+    kernels run without any per-call re-gather.  The cached SciPy
+    ``csr_matrix`` and its transpose view share ``values`` as their data
+    buffer, so forward and input-gradient products both run at sparse
+    cost from a single refresh.
+
+    ``scales`` (``None`` unless set) is a per-row float32 multiplier
+    applied to the product, ``W = diag(scales) @ Q``: packed int8
+    values are served this way without dequantizing them.
     """
 
     __slots__ = ("shape", "orig_shape", "indices", "indptr", "flat_index", "nnz",
-                 "values", "frozen", "_sp", "_sp_t", "_row_of_nz")
+                 "values", "scales", "frozen", "_sp", "_sp_t")
 
     def __init__(self, mask: np.ndarray) -> None:
-        matrix, shape = _as_matrix(np.asarray(mask))
+        matrix = _as_matrix(np.asarray(mask))
         row_idx, col_idx = np.nonzero(matrix)
-        rows, cols = shape
-        self.shape = shape
+        rows, cols = matrix.shape
+        self.shape = matrix.shape
         self.orig_shape = tuple(np.asarray(mask).shape)
         self.indices = col_idx.astype(np.int32)
         self.indptr = np.zeros(rows + 1, dtype=np.int32)
@@ -165,10 +71,10 @@ class CSRPattern:
         self.flat_index = (row_idx * cols + col_idx).astype(np.intp)
         self.nnz = int(self.flat_index.size)
         self.values = np.empty(self.nnz, dtype=np.float32)
+        self.scales: Optional[np.ndarray] = None
         self.frozen = False
         self._sp = None
         self._sp_t = None
-        self._row_of_nz: Optional[np.ndarray] = None
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "CSRPattern":
@@ -187,9 +93,9 @@ class CSRPattern:
 
         The package loader (:mod:`repro.sparse.packaging`) uses this to
         reconstruct serving patterns without ever materializing a dense
-        mask: ``values`` may be any float32 buffer — including a
-        read-only view into an mmap'd artifact, which the pattern then
-        aliases instead of copying.  ``flat_index`` (only needed by
+        mask: ``values`` may be any float32, float16 or int8 buffer —
+        including a read-only view into an mmap'd artifact, which the
+        pattern then aliases instead of copying.  ``flat_index`` (only needed by
         :meth:`gather`, which frozen serving never calls) is built
         lazily.
         """
@@ -214,10 +120,10 @@ class CSRPattern:
             self.values = values
         else:
             self.values = np.empty(self.nnz, dtype=np.float32)
+        self.scales = None
         self.frozen = False
         self._sp = None
         self._sp_t = None
-        self._row_of_nz = None
         return self
 
     @property
@@ -252,8 +158,8 @@ class CSRPattern:
     def gather(self, weight: np.ndarray) -> np.ndarray:
         """Refresh ``values`` from the dense weights (CSR order).
 
-        The persistent buffer is returned; with SciPy it doubles as the
-        cached matrix's data buffer, so no further copy happens when a
+        The persistent buffer is returned; it doubles as the cached
+        SciPy matrix's data buffer, so no further copy happens when a
         kernel runs.
         """
         if self.frozen:
@@ -320,45 +226,28 @@ class CSRPattern:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
+    def _bound_matrix(self, data: np.ndarray):
+        sp = self._scipy_matrix(data.dtype)
+        if not self._aliases(sp.data, data):
+            sp.data[:] = data
+        return sp
+
     def matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
         """``W @ dense`` where ``W`` is this pattern with ``data`` values.
 
         ``dense`` has shape ``(cols, m)``; returns ``(rows, m)``.
         """
-        if HAVE_SCIPY:
-            sp = self._scipy_matrix(data.dtype)
-            if not self._aliases(sp.data, data):
-                sp.data[:] = data
-            return np.asarray(sp @ dense)
-        prod = data[:, None] * dense[self.indices]
-        out = np.zeros((self.shape[0], dense.shape[1]), dtype=prod.dtype)
-        counts = np.diff(self.indptr)
-        nonempty = counts > 0
-        if prod.size:
-            out[nonempty] = np.add.reduceat(prod, self.indptr[:-1][nonempty], axis=0)
+        out = np.asarray(self._bound_matrix(data) @ dense)
+        if self.scales is not None:
+            out *= self.scales[:, None]
         return out
 
     def t_matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
         """``W^T @ dense``; ``dense`` is ``(rows, m)``, returns ``(cols, m)``."""
-        if HAVE_SCIPY:
-            sp = self._scipy_matrix(data.dtype)
-            if not self._aliases(sp.data, data):
-                sp.data[:] = data
-            return np.asarray(self._sp_t @ dense)
-        if self._row_of_nz is None:
-            self._row_of_nz = np.repeat(
-                np.arange(self.shape[0]), np.diff(self.indptr)
-            ).astype(np.int64)
-        out = np.zeros((self.shape[1], dense.shape[1]),
-                       dtype=np.result_type(data, dense))
-        np.add.at(out, self.indices.astype(np.int64),
-                  data[:, None] * dense[self._row_of_nz])
-        return out
-
-
-def csr_decode(matrix: CSRMatrix) -> np.ndarray:
-    """Inverse of :func:`csr_encode`."""
-    return matrix.to_dense()
+        self._bound_matrix(data)
+        if self.scales is not None:
+            dense = self.scales[:, None] * dense
+        return np.asarray(self._sp_t @ dense)
 
 
 def model_csr_storage_bits(
@@ -366,13 +255,16 @@ def model_csr_storage_bits(
 ) -> int:
     """Exact CSR storage of every sparsifiable weight in a model.
 
-    This is the measured counterpart of the §III-D analytic formula;
-    tests verify the two agree.
+    ``nnz`` values + ``nnz`` column indices + ``rows + 1`` row pointers
+    per weight matrix (4-D filters counted as ``(F, C*kh*kw)``).  This
+    is the measured counterpart of the §III-D analytic formula; tests
+    verify the two agree.
     """
     from .mask import sparsifiable_parameters
 
     total = 0
     for _, parameter in sparsifiable_parameters(model):
-        encoded = csr_encode(parameter.data)
-        total += encoded.storage_bits(value_bits=value_bits, index_bits=index_bits)
+        row_counts = np.count_nonzero(_as_matrix(parameter.data), axis=1)
+        nnz = int(row_counts.sum())
+        total += nnz * (value_bits + index_bits) + (row_counts.size + 1) * index_bits
     return total

@@ -18,7 +18,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..data.telemetry import stream_seed
+from ..utils import stream_seed
 
 
 class OnlineEncoder:

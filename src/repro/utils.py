@@ -1,4 +1,8 @@
-"""Small shared utilities: seeding, timing, result serialization."""
+"""Small shared utilities: seeding, timing, result serialization.
+
+Imports nothing beyond :mod:`repro.nn.init`, so the data, stream,
+sparse and training layers can all use it without an import cycle.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import json
 import os
 import socket
 import time
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Union
@@ -46,6 +51,11 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.elapsed = time.perf_counter() - self.start
+
+
+def stream_seed(seed: int, stream_id: str) -> int:
+    """Stable per-stream seed: experiment seed folded with the id."""
+    return (int(seed) * 0x9E3779B1 + zlib.crc32(stream_id.encode("utf-8"))) % (2**32)
 
 
 @contextmanager

@@ -232,6 +232,21 @@ class TestPackagingRegressionGate:
         failures = bench.check_regressions(doctored, payload)
         assert any("artifact_size_ratio" in failure for failure in failures)
 
+    def test_stored_precision_runtime_is_gated(self):
+        bench = load_bench("bench_packaging")
+        payload = self.tiny_payload(bench)
+        cells = payload["cells"]
+        assert payload["int8_stored_throughput_ratio"] == pytest.approx(
+            cells["int8_runtime_int8"]["throughput_rps"]
+            / cells["int8_runtime_f32"]["throughput_rps"]
+        )
+        for label in bench.ERROR_BOUND_CELLS:
+            assert payload["max_abs_error"][label] <= bench.INT8_ERROR_BOUND
+        doctored = dict(payload)
+        doctored["int8_stored_throughput_ratio"] *= 100.0
+        failures = bench.check_regressions(doctored, payload)
+        assert any("int8_stored_throughput_ratio" in f for f in failures)
+
     def test_check_cli_exit_codes(self, tmp_path):
         bench = load_bench("bench_packaging")
         payload = self.tiny_payload(bench)

@@ -1,8 +1,9 @@
 """CSR fast-path kernels: gradcheck and dense-parity at 50/90/99%.
 
-Covers the :class:`~repro.sparse.storage.CSRPattern` kernels, the
-dense-vs-CSR dispatch shim in :mod:`repro.tensor.functional`, and the
-pure-numpy fallback used when SciPy is absent.
+Covers the :class:`~repro.sparse.storage.CSRPattern` kernels (float32,
+plus the float16/int8 stored values and per-row scales packed artifacts
+serve) and the dense-vs-CSR dispatch shim in
+:mod:`repro.tensor.functional`.
 """
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from repro.nn.layers import Conv2d, Linear
 from repro.sparse import CSRPattern, SparsityManager
-from repro.sparse import storage
 from repro.tensor import (
     DISPATCH_COUNTS,
     Tensor,
@@ -94,6 +94,41 @@ class TestCSRPatternKernels:
         mask = random_mask((10, 10), 0.9, seed=8)
         pattern = CSRPattern.from_mask(mask)
         assert pattern.density == pytest.approx(mask.mean(), abs=1e-6)
+
+    def test_empty_rows_are_zero(self):
+        mask = np.zeros((4, 6), dtype=np.float32)
+        mask[1, 2] = 1.0  # rows 0, 2, 3 completely empty
+        pattern = CSRPattern.from_mask(mask)
+        weight = np.ones((4, 6), dtype=np.float32)
+        x = np.ones((6, 3), dtype=np.float32)
+        out = pattern.matmul(pattern.gather(weight), x)
+        assert np.all(out[[0, 2, 3]] == 0.0)
+        assert np.all(out[1] == 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int8])
+    def test_stored_values_with_row_scales(self, dtype):
+        """f16/int8 value buffers run as-is; ``scales`` rescales rows."""
+        mask = random_mask((12, 20), 0.8, seed=9)
+        rng = np.random.default_rng(10)
+        stored = (rng.integers(-127, 128, mask.shape) * mask).astype(dtype)
+        scales = rng.uniform(0.01, 0.1, 12).astype(np.float32)
+        pattern = CSRPattern.from_mask(mask)
+        values = stored.reshape(-1)[pattern.flat_index]
+        pattern = CSRPattern.from_arrays(
+            pattern.indices, pattern.indptr, pattern.shape, pattern.orig_shape,
+            values=values,
+        )
+        pattern.scales = scales
+        pattern.freeze()
+        weight = scales[:, None] * stored.astype(np.float32)
+        x = rng.standard_normal((20, 5)).astype(np.float32)
+        g = rng.standard_normal((12, 5)).astype(np.float32)
+        out = pattern.matmul(pattern.values, x)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, weight @ x, rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(pattern.t_matmul(pattern.values, g),
+                                   weight.T @ g, rtol=1e-5, atol=1e-4)
+        assert pattern._sp.data.dtype == dtype
 
 
 class TestMaskedLinearCSR:
@@ -188,36 +223,6 @@ class TestMaskedConvCSR:
         numeric = numeric_gradient(fn, weight)
         np.testing.assert_allclose(weight.grad * mask, numeric * mask,
                                    atol=1e-2 * max(1.0, np.abs(numeric).max()))
-
-
-class TestNumpyFallback:
-    """The kernels survive without SciPy (vectorized reduceat path)."""
-
-    @pytest.fixture(autouse=True)
-    def no_scipy(self, monkeypatch):
-        monkeypatch.setattr(storage, "HAVE_SCIPY", False)
-
-    @pytest.mark.parametrize("sparsity", SPARSITIES)
-    def test_matmul_and_t_matmul(self, sparsity):
-        weight, mask, _ = masked_layer_pair((16, 24), sparsity, seed=30)
-        pattern = CSRPattern.from_mask(mask)
-        data = pattern.gather(weight.data)
-        x = np.random.default_rng(31).standard_normal((24, 6)).astype(np.float32)
-        g = np.random.default_rng(32).standard_normal((16, 6)).astype(np.float32)
-        np.testing.assert_allclose(pattern.matmul(data, x), (weight.data * mask) @ x,
-                                   atol=1e-5)
-        np.testing.assert_allclose(pattern.t_matmul(data, g), (weight.data * mask).T @ g,
-                                   atol=1e-5)
-
-    def test_empty_rows_are_zero(self):
-        mask = np.zeros((4, 6), dtype=np.float32)
-        mask[1, 2] = 1.0  # rows 0, 2, 3 completely empty
-        pattern = CSRPattern.from_mask(mask)
-        weight = np.ones((4, 6), dtype=np.float32)
-        x = np.ones((6, 3), dtype=np.float32)
-        out = pattern.matmul(pattern.gather(weight), x)
-        assert np.all(out[[0, 2, 3]] == 0.0)
-        assert np.all(out[1] == 1.0)
 
 
 def load_bench_module():

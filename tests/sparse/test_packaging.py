@@ -30,9 +30,11 @@ from repro.serve import InferenceSession, ModelRegistry
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
 from repro.sparse.packaging import (
+    _VALUE_DTYPES,
     MAGIC,
     PackedModel,
     build_packed_runtime,
+    build_spec_model,
     delta_decode_indices,
     delta_encode_indices,
     dequantize_rows,
@@ -217,15 +219,23 @@ class TestPackedArtifact:
         with pytest.raises(ValueError, match="not a .reprom"):
             PackedModel(bogus)
 
-    def test_f32_values_alias_the_map_zero_copy(self, tmp_path):
-        _, manager, path, _ = make_packaged_mlp(tmp_path, precision="f32")
+    @pytest.mark.parametrize("precision", ["f32", "f16", "int8"])
+    def test_f32_values_alias_the_map_zero_copy(self, tmp_path, precision):
+        """Values served at the stored precision stay views into the map."""
+        _, manager, path, _ = make_packaged_mlp(tmp_path, precision=precision)
         package = PackedModel(path)
-        _, packed_manager = build_packed_runtime(package)
+        _, packed_manager = build_packed_runtime(package, precision=precision)
         for name, state in packed_manager.states.items():
             values = state.csr_values()
+            assert values.dtype == np.dtype(_VALUE_DTYPES[precision])
             assert not values.flags.writeable
             assert np.shares_memory(values, package._mm), name
-            assert np.array_equal(values, manager.states[name].csr_values())
+            scales = state.csr_pattern().scales
+            assert (scales is not None) == (precision == "int8")
+            if scales is not None:
+                assert np.shares_memory(scales, package._mm), name
+            if precision == "f32":
+                assert np.array_equal(values, manager.states[name].csr_values())
 
     def test_f16_biases_served_end_to_end(self, tmp_path):
         model, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
@@ -275,6 +285,72 @@ class TestPackedArtifact:
             assert accounted["index_bytes"] == tensors["indices"]["nbytes"]
             assert accounted["value_bytes"] == tensors["values"]["nbytes"]
             assert accounted["scale_bytes"] == tensors["scales"]["nbytes"]
+
+
+# ----------------------------------------------------------------------
+# Stored-precision runtime: one CSRPattern runtime for every precision
+# ----------------------------------------------------------------------
+CONVNET_SPEC = {
+    "model": "convnet",
+    "kwargs": {"num_classes": 4, "in_channels": 3, "image_size": 8,
+               "timesteps": 2},
+    "encoder": "direct",
+    "seed": 0,
+}
+
+
+def make_packaged_convnet(tmp_path, precision):
+    """A convnet whose manifest routes every layer dense."""
+    model = build_spec_model(CONVNET_SPEC)
+    rng = np.random.default_rng(3)
+    for _, parameter in model.named_parameters():
+        parameter.data = (rng.standard_normal(parameter.shape) * 0.3).astype(
+            np.float32
+        )
+    model.eval()
+    manager = SparsityManager(model, rng=np.random.default_rng(4))
+    manager.init_random({name: 0.3 for name in manager.states})
+    manager.set_execution("dense")
+    path = tmp_path / f"convnet_{precision}.reprom"
+    write_package(path, model, manager, CONVNET_SPEC, precision=precision)
+    return path
+
+
+class TestStoredPrecisionRuntime:
+    @pytest.mark.parametrize("precision", ["f16", "int8"])
+    @pytest.mark.parametrize("model_name", ["mlp", "convnet"])
+    def test_matches_f32_runtime_and_routes_csr(
+        self, tmp_path, model_name, precision
+    ):
+        if model_name == "mlp":
+            _, _, path, _ = make_packaged_mlp(tmp_path, precision=precision)
+            shape = (5, 16)
+        else:
+            path = make_packaged_convnet(tmp_path, precision)
+            shape = (5, 3, 8, 8)
+        package = PackedModel(path)
+        inputs = np.random.default_rng(11).standard_normal(shape).astype(
+            np.float32
+        )
+        sessions = {
+            runtime: InferenceSession(
+                *build_packed_runtime(package, precision=runtime), max_batch=4
+            )
+            for runtime in ("f32", precision)
+        }
+        reference = sessions["f32"].predict(inputs)
+        produced = sessions[precision].predict(inputs)
+        assert produced.dtype == np.float32
+        assert np.abs(produced - reference).max() <= 1e-5
+        routes = {
+            item["layer"]: item["route"]
+            for item in sessions[precision].dispatch_report()
+        }
+        assert set(routes.values()) == {"csr"}, routes
+        if model_name == "convnet":
+            # the manifest routed dense: only the f32 runtime follows it
+            assert {item["route"] for item in
+                    sessions["f32"].dispatch_report()} == {"dense"}
 
 
 # ----------------------------------------------------------------------

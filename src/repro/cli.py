@@ -37,6 +37,7 @@ from typing import List, Optional
 
 from .data import DATASET_SPECS
 from .experiments import run_method, run_sweep, scaled_config, sweep_configs
+from .experiments.config import SCALED_NUM_CLASSES
 from .experiments.queue import (
     DEFAULT_BACKOFF_SECONDS,
     DEFAULT_LEASE_SECONDS,
@@ -813,7 +814,18 @@ def _command_memory(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "train_samples"):
+        # The synthetic datasets need one sample per class; say so as a
+        # usage error instead of a traceback from the data layer.
+        classes = SCALED_NUM_CLASSES[args.dataset]
+        for flag in ("train_samples", "test_samples"):
+            if getattr(args, flag) < classes:
+                parser.error(
+                    f"--{flag.replace('_', '-')} must be at least the {classes} "
+                    f"classes of {args.dataset}, got {getattr(args, flag)}"
+                )
     handlers = {
         "run": _command_run,
         "infer": _command_infer,

@@ -1,4 +1,4 @@
-"""Inference serving: registry, micro-batching, supervised workers.
+"""Inference serving: registry, micro-batching, one supervised worker pool.
 
 The training side of the repository produces checkpoints; this package
 turns them into a service.  Three pieces compose:
@@ -12,9 +12,12 @@ turns them into a service.  Three pieces compose:
   bit-identical no matter how requests were grouped.
 * :class:`~repro.serve.batcher.MicroBatcher` — request queue with a
   max-batch / max-latency flush policy.
-* :class:`~repro.serve.server.InferenceServer` — proactor-style worker
-  pool: a supervisor restarts crashed workers and their in-flight
-  requests are re-dispatched, not dropped.
+* :class:`~repro.serve.pool.SupervisedPool` — the one worker pool: a
+  supervisor restarts crashed workers and their in-flight requests are
+  re-dispatched, not dropped.  :class:`~repro.serve.server.InferenceServer`
+  runs it as 1 shard × N workers,
+  :class:`~repro.serve.stream_worker.StreamServer` as N strict-FIFO
+  shards × 1 worker.
 """
 
 from .batcher import InferenceRequest, MicroBatcher

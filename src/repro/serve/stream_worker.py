@@ -1,10 +1,8 @@
-"""Supervised streaming workers beside the micro-batch server.
+"""Streaming server: a supervised pool of N shards × 1 worker.
 
 A :class:`StreamServer` serves an event feed instead of request
-batches.  Ordering matters here — a stream's events must hit its
-session in arrival order, and per-stream neuron state must survive
-worker crashes — so the layout differs from
-:class:`~repro.serve.server.InferenceServer` in two ways:
+batches.  A stream's events must hit its session in arrival order, and
+per-stream neuron state must survive worker crashes, so:
 
 * **Sharding**: streams are routed to ``workers`` shards by a stable
   hash of ``stream_id``; each shard is one strict-FIFO
@@ -15,27 +13,23 @@ worker crashes — so the layout differs from
   :class:`~repro.stream.session.StreamSession` belongs to the server,
   not the worker thread.  ``StreamSession.process`` is transactional,
   so when a worker dies mid-event the committed per-stream state is
-  intact; the supervisor restarts the thread, the event retries from
-  the queue front, and no membrane state or readout is lost.
-
-The crash/retry/supervision policy (attempt budgets, requeue-to-front,
-restart budget with abort) is the same contract as the batch server.
+  intact; the pool restarts the thread, the event retries from the
+  queue front, and no membrane state or readout is lost.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 import zlib
 from concurrent.futures import Future
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..stream.events import StreamEvent
 from ..stream.session import StreamResult, StreamSession
-from .batcher import InferenceRequest, MicroBatcher
+from .batcher import MicroBatcher
+from .pool import SupervisedPool
 
 
-class StreamServer:
+class StreamServer(SupervisedPool):
     """Sharded, supervised streaming inference over per-stream state.
 
     Parameters
@@ -52,6 +46,8 @@ class StreamServer:
         Worker restarts before the server gives up.
     """
 
+    name = "stream server"
+
     def __init__(
         self,
         session_factory: Callable[[], StreamSession],
@@ -60,78 +56,27 @@ class StreamServer:
         max_restarts: int = 8,
         supervise_interval_s: float = 0.01,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self._session_factory = session_factory
         self.workers = int(workers)
-        self.max_attempts = int(max_attempts)
-        self.max_restarts = int(max_restarts)
-        self.supervise_interval_s = float(supervise_interval_s)
         # max_batch=1 + requeue-to-front == strict per-shard FIFO even
         # across crashes; max_latency_s=0 dispatches immediately.
-        self._shards = [
-            MicroBatcher(max_batch=1, max_latency_s=0.0) for _ in range(self.workers)
-        ]
-        self._sessions: List[Optional[StreamSession]] = [None] * self.workers
-        self._threads: List[Optional[threading.Thread]] = [None] * self.workers
-        self._supervisor: Optional[threading.Thread] = None
-        self._running = False
-        self._aborted = False
-        self._stats_lock = threading.Lock()
-        self._completed = 0
-        self._failed = 0
-        self._windows = 0
-        self._restarts = 0
+        shards = [MicroBatcher(max_batch=1, max_latency_s=0.0) for _ in range(self.workers)]
+        super().__init__(shards, 1, self._handler,
+                         max_attempts, max_restarts, supervise_interval_s)
+        self._sessions: List[StreamSession] = []
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> "StreamServer":
-        if self._running:
-            return self
-        self._running = True
-        for index in range(self.workers):
-            # Sessions outlive worker threads on purpose (see module
-            # docstring); build them up front so a factory error fails
-            # fast instead of inside a worker.
-            if self._sessions[index] is None:
-                self._sessions[index] = self._session_factory()
-            self._threads[index] = self._spawn(index)
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="stream-supervisor", daemon=True
-        )
-        self._supervisor.start()
-        return self
+        # Sessions outlive worker threads on purpose (see module
+        # docstring); build them up front so a factory error fails fast
+        # instead of inside a worker.
+        if not self._sessions:
+            self._sessions = [self._session_factory() for _ in self.shards]
+        return super().start()
 
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        if not self._running:
-            return
-        self._running = False
-        leftovers: List[InferenceRequest] = []
-        for shard in self._shards:
-            if not drain:
-                leftovers.extend(shard.drain_pending())
-            shard.close()
-        for thread in self._threads:
-            if thread is not None:
-                thread.join(timeout=timeout)
-        if self._supervisor is not None:
-            self._supervisor.join(timeout=timeout)
-        for shard in self._shards:
-            leftovers.extend(shard.drain_pending())
-        self._fail_requests(leftovers, RuntimeError("stream server stopped"))
+    def _handler(self, shard_index: int):
+        session = self._sessions[shard_index]
+        return lambda events: [session.process(event) for event in events]
 
-    def __enter__(self) -> "StreamServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    # Client surface
-    # ------------------------------------------------------------------
     def shard_of(self, stream_id: str) -> int:
         """Stable shard index for a stream (process-independent)."""
         return zlib.crc32(stream_id.encode("utf-8")) % self.workers
@@ -139,7 +84,7 @@ class StreamServer:
     def submit(self, event: StreamEvent) -> Future:
         """Enqueue one event; the future resolves to the session's
         :class:`StreamResult` (or ``None`` when no window closed)."""
-        return self._shards[self.shard_of(event.stream_id)].submit(event)
+        return self.shards[self.shard_of(event.stream_id)].submit(event)
 
     def process_stream(
         self, events: Iterable[StreamEvent], timeout: Optional[float] = None
@@ -151,110 +96,15 @@ class StreamServer:
 
     def flush(self) -> List[StreamResult]:
         """Emit partial windows from every shard (idle feed only)."""
-        results: List[StreamResult] = []
-        for session in self._sessions:
-            if session is not None:
-                results.extend(session.flush())
-        return results
+        return [result for session in self._sessions for result in session.flush()]
 
     def stats(self) -> Dict[str, object]:
-        with self._stats_lock:
-            stats = {
-                "submitted": sum(shard.submitted for shard in self._shards),
-                "completed": self._completed,
-                "failed": self._failed,
-                "windows": self._windows,
-                "restarts": self._restarts,
-                "workers_alive": sum(
-                    1 for t in self._threads if t is not None and t.is_alive()
-                ),
-            }
+        stats = super().stats()
+        del stats["batches"], stats["largest_batch"]
+        stats["windows"] = stats.pop("emitted")
         stats["streams"] = {
             sid: per_stream
             for session in self._sessions
-            if session is not None
             for sid, per_stream in session.stats().items()
         }
         return stats
-
-    # ------------------------------------------------------------------
-    # Worker / supervisor loops
-    # ------------------------------------------------------------------
-    def _spawn(self, index: int) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._worker_loop,
-            args=(index,),
-            name=f"stream-worker-{index}",
-            daemon=True,
-        )
-        thread.start()
-        return thread
-
-    def _worker_loop(self, index: int) -> None:
-        shard = self._shards[index]
-        session = self._sessions[index]
-        while True:
-            batch = shard.next_batch()
-            if batch is None:
-                return
-            request = batch[0]
-            try:
-                result = session.process(request.payload)
-            except BaseException as error:
-                self._handle_crash(shard, batch, error)
-                raise
-            request.future.set_result(result)
-            with self._stats_lock:
-                self._completed += 1
-                if result is not None:
-                    self._windows += 1
-
-    def _handle_crash(
-        self,
-        shard: MicroBatcher,
-        batch: List[InferenceRequest],
-        error: BaseException,
-    ) -> None:
-        retry = [r for r in batch if r.attempts < self.max_attempts]
-        exhausted = [r for r in batch if r.attempts >= self.max_attempts]
-        if retry:
-            shard.requeue(retry)
-        self._fail_requests(exhausted, error)
-
-    def _fail_requests(
-        self, requests: List[InferenceRequest], error: BaseException
-    ) -> None:
-        for request in requests:
-            if not request.future.done():
-                request.future.set_exception(error)
-        if requests:
-            with self._stats_lock:
-                self._failed += len(requests)
-
-    def _supervise(self) -> None:
-        while self._running:
-            for index, thread in enumerate(self._threads):
-                if not self._running:
-                    return
-                if thread is not None and thread.is_alive():
-                    continue
-                if self._restarts >= self.max_restarts:
-                    self._abort()
-                    return
-                with self._stats_lock:
-                    self._restarts += 1
-                self._threads[index] = self._spawn(index)
-            time.sleep(self.supervise_interval_s)
-
-    def _abort(self) -> None:
-        self._aborted = True
-        leftovers: List[InferenceRequest] = []
-        for shard in self._shards:
-            shard.close()
-            leftovers.extend(shard.drain_pending())
-        self._fail_requests(
-            leftovers,
-            RuntimeError(
-                f"stream server gave up after {self.max_restarts} worker restarts"
-            ),
-        )

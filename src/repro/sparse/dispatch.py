@@ -17,10 +17,11 @@ mechanisms guarantee it:
 
 * **Shared write-once cache.**  When ``REPRO_CALIBRATION_DIR`` is set
   (the test suite and the sweep queue do so), the first process to
-  calibrate a shape publishes its cutoff with an ``O_CREAT | O_EXCL``
-  create; every later measurement of that shape — in this process or
-  any other sharing the directory — adopts the published value instead
-  of its own timing.
+  calibrate a shape publishes its cutoff by hard-linking a fully
+  written temp file to the shared name (``os.link`` fails if the name
+  exists, and readers never see a partial file); every later
+  measurement of that shape — in this process or any other sharing the
+  directory — adopts the published value instead of its own timing.
 * **Checkpoint persistence.**  A training checkpoint stores the run's
   calibration table (see ``repro.train.checkpoint``), and a resumed run
   restores it verbatim, overriding anything freshly measured.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -127,8 +129,23 @@ def _cache_path(directory: str, rows: int, cols: int) -> str:
     return os.path.join(directory, f"calibration-{rows}x{cols}.json")
 
 
+def _read_cutoff(path: str) -> float:
+    """The cutoff published at ``path``; a torn file is a named error."""
+    with open(path) as handle:
+        text = handle.read()
+    try:
+        return float(json.loads(text)["cutoff"])
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(f"corrupt calibration cache file {path}: {error}") from None
+
+
 def _publish(directory: str, rows: int, cols: int, measured: Dict) -> float:
-    """Write-once publish; on collision adopt the winner's cutoff."""
+    """Write-once publish; on collision adopt the winner's cutoff.
+
+    The payload is written to a private temp file and hard-linked to
+    its final name, so the name appears complete or not at all and
+    ``os.link`` refuses to replace a file another process published.
+    """
     path = _cache_path(directory, rows, cols)
     payload = {
         "rows": rows,
@@ -137,14 +154,20 @@ def _publish(directory: str, rows: int, cols: int, measured: Dict) -> float:
         "buckets": {f"{d:.2f}": float(s) for d, s in measured["buckets"].items()},
     }
     try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except FileExistsError:
-        with open(path) as handle:
-            return float(json.load(handle)["cutoff"])
+        fd, temp = tempfile.mkstemp(dir=directory, prefix=".calibration-", suffix=".tmp")
     except OSError:
         return float(measured["cutoff"])  # unwritable dir: keep our own
-    with os.fdopen(fd, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o644)  # mkstemp's 0o600 is private
+            json.dump(payload, handle, indent=2)
+        os.link(temp, path)
+    except FileExistsError:
+        return _read_cutoff(path)
+    except OSError:
+        return float(measured["cutoff"])
+    finally:
+        os.unlink(temp)
     return float(measured["cutoff"])
 
 
@@ -165,8 +188,7 @@ def get_cutoff(rows: int, cols: int, measure=measure_crossover) -> float:
         os.makedirs(directory, exist_ok=True)
         path = _cache_path(directory, rows, cols)
         if os.path.exists(path):
-            with open(path) as handle:
-                cutoff = float(json.load(handle)["cutoff"])
+            cutoff = _read_cutoff(path)
             _PROCESS_CACHE[key] = cutoff
             return cutoff
     measured = measure(rows, cols)

@@ -12,8 +12,10 @@ The two contracts the tentpole rests on:
   only requests whose retry budget is exhausted fail.
 """
 
+import sys
 import threading
 import time
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -187,6 +189,29 @@ class TestBitIdenticalConcurrency:
         # batcher grouped requests.
         assert np.array_equal(produced, reference)
 
+    def test_workers_pull_through_a_next_batch_replaced_before_start(self):
+        # Benchmarks trace the queue hand-off by swapping
+        # ``server.batcher.next_batch`` on the instance before start();
+        # the workers must call the replacement, not a bound original.
+        server = InferenceServer(lambda: make_session(max_batch=2), workers=2,
+                                 max_batch=2, max_latency_s=0.0)
+        original = server.batcher.next_batch
+        pulled = []
+
+        def traced_next_batch():
+            batch = original()
+            pulled.append(batch)
+            return batch
+
+        server.batcher.next_batch = traced_next_batch
+        samples = make_samples(5)
+        with server:
+            for sample in samples:
+                server.predict(sample, timeout=30.0)
+        taken = [request for batch in pulled if batch for request in batch]
+        assert len(taken) == len(samples)
+        assert sum(batch is None for batch in pulled) == server.workers
+
     def test_batched_predict_matches_sequential(self):
         session = make_session(max_batch=4)
         samples = make_samples(11)
@@ -254,6 +279,32 @@ class TestCrashRecovery:
                 future.result(timeout=30.0)
             stats = server.stats()
         assert stats["failed"] >= 1
+
+    def test_counters_hold_under_concurrent_crashes(self):
+        # More workers than cores and a tiny switch interval: a counter
+        # update lost between threads breaks the sums below.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with InferenceServer(
+                _FlakySessionFactory(crashes=6, max_batch=2), workers=8,
+                max_batch=2, max_latency_s=0.0, max_restarts=6,
+                supervise_interval_s=0.001,
+            ) as server:
+                futures = [server.submit(sample) for sample in make_samples(64)]
+                wait(futures, timeout=30.0)
+                deadline = time.monotonic() + 30.0
+                while server.stats()["restarts"] < 6 and time.monotonic() < deadline:
+                    time.sleep(0.001)  # every crashed worker gets replaced
+        finally:
+            sys.setswitchinterval(interval)
+        stats = server.stats()
+        assert all(future.done() for future in futures)
+        assert stats["submitted"] == 64
+        assert stats["completed"] + stats["failed"] == 64
+        assert stats["completed"] == sum(f.exception() is None for f in futures)
+        assert stats["restarts"] == 6
+        assert stats["workers_alive"] == 0
 
     def test_restart_budget_exhaustion_fails_queued_requests(self):
         def doomed_factory():

@@ -9,12 +9,14 @@ The contracts mirror the batch server's, adapted to state:
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
+from test_server import make_session as make_inference_session
 
 from repro.data.telemetry import make_telemetry_stream
-from repro.serve import StreamServer
+from repro.serve import InferenceServer, StreamServer
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
 from repro.stream import StreamSession
@@ -176,9 +178,19 @@ class TestRestartWithoutLoss:
         with pytest.raises(ValueError, match="max_attempts"):
             StreamServer(make_session, max_attempts=0)
 
-    def test_stop_is_idempotent_and_restartable(self):
-        server = StreamServer(make_session, workers=1)
+    @pytest.mark.parametrize("build", [
+        lambda: StreamServer(make_session, workers=1),
+        lambda: InferenceServer(make_inference_session, workers=1),
+    ], ids=["stream", "inference"])
+    def test_start_after_stop_is_a_named_error(self, build):
+        server = build()
         server.start()
         server.start()  # no-op while running
         server.stop()
         server.stop()  # no-op once stopped
+        # stop() closed the queues, so a restart would only spawn
+        # workers that exit at once; it must refuse, not burn restarts.
+        with pytest.raises(RuntimeError, match="was stopped and cannot start again"):
+            server.start()
+        time.sleep(0.05)
+        assert server.stats()["restarts"] == 0

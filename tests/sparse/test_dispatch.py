@@ -8,7 +8,10 @@ manager/layer-level inspection API (``explain_dispatch`` /
 """
 
 import json
+import multiprocessing
 import os
+import re
+import time
 
 import numpy as np
 import pytest
@@ -96,6 +99,69 @@ class TestGetCutoff:
         get_cutoff(40, 40, measure=fake_measure(0.45, calls))
         assert calls == [(40, 40)]
         clear_process_cache()
+
+
+RACERS = 6
+RACE_DIRECTORIES = 200
+
+
+def _race_for_cutoffs(barrier, directories, results):
+    """One racing process: each fresh cache dir, its own guessed cutoff.
+
+    A measurement takes a random 0-300 us, so the processes reach the
+    cache spread across one another's publish; a file that appears
+    before its bytes land is read torn on about 1 call in 12.
+    """
+    rng = np.random.default_rng(os.getpid())
+    outcomes = []
+    for directory in directories:
+        os.environ[CALIBRATION_ENV] = directory
+        clear_process_cache()
+        guess, delay = float(rng.choice(DENSITY_GRID)), rng.uniform(0.0, 3e-4)
+
+        def measure(rows, cols, **kwargs):
+            time.sleep(delay)
+            return fake_measure(guess)(rows, cols)
+
+        barrier.wait()  # every process measures, publishes and reads at once
+        try:
+            outcomes.append(get_cutoff(64, 64, measure=measure))
+        except Exception as error:  # reported, not raised, in the parent
+            outcomes.append(repr(error))
+    results.put(outcomes)
+
+
+class TestSharedCacheRace:
+    def test_racing_processes_adopt_one_cutoff_without_error(self, tmp_path):
+        context = multiprocessing.get_context("spawn")
+        directories = [str(tmp_path / f"race-{i}") for i in range(RACE_DIRECTORIES)]
+        barrier = context.Barrier(RACERS)
+        results = context.Queue()
+        racers = [
+            context.Process(target=_race_for_cutoffs, args=(barrier, directories, results))
+            for _ in range(RACERS)
+        ]
+        for racer in racers:
+            racer.start()
+        outcomes = [results.get(timeout=120) for _ in racers]
+        for racer in racers:
+            racer.join(timeout=30)
+            assert racer.exitcode == 0
+        for index, directory in enumerate(directories):
+            with open(os.path.join(directory, "calibration-64x64.json")) as handle:
+                published = json.load(handle)["cutoff"]
+            assert [outcome[index] for outcome in outcomes] == [published] * RACERS
+            # Temp files never outlive the publish.
+            assert os.listdir(directory) == ["calibration-64x64.json"]
+
+    @pytest.mark.parametrize("text", ["", '{"rows": 8, "cols": 8, "cut'],
+                             ids=["empty", "truncated"])
+    def test_torn_cache_file_is_a_named_error(self, cache_dir, text):
+        cache_dir.mkdir(parents=True)
+        path = cache_dir / "calibration-8x8.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            get_cutoff(8, 8, measure=fake_measure(0.2))
 
 
 class TestCalibrationTable:

@@ -57,6 +57,15 @@ class TestRun:
             main(["run", "--method", "magic"])
 
     @pytest.mark.smoke
+    @pytest.mark.parametrize("flag", ["--train-samples", "--test-samples"])
+    def test_fewer_samples_than_classes_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--dataset", "cifar10", flag, "3"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be at least the 10 classes of cifar10, got 3" in err
+
+    @pytest.mark.smoke
     def test_csr_execution_run(self, capsys):
         code = main([
             "run", "--dataset", "cifar10", "--model", "convnet",

@@ -746,11 +746,13 @@ def _command_stream(args: argparse.Namespace) -> int:
             stats = server.stats()
         per_stream = stats["streams"]
         restarts = stats["restarts"]
+        execution = stats["execution"]
     else:
         session = build_session()
         results = [r for event in events if (r := session.process(event)) is not None]
         per_stream = session.stats()
         restarts = 0
+        execution = [session.execution]
     elapsed = _time.perf_counter() - started
 
     total_events = sum(s["events"] for s in per_stream.values())
@@ -763,6 +765,7 @@ def _command_stream(args: argparse.Namespace) -> int:
         "restarts": restarts,
         "stale_resets": sum(s["stale_resets"] for s in per_stream.values()),
         "fault_counts": injector.counts if injector is not None else {},
+        "execution": execution,
         "streams": per_stream,
     }
     if args.adapt and args.workers <= 1:

@@ -102,6 +102,7 @@ class StreamServer(SupervisedPool):
         stats = super().stats()
         del stats["batches"], stats["largest_batch"]
         stats["windows"] = stats.pop("emitted")
+        stats["execution"] = [session.execution for session in self._sessions]
         stats["streams"] = {
             sid: per_stream
             for session in self._sessions

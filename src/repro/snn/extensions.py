@@ -93,7 +93,7 @@ class AdaptiveLIFNeuron(BaseNeuron):
         # (standard ALIF practice: no gradient through the threshold).
         self.adaptation = self.rho * self.adaptation + spikes.data
         self.o_prev = spikes
-        self._record(spikes)
+        self._record(spikes.data)
         return spikes
 
     def __repr__(self) -> str:

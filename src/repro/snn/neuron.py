@@ -97,10 +97,10 @@ class BaseNeuron(Module):
         self.spike_count = 0.0
         self.neuron_steps = 0
 
-    def _record(self, spikes: Tensor) -> None:
+    def _record(self, spikes: np.ndarray) -> None:
         if self.track_spikes:
-            self.spike_count += float(spikes.data.sum())
-            self.neuron_steps += int(spikes.data.size)
+            self.spike_count += float(spikes.sum())
+            self.neuron_steps += int(spikes.size)
 
     @property
     def spike_rate(self) -> float:
@@ -146,8 +146,27 @@ class LIFNeuron(BaseNeuron):
             self.v = membrane
         spikes = spike_function(self.v - self.v_threshold, self.surrogate)
         self.o_prev = spikes
-        self._record(spikes)
+        self._record(spikes.data)
         return spikes
+
+    def forward_arrays(self, v, o_prev, current: np.ndarray):
+        """:meth:`forward` on plain arrays, for flat execution plans.
+
+        Takes the state ``(v, o_prev)`` explicitly and returns the new
+        ``(v, spikes)`` without touching ``self.v``/``self.o_prev``; the
+        op order (and so every bit) matches :meth:`forward`.  Spike
+        accounting still lands on this neuron.
+        """
+        theta = np.float32(self.v_threshold)
+        if v is None:
+            v = current
+        else:
+            v = v * np.float32(self.alpha) + current
+            if o_prev is not None:
+                v = v - o_prev * theta
+        spikes = ((v - theta) >= 0.0).astype(np.float32)
+        self._record(spikes)
+        return v, spikes
 
     def __repr__(self) -> str:
         return f"LIFNeuron(alpha={self.alpha}, threshold={self.v_threshold})"
@@ -166,8 +185,21 @@ class IFNeuron(BaseNeuron):
             self.v = membrane
         spikes = spike_function(self.v - self.v_threshold, self.surrogate)
         self.o_prev = spikes
-        self._record(spikes)
+        self._record(spikes.data)
         return spikes
+
+    def forward_arrays(self, v, o_prev, current: np.ndarray):
+        """:meth:`forward` on plain arrays (see :meth:`LIFNeuron.forward_arrays`)."""
+        theta = np.float32(self.v_threshold)
+        if v is None:
+            v = current
+        else:
+            v = v + current
+            if o_prev is not None:
+                v = v - o_prev * theta
+        spikes = ((v - theta) >= 0.0).astype(np.float32)
+        self._record(spikes)
+        return v, spikes
 
     def __repr__(self) -> str:
         return f"IFNeuron(threshold={self.v_threshold})"
@@ -205,7 +237,7 @@ class ParametricLIFNeuron(BaseNeuron):
             self.v = membrane
         spikes = spike_function(self.v - self.v_threshold, self.surrogate)
         self.o_prev = spikes
-        self._record(spikes)
+        self._record(spikes.data)
         return spikes
 
     def __repr__(self) -> str:

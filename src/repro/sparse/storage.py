@@ -23,6 +23,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse as _scipy_sparse
+from scipy.sparse import _sparsetools
+from scipy.sparse._sputils import upcast_char
 
 
 def _as_matrix(tensor: np.ndarray) -> np.ndarray:
@@ -238,6 +240,28 @@ class CSRPattern:
         ``dense`` has shape ``(cols, m)``; returns ``(rows, m)``.
         """
         out = np.asarray(self._bound_matrix(data) @ dense)
+        if self.scales is not None:
+            out *= self.scales[:, None]
+        return out
+
+    def kernel_matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
+        """:meth:`matmul` straight through SciPy's compiled kernel.
+
+        Skips the ``csr_matrix`` binding and the ``@`` dispatch layer
+        but makes exactly the call SciPy makes for the same operands —
+        ``csr_matvec`` for one column, ``csr_matvecs`` for more — so the
+        result is bit-identical to :meth:`matmul`.  Frozen streaming
+        plans run their CSR layers through it.
+        """
+        rows, cols = self.shape
+        columns = dense.shape[1]
+        out = np.zeros((rows, columns), dtype=upcast_char(data.dtype.char, dense.dtype.char))
+        if columns == 1:
+            _sparsetools.csr_matvec(rows, cols, self.indptr, self.indices, data,
+                                    dense.ravel(), out.ravel())
+        else:
+            _sparsetools.csr_matvecs(rows, cols, columns, self.indptr, self.indices,
+                                     data, dense.ravel(), out.ravel())
         if self.scales is not None:
             out *= self.scales[:, None]
         return out

@@ -44,6 +44,11 @@ class OnlineDirectEncoder(OnlineEncoder):
     def encode(self, channels: np.ndarray, state: Dict) -> np.ndarray:
         return np.asarray(channels, dtype=np.float32)
 
+    @staticmethod
+    def copy_state(state: Dict) -> Dict:
+        """Stateless: the (empty, never mutated) state is shared."""
+        return state
+
     def __repr__(self) -> str:
         return "OnlineDirectEncoder()"
 
@@ -99,6 +104,11 @@ class OnlineLatencyEncoder(OnlineEncoder):
         frame = (fire_step == state["phase"]).astype(np.float32)
         state["phase"] = (state["phase"] + 1) % self.window
         return frame
+
+    @staticmethod
+    def copy_state(state: Dict) -> Dict:
+        """The state is one int, so a shallow copy detaches it."""
+        return dict(state)
 
     def __repr__(self) -> str:
         return f"OnlineLatencyEncoder(window={self.window})"

@@ -1,0 +1,183 @@
+"""Flat execution plans for frozen streaming sessions.
+
+A frozen :class:`~repro.stream.session.StreamSession` runs the same
+computation for every event: a straight chain of ``Linear`` layers and
+LIF/IF neurons whose dense-vs-CSR routes can no longer change.
+:func:`compile_plan` records one ``forward_once`` call, checks that it
+has that shape, and returns a :class:`StreamPlan` that replays it as
+plain numpy on arrays — no ``Tensor`` objects, no module-tree walks,
+no state swapped in and out of the shared model.
+
+Per-stream neuron state is a tuple of ``(v, o_prev)`` array pairs in
+plan order.  A step returns a new tuple and never writes the old one,
+so a session that drops a half-processed event keeps its committed
+state.  Every op repeats the module path's op order on the same operand
+layouts (the dense route multiplies by the same transposed weight view
+``Tensor.matmul`` uses; the CSR route makes SciPy's own kernel call),
+so a plan step is bit-identical to ``model.forward_once``.  Weights are
+aliased, never copied: dense layers read ``weight.data`` at each step
+and CSR layers run on the frozen value buffers, which may be views into
+an mmap'd package.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from ..nn.layers import Linear
+from ..snn.functional import _stateful_modules
+from ..snn.neuron import IFNeuron, LIFNeuron
+from ..tensor import Tensor, no_grad
+from ..tensor.functional import _csr_values, _use_csr
+
+#: Leaf module types a plan can run; anything else keeps the module path.
+SUPPORTED_LEAVES = (Linear, LIFNeuron, IFNeuron)
+
+
+class _DenseLinear:
+    """``x @ W^T + b`` exactly as the dense ``masked_linear`` route runs it."""
+
+    __slots__ = ("weight", "bias")
+
+    def __init__(self, layer: Linear) -> None:
+        self.weight = layer.weight
+        self.bias = layer.bias
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data.T
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
+
+class _SparseLinear:
+    """``(W @ x^T)^T + b`` exactly as the CSR ``masked_linear`` route runs it."""
+
+    __slots__ = ("pattern", "values", "bias")
+
+    def __init__(self, layer: Linear) -> None:
+        state = layer.weight_state
+        self.pattern = state.csr_pattern()
+        self.values = _csr_values(state, self.pattern, layer.weight.data)
+        self.bias = layer.bias
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = self.pattern.kernel_matmul(self.values, x.T).T
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
+
+class StreamPlan:
+    """A compiled straight-line ``forward_once``: linear ops and neurons.
+
+    ``ops`` pairs each step with a flag marking neurons; neurons run
+    through their ``forward_arrays`` method against the per-stream state.
+    """
+
+    def __init__(self, ops: List[Tuple[object, bool]]) -> None:
+        self._ops = ops
+        neurons = sum(is_neuron for _, is_neuron in ops)
+        self._fresh = ((None, None),) * neurons
+
+    def step(self, state: Optional[Tuple], frame: np.ndarray):
+        """One timestep: ``(logits, next_state)``; ``state=None`` is a reset."""
+        previous = self._fresh if state is None else state
+        following = []
+        x = frame
+        for op, is_neuron in self._ops:
+            if is_neuron:
+                v, o_prev = previous[len(following)]
+                v, x = op.forward_arrays(v, o_prev, x)
+                following.append((v, x))
+            else:
+                x = op(x)
+        return x, tuple(following)
+
+
+def _record_leaf_calls(model, leaves, width: int):
+    """Run one ``forward_once`` on a zero frame; ``(input, calls, output)``.
+
+    Each leaf's ``forward`` is wrapped on the instance for the duration
+    of the call, so ``calls`` lists ``(module, args, kwargs, output)`` in
+    execution order.  Neuron state and spike counters are put back
+    afterwards, so the probe leaves no trace on the model.
+    """
+    calls = []
+
+    def recorder(module):
+        forward = module.forward
+
+        def recorded(*args, **kwargs):
+            output = forward(*args, **kwargs)
+            calls.append((module, args, kwargs, output))
+            return output
+        return recorded
+
+    neurons = [module for _, module in leaves if type(module) is not Linear]
+    saved = [(module.snapshot_state(), module.spike_count, module.neuron_steps)
+             for module in neurons]
+    for _, module in leaves:
+        object.__setattr__(module, "forward", recorder(module))
+    probe = Tensor(np.zeros((1, width), dtype=np.float32))
+    try:
+        with no_grad():
+            output = model.forward_once(probe)
+    finally:
+        for _, module in leaves:
+            object.__delattr__(module, "forward")
+        for module, (snapshot, spikes, steps) in zip(neurons, saved):
+            module.restore_state(snapshot)
+            module.spike_count, module.neuron_steps = spikes, steps
+    return probe, calls, output
+
+
+def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
+    """``(plan, "")`` for a frozen straight chain, else ``(None, reason)``.
+
+    ``reason`` names why the model keeps the module path: a thawed
+    manager, the first unsupported leaf (in registration order), a
+    stateful container (its state can route later steps differently
+    from the recorded one), or a recorded call sequence that is not one
+    straight chain ending in the ``forward_once`` output.
+    """
+    if manager is not None and not manager.frozen:
+        return None, "manager is thawed"
+    leaves = [(path, module) for path, module in model.named_modules()
+              if path and not module._modules]
+    for path, module in leaves:
+        if type(module) not in SUPPORTED_LEAVES:
+            return None, f"unsupported leaf {path} ({type(module).__name__})"
+    for path, module in _stateful_modules(model):
+        if type(module) not in SUPPORTED_LEAVES:
+            return None, f"unsupported stateful module {path} ({type(module).__name__})"
+    for path, module in leaves:
+        # A bound layer must be frozen, so the route compiled below is final.
+        state = getattr(module, "weight_state", None)
+        if state is not None and not getattr(state, "frozen", False):
+            return None, f"{path} is bound to a thawed manager"
+    if not leaves or type(leaves[0][1]) is not Linear:
+        return None, "the first leaf is not a Linear"
+    paths = {id(module): path for path, module in leaves}
+    probe, calls, output = _record_leaf_calls(model, leaves, leaves[0][1].in_features)
+
+    called = [id(module) for module, _, _, _ in calls]
+    if len(set(called)) != len(called):
+        # A neuron run twice would need one state slot per call.
+        return None, "a leaf runs more than once per step"
+    ops: List[Tuple[object, bool]] = []
+    previous = probe
+    for module, args, kwargs, result in calls:
+        if kwargs or len(args) != 1 or args[0] is not previous:
+            return None, f"leaf calls do not form a straight chain at {paths[id(module)]}"
+        if type(module) is Linear:
+            linear = _SparseLinear if _use_csr(module.weight_state) else _DenseLinear
+            ops.append((linear(module), False))
+        else:
+            ops.append((module, True))
+        previous = result
+    if previous is not output:
+        return None, "forward_once does not return the last leaf's output"
+    return StreamPlan(ops), ""

@@ -21,6 +21,15 @@ incremental accumulator uses the same op order (plain float32 adds,
 then one scale by ``1/len``) as the offline loop, and the state
 snapshot/restore round-trip is exact.
 
+Execution: a frozen session whose ``forward_once`` is a straight chain
+of ``Linear`` layers and LIF/IF neurons is compiled once, at
+construction, into a flat :class:`~repro.stream.plan.StreamPlan` that
+runs every event as plain numpy over per-stream state arrays, without
+touching the module tree.  Anything else (a thawed manager, other
+neuron or layer types) runs the module path: per-stream state is
+swapped into the shared model around every ``forward_once``.
+``session.execution`` says which, and why.
+
 Fault tolerance: ``process`` is transactional — per-stream state only
 commits when the event fully processed, so a worker crash mid-event
 costs a retry, never corrupted state.  Stale streams (event-time gap
@@ -39,6 +48,7 @@ from ..snn.functional import reset_net, restore_net_state, snapshot_net_state
 from ..tensor import Tensor, no_grad
 from .encoders import OnlineEncoder, build_online_encoder
 from .events import StreamEvent
+from .plan import compile_plan
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,9 @@ class _StreamState:
     )
 
     def __init__(self, encoder_state: Dict, num_channels: int) -> None:
-        self.net_state: Optional[Dict] = None
+        # Neuron state in the executor's format (plan tuple or module
+        # snapshot dict); ``None`` means freshly reset.
+        self.net_state = None
         self.encoder_state = encoder_state
         self.frames: List[np.ndarray] = []
         self.acc: Optional[np.ndarray] = None
@@ -81,12 +93,11 @@ class _StreamState:
 
     def clone(self, encoder: OnlineEncoder) -> "_StreamState":
         copy = _StreamState(encoder.copy_state(self.encoder_state), self.num_channels)
-        # net_state/frames entries are already detached arrays produced
-        # by snapshot/encode; sharing them is safe because processing
-        # never mutates them in place.
+        # net_state, frames entries and acc are arrays that processing
+        # replaces but never mutates in place, so sharing them is safe.
         copy.net_state = self.net_state
         copy.frames = list(self.frames)
-        copy.acc = None if self.acc is None else self.acc.copy()
+        copy.acc = self.acc
         copy.count = self.count
         copy.last_event_time = self.last_event_time
         copy.events = self.events
@@ -171,7 +182,15 @@ class StreamSession:
         model.eval()
         if manager is not None:
             self._check_manager(manager)
+        self._plan, self._fallback_reason = compile_plan(model, manager)
         self._states: Dict[str, _StreamState] = {}
+
+    @property
+    def execution(self) -> str:
+        """``"plan"``, or ``"modules: <reason>"`` when no plan compiled."""
+        if self._plan is not None:
+            return "plan"
+        return f"modules: {self._fallback_reason}"
 
     def _check_manager(self, manager) -> None:
         if self.requires_frozen and not manager.frozen:
@@ -215,9 +234,8 @@ class StreamSession:
 
         frame = self.encoder.encode(event.channels, state.encoder_state)
         frame = np.asarray(frame, dtype=np.float32)[None, :]
-        logits = self._step(state.net_state, frame)
+        logits, state.net_state = self._step(state.net_state, frame)
         self._after_step(frame)
-        state.net_state = snapshot_net_state(self.model)
         state.frames.append(frame)
         state.acc = logits.copy() if state.acc is None else state.acc + logits
         state.count += 1
@@ -243,20 +261,23 @@ class StreamSession:
         return result
 
     def _after_step(self, frame: np.ndarray) -> None:
-        """Hook: model state is live for the event just processed."""
+        """Hook: the event's step just ran (on the module path the model's
+        neuron state is still live for it)."""
 
     def _after_window(self, result: StreamResult) -> None:
         """Hook: a window readout was just committed."""
 
-    def _step(self, net_state: Optional[Dict], frame: np.ndarray) -> np.ndarray:
-        """One forward_once with the given state swapped in; returns logits."""
+    def _step(self, net_state, frame: np.ndarray) -> Tuple[np.ndarray, object]:
+        """One timestep from ``net_state``: ``(logits, next_net_state)``."""
+        if self._plan is not None:
+            return self._plan.step(net_state, frame)
         if net_state is None:
             reset_net(self.model)
         else:
             restore_net_state(self.model, net_state)
         with no_grad():
             out = self.model.forward_once(Tensor(frame))
-        return out.data
+        return out.data, snapshot_net_state(self.model)
 
     def _advance(self, state: _StreamState) -> None:
         """Slide the window forward after an emission."""
@@ -268,8 +289,7 @@ class StreamSession:
         tail = state.frames[self.stride:]
         state.reset_window()
         for frame in tail:
-            logits = self._step(state.net_state, frame)
-            state.net_state = snapshot_net_state(self.model)
+            logits, state.net_state = self._step(state.net_state, frame)
             state.frames.append(frame)
             state.acc = logits.copy() if state.acc is None else state.acc + logits
             state.count += 1

@@ -8,6 +8,8 @@ tiny grid, never the machine-specific timings.
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,18 @@ class TestServingRegressionGate:
 @pytest.mark.smoke
 class TestStreamingRegressionGate:
     TINY_ARGS = dict(streams=2, channels=8, events=24, window=4, hidden=16)
+
+    def test_runs_standalone_in_a_fresh_process(self, tmp_path):
+        out = tmp_path / "BENCH_streaming.json"
+        src = os.path.join(BENCH_DIR, "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, os.path.join(BENCH_DIR, "bench_streaming.py"),
+             "--events", "16", "--repeats", "1", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(out.read_text())["all_bit_identical"] is True
 
     def tiny_payload(self, bench):
         return bench.run_streaming(repeats=1, **self.TINY_ARGS)

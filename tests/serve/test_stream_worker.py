@@ -119,6 +119,10 @@ class TestServedBitIdentity:
         assert {r.stream_id for r in flushed} == {"device-00", "device-01"}
         assert all(r.partial for r in flushed)
 
+    def test_stats_report_each_shards_execution(self):
+        with StreamServer(make_session, workers=2) as server:
+            assert server.stats()["execution"] == ["plan", "plan"]
+
     def test_per_stream_stats_are_merged_across_shards(self):
         feed = make_feed(streams=3, events=5)
         with StreamServer(make_session, workers=2) as server:

@@ -130,6 +130,28 @@ class TestCSRPatternKernels:
                                    weight.T @ g, rtol=1e-5, atol=1e-4)
         assert pattern._sp.data.dtype == dtype
 
+    @pytest.mark.parametrize("columns", [1, 8])
+    @pytest.mark.parametrize("precision", ["f32", "f16", "int8"])
+    def test_kernel_matmul_is_bit_identical_to_matmul(self, precision, columns):
+        mask = random_mask((16, 24), 0.8, seed=13)
+        mask[[2, 9]] = 0.0  # empty rows
+        rng = np.random.default_rng(14)
+        pattern = CSRPattern.from_mask(mask)
+        values = pattern.gather(rng.standard_normal(mask.shape).astype(np.float32))
+        if precision == "f16":
+            values = values.astype(np.float16)
+        elif precision == "int8":
+            values = rng.integers(-127, 128, pattern.nnz).astype(np.int8)
+            pattern.scales = rng.uniform(0.01, 0.1, 16).astype(np.float32)
+        # Row-major activations seen through .T, as masked_linear passes them.
+        x = rng.standard_normal((columns, 24)).astype(np.float32)
+        want = pattern.matmul(values, x.T)
+        got = pattern.kernel_matmul(values, x.T)
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape == (16, columns)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[[2, 9]] == 0.0)
+
 
 class TestMaskedLinearCSR:
     @pytest.mark.parametrize("sparsity", SPARSITIES)

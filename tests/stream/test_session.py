@@ -166,6 +166,37 @@ class TestTransactionality:
             assert want.stream_id == got.stream_id
             assert np.array_equal(want.logits, got.logits)
 
+    @pytest.mark.parametrize("hook", ["_step", "_after_step"])
+    @pytest.mark.parametrize("encoder", ["direct", "rate", "latency"])
+    def test_every_encoder_retries_bit_identical(self, encoder, hook):
+        # Crash at the step (the clone's encoder state already moved)
+        # and right after it (the clone already holds the new neuron
+        # state), on every event of one stream.
+        feed = make_feed(streams=2, events=9)
+        uninterrupted = make_session(encoder=encoder, stride=2)
+        golden = run_feed(uninterrupted, feed)
+        session = make_session(encoder=encoder, stride=2)
+
+        def crash(*args):
+            raise RuntimeError("injected crash")
+
+        results = []
+        for ev in feed:
+            if ev.stream_id == "device-01":
+                setattr(session, hook, crash)
+                with pytest.raises(RuntimeError, match="injected crash"):
+                    session.process(ev)
+                delattr(session, hook)
+            if (result := session.process(ev)) is not None:
+                results.append(result)
+
+        assert len(results) == len(golden)
+        for want, got in zip(golden, results):
+            assert (want.stream_id, want.window_index) == (got.stream_id, got.window_index)
+            assert want.logits.tobytes() == got.logits.tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(want.frames, got.frames))
+        assert session.stats() == uninterrupted.stats()
+
 
 class TestLifecycle:
     def test_stats_and_drop_stream(self):

@@ -324,3 +324,19 @@ class TestServing:
                 "--checkpoint", str(checkpoint),
                 "--package", str(tmp_path / "model.reprom"),
             ])
+
+
+class TestStream:
+    @pytest.mark.parametrize("extra, execution", [
+        ([], ["plan"]),
+        (["--workers", "2"], ["plan", "plan"]),
+        (["--adapt"], ["modules: manager is thawed"]),
+    ], ids=["frozen", "served", "adaptive"])
+    def test_summary_reports_execution(self, tmp_path, capsys, extra, execution):
+        out_path = tmp_path / "stream.json"
+        assert main(["stream", "--streams", "2", "--events", "16",
+                     "--out", str(out_path), *extra]) == 0
+        assert "streamed 32 events" in capsys.readouterr().out
+        payload = json.loads(out_path.read_text())
+        assert payload["execution"] == execution
+        assert payload["events"] == 32

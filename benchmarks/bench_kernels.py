@@ -36,7 +36,7 @@ from repro.optim import SGD
 from repro.snn import LIFNeuron, reset_net
 from repro.snn.models import SpikingConvNet
 from repro.sparse import NDSNN, CSRPattern, MaskManager
-from repro.tensor import Tensor, conv2d, cross_entropy
+from repro.tensor import Tensor, cross_entropy, masked_conv2d
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def conv_inputs():
 
 def test_conv2d_forward(benchmark, conv_inputs):
     x, w = conv_inputs
-    benchmark(lambda: conv2d(x, w, None, padding=1))
+    benchmark(lambda: masked_conv2d(x, w, None, padding=1, state=None))
 
 
 def test_conv2d_forward_backward(benchmark, conv_inputs):
@@ -58,7 +58,7 @@ def test_conv2d_forward_backward(benchmark, conv_inputs):
     def run():
         x.zero_grad()
         w.zero_grad()
-        (conv2d(x, w, None, padding=1) ** 2).sum().backward()
+        (masked_conv2d(x, w, None, padding=1, state=None) ** 2).sum().backward()
 
     benchmark(run)
 
@@ -244,9 +244,7 @@ class _BenchState:
 
 def compare_masked_conv(filters, channels, kernel, height, width, batch,
                         sparsity, repeats=20, seed=0):
-    """One conv cell: dense conv2d vs the direct sparse-filter kernel."""
-    from repro.tensor import masked_conv2d
-
+    """One conv cell: the dense vs the CSR route of ``masked_conv2d``."""
     rng = np.random.default_rng(seed)
     shape = (filters, channels, kernel, kernel)
     weight = rng.standard_normal(shape).astype(np.float32) * 0.1
@@ -261,12 +259,14 @@ def compare_masked_conv(filters, channels, kernel, height, width, batch,
     state = _BenchState(mask, weight)
     padding = kernel // 2
 
-    dense_s = _time(lambda: conv2d(x, weight_t, None, padding=padding), repeats)
+    dense_s = _time(
+        lambda: masked_conv2d(x, weight_t, None, padding=padding, state=None), repeats
+    )
     csr_s = _time(
         lambda: masked_conv2d(x, weight_t, None, padding=padding, state=state), repeats
     )
 
-    reference = conv2d(x, weight_t, None, padding=padding).data
+    reference = masked_conv2d(x, weight_t, None, padding=padding, state=None).data
     produced = masked_conv2d(x, weight_t, None, padding=padding, state=state).data
     max_err = float(np.abs(produced - reference).max())
     tolerance = 1e-4 * max(1.0, float(np.abs(reference).max()))

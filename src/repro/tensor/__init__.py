@@ -8,11 +8,8 @@ to train convolutional spiking neural networks with BPTT.
 from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where
 from .conv import (
     avg_pool2d,
-    col2im,
     col2im_t,
-    conv2d,
     conv_output_shape,
-    im2col,
     im2col_t,
     max_pool2d,
 )
@@ -38,12 +35,9 @@ __all__ = [
     "stack",
     "concatenate",
     "where",
-    "conv2d",
     "avg_pool2d",
     "max_pool2d",
-    "im2col",
     "im2col_t",
-    "col2im",
     "col2im_t",
     "conv_output_shape",
     "STATIC_CSR_DENSITY_CUTOFF",

@@ -1,9 +1,11 @@
-"""Convolution and pooling primitives built on im2col.
+"""The one patch lowering behind convolution and pooling.
 
-These are the compute kernels of the spiking model zoo.  The forward
-pass lowers the convolution to a single matrix multiply (im2col); the
-backward pass uses the transposed lowering (col2im).  Both directions
-are exact, which the test suite verifies against finite differences.
+:func:`im2col_t` lowers ``(N, C, H, W)`` patches to a ``(C*kh*kw,
+N*out_h*out_w)`` column matrix and :func:`col2im_t` scatter-adds such
+columns back into an image.  Both conv routes in
+:func:`~repro.tensor.functional.masked_conv2d` (dense BLAS and CSR)
+and both pooling ops here run on this single lowering, so every
+convolution-shaped op shares one layout and one backward scatter.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -26,46 +28,12 @@ def conv_output_shape(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]) -> np.ndarray:
-    """Lower image patches to columns.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-
-    Returns
-    -------
-    Array of shape ``(N, C * kh * kw, out_h * out_w)``.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_shape(h, kh, sh, ph)
-    out_w = conv_output_shape(w, kw, sw, pw)
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-    # Strided view: (N, C, kh, kw, out_h, out_w)
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
-        writeable=False,
-    )
-    return view.reshape(n, c * kh * kw, out_h * out_w).copy()
-
-
 def im2col_t(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]) -> np.ndarray:
-    """Patch lowering directly in the ``(K, N*L)`` layout.
+    """Lower image patches to a ``(C*kh*kw, N*out_h*out_w)`` matrix.
 
-    The CSR conv kernel consumes its right operand as a
-    ``(C*kh*kw, N*out_h*out_w)`` matrix.  :func:`im2col` produces
-    ``(N, K, L)`` and the caller would pay a second transpose copy to
-    reach that layout; here the strided view is ordered ``(c, kh, kw,
-    n, oh, ow)`` so the single reshape copy lands in kernel layout.
+    The strided view is ordered ``(c, kh, kw, n, oh, ow)``, so the single
+    reshape copy lands in the layout a ``(F, K) @ (K, N*L)`` product
+    consumes, and pooling windows sit on axis 1 of ``(C, kh*kw, N, L)``.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -96,10 +64,10 @@ def col2im_t(
 ) -> np.ndarray:
     """Inverse of :func:`im2col_t`: scatter-add ``(K, N*L)`` columns back.
 
-    Used by the CSR conv backward: the transposed sparse product emits
-    the input gradient already in ``(K, N*L)`` layout, so scattering
-    from it directly skips the transpose copy the ``(N, K, L)`` route
-    would need.
+    Overlapping windows accumulate, which makes this the input-gradient
+    half of every op lowered through :func:`im2col_t`.  Any array in the
+    same element order is accepted, e.g. ``(C, kh*kw, N, out_h, out_w)``
+    pooling windows or a broadcast view of them.
     """
     n, c, h, w = input_shape
     kh, kw = kernel
@@ -120,128 +88,49 @@ def col2im_t(
     return padded
 
 
-def col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into an image."""
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_shape(h, kh, sh, ph)
-    out_w = conv_output_shape(w, kw, sw, pw)
-
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols6[:, :, i, j, :, :]
-    if ph or pw:
-        return padded[:, :, ph:h + ph, pw:w + pw]
-    return padded
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None, stride=1, padding=0) -> Tensor:
-    """2-D convolution over an ``(N, C, H, W)`` input.
-
-    Parameters
-    ----------
-    weight:
-        Filter bank of shape ``(F, C, kh, kw)``.
-    bias:
-        Optional per-filter bias of shape ``(F,)``.
-    """
-    stride = _pair(stride)
-    padding = _pair(padding)
+def _pool_windows(x: Tensor, kernel_size, stride):
+    """Normalised kernel and stride, and the pooling windows of ``x`` as
+    ``(C, kh*kw, N, out_h, out_w)``: every op reduces over axis 1."""
+    kernel = _pair(kernel_size)
+    stride = _pair(stride) if stride is not None else kernel
     n, c, h, w = x.shape
-    f, c_w, kh, kw = weight.shape
-    if c != c_w:
-        raise ValueError(f"input channels {c} do not match weight channels {c_w}")
-    out_h = conv_output_shape(h, kh, stride[0], padding[0])
-    out_w = conv_output_shape(w, kw, stride[1], padding[1])
+    out_h = conv_output_shape(h, kernel[0], stride[0], 0)
+    out_w = conv_output_shape(w, kernel[1], stride[1], 0)
+    cols_t = im2col_t(x.data, kernel, stride, (0, 0))
+    return kernel, stride, cols_t.reshape(c, kernel[0] * kernel[1], n, out_h, out_w)
 
-    cols = im2col(x.data, (kh, kw), stride, padding)  # (N, C*kh*kw, L)
-    w_mat = weight.data.reshape(f, -1)  # (F, C*kh*kw)
-    out_data = np.einsum("fk,nkl->nfl", w_mat, cols, optimize=True)
-    out_data = out_data.reshape(n, f, out_h, out_w)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires, _prev=parents if requires else (), _op="conv2d")
-
-    def backward(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(n, f, out_h * out_w)  # (N, F, L)
-        if weight.requires_grad:
-            grad_w = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            grad_cols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
-            x._accumulate(col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding))
-
-    out._backward = backward
-    return out
+def _nchw(pooled: np.ndarray) -> np.ndarray:
+    """``(C, N, oh, ow)`` to a C-ordered ``(N, C, oh, ow)``: downstream
+    reductions then sum in the same order as over any other activation."""
+    return np.ascontiguousarray(pooled.transpose(1, 0, 2, 3))
 
 
 def avg_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
     """Average pooling over the spatial dimensions."""
-    kernel = _pair(kernel_size)
-    stride_p = _pair(stride) if stride is not None else kernel
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride_p
-    out_h = conv_output_shape(h, kh, sh, 0)
-    out_w = conv_output_shape(w, kw, sw, 0)
-
-    cols = im2col(x.data, kernel, stride_p, (0, 0)).reshape(n, c, kh * kw, out_h * out_w)
-    out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="avg_pool2d")
+    kernel, stride_p, windows = _pool_windows(x, kernel_size, stride)
+    shape, size = windows.shape, windows.shape[1]
+    out = x._make(_nchw(windows.mean(axis=1)), (x,), "avg_pool2d")
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = np.repeat(
-            grad.reshape(n, c, 1, out_h * out_w) / (kh * kw), kh * kw, axis=2
-        ).reshape(n, c * kh * kw, out_h * out_w)
-        x._accumulate(col2im(grad_cols, (n, c, h, w), kernel, stride_p, (0, 0)))
+        grad_windows = np.broadcast_to((grad / size).transpose(1, 0, 2, 3)[:, None], shape)
+        x._accumulate(col2im_t(grad_windows, x.shape, kernel, stride_p, (0, 0)))
 
     out._backward = backward
     return out
 
 
 def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
-    """Max pooling over the spatial dimensions."""
-    kernel = _pair(kernel_size)
-    stride_p = _pair(stride) if stride is not None else kernel
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride_p
-    out_h = conv_output_shape(h, kh, sh, 0)
-    out_w = conv_output_shape(w, kw, sw, 0)
-
-    cols = im2col(x.data, kernel, stride_p, (0, 0)).reshape(n, c, kh * kw, out_h * out_w)
-    argmax = cols.argmax(axis=2)
-    out_data = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
-    out_data = out_data.reshape(n, c, out_h, out_w)
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="max_pool2d")
+    """Max pooling over the spatial dimensions (the first maximum in a
+    window takes the gradient)."""
+    kernel, stride_p, windows = _pool_windows(x, kernel_size, stride)
+    shape, argmax = windows.shape, windows.argmax(axis=1)[:, None]
+    out = x._make(_nchw(np.take_along_axis(windows, argmax, axis=1)[:, 0]), (x,), "max_pool2d")
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = np.zeros((n, c, kh * kw, out_h * out_w), dtype=grad.dtype)
-        np.put_along_axis(
-            grad_cols, argmax[:, :, None, :], grad.reshape(n, c, 1, out_h * out_w), axis=2
-        )
-        x._accumulate(
-            col2im(grad_cols.reshape(n, c * kh * kw, out_h * out_w), (n, c, h, w), kernel, stride_p, (0, 0))
-        )
+        grad_windows = np.zeros(shape, dtype=grad.dtype)
+        np.put_along_axis(grad_windows, argmax, grad.transpose(1, 0, 2, 3)[:, None], axis=1)
+        x._accumulate(col2im_t(grad_windows, x.shape, kernel, stride_p, (0, 0)))
 
     out._backward = backward
     return out

@@ -5,9 +5,8 @@ for masked layers: :func:`masked_linear` and :func:`masked_conv2d`
 inspect the layer's :class:`~repro.sparse.engine.MaskedParameter`
 state (if any) and route the computation through the CSR kernels when
 the owning :class:`~repro.sparse.engine.SparsityManager` decides the
-measured density warrants it.  The dense route is byte-identical to
-the historical layer forward, so masked and unmasked models share one
-code path.
+measured density warrants it.  Unmasked layers take the dense route,
+so masked and unmasked models share one code path.
 
 Gradient parity: the CSR route computes the *weight* gradient densely
 (the drop-and-grow methods score regrowth by dense gradient magnitude,
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import col2im_t, conv_output_shape, im2col_t
+from .conv import _pair, col2im_t, conv_output_shape, im2col_t
 from .tensor import Tensor, is_grad_enabled
 
 #: Dispatch counters (reset freely in tests/benches): how many forward
@@ -105,56 +104,55 @@ def masked_conv2d(
 ) -> Tensor:
     """2-D convolution with density-based dense/CSR dispatch.
 
-    The CSR route is a direct sparse-filter kernel: the input is
-    lowered once, straight into the ``(C*kh*kw, N*L)`` layout the
-    sparse product consumes (:func:`~repro.tensor.conv.im2col_t`), so
-    the hot loop pays a single copy where the historical im2col +
-    transpose route paid two.  The backward reuses the same lowering
-    for the weight gradient and scatters the input gradient from the
-    transposed layout without any intermediate copy.
+    The only convolution op.  The input is lowered once, straight into
+    the ``(C*kh*kw, N*L)`` layout (:func:`~repro.tensor.conv.im2col_t`),
+    and both routes share that lowering, the dense weight gradient and
+    the :func:`~repro.tensor.conv.col2im_t` input-gradient scatter.
+    They differ only in the forward product and the input-gradient
+    product: a BLAS ``(F, K)`` matmul or the layer's ``CSRPattern``.
     """
-    if not _use_csr(state):
-        DISPATCH_COUNTS["dense"] += 1
-        from .conv import conv2d
-
-        return conv2d(x, weight, bias, stride=stride, padding=padding)
-    DISPATCH_COUNTS["csr"] += 1
-
-    stride_p = (int(stride), int(stride)) if isinstance(stride, int) else tuple(stride)
-    padding_p = (int(padding), int(padding)) if isinstance(padding, int) else tuple(padding)
+    stride = _pair(stride)
+    padding = _pair(padding)
     n, c, h, w = x.shape
     f, c_w, kh, kw = weight.shape
     if c != c_w:
         raise ValueError(f"input channels {c} do not match weight channels {c_w}")
-    out_h = conv_output_shape(h, kh, stride_p[0], padding_p[0])
-    out_w = conv_output_shape(w, kw, stride_p[1], padding_p[1])
+    out_h = conv_output_shape(h, kh, stride[0], padding[0])
+    out_w = conv_output_shape(w, kw, stride[1], padding[1])
     length = out_h * out_w
 
-    cols_t = im2col_t(x.data, (kh, kw), stride_p, padding_p)  # (K, N*L)
-    pattern = state.csr_pattern()
-    data = _csr_values(state, pattern, weight.data)
-    out_mat = pattern.matmul(data, cols_t)  # (F, N*L)
-    out_data = out_mat.reshape(f, n, length).transpose(1, 0, 2).reshape(n, f, out_h, out_w)
+    # Operand orientations and both routes' output layouts are pinned:
+    # BLAS and the batch-norm reductions downstream sum in memory order,
+    # so changing either moves training bits (tests/tensor/test_conv.py).
+    cols_t = im2col_t(x.data, (kh, kw), stride, padding)  # (K, N*L)
+    if _use_csr(state):
+        DISPATCH_COUNTS["csr"] += 1
+        pattern = state.csr_pattern()
+        data = _csr_values(state, pattern, weight.data)
+        out_rows = pattern.matmul(data, cols_t).T
+        input_grad = lambda grad_rows: pattern.t_matmul(data, grad_rows.T)
+    else:
+        DISPATCH_COUNTS["dense"] += 1
+        w_mat = weight.data.reshape(f, -1)
+        out_rows = cols_t.T @ w_mat.T
+        input_grad = lambda grad_rows: (grad_rows @ w_mat).T
+    out_data = out_rows.reshape(n, length, f).transpose(0, 2, 1).reshape(n, f, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires,
-                 _prev=parents if requires else (), _op="masked_conv2d")
+    out = x._make(out_data, parents, "masked_conv2d")
 
     def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(n, f, length).transpose(1, 0, 2).reshape(f, n * length)
+        grad_rows = grad.reshape(n, f, length).transpose(0, 2, 1).reshape(n * length, f)
         if weight.requires_grad:
             # Dense weight gradient (regrowth scores need inactive
             # positions too); one BLAS product against the lowering.
-            grad_w = grad_flat @ cols_t.T
-            weight._accumulate(grad_w.reshape(weight.shape))
+            weight._accumulate((cols_t @ grad_rows).T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols_t = pattern.t_matmul(data, grad_flat)  # (K, N*L)
-            x._accumulate(col2im_t(grad_cols_t, (n, c, h, w), (kh, kw), stride_p, padding_p))
+            x._accumulate(col2im_t(input_grad(grad_rows), (n, c, h, w), (kh, kw), stride, padding))
 
     out._backward = backward
     return out

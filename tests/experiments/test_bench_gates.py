@@ -104,6 +104,25 @@ class TestServingRegressionGate:
 
 
 @pytest.mark.smoke
+class TestKernelBench:
+    def test_runs_standalone_in_a_fresh_process(self, tmp_path):
+        out = tmp_path / "BENCH_kernels.json"
+        src = os.path.join(BENCH_DIR, "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   REPRO_CALIBRATION_DIR=str(tmp_path))
+        completed = subprocess.run(
+            [sys.executable, os.path.join(BENCH_DIR, "bench_kernels.py"),
+             "--repeats", "1", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        payload = json.loads(out.read_text())
+        assert payload["conv_cells"]
+        assert all(cell["dense_us"] > 0.0 and cell["csr_us"] > 0.0
+                   for cell in payload["conv_cells"])
+
+
+@pytest.mark.smoke
 class TestStreamingRegressionGate:
     TINY_ARGS = dict(streams=2, channels=8, events=24, window=4, hidden=16)
 

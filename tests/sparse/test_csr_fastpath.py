@@ -217,8 +217,13 @@ class TestMaskedConvCSR:
         sparse = masked_conv2d(x, weight, None, stride=1, padding=1, state=state)
         np.testing.assert_allclose(sparse.data, dense.data, atol=1e-5)
 
+    @pytest.mark.parametrize("stride,padding", [
+        (2, 1), (np.int64(2), np.int64(1)), ((2, 2), (1, 1)),
+    ])
     @pytest.mark.parametrize("sparsity", SPARSITIES)
-    def test_gradients_match_dense_path(self, sparsity):
+    def test_gradients_match_dense_path(self, sparsity, stride, padding):
+        # int, numpy-integer and tuple geometry all normalise the same
+        # way on both routes.
         weight, _, state = masked_layer_pair((6, 3, 3, 3), sparsity, seed=22)
         bias = Tensor(np.random.default_rng(23).standard_normal(6).astype(np.float32),
                       requires_grad=True)
@@ -227,7 +232,7 @@ class TestMaskedConvCSR:
         for label, st in (("dense", None), ("csr", state)):
             x = Tensor(x_data.copy(), requires_grad=True)
             weight.zero_grad(); bias.zero_grad()
-            out = masked_conv2d(x, weight, bias, stride=2, padding=1, state=st)
+            out = masked_conv2d(x, weight, bias, stride=stride, padding=padding, state=st)
             (out ** 2).sum().backward()
             grads[label] = (x.grad.copy(), weight.grad.copy(), bias.grad.copy())
         for dense_g, csr_g in zip(grads["dense"], grads["csr"]):

@@ -28,7 +28,7 @@ from repro.sparse import (
     SparsityManager,
     StructuredFilterPruning,
 )
-from repro.tensor import Tensor, cross_entropy
+from repro.tensor import DISPATCH_COUNTS, Tensor, cross_entropy
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_masks.json")
 ITERS, FREQ = 24, 6
@@ -39,12 +39,20 @@ def make_model():
                       rng=np.random.default_rng(7))
 
 
-def train(model, method, iterations=ITERS):
+def make_conv_model():
+    return SpikingConvNet(num_classes=4, in_channels=2, image_size=8,
+                          channels=(8, 16), timesteps=2,
+                          rng=np.random.default_rng(7))
+
+
+def train(model, method, iterations=ITERS, input_shape=(8, 16), execution=None):
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
     method.bind(model, optimizer)
+    if execution is not None:
+        method.set_execution(execution)
     rng = np.random.default_rng(8)
     for it in range(iterations):
-        x = Tensor(rng.standard_normal((8, 16)).astype(np.float32))
+        x = Tensor(rng.standard_normal(input_shape).astype(np.float32))
         y = rng.integers(0, 4, 8)
         loss = cross_entropy(model(x), y)
         optimizer.zero_grad()
@@ -115,6 +123,24 @@ class TestGoldenMasks:
         controller.prune(1)
         digests = mask_digests({n: m.copy() for n, m in controller.masks.items()})
         assert digests == golden["lth"]
+
+    @pytest.mark.parametrize("execution", ["dense", "auto"])
+    def test_ndsnn_convnet_masks_match_golden(self, execution, golden):
+        # Covers the convolution lowering end to end: masks follow weight
+        # magnitudes and dense gradients, so a conv or pooling change that
+        # moves training beyond rounding shows up here (the bits are
+        # pinned in tests/tensor/test_conv.py).  Under ``auto`` the
+        # sparsest layers flip onto the CSR conv route mid-run (static
+        # cutoff, no calibration).
+        model = make_conv_model()
+        method = NDSNN(initial_sparsity=0.5, final_sparsity=0.95,
+                       total_iterations=ITERS, update_frequency=FREQ,
+                       rng=np.random.default_rng(9))
+        csr_before = DISPATCH_COUNTS["csr"]
+        train(model, method, input_shape=(8, 2, 8, 8), execution=execution)
+        took_csr = DISPATCH_COUNTS["csr"] > csr_before
+        assert took_csr == (execution == "auto")
+        assert mask_digests(method.masks.copy_masks()) == golden[f"ndsnn_convnet_{execution}"]
 
 
 @pytest.mark.smoke

@@ -35,7 +35,7 @@ import pytest
 from repro.optim import SGD
 from repro.snn import LIFNeuron, reset_net
 from repro.snn.models import SpikingConvNet
-from repro.sparse import NDSNN, CSRPattern, MaskManager
+from repro.sparse import NDSNN, CSRPattern, SparsityManager
 from repro.tensor import Tensor, cross_entropy, masked_conv2d
 
 
@@ -80,12 +80,12 @@ def test_mask_enforcement(benchmark):
     model = SpikingConvNet(
         num_classes=10, image_size=16, channels=(32, 64), rng=np.random.default_rng(2)
     )
-    masks = MaskManager(model, rng=np.random.default_rng(3))
+    masks = SparsityManager(model, rng=np.random.default_rng(3))
     masks.init_random({name: 0.1 for name in masks.masks})
     benchmark(masks.apply_masks)
 
 
-def test_drop_and_grow_round(benchmark):
+def test_topology_update_round(benchmark):
     model = SpikingConvNet(
         num_classes=10, image_size=16, channels=(32, 64),
         timesteps=2, rng=np.random.default_rng(4),
@@ -105,7 +105,7 @@ def test_drop_and_grow_round(benchmark):
     iteration = {"value": 10}
 
     def run():
-        method._drop_and_grow(iteration["value"])
+        method.update_topology(iteration["value"])
         iteration["value"] = min(iteration["value"] + 10, 990)
 
     benchmark(run)

@@ -6,7 +6,7 @@ by round: per-layer sparsity, the number of weights dropped (neuron
 death) and grown (neuron birth), and the Eq. 4/5 schedule values that
 produced those counts.
 
-Run:  python examples/toy_drop_and_grow.py
+Run this file with ``python``; it takes no arguments.
 """
 
 import numpy as np

@@ -129,6 +129,11 @@ class Module:
             for buffer_name in module._buffers:
                 full = f"{module_name}.{buffer_name}" if module_name else buffer_name
                 buffer_owners[full] = (module, buffer_name)
+        # Check every key and shape, and mark every attached sparse state
+        # stale, before the first write: a refused load (unknown key, bad
+        # shape, a frozen serving state) leaves the model untouched.
+        # Restoring weights bypasses the optimizer's write-through hook,
+        # hence the staleness mark (duck-typed to avoid an import cycle).
         for name, value in state.items():
             if name in parameters:
                 target = parameters[name]
@@ -137,18 +142,17 @@ class Module:
                         f"shape mismatch for {name!r}: "
                         f"{target.data.shape} vs {value.shape}"
                     )
-                target.data = np.array(value, dtype=np.float32, copy=True)
-                # Restoring weights bypasses the optimizer's write-through
-                # hook; tell any attached sparse state its CSR value
-                # cache is stale (duck-typed to avoid an import cycle).
                 masked_state = getattr(target, "_masked_state", None)
                 if masked_state is not None:
                     masked_state.mark_values_dirty()
-            elif name in buffer_owners:
+            elif name not in buffer_owners:
+                raise KeyError(f"unexpected key in state dict: {name!r}")
+        for name, value in state.items():
+            if name in parameters:
+                parameters[name].data = np.array(value, dtype=np.float32, copy=True)
+            else:
                 module, buffer_name = buffer_owners[name]
                 module.update_buffer(buffer_name, np.array(value, copy=True))
-            else:
-                raise KeyError(f"unexpected key in state dict: {name!r}")
 
     # ------------------------------------------------------------------
     # Invocation

@@ -10,13 +10,15 @@ from .analysis import (
     mask_bipartite_graph,
     topology_change,
 )
-from .base import DenseMethod, SparseTrainingMethod, StaticMaskMethod
 from .engine import (
-    DEFAULT_CSR_THRESHOLD,
     EXECUTION_MODES,
+    DenseMethod,
     DropGrowMethod,
     MaskedParameter,
+    SparseTrainingMethod,
     SparsityManager,
+    StaticMaskMethod,
+    sparsifiable_parameters,
 )
 from .dispatch import (
     CALIBRATION_ENV,
@@ -39,9 +41,7 @@ from .storage import CSRPattern, model_csr_storage_bits
 from .inference import serving_storage_report
 from .packaging import (
     PRECISIONS,
-    PackedManager,
     PackedModel,
-    PackedState,
     build_packed_runtime,
     delta_decode_indices,
     delta_encode_indices,
@@ -60,7 +60,6 @@ from .erk import (
     uniform_densities,
 )
 from .lth import LTHSNN
-from .mask import MaskManager, sparsifiable_parameters
 from .ndsnn import NDSNN, UpdateRecord
 from .rigl_snn import RigLSNN
 from .schedule import (
@@ -86,7 +85,6 @@ __all__ = [
     "MaskedParameter",
     "SparsityManager",
     "EXECUTION_MODES",
-    "DEFAULT_CSR_THRESHOLD",
     "CALIBRATION_ENV",
     "DENSITY_GRID",
     "CalibrationTable",
@@ -110,9 +108,7 @@ __all__ = [
     "model_csr_storage_bits",
     "serving_storage_report",
     "PRECISIONS",
-    "PackedManager",
     "PackedModel",
-    "PackedState",
     "build_packed_runtime",
     "delta_encode_indices",
     "delta_decode_indices",
@@ -122,7 +118,6 @@ __all__ = [
     "varint_encode",
     "varint_decode",
     "write_package",
-    "MaskManager",
     "sparsifiable_parameters",
     "erk_densities",
     "erk_sparsities",

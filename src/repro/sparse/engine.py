@@ -41,14 +41,9 @@ from .erk import build_distribution
 #: (already masked) dense weights; ``auto`` picks CSR when the measured
 #: layer density drops below the dispatch cutoff (per-shape calibrated
 #: when a :class:`~repro.sparse.dispatch.CalibrationTable` is present,
-#: static otherwise); ``csr`` forces the sparse kernels.
+#: :data:`~repro.tensor.functional.STATIC_CSR_DENSITY_CUTOFF`
+#: otherwise); ``csr`` forces the sparse kernels.
 EXECUTION_MODES = ("dense", "auto", "csr")
-
-#: Static fallback density threshold for ``auto`` execution when no
-#: calibration table is attached.  Aliases the conservative cutoff in
-#: :mod:`repro.tensor.functional` so uncalibrated dispatch never takes
-#: a known-losing density through CSR (see ``benchmarks/bench_kernels``).
-DEFAULT_CSR_THRESHOLD = STATIC_CSR_DENSITY_CUTOFF
 
 
 def sparsifiable_parameters(model: Module, exclude: Iterable[str] = ()) -> List[Tuple[str, Parameter]]:
@@ -73,6 +68,12 @@ class MaskedParameter:
     consistent.  ``pattern_version`` increments whenever the sparsity
     pattern may have changed; the CSR fast path uses it to invalidate
     its cached column-index/row-pointer structure.
+
+    Given a frozen ``pattern`` (a packed artifact's layer), the state
+    is built straight from it: it starts frozen, holds no dense mask
+    (``mask is None``), counts its non-zeros from ``pattern.nnz`` and
+    serves the pattern's stored value buffer.  Such a state can never
+    be thawed.
     """
 
     __slots__ = (
@@ -89,18 +90,24 @@ class MaskedParameter:
         "manager",
     )
 
-    def __init__(self, name: str, parameter: Parameter) -> None:
+    def __init__(self, name: str, parameter: Parameter, pattern=None) -> None:
         self.name = name
         self.parameter = parameter
-        self.mask: np.ndarray = np.ones(parameter.shape, dtype=np.float32)
         self.density_target: Optional[float] = None
         self.pattern_version = 0
-        self._csr_cache = None
-        self._count_cache: Optional[int] = None
-        self._count_version = -1
-        self._values_dirty = True
-        self.frozen = False
         self.manager: Optional["SparsityManager"] = None
+        self._csr_cache = pattern
+        self.frozen = pattern is not None
+        self._values_dirty = not self.frozen
+        if self.frozen:
+            self.mask: Optional[np.ndarray] = None
+            self._count_cache: Optional[int] = pattern.nnz
+            self._count_version = self.pattern_version
+            parameter.requires_grad = False
+        else:
+            self.mask = np.ones(parameter.shape, dtype=np.float32)
+            self._count_cache = None
+            self._count_version = -1
         # Back-reference so code that mutates the raw parameter (the
         # optimizer step, checkpoint restore, fault injection) can keep
         # the CSR value cache coherent without knowing about managers.
@@ -140,6 +147,7 @@ class MaskedParameter:
     # ------------------------------------------------------------------
     def set_mask(self, mask: np.ndarray) -> None:
         """Replace the mask (shape-checked); invalidates the CSR cache."""
+        self._require_thawed("a topology edit")
         if mask.shape != self.parameter.shape:
             raise ValueError(
                 f"mask shape {mask.shape} does not match parameter "
@@ -156,10 +164,14 @@ class MaskedParameter:
             "SparsityManager.thaw()) before mutating weights or topology"
         )
 
+    def _require_thawed(self, action: str) -> None:
+        """Refuse ``action`` on a frozen state before it reads or writes."""
+        if self.frozen:
+            raise self._frozen_error(action)
+
     def touch(self) -> None:
         """Mark the sparsity pattern as changed."""
-        if self.frozen:
-            raise self._frozen_error("a topology edit")
+        self._require_thawed("a topology edit")
         self.pattern_version += 1
         self._csr_cache = None
         self._values_dirty = True
@@ -181,6 +193,7 @@ class MaskedParameter:
 
         Returns the flat indices that were dropped.
         """
+        self._require_thawed("a topology edit")
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         mask_flat = self.mask.reshape(-1)
@@ -206,6 +219,7 @@ class MaskedParameter:
         generalized variant, not a replacement).  Returns the dropped
         flat indices.
         """
+        self._require_thawed("a topology edit")
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         mask_flat = self.mask.reshape(-1)
@@ -228,6 +242,7 @@ class MaskedParameter:
         gradient magnitude for RigL/NDSNN).  New weights start at zero,
         following the RigL convention.  Returns the grown flat indices.
         """
+        self._require_thawed("a topology edit")
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         mask_flat = self.mask.reshape(-1)
@@ -245,6 +260,7 @@ class MaskedParameter:
 
     def grow_random(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Activate ``count`` random inactive positions (SET growth)."""
+        self._require_thawed("a topology edit")
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         mask_flat = self.mask.reshape(-1)
@@ -301,8 +317,7 @@ class MaskedParameter:
         fail loudly instead of silently dirtying a buffer the inference
         path will never refresh.
         """
-        if self.frozen:
-            raise self._frozen_error("an out-of-band weight mutation")
+        self._require_thawed("an out-of-band weight mutation")
         self._values_dirty = True
 
     # ------------------------------------------------------------------
@@ -333,6 +348,11 @@ class MaskedParameter:
         """Leave inference-frozen mode; the state is trainable again."""
         if not self.frozen:
             return
+        if self.mask is None:
+            raise RuntimeError(
+                f"parameter {self.name!r} comes from a packed artifact and is "
+                "immutable; re-train from a checkpoint instead of thawing it"
+            )
         if self._csr_cache is not None:
             self._csr_cache.thaw()
         self.parameter.requires_grad = True
@@ -348,8 +368,7 @@ class MaskedParameter:
         forward and input-gradient product); otherwise the refresh is
         deferred with a dirty flag so dense-mode training pays nothing.
         """
-        if self.frozen:
-            raise self._frozen_error("an optimizer step")
+        self._require_thawed("an optimizer step")
         self._values_dirty = True
         cache = self._csr_cache
         if cache is None:
@@ -370,10 +389,10 @@ class MaskedParameter:
 class SparsityManager:
     """Owns the :class:`MaskedParameter` states of a sparse model.
 
-    Drop-in successor of the historical ``MaskManager``: the ``masks``
-    and ``parameters`` dict attributes are kept (sharing storage with
-    the per-layer states) so method code and tests written against the
-    old interface keep working unchanged.
+    The ``masks`` and ``parameters`` dicts share storage with the
+    per-layer states.  A trained manager is built from a model;
+    :meth:`from_patterns` builds a frozen serving manager from a packed
+    artifact's CSR patterns.
 
     Parameters
     ----------
@@ -392,15 +411,48 @@ class SparsityManager:
         exclude: Iterable[str] = (),
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        self.model = model
         selected = sparsifiable_parameters(model, exclude)
         if not selected:
             raise ValueError("model has no sparsifiable parameters")
+        self._adopt(model, [MaskedParameter(name, parameter) for name, parameter in selected], rng)
+
+    @classmethod
+    def from_patterns(
+        cls,
+        model: Module,
+        patterns: Dict,
+        execution: str,
+        calibration=None,
+        package=None,
+    ) -> "SparsityManager":
+        """A frozen manager over frozen CSR patterns (a packed artifact).
+
+        ``patterns`` maps weight-parameter names of ``model`` to frozen
+        :class:`~repro.sparse.storage.CSRPattern` objects, each served
+        by a maskless frozen :class:`MaskedParameter`; ``package`` is
+        the :class:`~repro.sparse.packaging.PackedModel` they came from.
+        Routes follow :meth:`use_csr`, as for a trained manager.
+        """
+        parameters = dict(model.named_parameters())
+        missing = [name for name in patterns if name not in parameters]
+        if missing:
+            raise KeyError(f"layer {missing[0]!r} not in model")
+        manager = cls.__new__(cls)
+        manager._adopt(model, [
+            MaskedParameter(name, parameters[name], pattern)
+            for name, pattern in patterns.items()
+        ], rng=None)
+        manager.execution = execution
+        manager.calibration = calibration
+        manager.package = package
+        return manager
+
+    def _adopt(self, model: Module, states: List[MaskedParameter], rng) -> None:
+        self.model = model
         self.states: "OrderedDict[str, MaskedParameter]" = OrderedDict()
-        for name, parameter in selected:
-            state = MaskedParameter(name, parameter)
+        for state in states:
             state.manager = self
-            self.states[name] = state
+            self.states[state.name] = state
         self.parameters: Dict[str, Parameter] = {
             name: state.parameter for name, state in self.states.items()
         }
@@ -409,11 +461,13 @@ class SparsityManager:
         }
         self.rng = rng if rng is not None else np.random.default_rng()
         self.execution = "dense"
-        self.csr_threshold = DEFAULT_CSR_THRESHOLD
         #: Optional per-shape measured dispatch table
         #: (:class:`~repro.sparse.dispatch.CalibrationTable`); when
-        #: present it overrides ``csr_threshold`` under ``auto``.
+        #: present it overrides the static cutoff under ``auto``.
         self.calibration = None
+        #: The :class:`~repro.sparse.packaging.PackedModel` a serving
+        #: manager was loaded from; ``None`` for trained managers.
+        self.package = None
         self._bound = False
 
     # ------------------------------------------------------------------
@@ -570,7 +624,6 @@ class SparsityManager:
     def bind_layers(
         self,
         execution: Optional[str] = None,
-        threshold: Optional[float] = None,
         calibrate: bool = False,
     ) -> int:
         """Attach per-layer state to the owning nn modules.
@@ -584,8 +637,6 @@ class SparsityManager:
         """
         if execution is not None:
             self.set_execution(execution)
-        if threshold is not None:
-            self.csr_threshold = float(threshold)
         by_parameter = {id(state.parameter): state for state in self.states.values()}
         bound = 0
         for module in self.model.modules():
@@ -639,15 +690,16 @@ class SparsityManager:
         if self.execution == "csr":
             return True
         if self.execution == "auto":
-            return state.density() <= self._cutoff_for(state)
+            return state.density() <= self._cutoff_for(state)[0]
         return False
 
-    def _cutoff_for(self, state: MaskedParameter) -> float:
+    def _cutoff_for(self, state: MaskedParameter) -> Tuple[float, str]:
+        """``auto`` density cutoff for one layer and where it came from."""
         if self.calibration is not None:
             cutoff = self.calibration.cutoff_for(state.shape)
             if cutoff is not None:
-                return cutoff
-        return self.csr_threshold
+                return cutoff, "calibrated"
+        return STATIC_CSR_DENSITY_CUTOFF, "static"
 
     def explain_dispatch(self, name: str) -> Dict:
         """Inspectable dispatch decision for one layer.
@@ -659,24 +711,15 @@ class SparsityManager:
         from .dispatch import matrix_shape
 
         state = self.states[name]
-        calibrated = (
-            self.calibration.cutoff_for(state.shape)
-            if self.calibration is not None
-            else None
-        )
-        cutoff = calibrated if calibrated is not None else self.csr_threshold
-        if self.execution == "auto":
-            route = "csr" if state.density() <= cutoff else "dense"
-        else:
-            route = "csr" if self.execution == "csr" else "dense"
+        cutoff, source = self._cutoff_for(state)
         return {
             "layer": name,
             "shape": matrix_shape(state.shape),
             "density": round(state.density(), 4),
             "cutoff": round(float(cutoff), 4),
-            "cutoff_source": "calibrated" if calibrated is not None else "static",
+            "cutoff_source": source,
             "execution": self.execution,
-            "route": route,
+            "route": "csr" if self.use_csr(state) else "dense",
         }
 
     # ------------------------------------------------------------------
@@ -696,8 +739,10 @@ class SparsityManager:
         read-only, dense gradient tracking is switched off, and any
         further mutation — optimizer steps, ``load_state_dict``,
         topology edits, fault injection — raises a clear error.
-        Idempotent; reversed by :meth:`thaw`.
+        Returns at once when already frozen; reversed by :meth:`thaw`.
         """
+        if self.frozen:
+            return self
         self.apply_masks()
         if not self._bound:
             self.bind_layers()
@@ -791,12 +836,7 @@ class SparseTrainingMethod:
     def setup(self) -> None:
         """Initialise masks; called once from :meth:`bind`."""
 
-    def set_execution(
-        self,
-        execution: str,
-        threshold: Optional[float] = None,
-        calibrate: bool = False,
-    ) -> None:
+    def set_execution(self, execution: str, calibrate: bool = False) -> None:
         """Select dense/auto/csr execution for the masked layers.
 
         ``calibrate=True`` builds the measured per-shape dispatch table
@@ -804,8 +844,6 @@ class SparseTrainingMethod:
         direct engine users opt in explicitly).
         """
         if self.masks is not None:
-            if threshold is not None:
-                self.masks.csr_threshold = float(threshold)
             self.masks.set_execution(execution, calibrate=calibrate)
 
     # ------------------------------------------------------------------
@@ -1104,8 +1142,3 @@ class DropGrowMethod(SparseTrainingMethod):
         self.history.append(record)
         self._record_mask_update(record)
         return record
-
-    # Historical names for one explicit topology round, kept so tests and
-    # benches that poke a single round directly keep working.
-    _drop_and_grow = update_topology
-    _replace_connections = update_topology

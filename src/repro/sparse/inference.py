@@ -29,7 +29,7 @@ def serving_storage_report(manager, precision: str = None) -> Dict[str, object]:
     """
     from .packaging import packed_layer_bytes
 
-    package = getattr(manager, "package", None)
+    package = manager.package
     stored = precision or (package.precision if package is not None else "f32")
     layers = []
     for name, state in manager.states.items():

@@ -46,6 +46,8 @@ import numpy as np
 
 from ..nn.init import skip_init
 from ..utils import atomic_replace
+from .dispatch import CalibrationTable
+from .engine import SparsityManager
 from .storage import CSRPattern
 
 MAGIC = b"REPROM\x00\x01"
@@ -495,107 +497,6 @@ class PackedModel:
         return view.reshape(entry["shape"])
 
 
-class PackedState:
-    """Duck-typed stand-in for :class:`~repro.sparse.engine.MaskedParameter`.
-
-    Provides exactly what the serving path consumes — ``csr_pattern()``
-    / ``csr_values()`` for the kernels, density/size for the reports —
-    over a read-only pattern whose values may alias the package map.
-    No dense mask is ever materialized.
-    """
-
-    __slots__ = ("name", "route", "pattern", "manager", "frozen")
-
-    def __init__(self, name: str, route: str, pattern) -> None:
-        self.name = name
-        self.route = route
-        self.pattern = pattern
-        self.manager = None
-        self.frozen = True
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.pattern.orig_shape))
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.pattern.orig_shape
-
-    def density(self) -> float:
-        return self.pattern.nnz / self.size if self.size else 0.0
-
-    def sparsity(self) -> float:
-        return 1.0 - self.density()
-
-    def csr_pattern(self):
-        return self.pattern
-
-    def csr_values(self) -> np.ndarray:
-        return self.pattern.values
-
-
-class PackedManager:
-    """Read-only manager facade over a package's layer states.
-
-    Implements the slice of the :class:`~repro.sparse.engine.SparsityManager`
-    interface that :class:`~repro.serve.registry.InferenceSession`, the
-    dispatch/storage reports and the masked kernels consume.  There is
-    nothing to freeze or thaw — the artifact is immutable by
-    construction.
-    """
-
-    def __init__(self, package: PackedModel, precision: str) -> None:
-        self.package = package
-        self.precision = precision
-        self.execution = package.meta.get("execution", "auto")
-        self.states: "OrderedDict[str, PackedState]" = OrderedDict()
-        self.calibration = None
-        calibration_meta = package.meta.get("calibration")
-        if calibration_meta:
-            from .dispatch import CalibrationTable
-
-            self.calibration = CalibrationTable.from_meta(calibration_meta)
-
-    def add_state(self, state: PackedState) -> None:
-        state.manager = self
-        self.states[state.name] = state
-
-    def use_csr(self, state: PackedState) -> bool:
-        return state.route == "csr"
-
-    @property
-    def frozen(self) -> bool:
-        return True
-
-    def freeze(self) -> "PackedManager":
-        return self
-
-    def thaw(self) -> "PackedManager":
-        raise RuntimeError(
-            "a packed serving session is immutable; re-train from a "
-            "checkpoint instead of thawing a .reprom artifact"
-        )
-
-    def explain_dispatch(self, name: str) -> Dict:
-        from .dispatch import matrix_shape
-
-        state = self.states[name]
-        return {
-            "layer": name,
-            "shape": matrix_shape(state.shape),
-            "density": round(state.density(), 4),
-            "cutoff": None,
-            "cutoff_source": "package",
-            "execution": f"packed-{self.precision}",
-            "route": state.route,
-        }
-
-    def sparsity(self) -> float:
-        total = sum(state.size for state in self.states.values())
-        nnz = sum(state.pattern.nnz for state in self.states.values())
-        return 1.0 - nnz / total if total else 0.0
-
-
 def _decode_layer_indices(package: PackedModel, entry: Dict) -> Tuple[np.ndarray, np.ndarray]:
     indptr = np.asarray(package.tensor(entry["tensors"]["indptr"]), dtype=np.int32)
     deltas = varint_decode(
@@ -645,21 +546,12 @@ def _assign_dense_entries(package: PackedModel, model) -> None:
             module.update_buffer(buffer_name, view)
 
 
-def _weight_owners(model) -> Dict[str, object]:
-    """weight-parameter name -> the module owning it."""
-    return {
-        f"{name}.weight" if name else "weight": module
-        for name, module in model.named_modules()
-        if "weight" in module._parameters
-    }
-
-
-def _dense_from_pattern(pattern, values: np.ndarray) -> np.ndarray:
+def _dense_from_pattern(pattern) -> np.ndarray:
     """Materialize a dense float32 weight from CSR (dense-routed layers)."""
     rows, cols = pattern.shape
     dense = np.zeros((rows, cols), dtype=np.float32)
     row_of = np.repeat(np.arange(rows), np.diff(pattern.indptr))
-    dense[row_of, pattern.indices] = values
+    dense[row_of, pattern.indices] = pattern.values
     return dense.reshape(pattern.orig_shape)
 
 
@@ -668,18 +560,21 @@ def build_packed_runtime(
 ):
     """``(model, manager)`` serving pair from an mmap'd package.
 
-    Every sparse layer runs through a frozen
-    :class:`~repro.sparse.storage.CSRPattern` bound as the layer's
-    ``weight_state``; ``precision`` picks its value buffer:
+    ``manager`` is a frozen :class:`~repro.sparse.engine.SparsityManager`
+    whose layer states are built straight from the package's frozen
+    :class:`~repro.sparse.storage.CSRPattern` objects (no dense mask);
+    ``precision`` picks their value buffers:
 
     * ``"f32"`` (the default) — quantized values are pre-scaled into
-      float32 buffers at load (f32 artifacts alias the map outright)
-      and each layer takes the route recorded in the manifest.
+      float32 buffers at load (f32 artifacts alias the map outright).
+      The manager takes the manifest's execution mode and calibration
+      table, and every recomputed route must equal the manifest's
+      ``route``; dense-routed layers get a materialized dense weight.
     * ``"f16"`` / ``"int8"`` — memory-minimal: the value buffers stay
       mapped at the stored precision (int8 rows are rescaled by the
-      stored per-row scales after each product) and every layer routes
-      CSR, so no dense weight is materialized.  Requires a matching
-      artifact precision.
+      stored per-row scales after each product) and the manager runs
+      ``csr`` execution, so no dense weight is materialized.  Requires
+      a matching artifact precision.
     """
     runtime = precision or "f32"
     if runtime not in PRECISIONS:
@@ -693,29 +588,36 @@ def build_packed_runtime(
     model = build_spec_model(package.meta["model_spec"])
     model.eval()
     _assign_dense_entries(package, model)
-    manager = PackedManager(package, runtime)
-    owners = _weight_owners(model)
+    patterns = {}
     for entry in package.meta["layers"]:
-        name = entry["name"]
-        if name not in owners:
-            raise KeyError(f"package layer {name!r} not in model")
-        module = owners[name]
         indices, indptr = _decode_layer_indices(package, entry)
         if runtime == "f32":
-            values, route = _layer_values_f32(package, entry), entry["route"]
+            values = _layer_values_f32(package, entry)
         else:
-            values, route = package.tensor(entry["tensors"]["values"]), "csr"
+            values = package.tensor(entry["tensors"]["values"])
         pattern = CSRPattern.from_arrays(
             indices, indptr, entry["shape"], entry["orig_shape"], values=values
         )
         if runtime == "int8":
             pattern.scales = package.tensor(entry["tensors"]["scales"])
-        pattern.freeze()
-        state = PackedState(name, route, pattern)
-        manager.add_state(state)
-        if route == "csr":
-            object.__setattr__(module, "weight_state", state)
-        else:
-            module.weight.data = _dense_from_pattern(pattern, pattern.values)
-            module.weight.requires_grad = False
+        patterns[entry["name"]] = pattern.freeze()
+    manager = SparsityManager.from_patterns(
+        model,
+        patterns,
+        execution=package.meta["execution"] if runtime == "f32" else "csr",
+        calibration=CalibrationTable.from_meta(package.meta.get("calibration")),
+        package=package,
+    )
+    manager.bind_layers()
+    if runtime == "f32":
+        for entry in package.meta["layers"]:
+            state = manager.states[entry["name"]]
+            route = "csr" if manager.use_csr(state) else "dense"
+            if route != entry["route"]:
+                raise ValueError(
+                    f"{package.path}: layer {state.name!r} routes {route} "
+                    f"but the manifest records {entry['route']!r}"
+                )
+            if route == "dense":
+                state.parameter.data = _dense_from_pattern(state.csr_pattern())
     return model, manager

@@ -284,7 +284,7 @@ def model_csr_storage_bits(
     is the measured counterpart of the §III-D analytic formula; tests
     verify the two agree.
     """
-    from .mask import sparsifiable_parameters
+    from .engine import sparsifiable_parameters
 
     total = 0
     for _, parameter in sparsifiable_parameters(model):

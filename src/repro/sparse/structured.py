@@ -330,7 +330,6 @@ def compact_model(model, manager: SparsityManager) -> SparsityManager:
         state.density_target = manager.states[name].density_target
     compacted.apply_masks()
     compacted.execution = manager.execution
-    compacted.csr_threshold = manager.csr_threshold
     compacted.calibration = manager.calibration
     compacted.bind_layers()
     return compacted

@@ -30,7 +30,7 @@ from ..nn.layers import Linear
 from ..snn.functional import _stateful_modules
 from ..snn.neuron import IFNeuron, LIFNeuron
 from ..tensor import Tensor, no_grad
-from ..tensor.functional import _csr_values, _use_csr
+from ..tensor.functional import _use_csr
 
 #: Leaf module types a plan can run; anything else keeps the module path.
 SUPPORTED_LEAVES = (Linear, LIFNeuron, IFNeuron)
@@ -60,7 +60,7 @@ class _SparseLinear:
     def __init__(self, layer: Linear) -> None:
         state = layer.weight_state
         self.pattern = state.csr_pattern()
-        self.values = _csr_values(state, self.pattern, layer.weight.data)
+        self.values = state.csr_values()
         self.bias = layer.bias
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
     for path, module in leaves:
         # A bound layer must be frozen, so the route compiled below is final.
         state = getattr(module, "weight_state", None)
-        if state is not None and not getattr(state, "frozen", False):
+        if state is not None and not state.frozen:
             return None, f"{path} is bound to a thawed manager"
     if not leaves or type(leaves[0][1]) is not Linear:
         return None, "the first leaf is not a Linear"

@@ -36,7 +36,7 @@ STATIC_CSR_DENSITY_CUTOFF = 0.15
 
 
 def _use_csr(state) -> bool:
-    if state is None or getattr(state, "manager", None) is None:
+    if state is None or state.manager is None:
         return False
     return state.manager.use_csr(state)
 

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from ..nn.module import Module
-from ..sparse.base import SparseTrainingMethod
+from ..sparse.engine import SparseTrainingMethod
 from ..utils import atomic_replace, load_json, load_state_dict, save_json, save_state_dict
 from .hooks import TrainerCallback
 

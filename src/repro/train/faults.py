@@ -18,27 +18,34 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..nn.module import Module
-from ..sparse.mask import sparsifiable_parameters
+from ..sparse.engine import sparsifiable_parameters
 from .hooks import TrainerCallback
 
 
+def _mark_stale(parameters) -> None:
+    """Weights about to be mutated outside the optimizer: invalidate any
+    CSR value cache.  Called before the first write (and before any
+    random draw), so a frozen serving state refuses with nothing changed.
+    """
+    for parameter in parameters:
+        state = getattr(parameter, "_masked_state", None)
+        if state is not None:
+            state.mark_values_dirty()
+
+
 def _snapshot(model: Module) -> Dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in sparsifiable_parameters(model)}
-
-
-def _mark_stale(parameter) -> None:
-    """Weight mutated outside the optimizer: invalidate any CSR value cache."""
-    state = getattr(parameter, "_masked_state", None)
-    if state is not None:
-        state.mark_values_dirty()
+    """Copy of the sparsifiable weights, taken as they are marked stale."""
+    named = sparsifiable_parameters(model)
+    _mark_stale(parameter for _, parameter in named)
+    return {name: parameter.data.copy() for name, parameter in named}
 
 
 def restore(model: Module, snapshot: Dict[str, np.ndarray]) -> None:
     """Undo a fault injection using the returned snapshot."""
     parameters = dict(sparsifiable_parameters(model))
+    _mark_stale(parameters[name] for name in snapshot)
     for name, values in snapshot.items():
         parameters[name].data[...] = values
-        _mark_stale(parameters[name])
 
 
 def inject_weight_noise(
@@ -61,7 +68,6 @@ def inject_weight_noise(
         scale = sigma * (parameter.data[active].std() if relative and active.any() else 1.0)
         noise = gen.normal(0.0, scale or sigma, size=parameter.shape).astype(np.float32)
         parameter.data[active] += noise[active]
-        _mark_stale(parameter)
     return snapshot
 
 
@@ -82,7 +88,6 @@ def inject_weight_dropout(
             continue
         kill = gen.choice(active, size=int(fraction * active.size), replace=False)
         flat[kill] = 0.0
-        _mark_stale(parameter)
     return snapshot
 
 
@@ -113,7 +118,6 @@ def inject_bit_flips(
         victims = gen.choice(active, size=count, replace=False)
         as_int = flat[victims].view(np.uint32)
         flat[victims] = (as_int ^ np.uint32(1 << bit)).view(np.float32)
-        _mark_stale(parameter)
     return snapshot
 
 
@@ -297,5 +301,4 @@ def inject_dead_neurons(
         rows = parameter.shape[0]
         dead = gen.choice(rows, size=int(fraction * rows), replace=False)
         parameter.data[dead] = 0.0
-        _mark_stale(parameter)
     return snapshot

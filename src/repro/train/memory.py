@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..nn.module import Module
-from ..sparse.mask import sparsifiable_parameters
+from ..sparse.engine import sparsifiable_parameters
 
 #: Inference weight precisions of the platforms cited in Section III-D.
 PLATFORM_WEIGHT_BITS: Dict[str, int] = {

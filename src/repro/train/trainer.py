@@ -22,7 +22,7 @@ import numpy as np
 from ..nn.module import Module
 from ..optim import LRScheduler, Optimizer
 from ..snn.functional import reset_spike_stats, spike_rate
-from ..sparse.base import SparseTrainingMethod
+from ..sparse.engine import SparseTrainingMethod
 from ..tensor import Tensor, cross_entropy
 from ..tensor.functional import DISPATCH_COUNTS
 from .hooks import CallbackList, ConsoleLogger, MethodCallback, TrainerCallback

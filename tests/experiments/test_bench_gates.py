@@ -295,3 +295,22 @@ class TestPackagingRegressionGate:
         doctored["cold_load_speedup"] = 1e6
         bad.write_text(json.dumps(doctored))
         assert bench.main(argv + ["--check", str(bad)]) == 1
+
+
+@pytest.mark.smoke
+class TestPackagingBench:
+    def test_runs_standalone_in_a_fresh_process(self, tmp_path):
+        out = tmp_path / "BENCH_packaging.json"
+        src = os.path.join(BENCH_DIR, "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, os.path.join(BENCH_DIR, "bench_packaging.py"),
+             "--repeats", "1", "--load-repeats", "1", "--width", "64",
+             "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        errors = json.loads(out.read_text())["max_abs_error"]
+        for runtime in ("int8_runtime_f32", "int8_runtime_int8",
+                        "f16_runtime_f16", "f32_runtime_f32"):
+            assert runtime in errors, runtime

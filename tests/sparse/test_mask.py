@@ -1,16 +1,16 @@
-"""MaskManager: init, enforcement, drop/grow primitives."""
+"""SparsityManager: init, enforcement, drop/grow primitives."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import MaskManager, sparsifiable_parameters
+from repro.sparse import SparsityManager, sparsifiable_parameters
 from repro.tensor import Tensor, cross_entropy
 
 
 def manager(tiny_convnet, seed=0):
-    return MaskManager(tiny_convnet, rng=np.random.default_rng(seed))
+    return SparsityManager(tiny_convnet, rng=np.random.default_rng(seed))
 
 
 class TestSelection:
@@ -168,7 +168,7 @@ def test_drop_then_grow_restores_count(density):
     from repro.snn.models import SpikingMLP
 
     model = SpikingMLP(in_features=20, num_classes=4, hidden=(16,), rng=np.random.default_rng(0))
-    masks = MaskManager(model, rng=np.random.default_rng(1))
+    masks = SparsityManager(model, rng=np.random.default_rng(1))
     masks.init_random({name: density for name in masks.masks})
     name = next(iter(masks.masks))
     before = masks.nonzero_count(name)

@@ -198,7 +198,7 @@ class TestGrowthModes:
         top_inactive = set(
             inactive[np.argsort(parameter.grad.reshape(-1)[inactive])[::-1][:5]].tolist()
         )
-        method._drop_and_grow(10)
+        method.update_topology(10)
         grown_now_active = [i for i in top_inactive if method.masks.masks[name].reshape(-1)[i] == 1]
         # The highest-gradient inactive positions should be (mostly) grown.
         assert len(grown_now_active) >= 3

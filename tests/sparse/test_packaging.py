@@ -16,6 +16,7 @@ Property-based where it matters:
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 import repro
 from repro.serve import InferenceSession, ModelRegistry
 from repro.snn.models import SpikingMLP
-from repro.sparse import SparsityManager
+from repro.sparse import CalibrationTable, MaskedParameter, SparsityManager
 from repro.sparse.packaging import (
     _VALUE_DTYPES,
     MAGIC,
@@ -261,6 +262,61 @@ class TestPackedArtifact:
         _, manager = build_packed_runtime(PackedModel(path))
         with pytest.raises(RuntimeError, match="immutable"):
             manager.thaw()
+
+    @pytest.mark.parametrize("runtime", ["f32", "int8"])
+    def test_states_are_maskless_masked_parameters(self, tmp_path, runtime):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+        _, manager = build_packed_runtime(PackedModel(path), precision=runtime)
+        assert isinstance(manager, SparsityManager) and manager.frozen
+        for state in manager.states.values():
+            assert isinstance(state, MaskedParameter)
+            assert state.mask is None
+            assert state.frozen and state.manager is manager
+
+    def test_load_state_dict_refused_leaves_output_unchanged(self, tmp_path):
+        model, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+        session = InferenceSession(*build_packed_runtime(PackedModel(path)),
+                                   max_batch=2)
+        inputs = np.random.default_rng(12).standard_normal((2, 16)).astype(
+            np.float32)
+        before = session.predict(inputs)
+        doubled = {name: value * 2.0 for name, value in model.state_dict().items()}
+        with pytest.raises(RuntimeError, match="frozen for inference"):
+            session.model.load_state_dict(doubled)
+        assert np.array_equal(session.predict(inputs), before)
+
+    def test_doctored_manifest_route_rejected(self, tmp_path):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+        package = PackedModel(path)
+        entry = package.meta["layers"][-1]
+        entry["route"] = "dense" if entry["route"] == "csr" else "csr"
+        with pytest.raises(ValueError, match=re.escape(repr(entry["name"]))):
+            build_packed_runtime(package)
+
+    def test_auto_calibrated_routes_match_checkpoint(self, tmp_path):
+        """Routes recompute from the package's execution, calibration
+        table and the static cutoff exactly as the trained manager's."""
+        model = SpikingMLP(16, 3, hidden=(24, 20), timesteps=3,
+                           rng=np.random.default_rng(5))
+        model.eval()
+        manager = SparsityManager(model, rng=np.random.default_rng(6))
+        names = list(manager.states)
+        manager.init_random(dict(zip(names, (0.2, 0.1, 0.1))))
+        manager.set_execution("auto")
+        # layer 0: calibrated csr; layer 1: calibrated dense; layer 2:
+        # uncalibrated, so the static cutoff routes it csr.
+        manager.calibration = CalibrationTable({(24, 16): 0.3, (20, 24): 0.05})
+        spec = {**MLP_SPEC, "kwargs": {**MLP_SPEC["kwargs"], "hidden": [24, 20]}}
+        path = tmp_path / "auto.reprom"
+        write_package(path, model, manager, spec, precision="int8")
+        checkpoint = InferenceSession(model, manager, max_batch=2)
+        packed = InferenceSession(*build_packed_runtime(PackedModel(path)),
+                                  max_batch=2)
+        report = checkpoint.dispatch_report()
+        assert [item["route"] for item in report] == ["csr", "dense", "csr"]
+        assert [item["cutoff_source"] for item in report] == [
+            "calibrated", "calibrated", "static"]
+        assert packed.dispatch_report() == report
 
     def test_storage_report_bytes_are_real_file_bytes(self, tmp_path):
         _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")

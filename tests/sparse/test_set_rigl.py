@@ -105,7 +105,7 @@ class TestRigL:
         method.bind(model, optimizer)
         # Without gradients an update round must fail loudly.
         with pytest.raises(RuntimeError):
-            method._replace_connections(10)
+            method.update_topology(10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

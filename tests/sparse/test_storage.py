@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.nn import Module
 from repro.nn.layers import Conv2d
-from repro.sparse import CSRPattern, MaskManager, model_csr_storage_bits
+from repro.sparse import CSRPattern, SparsityManager, model_csr_storage_bits
 from repro.snn.models import SpikingMLP
 
 
@@ -112,7 +112,7 @@ class TestModelStorage:
         """Measured CSR bits agree with the §III-D formula (inference
         part: weights + indices + row pointers, t=0 gradient copies)."""
         model = SpikingMLP(in_features=20, num_classes=5, hidden=(16,), rng=np.random.default_rng(0))
-        masks = MaskManager(model, rng=np.random.default_rng(1))
+        masks = SparsityManager(model, rng=np.random.default_rng(1))
         masks.init_random({name: 0.25 for name in masks.masks})
         measured = model_csr_storage_bits(model)
         nnz = masks.total_nonzero

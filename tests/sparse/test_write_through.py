@@ -226,13 +226,39 @@ class TestStaleness:
         assert state.csr_values().size == 16
 
 
-def frozen_sandbox(seed=30, density=0.4):
+def frozen_sandbox(seed=30, density=0.4, execution="csr"):
     model = _Sandbox(seed)
     manager = SparsityManager(model, rng=np.random.default_rng(seed + 1))
     manager.init_distribution("uniform", density)
-    manager.set_execution("csr")
+    manager.set_execution(execution)
     manager.freeze()
     return model, manager, model.fc.weight_state
+
+
+#: Every mutation a frozen state must refuse, as ``(model, manager,
+#: state) -> None`` calls.
+REFUSED_MUTATIONS = {
+    "set_mask": lambda model, manager, state: state.set_mask(
+        np.ones(state.shape, dtype=np.float32)),
+    "drop_by_magnitude": lambda model, manager, state: state.drop_by_magnitude(2),
+    "drop_by_score": lambda model, manager, state: state.drop_by_score(
+        2, np.ones(state.shape)),
+    "grow_by_score": lambda model, manager, state: state.grow_by_score(
+        2, np.ones(state.shape)),
+    "grow_random": lambda model, manager, state: manager.grow_random(state.name, 2),
+    "load_state_dict": lambda model, manager, state: model.load_state_dict(
+        {name: value * 2.0 for name, value in model.state_dict().items()}),
+    "inject_weight_noise": lambda model, manager, state: inject_weight_noise(
+        model, sigma=0.5, rng=np.random.default_rng(0)),
+    "inject_weight_dropout": lambda model, manager, state: inject_weight_dropout(
+        model, fraction=0.5, rng=np.random.default_rng(0)),
+    "inject_bit_flips": lambda model, manager, state: inject_bit_flips(
+        model, flips_per_layer=3, rng=np.random.default_rng(0)),
+    "inject_dead_neurons": lambda model, manager, state: inject_dead_neurons(
+        model, fraction=0.5, rng=np.random.default_rng(0)),
+    "restore": lambda model, manager, state: restore(
+        model, {state.name: np.zeros(state.shape, dtype=np.float32)}),
+}
 
 
 class TestFrozenMode:
@@ -284,6 +310,23 @@ class TestFrozenMode:
         # (unmasked) bias still tracks, which the serving session's
         # no_grad() suppresses — only the weight matters here.
         assert not model.fc.weight.requires_grad
+
+    @pytest.mark.parametrize("execution", ["dense", "csr"])
+    @pytest.mark.parametrize("mutation", sorted(REFUSED_MUTATIONS))
+    def test_refused_mutation_writes_nothing(self, execution, mutation):
+        # The frozen check comes before the first read, draw or write:
+        # on the dense route a late check would change the served output.
+        model, manager, state = frozen_sandbox(execution=execution)
+        x = Tensor(np.random.default_rng(5).standard_normal((3, 10)).astype(np.float32))
+        mask, weight = state.mask.copy(), state.parameter.data.copy()
+        output = model(x).data.copy()
+        rng_state = manager.rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="frozen for inference"):
+            REFUSED_MUTATIONS[mutation](model, manager, state)
+        np.testing.assert_array_equal(state.mask, mask)
+        np.testing.assert_array_equal(state.parameter.data, weight)
+        np.testing.assert_array_equal(model(x).data, output)
+        assert manager.rng.bit_generator.state == rng_state
 
     def test_thaw_restores_training_contract(self):
         model, manager, state = frozen_sandbox()

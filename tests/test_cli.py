@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.sparse.packaging import PackedModel
 
 
 class TestList:
@@ -310,7 +311,10 @@ class TestServing:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["samples"] == 16
         assert payload["storage"]["frozen"] is True
-        assert {d["cutoff_source"] for d in payload["dispatch"]} == {"package"}
+        manifest = PackedModel(package).meta["layers"]
+        assert {d["layer"]: d["route"] for d in payload["dispatch"]} == {
+            entry["name"]: entry["route"] for entry in manifest
+        }
         packed = payload["storage"]["packed"]
         assert packed["precision"] == "int8"
         assert packed["file_bytes"] == package.stat().st_size

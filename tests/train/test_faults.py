@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.snn.models import SpikingMLP
-from repro.sparse import MaskManager
+from repro.sparse import SparsityManager
 from repro.train import (
     inject_bit_flips,
     inject_dead_neurons,
@@ -51,7 +51,7 @@ class TestRestore:
 class TestNoise:
     def test_perturbs_only_active_weights(self):
         model = make_model(seed=1)
-        masks = MaskManager(model, rng=np.random.default_rng(2))
+        masks = SparsityManager(model, rng=np.random.default_rng(2))
         masks.init_random({name: 0.5 for name in masks.masks})
         before = weights_of(model)
         inject_weight_noise(model, sigma=0.5, rng=np.random.default_rng(3))

@@ -25,9 +25,8 @@ Two modes:
   by more than 15% (tier-1 runs the gate mechanism via a smoke test).
 """
 
-import argparse
-import json
-import time
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +36,11 @@ from repro.snn import LIFNeuron, reset_net
 from repro.snn.models import SpikingConvNet
 from repro.sparse import NDSNN, CSRPattern, SparsityManager
 from repro.tensor import Tensor, cross_entropy, masked_conv2d
+
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+if BENCH_DIR not in sys.path:  # spec loaders do not put it there
+    sys.path.insert(0, BENCH_DIR)
+import _gate  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +136,7 @@ CONV_SHAPES = ((32, 16, 3, 16, 16, 8),)
 #: SNN timesteps over which one optimizer-step refresh amortizes (the
 #: reproduction's default temporal window).
 DEFAULT_TIMESTEPS = 5
-#: Headline metrics may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
 #: Headline speedup metrics the regression gate compares (higher is
-#: better); ``refresh_overhead_at_90`` is gated separately (lower is
 #: better).
 HEADLINE_METRICS = (
     "best_speedup_at_90",
@@ -145,14 +145,16 @@ HEADLINE_METRICS = (
     "conv_speedup_at_90",
     "min_auto_speedup",
 )
+#: The refresh overhead is gated lower-is-better; its ceiling never
+#: drops below 0.10 (the exit-state budget), so sub-budget jitter never
+#: trips the gate.
+GATE = _gate.Gate(HEADLINE_METRICS, ceilings={"refresh_overhead_at_90": 0.10})
 
 
-def _time(fn, repeats):
-    fn()  # warm-up (touches caches, triggers lazy allocations)
-    start = time.perf_counter()
-    for _ in range(repeats):
-        fn()
-    return (time.perf_counter() - start) / repeats
+def _mean_seconds(fns, repeats):
+    """Mean per-call seconds of each callable, timed interleaved."""
+    return [float(np.mean(times))
+            for times in _gate.time_interleaved(fns, repeats)]
 
 
 def compare_masked_matmul(
@@ -178,12 +180,16 @@ def compare_masked_matmul(
     pattern = CSRPattern.from_mask(mask)
     data = pattern.gather(weight)
 
-    dense_s = _time(lambda: (weight * mask) @ x, repeats)
-    csr_kernel_s = _time(lambda: pattern.matmul(data, x), repeats)
-    csr_refresh_s = _time(lambda: pattern.matmul(pattern.gather(weight), x), repeats)
-    dense_t_s = _time(lambda: (weight * mask).T @ grad, repeats)
-    csr_t_s = _time(lambda: pattern.t_matmul(data, grad), repeats)
-    refresh_s = _time(lambda: pattern.gather(weight), repeats)
+    dense_s, csr_kernel_s, csr_refresh_s, dense_t_s, csr_t_s, refresh_s = (
+        _mean_seconds([
+            lambda: (weight * mask) @ x,
+            lambda: pattern.matmul(data, x),
+            lambda: pattern.matmul(pattern.gather(weight), x),
+            lambda: (weight * mask).T @ grad,
+            lambda: pattern.t_matmul(data, grad),
+            lambda: pattern.gather(weight),
+        ], repeats)
+    )
 
     # One training step at T timesteps: dense pays T masked products each
     # direction; write-through CSR pays the same products sparse plus a
@@ -259,12 +265,10 @@ def compare_masked_conv(filters, channels, kernel, height, width, batch,
     state = _BenchState(mask, weight)
     padding = kernel // 2
 
-    dense_s = _time(
-        lambda: masked_conv2d(x, weight_t, None, padding=padding, state=None), repeats
-    )
-    csr_s = _time(
-        lambda: masked_conv2d(x, weight_t, None, padding=padding, state=state), repeats
-    )
+    dense_s, csr_s = _mean_seconds([
+        lambda: masked_conv2d(x, weight_t, None, padding=padding, state=None),
+        lambda: masked_conv2d(x, weight_t, None, padding=padding, state=state),
+    ], repeats)
 
     reference = masked_conv2d(x, weight_t, None, padding=padding, state=None).data
     produced = masked_conv2d(x, weight_t, None, padding=padding, state=state).data
@@ -365,49 +369,10 @@ def run_comparison(
     }
 
 
-def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
-    """Compare headline metrics against a committed baseline.
-
-    Returns a list of human-readable failure strings (empty = pass).
-    Speedup metrics fail when they fall more than ``tolerance`` below
-    the baseline; the refresh overhead fails when it grows more than
-    ``tolerance`` above it (with an absolute floor of 0.10, the
-    exit-state budget, so sub-budget jitter never trips the gate).
-    """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
-    base_overhead = baseline.get("refresh_overhead_at_90")
-    if base_overhead is not None:
-        ceiling = max(base_overhead * (1.0 + tolerance), 0.10)
-        current = payload["refresh_overhead_at_90"]
-        if current > ceiling:
-            failures.append(
-                f"refresh_overhead_at_90: {current:.3f} > {ceiling:.3f} "
-                f"(baseline {base_overhead:.3f} + {tolerance:.0%})"
-            )
-    return failures
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="dense-vs-CSR kernel comparison")
-    parser.add_argument("--out", default="BENCH_kernels.json")
-    parser.add_argument("--repeats", type=int, default=50)
+    parser = _gate.parser("dense-vs-CSR kernel comparison",
+                          "BENCH_kernels.json", repeats=50)
     parser.add_argument("--timesteps", type=int, default=DEFAULT_TIMESTEPS)
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if any headline metric "
-             f"regressed more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
     args = parser.parse_args(argv)
     payload = run_comparison(repeats=args.repeats, timesteps=args.timesteps)
     for cell in payload["cells"]:
@@ -432,20 +397,7 @@ def main(argv=None):
         )
     print(f"best speedup at 90% sparsity: {payload['best_speedup_at_90']:.2f}x")
     print(f"refresh overhead at 90% sparsity: {100 * payload['refresh_overhead_at_90']:.1f}%")
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0
+    return _gate.finish(args, payload, GATE)
 
 
 if __name__ == "__main__":

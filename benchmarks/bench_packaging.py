@@ -27,11 +27,10 @@ headline ratio fell more than 15% below the committed number (ratios
 only; absolute times are host-dependent).
 """
 
-import argparse
-import json
 import os
+import sys
 import tempfile
-import time
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +40,11 @@ from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
 from repro.sparse.packaging import PackedModel, build_packed_runtime, write_package
 from repro.train.checkpoint import load_inference_state, save_checkpoint
+
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+if BENCH_DIR not in sys.path:  # spec loaders do not put it there
+    sys.path.insert(0, BENCH_DIR)
+import _gate  # noqa: E402
 
 #: Bench MLP geometry — identical to bench_serving's unstructured cell.
 MLP_WIDTH = 768
@@ -52,7 +56,6 @@ BATCH = 8
 #: on every cell in ERROR_BOUND_CELLS).
 INT8_ERROR_BOUND = 1e-2
 ERROR_BOUND_CELLS = ("int8_runtime_f32", "int8_runtime_int8", "f16_runtime_f16")
-CHECK_TOLERANCE = 0.15
 #: Gated metrics — ratios only, higher is better.
 HEADLINE_METRICS = (
     "artifact_size_ratio",
@@ -60,6 +63,7 @@ HEADLINE_METRICS = (
     "int8_throughput_ratio",
     "int8_stored_throughput_ratio",
 )
+GATE = _gate.Gate(HEADLINE_METRICS)
 
 MODEL_SPEC = {
     "model": "mlp",
@@ -125,54 +129,9 @@ def load_package_session(path, precision=None, max_batch=BATCH):
     return InferenceSession(model, manager, max_batch=max_batch)
 
 
-def time_cold_load(loader, repeats):
-    """Median seconds of a cold session build (fresh call each time)."""
-    loader()  # warm the page cache / imports so both sides start equal
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        loader()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
-
-
-def time_predict(session, inputs, repeats):
-    session.predict(inputs)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        session.predict(inputs)
-        times.append(time.perf_counter() - start)
+def _p50_cell(times, batch):
     seconds = float(np.percentile(times, 50))
-    return {
-        "p50_ms": seconds * 1e3,
-        "throughput_rps": inputs.shape[0] / seconds,
-    }
-
-
-def time_interleaved(sessions, inputs, repeats):
-    """p50 cells for several sessions, measured round-robin.
-
-    The gated throughput ratios compare nearly equal code paths, so
-    host drift between separate timing loops easily exceeds the real
-    difference; alternating calls cancels it.
-    """
-    for session in sessions:
-        session.predict(inputs)
-    timings = [[] for _ in sessions]
-    for _ in range(repeats):
-        for session, times in zip(sessions, timings):
-            start = time.perf_counter()
-            session.predict(inputs)
-            times.append(time.perf_counter() - start)
-    cells = []
-    for times in timings:
-        seconds = float(np.percentile(times, 50))
-        cells.append({
-            "p50_ms": seconds * 1e3,
-            "throughput_rps": inputs.shape[0] / seconds,
-        })
-    return cells
+    return {"p50_ms": seconds * 1e3, "throughput_rps": batch / seconds}
 
 
 def run_comparison(repeats=20, load_repeats=5, width=MLP_WIDTH):
@@ -198,36 +157,38 @@ def run_comparison(repeats=20, load_repeats=5, width=MLP_WIDTH):
         int8_path = packages["int8"]["path"]
 
         # --- cold load: checkpoint factory vs package mmap ---------------
-        ckpt_load_s = time_cold_load(
-            lambda: load_checkpoint_session(ckpt, width=width), load_repeats)
-        pkg_load_s = time_cold_load(
-            lambda: load_package_session(int8_path), load_repeats)
+        # (the untimed first call warms the page cache and imports, so
+        # both sides start equal)
+        ckpt_load_s, pkg_load_s = (
+            float(np.median(times)) for times in _gate.time_interleaved([
+                lambda: load_checkpoint_session(ckpt, width=width),
+                lambda: load_package_session(int8_path),
+            ], load_repeats)
+        )
 
         # --- serving: frozen-f32 checkpoint vs packed runtimes ----------
-        ckpt_session = load_checkpoint_session(ckpt, width=width)
-        reference = ckpt_session.predict(inputs)
-        errors = {}
-        # The gated cells run interleaved with a higher floor on
-        # repeats: all are sub-millisecond CSR paths, so the ratios
-        # need tighter statistics than the reported-only cells.
-        gated = {
-            "checkpoint_f32": ckpt_session,
+        sessions = {
+            "checkpoint_f32": load_checkpoint_session(ckpt, width=width),
             "int8_runtime_f32": load_package_session(int8_path),
             "int8_runtime_int8": load_package_session(
                 int8_path, precision="int8"),
+            "f16_runtime_f16": load_package_session(
+                packages["f16"]["path"], precision="f16"),
+            "f32_runtime_f32": load_package_session(packages["f32"]["path"]),
         }
-        for label in ("int8_runtime_f32", "int8_runtime_int8"):
-            errors[label] = float(
-                np.abs(gated[label].predict(inputs) - reference).max())
-        cells = dict(zip(gated, time_interleaved(
-            list(gated.values()), inputs, max(repeats, 60))))
-        for precision, runtime in (("f16", "f16"), ("f32", None)):
-            label = f"{precision}_runtime_{runtime or 'f32'}"
-            session = load_package_session(
-                packages[precision]["path"], precision=runtime)
-            produced = session.predict(inputs)
-            errors[label] = float(np.abs(produced - reference).max())
-            cells[label] = time_predict(session, inputs, repeats)
+        reference = sessions["checkpoint_f32"].predict(inputs)
+        errors = {
+            label: float(np.abs(session.predict(inputs) - reference).max())
+            for label, session in sessions.items() if label != "checkpoint_f32"
+        }
+        # Every cell is a sub-millisecond CSR path, so the gated ratios
+        # need a higher floor on repeats than the CLI default.
+        times = _gate.time_interleaved(
+            [partial(session.predict, inputs) for session in sessions.values()],
+            max(repeats, 60),
+        )
+        cells = {label: _p50_cell(seconds, BATCH)
+                 for label, seconds in zip(sessions, times)}
 
         for label in ERROR_BOUND_CELLS:
             if errors[label] > INT8_ERROR_BOUND:
@@ -265,36 +226,13 @@ def run_comparison(repeats=20, load_repeats=5, width=MLP_WIDTH):
     return payload
 
 
-def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
-    """Headline-ratio failures vs a committed baseline (empty = pass)."""
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
-    return failures
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="packed .reprom artifact: size, cold load, quantized serving"
+    parser = _gate.parser(
+        "packed .reprom artifact: size, cold load, quantized serving",
+        "BENCH_packaging.json", repeats=20,
     )
-    parser.add_argument("--out", default="BENCH_packaging.json")
-    parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--load-repeats", type=int, default=5)
+    parser.add_argument("--load-repeats", type=_gate.positive_int, default=5)
     parser.add_argument("--width", type=int, default=MLP_WIDTH)
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-measure and fail (exit 1) if a headline ratio regressed "
-             f"more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
     args = parser.parse_args(argv)
     payload = run_comparison(repeats=args.repeats,
                              load_repeats=args.load_repeats,
@@ -323,20 +261,7 @@ def main(argv=None):
           f"{payload['int8_throughput_ratio']:.3f}x")
     print(f"int8 stored-precision vs pre-scaled f32: "
           f"{payload['int8_stored_throughput_ratio']:.3f}x")
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0
+    return _gate.finish(args, payload, GATE)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ than 15% below the committed numbers (tier-1 runs the gate mechanism
 via a smoke test; only ratios are gated, never absolute times).
 """
 
-import argparse
-import json
+import os
+import sys
 import time
 
 import numpy as np
@@ -38,6 +38,11 @@ import numpy as np
 from repro.serve import InferenceServer, InferenceSession
 from repro.snn.models import SpikingConvNet, SpikingMLP
 from repro.sparse import SparsityManager, compact_model
+
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+if BENCH_DIR not in sys.path:  # spec loaders do not put it there
+    sys.path.insert(0, BENCH_DIR)
+import _gate  # noqa: E402
 
 #: Unstructured MLP cell: width of the hidden layers.
 MLP_WIDTH = 768
@@ -50,15 +55,13 @@ CONV_CHANNELS = (16, 32)
 CONV_IMAGE_SIZE = 16
 #: Batch sizes swept per variant.
 BATCH_SIZES = (1, 4, 8, 16)
-#: Headline metrics may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
 #: Gated metrics — all ratios (machine-robust), higher is better.
 HEADLINE_METRICS = (
     "csr_p50_speedup_at_90",
     "compact_p50_speedup_at_50",
     "batch_throughput_gain",
 )
+GATE = _gate.Gate(HEADLINE_METRICS)
 
 
 def _unstructured_mask_densities(manager, sparsity):
@@ -128,17 +131,6 @@ def build_conv_session(
     return InferenceSession(model, manager, max_batch=max_batch)
 
 
-def time_session(session, inputs, repeats):
-    """Per-call wall times (seconds) of ``session.predict`` on ``inputs``."""
-    session.predict(inputs)  # warm-up (lazy allocations, cache fills)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        session.predict(inputs)
-        times.append(time.perf_counter() - start)
-    return times
-
-
 def _cell(variant, batch, times):
     seconds = np.asarray(times)
     p50 = float(np.percentile(seconds, 50))
@@ -184,10 +176,11 @@ def _compare_variants(make_baseline, make_candidate, batch_sizes, repeats,
                 f"{candidate_name} diverges from {baseline_name}: "
                 f"max abs error {max_err:.3e} > {bound:.3e} at batch {batch}"
             )
-        cells.append(_cell(baseline_name, batch,
-                           time_session(baseline, inputs, repeats)))
-        cells.append(_cell(candidate_name, batch,
-                           time_session(candidate, inputs, repeats)))
+        baseline_times, candidate_times = _gate.time_interleaved(
+            [lambda: baseline.predict(inputs),
+             lambda: candidate.predict(inputs)], repeats)
+        cells.append(_cell(baseline_name, batch, baseline_times))
+        cells.append(_cell(candidate_name, batch, candidate_times))
     return cells
 
 
@@ -300,41 +293,14 @@ def run_comparison(
     return payload
 
 
-def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
-    """Compare headline speedups against a committed baseline.
-
-    Returns a list of human-readable failure strings (empty = pass).
-    Only ratios are compared, so the gate is meaningful across hosts.
-    """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
-    return failures
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="serving-path comparison: dense vs compact vs frozen CSR"
+    parser = _gate.parser(
+        "serving-path comparison: dense vs compact vs frozen CSR",
+        "BENCH_serving.json", repeats=20,
     )
-    parser.add_argument("--out", default="BENCH_serving.json")
-    parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--width", type=int, default=MLP_WIDTH)
     parser.add_argument("--no-server", action="store_true",
                         help="skip the closed-loop server measurement")
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if any headline speedup "
-             f"regressed more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
     args = parser.parse_args(argv)
     payload = run_comparison(
         width=args.width, repeats=args.repeats,
@@ -365,20 +331,7 @@ def main(argv=None):
             f"{server['throughput_rps']:.1f} req/s  "
             f"{server['batches']} batches  {server['restarts']} restarts"
         )
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0
+    return _gate.finish(args, payload, GATE)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,9 @@ runs the gate mechanism via a smoke test; only ratios and correctness
 are gated, never absolute times).
 """
 
-import argparse
-import json
-import time
+import os
+import sys
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +39,11 @@ from repro.data.telemetry import make_telemetry_stream
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
 from repro.stream import StreamSession
+
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+if BENCH_DIR not in sys.path:  # spec loaders do not put it there
+    sys.path.insert(0, BENCH_DIR)
+import _gate  # noqa: E402
 
 #: Feed geometry (events = per device).
 NUM_STREAMS = 4
@@ -51,13 +56,17 @@ HIDDEN = 256
 NUM_CLASSES = 16
 #: Mask sparsity of the streamed model (the paper's headline regime).
 SPARSITY = 0.9
-#: Headline metrics may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
 #: Gated metrics — ratios only (machine-robust), higher is better.
 HEADLINE_METRICS = (
     "csr_event_speedup",
     "tumbling_vs_sliding_speedup",
+)
+#: Streaming must also stay bit-identical to offline batch inference —
+#: a fast diverging stream is not a fast stream.
+GATE = _gate.Gate(
+    HEADLINE_METRICS,
+    divergence="a streamed window diverged from the offline "
+               "forward_window reference",
 )
 
 
@@ -75,30 +84,22 @@ def build_session(execution, stride=None, window=WINDOW, channels=NUM_CHANNELS,
     return StreamSession(model, window=window, stride=stride, manager=manager)
 
 
-def time_feed(session, feed_events, repeats, verify=False):
-    """Sustained events/sec over ``repeats`` fresh passes of the feed.
+def feed_pass(session, feed_events):
+    """One fresh pass of the feed; returns the emitted window results."""
+    for stream_id in list(session.stream_ids):
+        session.drop_stream(stream_id)
+    return [
+        result for event in feed_events
+        if (result := session.process(event)) is not None
+    ]
 
-    With ``verify=True`` the first pass checks every emitted window
-    against the offline ``forward_window`` oracle (bit-exact).
-    """
-    best = 0.0
-    identical = True
-    for attempt in range(repeats):
-        for stream_id in list(session.stream_ids):
-            session.drop_stream(stream_id)
-        start = time.perf_counter()
-        results = [
-            result for event in feed_events
-            if (result := session.process(event)) is not None
-        ]
-        elapsed = time.perf_counter() - start
-        best = max(best, len(feed_events) / elapsed)
-        if verify and attempt == 0:
-            for result in results:
-                reference = session.offline_reference(result.frames)
-                if not np.array_equal(reference, result.logits):
-                    identical = False
-    return best, len(results), identical
+
+def matches_offline(session, results):
+    """Every emitted window equals the offline ``forward_window`` oracle."""
+    return all(
+        np.array_equal(session.offline_reference(result.frames), result.logits)
+        for result in results
+    )
 
 
 def run_streaming(
@@ -117,40 +118,30 @@ def run_streaming(
             num_events=events, seed=0,
         )
     )
+    geometry = dict(window=window, channels=channels, hidden=hidden,
+                    sparsity=sparsity)
+    sessions = {
+        "masked_dense_tumbling": build_session("dense", **geometry),
+        "frozen_csr_tumbling": build_session("csr", **geometry),
+        "masked_dense_sliding1": build_session("dense", stride=1, **geometry),
+    }
     cells = []
-    dense_rate, windows, dense_identical = time_feed(
-        build_session("dense", window=window, channels=channels,
-                      hidden=hidden, sparsity=sparsity),
-        feed, repeats, verify=True,
+    for variant, session in sessions.items():
+        results = feed_pass(session, feed)
+        cells.append({
+            "variant": variant,
+            "windows": len(results),
+            "bit_identical": matches_offline(session, results),
+        })
+    # Sustained rate: the best of ``repeats`` fresh passes per cell.
+    times = _gate.time_interleaved(
+        [partial(feed_pass, session, feed) for session in sessions.values()],
+        repeats,
     )
-    cells.append({
-        "variant": "masked_dense_tumbling",
-        "events_per_sec": dense_rate,
-        "windows": windows,
-        "bit_identical": dense_identical,
-    })
-    csr_rate, _, csr_identical = time_feed(
-        build_session("csr", window=window, channels=channels,
-                      hidden=hidden, sparsity=sparsity),
-        feed, repeats, verify=True,
-    )
-    cells.append({
-        "variant": "frozen_csr_tumbling",
-        "events_per_sec": csr_rate,
-        "windows": windows,
-        "bit_identical": csr_identical,
-    })
-    sliding_rate, sliding_windows, sliding_identical = time_feed(
-        build_session("dense", stride=1, window=window, channels=channels,
-                      hidden=hidden, sparsity=sparsity),
-        feed, max(2, repeats // 2), verify=True,
-    )
-    cells.append({
-        "variant": "masked_dense_sliding1",
-        "events_per_sec": sliding_rate,
-        "windows": sliding_windows,
-        "bit_identical": sliding_identical,
-    })
+    for cell, seconds in zip(cells, times):
+        cell["events_per_sec"] = len(feed) / min(seconds)
+    dense_rate, csr_rate, sliding_rate = (
+        cell["events_per_sec"] for cell in cells)
     return {
         "bench": "streaming_stateful_sessions",
         "streams": streams,
@@ -170,49 +161,16 @@ def run_streaming(
     }
 
 
-def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
-    """Compare headline ratios against a committed baseline.
-
-    Returns a list of human-readable failure strings (empty = pass).
-    Streaming must also stay bit-identical to offline batch inference —
-    a fast diverging stream is not a fast stream.
-    """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
-    if not payload["all_bit_identical"]:
-        failures.append(
-            "all_bit_identical: a streamed window diverged from the "
-            "offline forward_window reference"
-        )
-    return failures
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="stateful streaming inference: sustained events/sec"
+    parser = _gate.parser(
+        "stateful streaming inference: sustained events/sec",
+        "BENCH_streaming.json", repeats=5,
     )
-    parser.add_argument("--out", default="BENCH_streaming.json")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--streams", type=int, default=NUM_STREAMS)
     parser.add_argument("--channels", type=int, default=NUM_CHANNELS)
     parser.add_argument("--events", type=int, default=NUM_EVENTS)
     parser.add_argument("--window", type=int, default=WINDOW)
     parser.add_argument("--hidden", type=int, default=HIDDEN)
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if any headline ratio "
-             f"regressed more than {CHECK_TOLERANCE:.0%} vs this JSON",
-    )
     args = parser.parse_args(argv)
     payload = run_streaming(
         streams=args.streams, channels=args.channels, events=args.events,
@@ -230,20 +188,7 @@ def main(argv=None):
         "tumbling vs sliding(1) speedup: "
         f"{payload['tumbling_vs_sliding_speedup']:.2f}x"
     )
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}")
-    return 0 if payload["all_bit_identical"] else 1
+    return _gate.finish(args, payload, GATE)
 
 
 if __name__ == "__main__":

@@ -24,20 +24,27 @@ from the sequential reference (tier-1 runs the gate mechanism via a
 smoke test; only the speedup ratio is gated, never absolute times).
 """
 
-import argparse
-import json
 import os
+import sys
 import time
 
 from repro.experiments import run_sweep, scaled_config, sweep_configs
 
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+if BENCH_DIR not in sys.path:  # spec loaders do not put it there
+    sys.path.insert(0, BENCH_DIR)
+import _gate  # noqa: E402
+
 METHODS = ("ndsnn", "set", "rigl", "gmp")
 SPARSITIES = (0.9, 0.95)
-#: The headline speedup may regress by at most this fraction before
-#: ``--check`` fails.
-CHECK_TOLERANCE = 0.15
-#: Headline metrics the regression gate compares (higher is better).
+#: Headline metrics the regression gate compares (higher is better);
+#: every backend must also reproduce the sequential reference
+#: bit-for-bit.
 HEADLINE_METRICS = ("best_queue_speedup",)
+GATE = _gate.Gate(
+    HEADLINE_METRICS,
+    divergence="backend results diverged from the sequential reference",
+)
 
 
 def build_grid(epochs: int, train_samples: int,
@@ -96,9 +103,6 @@ def run_scaling(epochs: int, train_samples: int, worker_counts,
     queue_cells = [c for c in cells if c["backend"] == "queue"]
     return {
         "bench": "sweep_scaling_local_vs_queue",
-        # Worker counts beyond the core count only add overhead, so the
-        # speedup columns are meaningful relative to this.
-        "cpu_count": os.cpu_count(),
         "grid_configs": len(configs),
         "methods": list(methods),
         "sparsities": list(sparsities),
@@ -111,49 +115,14 @@ def run_scaling(epochs: int, train_samples: int, worker_counts,
     }
 
 
-def check_regressions(baseline, payload, tolerance=CHECK_TOLERANCE):
-    """Compare headline metrics against a committed baseline.
-
-    Returns a list of human-readable failure strings (empty = pass):
-    the queue-backend speedup may fall at most ``tolerance`` below the
-    committed ratio, and every backend must still reproduce the
-    sequential reference bit-for-bit.
-    """
-    failures = []
-    for metric in HEADLINE_METRICS:
-        base = baseline.get(metric)
-        if base is None:
-            continue  # older baselines predate this metric
-        current = payload[metric]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{metric}: {current:.3f} < {floor:.3f} "
-                f"(baseline {base:.3f} - {tolerance:.0%})"
-            )
-    if not payload["all_bit_identical"]:
-        failures.append(
-            "all_bit_identical: backend results diverged from the "
-            "sequential reference"
-        )
-    return failures
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="sweep backend scaling comparison")
-    parser.add_argument("--out", default="BENCH_sweep.json")
+    parser = _gate.parser("sweep backend scaling comparison", "BENCH_sweep.json")
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--train-samples", type=int, default=128)
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
     parser.add_argument("--methods", nargs="+", default=list(METHODS))
     parser.add_argument("--sparsities", type=float, nargs="+",
                         default=list(SPARSITIES))
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="re-time the grid and fail (exit 1) if the headline "
-             f"queue-throughput speedup regressed more than "
-             f"{CHECK_TOLERANCE:.0%} vs this JSON",
-    )
     args = parser.parse_args(argv)
     payload = run_scaling(
         args.epochs, args.train_samples, args.workers,
@@ -167,22 +136,7 @@ def main(argv=None):
             f"bit-identical: {cell['bit_identical']})"
         )
     print(f"best queue-backend speedup: {payload['best_queue_speedup']:.2f}x")
-    if not payload["all_bit_identical"]:
-        print("WARNING: backend results diverged from the sequential reference")
-    if args.check is not None:
-        with open(args.check) as handle:
-            baseline = json.load(handle)
-        failures = check_regressions(baseline, payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"no headline regression vs {args.check}")
-        return 0
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    print(f"wrote {args.out}")
-    return 0 if payload["all_bit_identical"] else 1
+    return _gate.finish(args, payload, GATE)
 
 
 if __name__ == "__main__":

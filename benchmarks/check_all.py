@@ -7,10 +7,12 @@ baselines in one command::
     PYTHONPATH=src python benchmarks/check_all.py
 
 Each gate re-times its grid and fails if a headline ratio fell more
-than 15% below the committed number (see the individual bench modules
-for what is gated; absolute times never are).  Exit code is non-zero
-if *any* gate fails; gates keep running after a failure so one report
-covers everything.
+than 15% below the committed number (``_gate.py`` holds the one check;
+the individual bench modules say what they gate; absolute times never
+are).  Exit code is non-zero if *any* gate fails.  A gate that raises
+(a crash, a usage error, a torn baseline) counts as a failed gate, and
+its summary entry carries the exception; gates keep running after a
+failure so one report covers everything.
 
 ``--only NAME`` runs a subset; ``--baseline-dir`` points somewhere
 other than the repo root (e.g. a CI artifact directory); extra
@@ -24,6 +26,7 @@ import argparse
 import importlib.util
 import json
 import os
+import traceback
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
@@ -88,13 +91,19 @@ def main(argv=None):
     results = {}
     failures = []
     for gate in gates:
-        code = run_gate(gate, args.baseline_dir)
+        error = None
+        try:
+            code = run_gate(gate, args.baseline_dir)
+        except (Exception, SystemExit) as exc:  # a crash fails this gate only
+            traceback.print_exc()
+            code, error = 1, f"{type(exc).__name__}: {exc}"
         status = "ok" if code == 0 else f"FAILED (exit {code})"
-        print(f"[{gate}] {status}")
+        print(f"[{gate}] {status}" + (f" {error}" if error else ""))
         results[gate] = {
             "exit_code": code,
             "ok": code == 0,
             "baseline": GATES[gate][1],
+            "error": error,
         }
         if code != 0:
             failures.append(gate)

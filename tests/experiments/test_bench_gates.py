@@ -1,8 +1,9 @@
-"""Regression-gate mechanisms of the sweep and serving benchmarks.
+"""Regression-gate mechanisms of the ``--check`` benchmarks.
 
 Mirrors the kernel-bench gate tests: tier-1 verifies the *mechanism*
-(self-baseline passes, doctored baseline fails, CLI exit codes) on a
-tiny grid, never the machine-specific timings.
+(the shared check's rules, self-baseline passes, doctored baseline
+fails, CLI exit codes, standalone runs) on a tiny grid, never the
+machine-specific timings.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
+SRC_DIR = os.path.abspath(os.path.join(BENCH_DIR, "..", "src"))
 
 
 def load_bench(name):
@@ -22,6 +24,66 @@ def load_bench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_script(script, args, cwd):
+    """Run a benchmarks/ script in a fresh process from ``cwd``."""
+    return subprocess.run(
+        [sys.executable, os.path.join(BENCH_DIR, script), *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.smoke
+class TestSharedCheck:
+    """Every rule of ``_gate.Gate.check``, on hand-made payloads."""
+
+    GATE_ARGS = dict(
+        headlines=("speedup",),
+        ceilings={"overhead": 0.10},
+        divergence="results diverged",
+    )
+
+    @pytest.mark.parametrize("baseline, payload, expected", [
+        # higher-is-better floor: base * (1 - 0.15)
+        ({"speedup": 2.0}, {"speedup": 1.71}, []),
+        ({"speedup": 2.0}, {"speedup": 1.69},
+         ["speedup: 1.690 < 1.700 (baseline 2.000 - 15%)"]),
+        # lower-is-better ceiling: max(base * (1 + 0.15), 0.10)
+        ({"overhead": 0.20}, {"overhead": 0.22}, []),
+        ({"overhead": 0.20}, {"overhead": 0.24},
+         ["overhead: 0.240 > 0.230 (baseline 0.200 + 15%)"]),
+        # sub-0.10 jitter passes the ceiling even far above the baseline
+        ({"overhead": 0.02}, {"overhead": 0.09}, []),
+        ({"overhead": 0.02}, {"overhead": 0.11},
+         ["overhead: 0.110 > 0.100 (baseline 0.020 + 15%)"]),
+        # a headline missing from the baseline is skipped
+        ({}, {"speedup": 0.0, "overhead": 1e6}, []),
+        # a false invariant fails whatever the baseline says
+        ({}, {"all_bit_identical": False},
+         ["all_bit_identical: results diverged"]),
+    ], ids=["floor-pass", "floor-fail", "ceiling-pass", "ceiling-fail",
+            "ceiling-jitter-floor", "ceiling-floor-fail", "missing-key",
+            "invariant"])
+    def test_rule(self, baseline, payload, expected):
+        gate = load_bench("_gate")
+        payload = dict({"all_bit_identical": True}, **payload)
+        assert gate.Gate(**self.GATE_ARGS).check(baseline, payload) == expected
+
+    @pytest.mark.parametrize("bench_name, flag", [
+        ("bench_kernels", "--repeats"),
+        ("bench_serving", "--repeats"),
+        ("bench_packaging", "--repeats"),
+        ("bench_packaging", "--load-repeats"),
+        ("bench_streaming", "--repeats"),
+    ])
+    def test_repeats_below_one_is_a_usage_error(self, bench_name, flag, capsys):
+        bench = load_bench(bench_name)
+        with pytest.raises(SystemExit) as raised:
+            bench.main([flag, "0"])
+        assert raised.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.smoke
@@ -35,10 +97,10 @@ class TestSweepRegressionGate:
     def test_self_baseline_passes_and_doctored_baseline_fails(self):
         bench = load_bench("bench_sweep_scaling")
         payload = self.tiny_payload(bench)
-        assert bench.check_regressions(payload, payload) == []
+        assert bench.GATE.check(payload, payload) == []
         doctored = dict(payload)
         doctored["best_queue_speedup"] = payload["best_queue_speedup"] * 100.0
-        failures = bench.check_regressions(doctored, payload)
+        failures = bench.GATE.check(doctored, payload)
         assert any("best_queue_speedup" in failure for failure in failures)
 
     def test_divergent_results_always_fail(self):
@@ -46,7 +108,7 @@ class TestSweepRegressionGate:
         payload = self.tiny_payload(bench)
         diverged = dict(payload)
         diverged["all_bit_identical"] = False
-        failures = bench.check_regressions(payload, diverged)
+        failures = bench.GATE.check(payload, diverged)
         assert any("all_bit_identical" in failure for failure in failures)
 
     def test_check_cli_exit_codes(self, tmp_path):
@@ -67,6 +129,17 @@ class TestSweepRegressionGate:
         bad.write_text(json.dumps(doctored))
         assert bench.main(argv + ["--check", str(bad)]) == 1
 
+    def test_runs_standalone_in_a_fresh_process(self, tmp_path):
+        out = tmp_path / "BENCH_sweep.json"
+        completed = run_script("bench_sweep_scaling.py", [
+            "--epochs", "1", "--train-samples", "16", "--workers", "1",
+            "--methods", "dense", "--sparsities", "0.9", "--out", str(out),
+        ], cwd=tmp_path)
+        assert completed.returncode == 0, completed.stderr
+        payload = json.loads(out.read_text())
+        assert payload["all_bit_identical"] is True
+        assert payload["cpu_count"] == os.cpu_count()
+
 
 @pytest.mark.smoke
 class TestServingRegressionGate:
@@ -78,12 +151,12 @@ class TestServingRegressionGate:
     def test_self_baseline_passes_and_doctored_baseline_fails(self):
         bench = load_bench("bench_serving")
         payload = self.tiny_payload(bench)
-        assert bench.check_regressions(payload, payload) == []
+        assert bench.GATE.check(payload, payload) == []
         doctored = dict(payload)
         doctored["csr_p50_speedup_at_90"] = (
             payload["csr_p50_speedup_at_90"] * 100.0
         )
-        failures = bench.check_regressions(doctored, payload)
+        failures = bench.GATE.check(doctored, payload)
         assert any("csr_p50_speedup_at_90" in failure for failure in failures)
 
     def test_check_cli_exit_codes(self, tmp_path):
@@ -101,6 +174,18 @@ class TestServingRegressionGate:
         doctored["compact_p50_speedup_at_50"] = 1e6
         bad.write_text(json.dumps(doctored))
         assert bench.main(argv + ["--check", str(bad)]) == 1
+
+    def test_runs_standalone_in_a_fresh_process(self, tmp_path):
+        out = tmp_path / "BENCH_serving.json"
+        completed = run_script("bench_serving.py", [
+            "--repeats", "1", "--width", "48", "--no-server", "--out", str(out),
+        ], cwd=tmp_path)
+        assert completed.returncode == 0, completed.stderr
+        payload = json.loads(out.read_text())
+        for metric in ("csr_p50_speedup_at_90", "compact_p50_speedup_at_50",
+                       "batch_throughput_gain"):
+            assert payload[metric] > 0.0
+        assert payload["cpu_count"] == os.cpu_count()
 
 
 @pytest.mark.smoke
@@ -145,10 +230,10 @@ class TestStreamingRegressionGate:
         bench = load_bench("bench_streaming")
         payload = self.tiny_payload(bench)
         assert payload["all_bit_identical"]
-        assert bench.check_regressions(payload, payload) == []
+        assert bench.GATE.check(payload, payload) == []
         doctored = dict(payload)
         doctored["csr_event_speedup"] = payload["csr_event_speedup"] * 100.0
-        failures = bench.check_regressions(doctored, payload)
+        failures = bench.GATE.check(doctored, payload)
         assert any("csr_event_speedup" in failure for failure in failures)
 
     def test_divergent_results_always_fail(self):
@@ -156,7 +241,7 @@ class TestStreamingRegressionGate:
         payload = self.tiny_payload(bench)
         diverged = dict(payload)
         diverged["all_bit_identical"] = False
-        failures = bench.check_regressions(payload, diverged)
+        failures = bench.GATE.check(payload, diverged)
         assert any("all_bit_identical" in failure for failure in failures)
 
     def test_check_cli_exit_codes(self, tmp_path):
@@ -250,6 +335,52 @@ class TestCheckAllEntryPoint:
         assert summary["ok"] is False
         assert summary["failed"] == ["packaging"]
 
+    @pytest.mark.parametrize("crash", ["usage-error", "torn-baseline"])
+    def test_crashing_gate_fails_and_the_rest_still_run(self, tmp_path, crash):
+        check_all = load_bench("check_all")
+        packaging = load_bench("bench_packaging")
+        (tmp_path / "BENCH_packaging.json").write_text(json.dumps(
+            {metric: 1e-6 for metric in packaging.HEADLINE_METRICS}))
+        check_all.GATES["packaging"] = (
+            "bench_packaging", "BENCH_packaging.json",
+            ["--repeats", "1", "--load-repeats", "1", "--width", "48"],
+        )
+        fast = ["--repeats", "1", "--streams", "2", "--channels", "8",
+                "--events", "24", "--window", "4", "--hidden", "16"]
+        if crash == "usage-error":
+            fast[1] = "0"
+            (tmp_path / "BENCH_streaming.json").write_text("{}")
+            expected_error = "SystemExit: 2"
+        else:
+            (tmp_path / "BENCH_streaming.json").write_text('{"csr_event')
+            expected_error = "JSONDecodeError: "
+        check_all.GATES["streaming"] = (
+            "bench_streaming", "BENCH_streaming.json", fast,
+        )
+        summary_path = tmp_path / "summary.json"
+        argv = ["--only", "streaming", "--only", "packaging",
+                "--baseline-dir", str(tmp_path), "--json", str(summary_path)]
+        assert check_all.main(argv) == 1
+        summary = json.loads(summary_path.read_text())
+        assert summary["failed"] == ["streaming"]
+        assert summary["gates"]["streaming"]["exit_code"] != 0
+        assert summary["gates"]["streaming"]["error"].startswith(expected_error)
+        assert summary["gates"]["packaging"]["ok"] is True
+        assert summary["gates"]["packaging"]["error"] is None
+
+    def test_runs_as_a_script_from_outside_the_repo(self, tmp_path):
+        packaging = load_bench("bench_packaging")
+        (tmp_path / "BENCH_packaging.json").write_text(json.dumps(
+            {metric: 1e-6 for metric in packaging.HEADLINE_METRICS}))
+        completed = run_script("check_all.py", [
+            "--only", "packaging", "--baseline-dir", str(tmp_path),
+            "--json", "summary.json",
+        ], cwd=tmp_path)
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["ok"] is True
+        assert summary["gates"]["packaging"]["error"] is None
+
 
 @pytest.mark.smoke
 class TestPackagingRegressionGate:
@@ -259,10 +390,10 @@ class TestPackagingRegressionGate:
     def test_self_baseline_passes_and_doctored_baseline_fails(self):
         bench = load_bench("bench_packaging")
         payload = self.tiny_payload(bench)
-        assert bench.check_regressions(payload, payload) == []
+        assert bench.GATE.check(payload, payload) == []
         doctored = dict(payload)
         doctored["artifact_size_ratio"] = payload["artifact_size_ratio"] * 100.0
-        failures = bench.check_regressions(doctored, payload)
+        failures = bench.GATE.check(doctored, payload)
         assert any("artifact_size_ratio" in failure for failure in failures)
 
     def test_stored_precision_runtime_is_gated(self):
@@ -277,7 +408,7 @@ class TestPackagingRegressionGate:
             assert payload["max_abs_error"][label] <= bench.INT8_ERROR_BOUND
         doctored = dict(payload)
         doctored["int8_stored_throughput_ratio"] *= 100.0
-        failures = bench.check_regressions(doctored, payload)
+        failures = bench.GATE.check(doctored, payload)
         assert any("int8_stored_throughput_ratio" in f for f in failures)
 
     def test_check_cli_exit_codes(self, tmp_path):

@@ -295,11 +295,11 @@ class TestBenchRegressionGate:
             conv_shapes=((4, 3, 3, 8, 8, 2),), repeats=2,
         )
         # A payload checked against itself can never regress.
-        assert bench.check_regressions(payload, payload) == []
+        assert bench.GATE.check(payload, payload) == []
         # A baseline claiming far better numbers must trip the gate.
         doctored = dict(payload)
         doctored["best_speedup_at_90"] = payload["best_speedup_at_90"] * 100.0
-        failures = bench.check_regressions(doctored, payload)
+        failures = bench.GATE.check(doctored, payload)
         assert any("best_speedup_at_90" in failure for failure in failures)
 
     def test_check_cli_exit_codes(self, tmp_path):

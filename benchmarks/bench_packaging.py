@@ -39,7 +39,7 @@ from repro.serve import InferenceSession
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
 from repro.sparse.packaging import PackedModel, build_packed_runtime, write_package
-from repro.train.checkpoint import load_inference_state, save_checkpoint
+from repro.train.checkpoint import restore_manager, save_checkpoint
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 if BENCH_DIR not in sys.path:  # spec loaders do not put it there
@@ -103,22 +103,16 @@ def checkpoint_bytes(path):
 def load_checkpoint_session(path, width=MLP_WIDTH, max_batch=BATCH):
     """Checkpoint → frozen session, the registry ``load_checkpoint`` way.
 
-    The bench MLP is not an experiment-config model, so this replicates
-    the factory body: real init draws, npz decompress, mask load,
-    freeze.  That is exactly the cold-start cost ``load_package``
-    competes against.
+    The bench MLP is not an experiment-config model, so this rebuilds
+    it by hand: real init draws, then ``restore_manager`` (npz
+    decompress, mask load) and freeze.  That is exactly the cold-start
+    cost ``load_package`` competes against.
     """
     model = SpikingMLP(
         width, NUM_CLASSES, hidden=(width, width), timesteps=TIMESTEPS,
         rng=np.random.default_rng(0),
     )
-    state = load_inference_state(path, model)
-    manager = SparsityManager(model)
-    if state.masks:
-        manager.load_masks(state.masks)
-    if state.calibration is not None:
-        manager.calibration = state.calibration
-    manager.set_execution("csr")
+    manager = restore_manager(path, model, execution="csr")
     return InferenceSession(model, manager, max_batch=max_batch)
 
 

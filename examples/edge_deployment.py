@@ -32,9 +32,9 @@ from repro.experiments.tables import format_table
 from repro.optim import SGD, CosineAnnealingLR
 from repro.serve import InferenceServer, InferenceSession, ModelRegistry
 from repro.snn.models import SpikingConvNet
-from repro.sparse import NDSNN, SparsityManager
+from repro.sparse import NDSNN
 from repro.train import Trainer
-from repro.train.checkpoint import load_inference_state, save_checkpoint
+from repro.train.checkpoint import restore_manager, save_checkpoint
 
 
 def train_checkpoint(path, seed, epochs, train_samples, test_samples):
@@ -62,14 +62,10 @@ def train_checkpoint(path, seed, epochs, train_samples, test_samples):
 
 
 def frozen_session(path, execution, seed):
-    """What ``ModelRegistry.load_checkpoint`` does, spelled out."""
+    """What ``ModelRegistry.load_checkpoint`` does, for a hand-built model."""
     model = SpikingConvNet(num_classes=10, image_size=16, channels=(16, 32),
                            timesteps=4, rng=np.random.default_rng(seed))
-    state = load_inference_state(path, model)
-    manager = SparsityManager(model)
-    manager.load_masks(state.masks)
-    manager.set_execution(execution)
-    return model, manager
+    return model, restore_manager(path, model, execution)
 
 
 def main(argv=None):

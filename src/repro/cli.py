@@ -499,8 +499,22 @@ def _command_sweep_status(args: argparse.Namespace) -> int:
     return 0 if status.failed == 0 else 1
 
 
+def _load_artifact(load):
+    """``load()``; a missing, torn or mismatched artifact exits 2 with one line."""
+    try:
+        return load()
+    except (OSError, KeyError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _serving_registry(args: argparse.Namespace):
-    """Registry with the checkpoint/package from ``args`` under name 'model'."""
+    """Registry with the artifact from ``args`` under name 'model'.
+
+    Returns ``(registry, config, session)``.  The session is built here,
+    in the main thread, so a bad artifact fails once instead of
+    crashing every server worker that would build it later.
+    """
     from .serve import ModelRegistry
 
     if (args.checkpoint is None) == (args.package is None):
@@ -509,40 +523,33 @@ def _serving_registry(args: argparse.Namespace):
         )
     config = _config_from_args(args, args.method)
     registry = ModelRegistry()
-    if args.package is not None:
-        registry.load_package(
-            "model",
-            args.package,
-            precision=args.precision,
-            max_batch=args.max_batch,
-        )
-    else:
-        registry.load_checkpoint(
-            "model",
-            config,
-            args.checkpoint,
-            execution=args.execution,
-            compact=args.compact,
-            max_batch=args.max_batch,
-        )
-    return registry, config
+
+    def load():
+        if args.package is not None:
+            registry.load_package(
+                "model", args.package, precision=args.precision,
+                max_batch=args.max_batch,
+            )
+        else:
+            registry.load_checkpoint(
+                "model", config, args.checkpoint, execution=args.execution,
+                compact=args.compact, max_batch=args.max_batch,
+            )
+        return registry.session("model")
+
+    return registry, config, _load_artifact(load)
 
 
 def _command_export(args: argparse.Namespace) -> int:
     from .experiments.runner import build_experiment_model
-    from .sparse.engine import SparsityManager
     from .sparse.packaging import spec_from_config, write_package
-    from .train.checkpoint import load_inference_state
+    from .train.checkpoint import restore_manager
 
     config = _config_from_args(args, args.method)
     model = build_experiment_model(config)
-    state = load_inference_state(args.checkpoint, model)
-    manager = SparsityManager(model)
-    if state.masks:
-        manager.load_masks(state.masks)
-    if state.calibration is not None:
-        manager.calibration = state.calibration
-    manager.set_execution(args.execution)
+    manager = _load_artifact(
+        lambda: restore_manager(args.checkpoint, model, args.execution)
+    )
     model.eval()
     summary = write_package(
         args.out, model, manager, spec_from_config(config),
@@ -565,8 +572,7 @@ def _command_export(args: argparse.Namespace) -> int:
 def _command_infer(args: argparse.Namespace) -> int:
     from .experiments.runner import build_loaders
 
-    registry, config = _serving_registry(args)
-    session = registry.session("model")
+    _, config, session = _serving_registry(args)
     _, test_loader, _ = build_loaders(config)
     correct = 0
     seen = 0
@@ -609,19 +615,19 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .experiments.runner import build_loaders
     from .serve import InferenceServer
 
-    registry, config = _serving_registry(args)
-    _, test_loader, _ = build_loaders(config)
-    samples = np.concatenate([images.data for images, _ in test_loader], axis=0)
     if args.requests < 1 or args.clients < 1:
         print("error: --requests and --clients must be >= 1", file=sys.stderr)
         return 2
+    registry, config, _ = _serving_registry(args)
+    _, test_loader, _ = build_loaders(config)
+    samples = np.concatenate([images.data for images, _ in test_loader], axis=0)
     server = InferenceServer(
         lambda: registry.session("model"),
         workers=args.workers,
         max_batch=args.max_batch,
         max_latency_s=args.max_latency_ms / 1000.0,
     )
-    latencies: List[float] = []
+    latencies: List[Optional[float]] = []  # None marks a failed request
     latency_lock = threading.Lock()
 
     def client(count: int) -> None:
@@ -629,8 +635,11 @@ def _command_serve(args: argparse.Namespace) -> int:
         for _ in range(count):
             sample = samples[rng.integers(0, len(samples))]
             begin = _time.perf_counter()
-            server.predict(sample, timeout=60.0)
-            elapsed = _time.perf_counter() - begin
+            try:
+                server.predict(sample, timeout=60.0)
+                elapsed = _time.perf_counter() - begin
+            except Exception:
+                elapsed = None
             with latency_lock:
                 latencies.append(elapsed)
 
@@ -648,17 +657,22 @@ def _command_serve(args: argparse.Namespace) -> int:
     wall = _time.perf_counter() - wall_begin
     server.stop()
     stats = server.stats()
-    ordered = np.sort(latencies)
-    p50 = float(np.percentile(ordered, 50)) * 1000.0
-    p99 = float(np.percentile(ordered, 99)) * 1000.0
+    failed = latencies.count(None)
+    latencies = [latency for latency in latencies if latency is not None]
+    # When every request failed there is no latency to take a percentile of.
+    p50, p99 = (
+        float(np.percentile(latencies, q)) * 1000.0 if latencies else None
+        for q in (50, 99)
+    )
     throughput = len(latencies) / wall if wall > 0 else 0.0
     print(
         format_table(
-            ["requests", "workers", "max_batch", "p50_ms", "p99_ms",
+            ["requests", "failed", "workers", "max_batch", "p50_ms", "p99_ms",
              "req_per_s", "batches", "restarts"],
-            [(len(latencies), args.workers, args.max_batch, f"{p50:.2f}",
-              f"{p99:.2f}", f"{throughput:.1f}", stats["batches"],
-              stats["restarts"])],
+            [(len(latencies), failed, args.workers, args.max_batch,
+              f"{p50:.2f}" if latencies else "-",
+              f"{p99:.2f}" if latencies else "-", f"{throughput:.1f}",
+              stats["batches"], stats["restarts"])],
             title=f"serving load (execution={args.execution}, "
                   f"compact={args.compact})",
         )
@@ -666,6 +680,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.out:
         save_json(args.out, {
             "requests": len(latencies),
+            "failed": failed,
             "workers": args.workers,
             "max_batch": args.max_batch,
             "clients": args.clients,
@@ -677,6 +692,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             "execution": args.execution,
         })
         print(f"wrote {args.out}")
+    if failed:
+        print(f"error: {failed} of {args.requests} requests failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -140,27 +140,21 @@ class ModelRegistry:
 
         The factory rebuilds the model geometry from ``config``
         (:func:`~repro.experiments.runner.build_experiment_model`),
-        restores weights/masks/calibration from the checkpoint (both
-        ``save_checkpoint`` and ``save_training_state`` formats), and
+        restores weights/masks/calibration from either checkpoint kind
+        (:func:`~repro.train.checkpoint.restore_manager`), and
         under ``compact=True`` slices structurally-pruned filters out
         (:func:`~repro.sparse.structured.compact_model`) so serving
         runs genuinely smaller dense kernels while unstructured-sparse
         layers keep the CSR route.
         """
         from ..experiments.runner import build_experiment_model
-        from ..train.checkpoint import load_inference_state
+        from ..train.checkpoint import restore_manager
 
         path = Path(path)
 
         def factory() -> Tuple[Module, SparsityManager]:
             model = build_experiment_model(config)
-            state = load_inference_state(path, model)
-            manager = SparsityManager(model)
-            if state.masks:
-                manager.load_masks(state.masks)
-            if state.calibration is not None:
-                manager.calibration = state.calibration
-            manager.set_execution(execution)
+            manager = restore_manager(path, model, execution)
             if compact:
                 manager = compact_model(model, manager)
             return model, manager

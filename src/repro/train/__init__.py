@@ -2,11 +2,10 @@
 
 from .checkpoint import (
     CheckpointCallback,
-    InferenceState,
     has_training_state,
     load_checkpoint,
-    load_inference_state,
     load_training_state,
+    restore_manager,
     save_checkpoint,
     save_training_state,
 )
@@ -51,8 +50,7 @@ __all__ = [
     "CheckpointCallback",
     "save_training_state",
     "load_training_state",
-    "load_inference_state",
-    "InferenceState",
+    "restore_manager",
     "has_training_state",
     "TrainerCallback",
     "CallbackList",

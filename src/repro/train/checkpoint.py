@@ -1,39 +1,132 @@
-"""Training checkpoints: model weights + masks + schedule position.
+"""Checkpoints: model weights + masks + schedule position.
 
 Sparse training state is more than the weights — resuming NDSNN needs
 the masks and the iteration counter (which drives Eqs. 4/5).  A
 checkpoint bundles all of it into one ``.npz`` plus a JSON sidecar.
+Two kinds share that format, one writer (:func:`_write_pair`) and one
+reader (:func:`_read_pair`):
 
-Two granularities live here:
-
-* :func:`save_checkpoint` / :func:`load_checkpoint` — the historical
-  weights+masks+counters snapshot, enough to evaluate or fine-tune.
+* :func:`save_checkpoint` / :func:`load_checkpoint` — weights, masks
+  and counters, enough to evaluate or fine-tune.
 * :func:`save_training_state` / :func:`load_training_state` — the
   *complete* mid-run state (optimizer buffers, LR-scheduler position,
-  method auxiliaries, and every RNG stream), written atomically so a
-  process killed mid-save leaves the previous checkpoint intact.  A
-  run restored from it continues **bit-identically** to one that was
-  never interrupted; the sweep queue's crash-resume is built on this,
-  via :class:`CheckpointCallback` at epoch boundaries.
+  method auxiliaries, and every RNG stream).  A run restored from it
+  continues **bit-identically** to one that was never interrupted; the
+  sweep queue's crash-resume is built on this, via
+  :class:`CheckpointCallback` at epoch boundaries.
+
+Both kinds are written atomically (a failed or killed save leaves the
+previous checkpoint intact) and stamped with a content digest (a torn
+pair is ``ValueError("checkpoint pair mismatch …")`` on every reader).
+:func:`restore_manager` is the serving restore from either kind.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import zipfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..nn.module import Module
-from ..sparse.engine import SparseTrainingMethod
-from ..utils import atomic_replace, load_json, load_state_dict, save_json, save_state_dict
+from ..sparse.dispatch import CalibrationTable
+from ..sparse.engine import SparseTrainingMethod, SparsityManager
+from ..utils import _jsonable, atomic_replace, load_json, save_json
 from .hooks import TrainerCallback
 
 _MASK_PREFIX = "__mask__."
 _OPT_PREFIX = "__opt__."
 _METHOD_PREFIX = "__method__."
+#: Array-name prefix → section of :func:`_read_pair`; the rest are weights.
+_SECTIONS = {_MASK_PREFIX: "masks", _OPT_PREFIX: "optimizer", _METHOD_PREFIX: "method"}
+_STAMP = "__stamp__"
+_EPOCH_STAMP = "__epochs_completed__"  # training-state stamp before the digest
 
 TRAINING_STATE_VERSION = 1
+
+
+def _digest(arrays: Dict[str, np.ndarray], metadata: Dict) -> str:
+    """Content digest of a pair, deterministic so that two writers
+    racing identical content on a shared spool stamp identically."""
+    digest = hashlib.sha256(json.dumps(_jsonable(metadata), sort_keys=True).encode())
+    for key in sorted(arrays):
+        value = np.ascontiguousarray(arrays[key])
+        digest.update(f"{key}:{value.dtype.str}:{value.shape}".encode())
+        digest.update(value.data)
+    return digest.hexdigest()
+
+
+def _write_pair(path: Path, arrays: Dict[str, np.ndarray], metadata: Dict) -> None:
+    """The one writer: stamp, then the ``.npz``, then the ``.json``.
+
+    Each file goes through :func:`~repro.utils.atomic_replace`, which
+    also serializes racing writers; the sidecar lands last, so its
+    presence marks a complete pair, and the stamp catches the residual
+    cross-file interleaving.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    stamped = {**arrays, _STAMP: np.asarray(_digest(arrays, metadata))}
+
+    def write_npz(tmp: Path) -> None:
+        with open(tmp, "wb") as handle:
+            np.savez_compressed(handle, **stamped)
+
+    atomic_replace(write_npz, path.with_suffix(".npz"))
+    atomic_replace(lambda tmp: save_json(tmp, metadata), path.with_suffix(".json"))
+
+
+def _read_pair(path: Union[str, Path]) -> Tuple[Dict[str, Dict[str, np.ndarray]], Dict]:
+    """The one reader: ``(sections, metadata)`` with the stamp checked.
+
+    ``sections`` splits the arrays into ``weights``, ``masks``,
+    ``optimizer`` and ``method``.  Unstamped pairs (written before
+    stamping) load as they are; a truncated ``.npz`` is a ``ValueError``.
+    """
+    path = Path(path)
+    try:
+        with np.load(path.with_suffix(".npz")) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+    except zipfile.BadZipFile as error:
+        raise ValueError(f"checkpoint {path} is truncated or corrupt: {error}") from error
+    metadata = load_json(path.with_suffix(".json"))
+    stamp = arrays.pop(_STAMP, None)
+    epochs = arrays.pop(_EPOCH_STAMP, None)
+    if (stamp is not None and str(stamp) != _digest(arrays, metadata)) or (
+        epochs is not None and int(epochs) != metadata.get("epochs_completed")
+    ):
+        raise ValueError(
+            f"checkpoint pair mismatch at {path}: the .npz and .json are "
+            "from different saves"
+        )
+    sections = {section: {} for section in ("weights", *_SECTIONS.values())}
+    for key, value in arrays.items():
+        prefix = next((p for p in _SECTIONS if key.startswith(p)), None)
+        if prefix is None:
+            sections["weights"][key] = value
+        else:
+            sections[_SECTIONS[prefix]][key[len(prefix):]] = value
+    return sections, metadata
+
+
+def _model_arrays(model: Module, method: Optional[SparseTrainingMethod]) -> Dict:
+    """Weights plus the method's masks (when it has them), as saved."""
+    arrays = dict(model.state_dict())
+    if method is not None and method.masks is not None:
+        for name, mask in method.masks.masks.items():
+            arrays[_MASK_PREFIX + name] = mask
+    return arrays
+
+
+def _load_model(sections: Dict, model: Module, method: Optional[SparseTrainingMethod]) -> None:
+    """Weights into ``model``; masks into the bound ``method``, if given."""
+    model.load_state_dict(sections["weights"])
+    if sections["masks"] and method is not None:
+        if method.masks is None:
+            raise ValueError("method has no mask manager; bind it before loading masks")
+        method.masks.load_masks(sections["masks"])
 
 
 def save_checkpoint(
@@ -48,19 +141,13 @@ def save_checkpoint(
 
     Produces ``<path>.npz`` (arrays) and ``<path>.json`` (metadata).
     """
-    path = Path(path)
-    arrays: Dict[str, np.ndarray] = dict(model.state_dict())
-    if method is not None and method.masks is not None:
-        for name, mask in method.masks.masks.items():
-            arrays[_MASK_PREFIX + name] = mask
-    save_state_dict(path.with_suffix(".npz"), arrays)
     metadata = {
         "iteration": iteration,
         "epoch": epoch,
         "has_masks": method is not None and method.masks is not None,
         "extra": extra or {},
     }
-    save_json(path.with_suffix(".json"), metadata)
+    _write_pair(Path(path), _model_arrays(model, method), metadata)
 
 
 def load_checkpoint(
@@ -68,74 +155,35 @@ def load_checkpoint(
     model: Module,
     method: Optional[SparseTrainingMethod] = None,
 ) -> Dict:
-    """Restore a checkpoint written by :func:`save_checkpoint`.
+    """Restore weights (and masks) from either checkpoint kind.
 
     Returns the metadata dict (iteration/epoch/extra).  The method must
     already be bound (its mask manager exists) for masks to load.
     """
-    path = Path(path)
-    arrays = load_state_dict(path.with_suffix(".npz"))
-    weights = {k: v for k, v in arrays.items() if not k.startswith(_MASK_PREFIX)}
-    masks = {
-        k[len(_MASK_PREFIX):]: v for k, v in arrays.items() if k.startswith(_MASK_PREFIX)
-    }
-    model.load_state_dict(weights)
-    if masks and method is not None:
-        if method.masks is None:
-            raise ValueError("method has no mask manager; bind it before loading masks")
-        method.masks.load_masks(masks)
-    return load_json(path.with_suffix(".json"))
+    sections, metadata = _read_pair(path)
+    _load_model(sections, model, method)
+    return metadata
 
 
-# ----------------------------------------------------------------------
-# Inference-only restore (serving)
-# ----------------------------------------------------------------------
-class InferenceState:
-    """What serving needs from a checkpoint: weights, masks, metadata.
+def restore_manager(
+    path: Union[str, Path], model: Module, execution: str = "auto"
+) -> SparsityManager:
+    """Serving restore from either checkpoint kind.
 
-    Produced by :func:`load_inference_state`; the training-only payload
-    (optimizer buffers, method auxiliaries, RNG streams) is discarded.
+    Loads the weights into ``model`` and returns a fresh manager over
+    the checkpoint's masks, its persisted dispatch-calibration table
+    (when present) and ``execution``.  The training-only payload is
+    ignored; no trainer, method or optimizer is needed.
     """
-
-    __slots__ = ("masks", "metadata", "calibration")
-
-    def __init__(self, masks, metadata, calibration) -> None:
-        self.masks = masks
-        self.metadata = metadata
-        self.calibration = calibration
-
-
-def load_inference_state(path: Union[str, Path], model: Module) -> InferenceState:
-    """Load just the inference-relevant slice of any checkpoint format.
-
-    Accepts both :func:`save_checkpoint` and :func:`save_training_state`
-    files: model weights are restored into ``model``, masks and the
-    persisted dispatch-calibration table (when present) are returned
-    for the caller to hand to a fresh
-    :class:`~repro.sparse.engine.SparsityManager`.  No trainer, method
-    or optimizer is required — this is the serving-side entry point.
-    """
-    path = Path(path)
-    arrays = load_state_dict(path.with_suffix(".npz"))
-    metadata = load_json(path.with_suffix(".json"))
-    arrays.pop("__epochs_completed__", None)
-    weights: Dict[str, np.ndarray] = {}
-    masks: Dict[str, np.ndarray] = {}
-    for key, value in arrays.items():
-        if key.startswith(_MASK_PREFIX):
-            masks[key[len(_MASK_PREFIX):]] = value
-        elif key.startswith((_OPT_PREFIX, _METHOD_PREFIX)):
-            continue
-        else:
-            weights[key] = value
-    model.load_state_dict(weights)
-    calibration = None
-    calibration_meta = metadata.get("calibration")
-    if calibration_meta:
-        from ..sparse.dispatch import CalibrationTable
-
-        calibration = CalibrationTable.from_meta(calibration_meta)
-    return InferenceState(masks=masks, metadata=metadata, calibration=calibration)
+    sections, metadata = _read_pair(path)
+    model.load_state_dict(sections["weights"])
+    manager = SparsityManager(model)
+    if sections["masks"]:
+        manager.load_masks(sections["masks"])
+    if metadata.get("calibration"):
+        manager.calibration = CalibrationTable.from_meta(metadata["calibration"])
+    manager.set_execution(execution)
+    return manager
 
 
 # ----------------------------------------------------------------------
@@ -192,29 +240,16 @@ def save_training_state(
     the optimizer's momentum buffers, the LR scheduler position, the
     method's auxiliary arrays and RNG position (see
     ``SparseTrainingMethod.state_arrays``/``state_meta``), the train
-    loader's shuffle-RNG state, and the per-epoch history so far.  The
-    ``.npz`` is written first and the ``.json`` sidecar last — each via
-    tmp-file + ``os.replace`` — so the sidecar's presence marks a
-    complete checkpoint and a crash mid-save can never corrupt one.
+    loader's shuffle-RNG state, and the per-epoch history so far.
+    Written through the same atomic, stamped writer as
+    :func:`save_checkpoint`, so a crash mid-save never corrupts one.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     method = trainer.method
-    arrays: Dict[str, np.ndarray] = dict(trainer.model.state_dict())
-    if method.masks is not None:
-        for name, mask in method.masks.masks.items():
-            arrays[_MASK_PREFIX + name] = mask
+    arrays = _model_arrays(trainer.model, method)
     for key, value in trainer.optimizer.state_arrays().items():
         arrays[_OPT_PREFIX + key] = value
     for key, value in method.state_arrays().items():
         arrays[_METHOD_PREFIX + key] = value
-
-    # Pairing stamp: the .npz and .json are replaced as two separate
-    # renames, so a concurrent writer could interleave them.  Stamping
-    # epochs_completed into the array file lets the loader detect (and
-    # reject) a mismatched pair instead of silently resuming from it.
-    arrays["__epochs_completed__"] = np.asarray(int(epochs_completed))
-
     loader_rng = getattr(trainer.train_loader, "rng", None)
     scheduler = trainer.scheduler
     metadata = {
@@ -237,16 +272,7 @@ def save_training_state(
     # uninterrupted run even on different hardware.
     if method.masks is not None and method.masks.calibration is not None:
         metadata["calibration"] = method.masks.calibration.to_meta()
-
-    def write_npz(tmp: Path) -> None:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-
-    # atomic_replace serializes racing writers (a reaped-but-alive
-    # worker vs its replacement on a shared spool); the pairing stamp
-    # above catches the residual cross-file interleaving.
-    atomic_replace(write_npz, path.with_suffix(".npz"))
-    atomic_replace(lambda tmp: save_json(tmp, metadata), path.with_suffix(".json"))
+    _write_pair(Path(path), arrays, metadata)
 
 
 def load_training_state(path: Union[str, Path], trainer) -> Dict:
@@ -258,41 +284,13 @@ def load_training_state(path: Union[str, Path], trainer) -> Dict:
     auxiliaries and RNG streams — is overwritten in place.  Returns the
     metadata dict (``epochs_completed``, ``history``, ...).
     """
-    path = Path(path)
-    arrays = load_state_dict(path.with_suffix(".npz"))
-    metadata = load_json(path.with_suffix(".json"))
-    stamp = arrays.pop("__epochs_completed__", None)
-    if stamp is not None and int(stamp) != int(metadata.get("epochs_completed", -1)):
-        raise ValueError(
-            f"checkpoint pair mismatch at {path}: arrays are from epoch "
-            f"{int(stamp)}, metadata from epoch {metadata.get('epochs_completed')}"
-        )
-    weights: Dict[str, np.ndarray] = {}
-    masks: Dict[str, np.ndarray] = {}
-    opt_arrays: Dict[str, np.ndarray] = {}
-    method_arrays: Dict[str, np.ndarray] = {}
-    for key, value in arrays.items():
-        if key.startswith(_MASK_PREFIX):
-            masks[key[len(_MASK_PREFIX):]] = value
-        elif key.startswith(_OPT_PREFIX):
-            opt_arrays[key[len(_OPT_PREFIX):]] = value
-        elif key.startswith(_METHOD_PREFIX):
-            method_arrays[key[len(_METHOD_PREFIX):]] = value
-        else:
-            weights[key] = value
-
-    trainer.model.load_state_dict(weights)
+    sections, metadata = _read_pair(path)
     method = trainer.method
-    if masks:
-        if method.masks is None:
-            raise ValueError("method has no mask manager; bind it before loading masks")
-        method.masks.load_masks(masks)
-    method.load_state_arrays(method_arrays)
+    _load_model(sections, trainer.model, method)
+    method.load_state_arrays(sections["method"])
     method.load_state_meta(metadata.get("method", {}))
     calibration_meta = metadata.get("calibration")
     if calibration_meta and method.masks is not None:
-        from ..sparse.dispatch import CalibrationTable
-
         # Overrides any freshly measured table: checkpointed dispatch
         # decisions win so resume stays bit-identical.
         method.masks.calibration = CalibrationTable.from_meta(calibration_meta)
@@ -301,7 +299,7 @@ def load_training_state(path: Union[str, Path], trainer) -> Dict:
     lr = optimizer_meta.pop("lr", None)
     if lr is not None:
         trainer.optimizer.lr = float(lr)
-    trainer.optimizer.load_state_arrays(opt_arrays)
+    trainer.optimizer.load_state_arrays(sections["optimizer"])
     trainer.optimizer.load_state_meta(optimizer_meta)
 
     if trainer.scheduler is not None and metadata.get("scheduler_last_epoch") is not None:

@@ -122,16 +122,3 @@ def atomic_replace(write: Callable[[Path], None], final_path: Union[str, Path]) 
 def save_json_atomic(path: Union[str, Path], payload: Dict[str, Any]) -> None:
     """:func:`save_json` with the :func:`atomic_replace` guarantee."""
     atomic_replace(lambda tmp: save_json(tmp, payload), path)
-
-
-def save_state_dict(path: Union[str, Path], state: Dict[str, np.ndarray]) -> None:
-    """Persist a model/optimizer state dict as a compressed .npz."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **state)
-
-
-def load_state_dict(path: Union[str, Path]) -> Dict[str, np.ndarray]:
-    """Load a state dict saved by :func:`save_state_dict`."""
-    with np.load(path) as archive:
-        return {key: archive[key] for key in archive.files}

@@ -284,12 +284,93 @@ class TestServing:
         assert payload["stats"]["completed"] == 12
         assert payload["stats"]["restarts"] == 0
 
-    def test_infer_missing_checkpoint_is_an_error(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main([
-                "infer", *FAST_WORKLOAD,
-                "--checkpoint", str(tmp_path / "nope"),
-            ])
+    @pytest.mark.parametrize("command, artifact", [
+        ("infer", "missing"),
+        ("serve", "missing"),
+        ("export", "missing"),
+        ("serve", "missing_package"),
+        ("infer", "torn"),
+        ("serve", "torn"),
+        ("export", "torn"),
+        ("infer", "truncated"),
+        ("serve", "f16_of_int8_package"),
+        ("infer", "wrong_geometry"),
+        ("infer", "wrong_model"),
+    ])
+    def test_bad_artifact_exits_2_with_one_error_line(
+        self, checkpoint, tmp_path, capsys, command, artifact
+    ):
+        import shutil
+
+        from repro.utils import load_json, save_json
+
+        workload = list(FAST_WORKLOAD)
+        source = ["--checkpoint", str(tmp_path / "missing")]
+        if artifact == "missing_package":
+            source = ["--package", str(tmp_path / "missing.reprom")]
+        elif artifact == "torn":
+            torn = tmp_path / "torn"
+            for suffix in (".npz", ".json"):
+                shutil.copy(checkpoint.with_suffix(suffix), torn.with_suffix(suffix))
+            metadata = load_json(torn.with_suffix(".json"))
+            metadata["epochs_completed"] -= 1
+            save_json(torn.with_suffix(".json"), metadata)
+            source = ["--checkpoint", str(torn)]
+        elif artifact == "truncated":
+            cut = tmp_path / "cut"
+            npz = checkpoint.with_suffix(".npz").read_bytes()
+            cut.with_suffix(".npz").write_bytes(npz[: len(npz) // 2])
+            shutil.copy(checkpoint.with_suffix(".json"), cut.with_suffix(".json"))
+            source = ["--checkpoint", str(cut)]
+        elif artifact == "f16_of_int8_package":
+            package = tmp_path / "int8.reprom"
+            assert main([
+                "export", *FAST_WORKLOAD, "--checkpoint", str(checkpoint),
+                "--out", str(package), "--precision", "int8",
+            ]) == 0
+            source = ["--package", str(package), "--precision", "f16"]
+        elif artifact in ("wrong_geometry", "wrong_model"):
+            flag, value = {
+                "wrong_geometry": ("--image-size", "16"),
+                "wrong_model": ("--model", "lenet5"),
+            }[artifact]
+            workload[workload.index(flag) + 1] = value
+            source = ["--checkpoint", str(checkpoint)]
+        extra = {
+            "export": ["--out", str(tmp_path / "out.reprom")],
+            "serve": ["--requests", "4", "--clients", "1", "--workers", "1"],
+        }.get(command, [])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *workload, *source, *extra])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_serve_counts_failed_requests(self, checkpoint, tmp_path, capsys, monkeypatch):
+        from repro.serve import InferenceSession
+
+        def broken_predict(self, inputs):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(InferenceSession, "predict", broken_predict)
+        out_path = tmp_path / "serve.json"
+        code = main([
+            "serve", *FAST_WORKLOAD,
+            "--checkpoint", str(checkpoint), "--out", str(out_path),
+            "--requests", "4", "--clients", "2", "--workers", "1",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "failed" in captured.out
+        assert "error: 4 of 4 requests failed" in captured.err
+        payload = json.loads(out_path.read_text())
+        assert payload["requests"] == 0
+        assert payload["failed"] == 4
+        assert payload["p50_ms"] is None and payload["p99_ms"] is None
 
     @pytest.mark.smoke
     def test_export_then_infer_from_package(self, checkpoint, tmp_path, capsys):

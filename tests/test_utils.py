@@ -6,9 +6,7 @@ import pytest
 from repro.utils import (
     Timer,
     load_json,
-    load_state_dict,
     save_json,
-    save_state_dict,
     seed_everything,
     timed,
 )
@@ -63,12 +61,3 @@ class TestJson:
         path = tmp_path / "deep" / "dir" / "out.json"
         save_json(path, {"a": 1})
         assert path.exists()
-
-
-class TestStateDict:
-    def test_npz_roundtrip(self, tmp_path):
-        state = {"w": np.random.default_rng(0).standard_normal((3, 3)).astype(np.float32)}
-        path = tmp_path / "state.npz"
-        save_state_dict(path, state)
-        loaded = load_state_dict(path)
-        assert np.array_equal(loaded["w"], state["w"])

@@ -346,6 +346,156 @@ class TestCheckpointIntegrity:
         ]
 
 
+def _tear(path, key):
+    """Stale sidecar: step one counter back, as a lost race would leave it."""
+    from repro.utils import load_json, save_json
+
+    metadata = load_json(path.with_suffix(".json"))
+    metadata[key] -= 1
+    save_json(path.with_suffix(".json"), metadata)
+
+
+class TestPairCodec:
+    """One writer and one reader under both checkpoint kinds."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A finished ``run_experiment`` job: its config and its pair."""
+        config = scaled_config("cifar10", "convnet", "ndsnn", 0.9, **FAST)
+        path = tmp_path_factory.mktemp("job") / "job"
+        run_experiment(config, checkpoint_path=path)
+        return config, path
+
+    def test_npz_roundtrip(self, tmp_path):
+        from repro.train.checkpoint import _read_pair, _write_pair
+
+        state = {"w": np.random.default_rng(0).standard_normal((3, 3)).astype(np.float32)}
+        _write_pair(tmp_path / "state", state, {})
+        sections, metadata = _read_pair(tmp_path / "state")
+        assert sections["weights"]["w"].dtype == np.float32
+        assert np.array_equal(sections["weights"]["w"], state["w"])
+        assert metadata == {}
+
+    def test_stamp_is_deterministic(self, tmp_path):
+        """Identical content stamps identically: racing writers agree."""
+        model = make_model(seed=7)
+        for name in ("a", "b"):
+            save_checkpoint(tmp_path / name, model, iteration=3)
+        with np.load(tmp_path / "a.npz") as a, np.load(tmp_path / "b.npz") as b:
+            assert str(a["__stamp__"]) == str(b["__stamp__"])
+
+    @pytest.mark.parametrize("reader", [
+        "load_checkpoint", "load_training_state", "restore_manager", "registry",
+    ])
+    def test_every_reader_refuses_a_torn_pair(self, trained, tmp_path, reader):
+        import shutil
+
+        from repro.experiments.runner import (
+            build_experiment_model,
+            build_loaders,
+            build_method,
+        )
+        from repro.train import Trainer
+
+        config, job = trained
+        path = tmp_path / "pair"
+        model = build_experiment_model(config)
+        if reader == "load_checkpoint":
+            save_checkpoint(path, model, iteration=5)
+            _tear(path, "iteration")
+        else:
+            for suffix in (".npz", ".json"):
+                shutil.copy(job.with_suffix(suffix), path.with_suffix(suffix))
+            _tear(path, "epochs_completed")
+
+        with pytest.raises(ValueError, match="pair mismatch"):
+            if reader == "load_checkpoint":
+                load_checkpoint(path, model)
+            elif reader == "load_training_state":
+                train_loader, test_loader, train_set = build_loaders(config)
+                trainer = Trainer(
+                    model, build_method(config, 9), SGD(model.parameters(), lr=0.1),
+                    train_loader, test_loader=test_loader,
+                )
+                load_training_state(path, trainer)
+            elif reader == "restore_manager":
+                from repro.train import restore_manager
+
+                restore_manager(path, model)
+            else:
+                from repro.serve import ModelRegistry
+
+                ModelRegistry().load_checkpoint("m", config, path).session("m")
+
+    def test_failed_save_keeps_last_good_checkpoint(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        model = make_model(seed=6)
+        save_checkpoint(tmp_path / "ckpt", model, iteration=1)
+        original = model.state_dict()
+
+        def torn_savez(file, *args, **kwargs):
+            if hasattr(file, "write"):
+                file.write(b"partial npz")
+            else:
+                Path(file).write_bytes(b"partial npz")
+            raise OSError("No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez_compressed", torn_savez)
+            for parameter in model.parameters():
+                parameter.data += 1.0
+            with pytest.raises(OSError):
+                save_checkpoint(tmp_path / "ckpt", model, iteration=2)
+
+        assert load_checkpoint(tmp_path / "ckpt", model)["iteration"] == 1
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, original[name])
+        assert not list(tmp_path.glob("*.tmp-*"))
+
+    @pytest.mark.parametrize("stamp", [None, 3])
+    def test_pairs_written_before_the_digest_still_load(self, tmp_path, stamp):
+        """Hand-written older layouts: the unstamped ``save_checkpoint``
+        pair and the epoch-stamped training-state pair."""
+        from repro.train import restore_manager
+        from repro.utils import save_json
+
+        model = make_model(seed=8)
+        method = NDSNN(initial_sparsity=0.5, final_sparsity=0.9,
+                       total_iterations=100, update_frequency=10,
+                       rng=np.random.default_rng(8))
+        method.bind(model, SGD(model.parameters(), lr=0.1))
+        arrays = dict(model.state_dict())
+        arrays.update({"__mask__." + n: m for n, m in method.masks.masks.items()})
+        metadata = {"iteration": 7, "epoch": 1, "has_masks": True, "extra": {}}
+        if stamp is not None:
+            arrays["__epochs_completed__"] = np.asarray(stamp)
+            metadata["epochs_completed"] = stamp
+        path = tmp_path / "old"
+        np.savez_compressed(path.with_suffix(".npz"), **arrays)
+        save_json(path.with_suffix(".json"), metadata)
+
+        twin = make_model(seed=9)
+        twin_method = NDSNN(initial_sparsity=0.5, final_sparsity=0.9,
+                            total_iterations=100, update_frequency=10,
+                            rng=np.random.default_rng(9))
+        twin_method.bind(twin, SGD(twin.parameters(), lr=0.1))
+        assert load_checkpoint(path, twin, method=twin_method)["iteration"] == 7
+        served = make_model(seed=10)
+        manager = restore_manager(path, served, execution="dense")
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(twin.state_dict()[name], value)
+            np.testing.assert_array_equal(served.state_dict()[name], value)
+        for name, mask in method.masks.masks.items():
+            np.testing.assert_array_equal(twin_method.masks.masks[name], mask)
+            np.testing.assert_array_equal(manager.masks[name], mask)
+
+        if stamp is not None:
+            _tear(path, "epochs_completed")
+            with pytest.raises(ValueError, match="pair mismatch"):
+                restore_manager(path, make_model(seed=10))
+
+
 class TestCheckpointCallback:
     def test_interval_validation(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,13 @@ turns them into a service.  Three pieces compose:
   every forward to one canonical batch shape so results are
   bit-identical no matter how requests were grouped.
 * :class:`~repro.serve.batcher.MicroBatcher` — request queue with a
-  max-batch / max-latency flush policy.
+  max-batch / max-latency flush policy, optionally keyed so a batch
+  holds at most one request per key.
 * :class:`~repro.serve.pool.SupervisedPool` — the one worker pool: a
   supervisor restarts crashed workers and their in-flight requests are
   re-dispatched, not dropped.  :class:`~repro.serve.server.InferenceServer`
   runs it as 1 shard × N workers,
-  :class:`~repro.serve.stream_worker.StreamServer` as N strict-FIFO
+  :class:`~repro.serve.stream_worker.StreamServer` as N stream-keyed
   shards × 1 worker.
 """
 

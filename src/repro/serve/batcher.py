@@ -6,7 +6,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import List, Optional
+from typing import Callable, Hashable, List, Optional
 
 
 class InferenceRequest:
@@ -31,15 +31,32 @@ class MicroBatcher:
     their in-flight requests back through :meth:`requeue`, which puts
     them at the *front* of the queue so retried work is never starved
     by new arrivals.
+
+    Keyed batches: given ``key`` (a function of the payload), a batch
+    holds the oldest pending request of each key, at most one per key,
+    found in the first ``KEYED_SCAN * max_batch`` queued requests.
+    Requests it skips keep their queue order, so with one worker per
+    queue each key's requests are handled in submission order, and a
+    requeued batch restores that order.  ``key=None`` batches in plain
+    queue order.
     """
 
-    def __init__(self, max_batch: int = 8, max_latency_s: float = 0.005) -> None:
+    #: A keyed take scans at most this many requests per batch slot.
+    KEYED_SCAN = 2
+
+    def __init__(
+        self,
+        max_batch: int = 8,
+        max_latency_s: float = 0.005,
+        key: Optional[Callable[[object], Hashable]] = None,
+    ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_latency_s < 0:
             raise ValueError("max_latency_s must be >= 0")
         self.max_batch = int(max_batch)
         self.max_latency_s = float(max_latency_s)
+        self.key = key
         self._pending: "deque[InferenceRequest]" = deque()
         self._condition = threading.Condition()
         self._closed = False
@@ -94,11 +111,30 @@ class MicroBatcher:
                     self._condition.wait()
 
     def _take(self) -> List[InferenceRequest]:
+        if self.key is not None:
+            return self._take_keyed()
         batch = []
         while self._pending and len(batch) < self.max_batch:
             request = self._pending.popleft()
             request.attempts += 1
             batch.append(request)
+        return batch
+
+    def _take_keyed(self) -> List[InferenceRequest]:
+        pending, key = self._pending, self.key
+        batch, skipped, keys = [], [], set()
+        for _ in range(min(len(pending), self.KEYED_SCAN * self.max_batch)):
+            request = pending.popleft()
+            request_key = key(request.payload)
+            if request_key in keys:
+                skipped.append(request)
+                continue
+            keys.add(request_key)
+            request.attempts += 1
+            batch.append(request)
+            if len(batch) == self.max_batch:
+                break
+        pending.extendleft(reversed(skipped))
         return batch
 
     def drain_pending(self) -> List[InferenceRequest]:

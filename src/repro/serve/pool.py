@@ -4,15 +4,17 @@ A :class:`SupervisedPool` drains a list of
 :class:`~repro.serve.batcher.MicroBatcher` shards, ``workers_per_shard``
 threads on each.  Batch serving (:class:`~repro.serve.server.InferenceServer`)
 is 1 shard × N workers sharing one queue; streaming
-(:class:`~repro.serve.stream_worker.StreamServer`) is N strict-FIFO
-shards × 1 worker, so per-stream event order holds.
+(:class:`~repro.serve.stream_worker.StreamServer`) is N shards × 1
+worker, keyed by stream, so per-stream event order holds.
 
 A worker that raises dies.  Its in-flight requests go back to the
 *front* of their shard, so a crash costs a retry, not an answer; only
 requests that have used up ``max_attempts`` dispatches fail (a poison
 request must not wedge the pool).  A supervisor thread replaces dead
 workers until ``max_restarts`` restarts are spent, then aborts: every
-shard closes and all queued work fails.
+shard closes and all queued work fails.  A handler that *returns* an
+exception for a payload instead fails that request alone, and the
+worker lives on.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class SupervisedPool:
     Each worker calls ``make_handler(shard_index)`` once, in its own
     thread, as it starts (so per-thread state such as a session is
     built there).  The handler maps a list of payloads to one output
-    per payload, which resolves the matching request futures.
+    per payload, which resolves the matching request future; an output
+    that is an ``Exception`` fails it.
     """
 
     #: Names the threads and the errors that queued work fails with.
@@ -150,15 +153,21 @@ class SupervisedPool:
                 shard.requeue(retry)
                 self._fail(exhausted, error)
                 raise
-            emitted = 0
-            for request, output in zip(batch, outputs):
-                request.future.set_result(output)
-                emitted += output is not None
+            failed = sum(isinstance(output, Exception) for output in outputs)
+            emitted = sum(output is not None for output in outputs) - failed
+            # Counted before any future resolves, so a caller that saw
+            # its result also sees it in stats().
             with self._lock:
-                self._completed += len(batch)
+                self._completed += len(batch) - failed
+                self._failed += failed
                 self._batches += 1
                 self._largest_batch = max(self._largest_batch, len(batch))
                 self._emitted += emitted
+            for request, output in zip(batch, outputs):
+                if isinstance(output, Exception):
+                    request.future.set_exception(output)
+                else:
+                    request.future.set_result(output)
 
     def _fail(self, requests: List[InferenceRequest], error: BaseException) -> None:
         for request in requests:

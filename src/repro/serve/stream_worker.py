@@ -5,28 +5,37 @@ batches.  A stream's events must hit its session in arrival order, and
 per-stream neuron state must survive worker crashes, so:
 
 * **Sharding**: streams are routed to ``workers`` shards by a stable
-  hash of ``stream_id``; each shard is one strict-FIFO
-  :class:`~repro.serve.batcher.MicroBatcher` (``max_batch=1``) drained
-  by one worker thread, so per-stream order is preserved while
-  distinct streams still run in parallel.
+  hash of ``stream_id``; each shard is one
+  :class:`~repro.serve.batcher.MicroBatcher` keyed by ``stream_id`` and
+  drained by one worker thread, so distinct streams run in parallel.
+* **Ticks**: one worker pass (a *tick*) takes the oldest queued event
+  of each ready stream, up to :data:`TICK_WIDTH`, and hands them to
+  :meth:`~repro.stream.session.StreamSession.process_many`, which runs
+  them as one plan step over the streams' stacked states.  Per-stream
+  order is FIFO; events of different streams may overtake each other.
 * **Server-owned sessions**: each shard's
   :class:`~repro.stream.session.StreamSession` belongs to the server,
-  not the worker thread.  ``StreamSession.process`` is transactional,
-  so when a worker dies mid-event the committed per-stream state is
-  intact; the pool restarts the thread, the event retries from the
-  queue front, and no membrane state or readout is lost.
+  not the worker thread.  ``process_many`` is transactional, so when a
+  worker dies mid-tick the committed per-stream state is intact; the
+  pool restarts the thread, the whole tick retries from the queue
+  front, and no membrane state or readout is lost.  A malformed event
+  fails only its own future, with a ``ValueError``; the worker lives on.
 """
 
 from __future__ import annotations
 
 import zlib
 from concurrent.futures import Future
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..stream.events import StreamEvent
 from ..stream.session import StreamResult, StreamSession
 from .batcher import MicroBatcher
 from .pool import SupervisedPool
+
+#: Events a shard steps at once: at most one per stream.
+TICK_WIDTH = 16
 
 
 class StreamServer(SupervisedPool):
@@ -58,9 +67,11 @@ class StreamServer(SupervisedPool):
     ) -> None:
         self._session_factory = session_factory
         self.workers = int(workers)
-        # max_batch=1 + requeue-to-front == strict per-shard FIFO even
-        # across crashes; max_latency_s=0 dispatches immediately.
-        shards = [MicroBatcher(max_batch=1, max_latency_s=0.0) for _ in range(self.workers)]
+        # Keyed takes + requeue-to-front == per-stream FIFO even across
+        # crashes; max_latency_s=0 dispatches immediately.
+        by_stream = attrgetter("stream_id")
+        shards = [MicroBatcher(max_batch=TICK_WIDTH, max_latency_s=0.0, key=by_stream)
+                  for _ in range(self.workers)]
         super().__init__(shards, 1, self._handler,
                          max_attempts, max_restarts, supervise_interval_s)
         self._sessions: List[StreamSession] = []
@@ -74,8 +85,7 @@ class StreamServer(SupervisedPool):
         return super().start()
 
     def _handler(self, shard_index: int):
-        session = self._sessions[shard_index]
-        return lambda events: [session.process(event) for event in events]
+        return self._sessions[shard_index].process_many
 
     def shard_of(self, stream_id: str) -> int:
         """Stable shard index for a stream (process-independent)."""
@@ -100,7 +110,8 @@ class StreamServer(SupervisedPool):
 
     def stats(self) -> Dict[str, object]:
         stats = super().stats()
-        del stats["batches"], stats["largest_batch"]
+        stats["ticks"] = stats.pop("batches")
+        stats["largest_tick"] = stats.pop("largest_batch")
         stats["windows"] = stats.pop("emitted")
         stats["execution"] = [session.execution for session in self._sessions]
         stats["streams"] = {

@@ -251,9 +251,15 @@ class CSRPattern:
         but makes exactly the call SciPy makes for the same operands —
         ``csr_matvec`` for one column, ``csr_matvecs`` for more — so the
         result is bit-identical to :meth:`matmul`.  Frozen streaming
-        plans run their CSR layers through it.
+        plans run their CSR layers through it.  SciPy's dimension check
+        is skipped with the binding, so the operand's row count is
+        checked here: the compiled kernel would read past its end.
         """
         rows, cols = self.shape
+        if dense.ndim != 2 or dense.shape[0] != cols:
+            raise ValueError(
+                f"dimension mismatch: CSR pattern {self.shape} @ operand {dense.shape}"
+            )
         columns = dense.shape[1]
         out = np.zeros((rows, columns), dtype=upcast_char(data.dtype.char, dense.dtype.char))
         if columns == 1:

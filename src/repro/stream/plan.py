@@ -14,10 +14,19 @@ so a session that drops a half-processed event keeps its committed
 state.  Every op repeats the module path's op order on the same operand
 layouts (the dense route multiplies by the same transposed weight view
 ``Tensor.matmul`` uses; the CSR route makes SciPy's own kernel call),
-so a plan step is bit-identical to ``model.forward_once``.  Weights are
-aliased, never copied: dense layers read ``weight.data`` at each step
-and CSR layers run on the frozen value buffers, which may be views into
-an mmap'd package.
+so a plan step is bit-identical to ``model.forward_once``.
+
+Weights are aliased, never copied: dense layers read ``weight.data`` at
+each step and CSR layers run on the frozen value buffers, which may be
+views into an mmap'd package.
+
+One step can advance many streams at once: :meth:`StreamPlan.stack`
+row-stacks their states, the step runs on ``(streams, width)`` arrays
+and :meth:`StreamPlan.split` hands each stream its rows back.  Every row
+is bit-equal to stepping that stream alone.  Neuron updates are
+elementwise, and SciPy's multi-column CSR kernel sums each column in the
+single-column kernel's order.  A stacked dense gemm is not bit-equal to
+per-row gemv calls, so the dense route runs a stack one row at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +55,14 @@ class _DenseLinear:
         self.bias = layer.bias
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.data.T
+        weight_t = self.weight.data.T
+        if len(x) == 1:
+            out = x @ weight_t
+        else:
+            # A gemm over the stack sums in another order than the lone
+            # event's call, so each row runs alone, on a fresh (1, k) copy.
+            out = np.concatenate([x[row:row + 1].copy() @ weight_t
+                                  for row in range(len(x))])
         if self.bias is not None:
             out = out + self.bias.data
         return out
@@ -75,12 +91,41 @@ class StreamPlan:
 
     ``ops`` pairs each step with a flag marking neurons; neurons run
     through their ``forward_arrays`` method against the per-stream state.
+    ``in_features`` is the width of the frames the plan takes.
     """
 
-    def __init__(self, ops: List[Tuple[object, bool]]) -> None:
+    def __init__(self, ops: List[Tuple[object, bool]], in_features: int) -> None:
         self._ops = ops
+        self.in_features = int(in_features)
         neurons = sum(is_neuron for _, is_neuron in ops)
         self._fresh = ((None, None),) * neurons
+
+    @staticmethod
+    def stack(states: List[Optional[Tuple]]) -> Optional[Tuple]:
+        """One state whose rows are ``states`` in order, for one step.
+
+        A fresh stream (``None``) gets zero rows.  A neuron steps from
+        ``v = 0, o_prev = 0`` exactly as from a reset, up to the sign of
+        a zero membrane, which no spike or readout can see.
+        """
+        carried = next((state for state in states if state is not None), None)
+        if carried is None:
+            return None
+        rows = states
+        if None in states:
+            zeros = tuple((np.zeros_like(v), np.zeros_like(o_prev)) for v, o_prev in carried)
+            rows = [zeros if state is None else state for state in states]
+        return tuple(
+            (np.concatenate([row[slot][0] for row in rows]),
+             np.concatenate([row[slot][1] for row in rows]))
+            for slot in range(len(carried))
+        )
+
+    @staticmethod
+    def split(state: Tuple, count: int) -> List[Tuple]:
+        """Per-stream states from a stepped stack of ``count`` rows."""
+        return [tuple((v[row:row + 1], o_prev[row:row + 1]) for v, o_prev in state)
+                for row in range(count)]
 
     def step(self, state: Optional[Tuple], frame: np.ndarray):
         """One timestep: ``(logits, next_state)``; ``state=None`` is a reset."""
@@ -180,4 +225,4 @@ def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
         previous = result
     if previous is not output:
         return None, "forward_once does not return the last leaf's output"
-    return StreamPlan(ops), ""
+    return StreamPlan(ops, probe.shape[1]), ""

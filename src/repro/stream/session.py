@@ -24,17 +24,25 @@ snapshot/restore round-trip is exact.
 Execution: a frozen session whose ``forward_once`` is a straight chain
 of ``Linear`` layers and LIF/IF neurons is compiled once, at
 construction, into a flat :class:`~repro.stream.plan.StreamPlan` that
-runs every event as plain numpy over per-stream state arrays, without
-touching the module tree.  Anything else (a thawed manager, other
-neuron or layer types) runs the module path: per-stream state is
-swapped into the shared model around every ``forward_once``.
-``session.execution`` says which, and why.
+runs events as plain numpy over per-stream state arrays, without
+touching the module tree.  :meth:`StreamSession.process_many` takes at
+most one event per stream and runs them all as **one** plan step over
+the streams' stacked states, so a server shard with 16 busy streams
+walks the plan once and makes one CSR kernel call per layer, not 16;
+every row is bit-equal to stepping its stream alone.  Anything else (a
+thawed manager, other neuron or layer types) runs the module path:
+per-stream state is swapped into the shared model around every
+``forward_once``, one event at a time.  ``session.execution`` says
+which, and why.
 
-Fault tolerance: ``process`` is transactional — per-stream state only
-commits when the event fully processed, so a worker crash mid-event
-costs a retry, never corrupted state.  Stale streams (event-time gap
-beyond ``ttl``) are reset (or carried, per ``reset_policy``) instead of
-poisoning the readout with decayed membranes.
+Fault tolerance: processing is transactional — per-stream state only
+commits once every event of a ``process_many`` call has fully
+processed, so a worker crash mid-call costs a retry of the whole call,
+never corrupted state.  A malformed event (a width that does not fit
+its stream or the plan) is rejected on its own with a ``ValueError``
+before anything steps.  Stale streams (event-time gap beyond ``ttl``)
+are reset (or carried, per ``reset_policy``) instead of poisoning the
+readout with decayed membranes.
 """
 
 from __future__ import annotations
@@ -207,21 +215,82 @@ class StreamSession:
         """Advance one stream by one event; a result when a window closes.
 
         Transactional: on exception the stream's committed state is
-        unchanged, so the caller can safely retry the same event.
+        unchanged, so the caller can safely retry the same event.  A
+        malformed event raises its ``ValueError`` (see :meth:`process_many`).
         """
-        stored = self._states.get(event.stream_id)
-        if stored is None:
-            state = _StreamState(
-                self.encoder.init_state(event.stream_id), event.num_channels
-            )
-        else:
-            if event.num_channels != stored.num_channels:
-                raise ValueError(
-                    f"stream {event.stream_id!r} changed width: "
-                    f"{stored.num_channels} -> {event.num_channels}"
-                )
-            state = stored.clone(self.encoder)
+        output = self.process_many([event])[0]
+        if isinstance(output, ValueError):
+            raise output
+        return output
 
+    def process_many(self, events: List[StreamEvent]) -> List[object]:
+        """Advance each event's stream by that event: one output per event.
+
+        The events must belong to distinct streams.  An output is the
+        event's :class:`StreamResult`, ``None`` when no window closed, or
+        the ``ValueError`` rejecting a malformed event: one whose width
+        differs from its stream's recorded width or from the plan's
+        input width.  A rejected event leaves its stream untouched.
+
+        A plan session runs the accepted events as one plan step over
+        their stacked states; a module-path session steps them one at a
+        time.  Transactional: no stream commits until every step has
+        returned, so on exception every committed state is unchanged and
+        the caller can safely retry all the events.
+        """
+        if len({event.stream_id for event in events}) != len(events):
+            raise ValueError("process_many takes at most one event per stream")
+        outputs: List[object] = []
+        accepted, frames = [], []
+        for event in events:
+            try:
+                state = self._begin(event)
+            except ValueError as error:
+                outputs.append(error)
+                continue
+            accepted.append((len(outputs), event, state))
+            outputs.append(None)
+            frame = self.encoder.encode(event.channels, state.encoder_state)
+            frames.append(np.asarray(frame, dtype=np.float32)[None, :])
+        if self._plan is None or len(frames) <= 1:
+            steps = []
+            for (_, _, state), frame in zip(accepted, frames):
+                steps.append(self._step(state.net_state, frame))
+                self._after_step(frame)
+        else:
+            steps = self._step_stacked([state.net_state for _, _, state in accepted], frames)
+        for (slot, event, state), frame, (logits, net_state) in zip(accepted, frames, steps):
+            state.net_state = net_state
+            outputs[slot] = self._append(state, event, frame, logits)
+        for _, event, state in accepted:
+            self._states[event.stream_id] = state
+        for output in outputs:
+            if isinstance(output, StreamResult):
+                self._after_window(output)
+        return outputs
+
+    def _begin(self, event: StreamEvent) -> _StreamState:
+        """A working copy of the event's stream state, staleness applied.
+
+        Raises ``ValueError`` for an event whose width differs from its
+        stream's recorded width or from the plan's input width.
+        """
+        width = event.num_channels
+        stored = self._states.get(event.stream_id)
+        if stored is not None and width != stored.num_channels:
+            raise ValueError(
+                f"stream {event.stream_id!r} changed width: "
+                f"{stored.num_channels} -> {width}"
+            )
+        if self._plan is not None and width != self._plan.in_features:
+            raise ValueError(
+                f"stream {event.stream_id!r} sent {width} channels; "
+                f"the plan takes {self._plan.in_features}"
+            )
+        if stored is None:
+            state = _StreamState(self.encoder.init_state(event.stream_id), width)
+        else:
+            state = stored.clone(self.encoder)
         stale = (
             self.ttl is not None
             and state.last_event_time is not None
@@ -231,38 +300,44 @@ class StreamSession:
             state.stale_resets += 1
             if self.reset_policy == "reset":
                 state.reset_window()
+        return state
 
-        frame = self.encoder.encode(event.channels, state.encoder_state)
-        frame = np.asarray(frame, dtype=np.float32)[None, :]
-        logits, state.net_state = self._step(state.net_state, frame)
+    def _step_stacked(self, net_states: List, frames: List[np.ndarray]) -> List[Tuple]:
+        """One plan step over several streams: ``(logits, next_net_state)``
+        per frame, each bit-equal to stepping that stream alone."""
+        frame = np.concatenate(frames)
+        logits, net_state = self._step(self._plan.stack(net_states), frame)
         self._after_step(frame)
+        rows = [logits[row:row + 1] for row in range(len(frames))]
+        return list(zip(rows, self._plan.split(net_state, len(frames))))
+
+    def _append(
+        self, state: _StreamState, event: StreamEvent, frame: np.ndarray, logits: np.ndarray
+    ) -> Optional[StreamResult]:
+        """Add one stepped event to ``state``; a result when its window closes."""
         state.frames.append(frame)
         state.acc = logits.copy() if state.acc is None else state.acc + logits
         state.count += 1
         state.events += 1
         state.last_event_time = float(event.timestamp)
-
-        result: Optional[StreamResult] = None
-        if state.count == self.window:
-            result = StreamResult(
-                stream_id=event.stream_id,
-                timestamp=float(event.timestamp),
-                logits=(state.acc * np.float32(1.0 / self.window))[0],
-                window_index=state.windows,
-                events_in_window=self.window,
-                frames=tuple(state.frames),
-            )
-            state.windows += 1
-            self._advance(state)
-
-        self._states[event.stream_id] = state
-        if result is not None:
-            self._after_window(result)
+        if state.count < self.window:
+            return None
+        result = StreamResult(
+            stream_id=event.stream_id,
+            timestamp=float(event.timestamp),
+            logits=(state.acc * np.float32(1.0 / self.window))[0],
+            window_index=state.windows,
+            events_in_window=self.window,
+            frames=tuple(state.frames),
+        )
+        state.windows += 1
+        self._advance(state)
         return result
 
     def _after_step(self, frame: np.ndarray) -> None:
-        """Hook: the event's step just ran (on the module path the model's
-        neuron state is still live for it)."""
+        """Hook: a step over ``frame`` just ran (one event's row on the
+        module path, where the model's neuron state is still live for it;
+        a plan step's rows may stack several streams)."""
 
     def _after_window(self, result: StreamResult) -> None:
         """Hook: a window readout was just committed."""

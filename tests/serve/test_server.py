@@ -79,6 +79,39 @@ class TestMicroBatcher:
         assert again is request
         assert again.attempts == 2
 
+    def test_keyed_take_hands_out_each_keys_oldest(self):
+        batcher = MicroBatcher(max_batch=3, max_latency_s=0.0, key=lambda p: p[0])
+        for payload in ("a1", "a2", "b1", "a3", "c1", "b2", "d1"):
+            batcher.submit(payload)
+        first = batcher.next_batch()
+        assert [r.payload for r in first] == ["a1", "b1", "c1"]
+        assert all(r.attempts == 1 for r in first)
+        # Skipped requests kept their queue order and were not dispatched.
+        assert [r.payload for r in batcher._pending] == ["a2", "a3", "b2", "d1"]
+        assert all(r.attempts == 0 for r in batcher._pending)
+        # A requeued batch leads again, so every key's order is restored.
+        batcher.requeue(first)
+        again = batcher.next_batch()
+        assert [r.payload for r in again] == ["a1", "b1", "c1"]
+        assert all(r.attempts == 2 for r in again)
+        assert [r.payload for r in batcher.next_batch()] == ["a2", "b2", "d1"]
+        assert [r.payload for r in batcher.next_batch()] == ["a3"]
+
+    def test_keyed_take_scans_a_bounded_prefix(self):
+        batcher = MicroBatcher(max_batch=2, max_latency_s=0.0, key=lambda p: p[0])
+        for payload in ("a1", "a2", "a3", "a4", "b1"):
+            batcher.submit(payload)
+        # b1 lies beyond the KEYED_SCAN * max_batch = 4 requests scanned.
+        assert [r.payload for r in batcher.next_batch()] == ["a1"]
+        assert [r.payload for r in batcher.next_batch()] == ["a2", "b1"]
+
+    def test_unkeyed_batches_are_plain_queue_order(self):
+        batcher = MicroBatcher(max_batch=3, max_latency_s=0.0)
+        for payload in ("a1", "a2", "b1", "a3"):
+            batcher.submit(payload)
+        assert [r.payload for r in batcher.next_batch()] == ["a1", "a2", "b1"]
+        assert [r.payload for r in batcher.next_batch()] == ["a3"]
+
     def test_close_drains_then_returns_none(self):
         batcher = MicroBatcher(max_batch=8, max_latency_s=60.0)
         batcher.submit("queued")

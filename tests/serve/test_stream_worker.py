@@ -5,9 +5,12 @@ The contracts mirror the batch server's, adapted to state:
 * sharding changes *nothing*: a served feed yields per-stream readouts
   bit-identical to one session consuming the feed alone;
 * a crashed worker costs a retry, never per-stream membrane state —
-  sessions are server-owned and ``process`` is transactional.
+  sessions are server-owned and ``process_many`` is transactional, so a
+  crash mid-tick retries every stream in the tick;
+* a malformed event fails alone, without killing its worker.
 """
 
+import sys
 import threading
 import time
 
@@ -19,17 +22,17 @@ from repro.data.telemetry import make_telemetry_stream
 from repro.serve import InferenceServer, StreamServer
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
-from repro.stream import StreamSession
+from repro.stream import StreamEvent, StreamSession
 
 CHANNELS = 6
 
 
-def make_session(seed=0, window=4, encoder="rate"):
+def make_session(seed=0, window=4, encoder="rate", execution="csr"):
     model = SpikingMLP(CHANNELS, 3, hidden=(10,), timesteps=window,
                        rng=np.random.default_rng(seed))
     manager = SparsityManager(model, rng=np.random.default_rng(seed + 1))
     manager.init_random({name: 0.5 for name in manager.states})
-    manager.set_execution("csr")
+    manager.set_execution(execution)
     manager.freeze()
     return StreamSession(model, window=window, encoder=encoder, manager=manager)
 
@@ -48,10 +51,12 @@ def by_stream(results):
 
 
 class _FlakyStreamFactory:
-    """Sessions whose first ``crashes`` events raise mid-process."""
+    """Sessions whose first ``crashes`` steps of at least ``min_rows``
+    stacked events raise mid-process."""
 
-    def __init__(self, crashes=1, **session_kwargs):
+    def __init__(self, crashes=1, min_rows=1, **session_kwargs):
         self.remaining = crashes
+        self.min_rows = min_rows
         self.session_kwargs = session_kwargs
         self.lock = threading.Lock()
 
@@ -69,7 +74,7 @@ class _FlakyStreamFactory:
                 # frame encoded) — exactly the mid-event worker death the
                 # transactional contract is about.
                 with outer.lock:
-                    if outer.remaining > 0:
+                    if outer.remaining > 0 and len(frame) >= outer.min_rows:
                         outer.remaining -= 1
                         raise RuntimeError("injected stream worker crash")
                 return super()._step(net_state, frame)
@@ -119,6 +124,23 @@ class TestServedBitIdentity:
         assert {r.stream_id for r in flushed} == {"device-00", "device-01"}
         assert all(r.partial for r in flushed)
 
+    def test_a_busy_shard_steps_streams_together(self):
+        feed = make_feed(streams=8, events=4)
+        reference = make_session()
+        solo = [r for e in feed if (r := reference.process(e)) is not None]
+        server = StreamServer(make_session, workers=1)
+        futures = [server.submit(event) for event in feed]  # queued before start
+        with server:
+            served = [r for f in futures if (r := f.result(timeout=30.0)) is not None]
+            stats = server.stats()
+        assert stats["largest_tick"] > 1
+        assert stats["ticks"] < len(feed)
+        assert stats["completed"] == len(feed)
+        assert set(by_stream(served)) == set(by_stream(solo))
+        for stream_id, logits in by_stream(served).items():
+            assert all(np.array_equal(want, got)
+                       for want, got in zip(by_stream(solo)[stream_id], logits))
+
     def test_stats_report_each_shards_execution(self):
         with StreamServer(make_session, workers=2) as server:
             assert server.stats()["execution"] == ["plan", "plan"]
@@ -154,6 +176,86 @@ class TestRestartWithoutLoss:
         assert stats["restarts"] >= 2
         assert stats["failed"] == 0
         assert stats["completed"] == len(feed)
+
+    def test_crash_mid_tick_retries_every_stream_in_it(self):
+        feed = make_feed(streams=4, events=8)
+        reference = make_session()
+        solo = by_stream(
+            [r for e in feed if (r := reference.process(e)) is not None]
+        )
+        factory = _FlakyStreamFactory(crashes=2, min_rows=2)
+        server = StreamServer(factory, workers=1, supervise_interval_s=0.002)
+        futures = [server.submit(event) for event in feed]  # queued before start
+        with server:
+            served = by_stream([r for f in futures if (r := f.result(timeout=30.0)) is not None])
+            stats = server.stats()
+        assert factory.remaining == 0  # both crashes hit a stacked tick
+        assert set(served) == set(solo)
+        for stream_id, logits in served.items():
+            assert len(logits) == len(solo[stream_id])
+            for want, got in zip(solo[stream_id], logits):
+                assert np.array_equal(want, got)
+        assert stats["restarts"] >= 2
+        assert stats["failed"] == 0
+        assert stats["completed"] == len(feed)
+
+    @pytest.mark.parametrize("execution", ["dense", "csr"])
+    def test_malformed_events_fail_alone(self, execution):
+        # Three wrong-width events, one on a stream never seen before:
+        # each fails its own future and no worker dies, so the healthy
+        # feed is served in full and bit-identically.
+        feed = make_feed(streams=3, events=8)
+        bad = [StreamEvent(feed[index].stream_id, feed[index].timestamp,
+                           np.ones(CHANNELS - 1, np.float32)) for index in (4, 9)]
+        bad.append(StreamEvent("device-99", 0.0, np.ones(CHANNELS + 2, np.float32)))
+        mixed = feed[:5] + bad[:1] + feed[5:10] + bad[1:] + feed[10:]
+        reference = make_session(execution=execution)
+        solo = by_stream(
+            [r for e in feed if (r := reference.process(e)) is not None]
+        )
+        with StreamServer(lambda: make_session(execution=execution), workers=2) as server:
+            futures = {id(event): server.submit(event) for event in mixed}
+            for event in bad:
+                with pytest.raises(ValueError, match="width|channels"):
+                    futures[id(event)].result(timeout=30.0)
+            served = by_stream([r for e in feed
+                                if (r := futures[id(e)].result(timeout=30.0)) is not None])
+            stats = server.stats()
+        assert set(served) == set(solo)
+        for stream_id, logits in served.items():
+            assert len(logits) == len(solo[stream_id])
+            for want, got in zip(solo[stream_id], logits):
+                assert np.array_equal(want, got)
+        assert stats["restarts"] == 0
+        assert stats["failed"] == len(bad)
+        assert stats["completed"] == len(feed)
+        assert "device-99" not in stats["streams"]
+
+    def test_counters_hold_with_rejected_events_under_contention(self):
+        # More shards than cores and a tiny switch interval: a counter
+        # update lost between workers breaks the sums below.
+        feed = make_feed(streams=16, events=8)
+        events = [
+            StreamEvent(event.stream_id, event.timestamp, np.ones(CHANNELS - 1, np.float32))
+            if index % 5 == 0 else event
+            for index, event in enumerate(feed)
+        ]
+        rejected = sum(index % 5 == 0 for index in range(len(feed)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StreamServer(make_session, workers=8) as server:
+                futures = [server.submit(event) for event in events]
+                for future in futures:
+                    future.exception(timeout=30.0)
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["submitted"] == len(events)
+        assert stats["failed"] == rejected
+        assert stats["completed"] == len(events) - rejected
+        assert sum(isinstance(f.exception(), ValueError) for f in futures) == rejected
+        assert stats["restarts"] == 0
 
     def test_exhausted_retry_budget_fails_the_future(self):
         with StreamServer(

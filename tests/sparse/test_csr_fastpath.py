@@ -152,6 +152,16 @@ class TestCSRPatternKernels:
         assert got.tobytes() == want.tobytes()
         assert np.all(got[[2, 9]] == 0.0)
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_kernel_matmul_rejects_a_wrong_width_operand(self, columns):
+        # The compiled kernel has no bounds check: a short operand would
+        # be read past its end and return garbage instead of failing.
+        pattern = CSRPattern.from_mask(random_mask((16, 24), 0.8, seed=13))
+        values = pattern.gather(np.ones((16, 24), dtype=np.float32))
+        short = np.ones((5, columns), dtype=np.float32)
+        with pytest.raises(ValueError, match=rf"\(16, 24\) @ operand \(5, {columns}\)"):
+            pattern.kernel_matmul(values, short)
+
 
 class TestMaskedLinearCSR:
     @pytest.mark.parametrize("sparsity", SPARSITIES)

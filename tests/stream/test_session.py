@@ -216,6 +216,31 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="changed width"):
             session.process(StreamEvent("dev", 1.0, np.zeros(CHANNELS + 1, np.float32)))
 
+    @pytest.mark.parametrize("execution", ["dense", "csr"])
+    def test_wrong_width_events_are_rejected_alone(self, execution):
+        # Both plan routes refuse a frame that does not fit the first
+        # layer before anything steps, so a bad event fails alone.
+        session = make_session(execution=execution)
+        assert session.execution == "plan"
+        good = make_feed(streams=2, events=1)
+        bad = [StreamEvent(f"short-{i}", 0.0, np.ones(CHANNELS - 1, np.float32))
+               for i in range(3)]
+        for event in bad:
+            with pytest.raises(ValueError, match="the plan takes 6"):
+                session.process(event)
+        outputs = session.process_many([bad[0], good[0], bad[1], good[1]])
+        assert [type(output) for output in outputs] == [ValueError, type(None)] * 2
+        # Rejected events leave no trace; accepted ones committed.
+        assert session.stream_ids == ["device-00", "device-01"]
+        assert all(per["events"] == 1 for per in session.stats().values())
+
+    def test_process_many_takes_one_event_per_stream(self):
+        session = make_session()
+        first, second = make_feed(streams=1, events=2)
+        with pytest.raises(ValueError, match="one event per stream"):
+            session.process_many([first, second])
+        assert session.stream_ids == []
+
     def test_validation(self):
         model = SpikingMLP(CHANNELS, 3, hidden=(10,), timesteps=4,
                            rng=np.random.default_rng(0))

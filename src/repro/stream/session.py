@@ -238,31 +238,36 @@ class StreamSession:
         returned, so on exception every committed state is unchanged and
         the caller can safely retry all the events.
         """
-        if len({event.stream_id for event in events}) != len(events):
+        if len(events) > 1 and len({event.stream_id for event in events}) < len(events):
             raise ValueError("process_many takes at most one event per stream")
         outputs: List[object] = []
-        accepted, frames = [], []
+        staged = []  # (output slot, event, working state, encoded frame)
         for event in events:
             try:
                 state = self._begin(event)
             except ValueError as error:
                 outputs.append(error)
                 continue
-            accepted.append((len(outputs), event, state))
-            outputs.append(None)
             frame = self.encoder.encode(event.channels, state.encoder_state)
-            frames.append(np.asarray(frame, dtype=np.float32)[None, :])
-        if self._plan is None or len(frames) <= 1:
-            steps = []
-            for (_, _, state), frame in zip(accepted, frames):
-                steps.append(self._step(state.net_state, frame))
-                self._after_step(frame)
+            staged.append((len(outputs), event, state, np.asarray(frame, dtype=np.float32)[None, :]))
+            outputs.append(None)
+        if self._plan is not None and len(staged) > 1:
+            # One plan step over the stacked streams; each row is
+            # bit-equal to stepping its stream alone.
+            frames = np.concatenate([frame for _, _, _, frame in staged])
+            logits, stacked = self._step(
+                self._plan.stack([state.net_state for _, _, state, _ in staged]), frames)
+            self._after_step(frames)
+            rows = self._plan.split(stacked, len(staged))
+            for row, (slot, event, state, frame) in enumerate(staged):
+                state.net_state = rows[row]
+                outputs[slot] = self._append(state, event, frame, logits[row:row + 1])
         else:
-            steps = self._step_stacked([state.net_state for _, _, state in accepted], frames)
-        for (slot, event, state), frame, (logits, net_state) in zip(accepted, frames, steps):
-            state.net_state = net_state
-            outputs[slot] = self._append(state, event, frame, logits)
-        for _, event, state in accepted:
+            for slot, event, state, frame in staged:
+                logits, state.net_state = self._step(state.net_state, frame)
+                self._after_step(frame)
+                outputs[slot] = self._append(state, event, frame, logits)
+        for _, event, state, _ in staged:
             self._states[event.stream_id] = state
         for output in outputs:
             if isinstance(output, StreamResult):
@@ -301,15 +306,6 @@ class StreamSession:
             if self.reset_policy == "reset":
                 state.reset_window()
         return state
-
-    def _step_stacked(self, net_states: List, frames: List[np.ndarray]) -> List[Tuple]:
-        """One plan step over several streams: ``(logits, next_net_state)``
-        per frame, each bit-equal to stepping that stream alone."""
-        frame = np.concatenate(frames)
-        logits, net_state = self._step(self._plan.stack(net_states), frame)
-        self._after_step(frame)
-        rows = [logits[row:row + 1] for row in range(len(frames))]
-        return list(zip(rows, self._plan.split(net_state, len(frames))))
 
     def _append(
         self, state: _StreamState, event: StreamEvent, frame: np.ndarray, logits: np.ndarray

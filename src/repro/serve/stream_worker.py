@@ -13,13 +13,19 @@ per-stream neuron state must survive worker crashes, so:
   :meth:`~repro.stream.session.StreamSession.process_many`, which runs
   them as one plan step over the streams' stacked states.  Per-stream
   order is FIFO; events of different streams may overtake each other.
+  Only a plan session gains from a tick.  A shard whose session runs
+  the module path, or whose ``process`` was replaced (a wrapper set on
+  the instance, a subclass override), takes one event per tick, strict
+  FIFO, and serves it through ``session.process``, so a replaced
+  ``process`` sees every event.
 * **Server-owned sessions**: each shard's
   :class:`~repro.stream.session.StreamSession` belongs to the server,
   not the worker thread.  ``process_many`` is transactional, so when a
   worker dies mid-tick the committed per-stream state is intact; the
   pool restarts the thread, the whole tick retries from the queue
   front, and no membrane state or readout is lost.  A malformed event
-  fails only its own future, with a ``ValueError``; the worker lives on.
+  fails only its own future, with a
+  :class:`~repro.stream.session.RejectedEvent`; the worker lives on.
 """
 
 from __future__ import annotations
@@ -30,12 +36,26 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..stream.events import StreamEvent
-from ..stream.session import StreamResult, StreamSession
+from ..stream.session import RejectedEvent, StreamResult, StreamSession
 from .batcher import MicroBatcher
 from .pool import SupervisedPool
 
 #: Events a shard steps at once: at most one per stream.
 TICK_WIDTH = 16
+
+
+def _steps_ticks(session: StreamSession) -> bool:
+    """A plan session whose ``process`` is the class's own."""
+    own = getattr(session.process, "__func__", None) is StreamSession.process
+    return own and session.execution == "plan"
+
+
+def _process_one(session: StreamSession, event: StreamEvent):
+    """``session.process(event)``, a rejection returned instead of raised."""
+    try:
+        return session.process(event)
+    except RejectedEvent as error:
+        return error
 
 
 class StreamServer(SupervisedPool):
@@ -82,10 +102,16 @@ class StreamServer(SupervisedPool):
         # instead of inside a worker.
         if not self._sessions:
             self._sessions = [self._session_factory() for _ in self.shards]
+            for shard, session in zip(self.shards, self._sessions):
+                if not _steps_ticks(session):
+                    shard.max_batch = 1
         return super().start()
 
     def _handler(self, shard_index: int):
-        return self._sessions[shard_index].process_many
+        session = self._sessions[shard_index]
+        if self.shards[shard_index].max_batch > 1:
+            return session.process_many
+        return lambda events: [_process_one(session, event) for event in events]
 
     def shard_of(self, stream_id: str) -> int:
         """Stable shard index for a stream (process-independent)."""

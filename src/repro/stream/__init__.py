@@ -10,7 +10,7 @@ from .encoders import (
 from .adapt import AdaptiveStreamSession, OnlineAdaptation
 from .events import EventStream, ListSource, StreamEvent, StreamSource
 from .faults import StreamFaultInjector
-from .session import StreamResult, StreamSession
+from .session import RejectedEvent, StreamResult, StreamSession
 
 __all__ = [
     "StreamEvent",
@@ -24,6 +24,7 @@ __all__ = [
     "build_online_encoder",
     "StreamSession",
     "StreamResult",
+    "RejectedEvent",
     "AdaptiveStreamSession",
     "OnlineAdaptation",
     "StreamFaultInjector",

@@ -123,8 +123,13 @@ class StreamPlan:
 
     @staticmethod
     def split(state: Tuple, count: int) -> List[Tuple]:
-        """Per-stream states from a stepped stack of ``count`` rows."""
-        return [tuple((v[row:row + 1], o_prev[row:row + 1]) for v, o_prev in state)
+        """Per-stream states from a stepped stack of ``count`` rows.
+
+        Each row is copied out, so a stream's committed state never keeps
+        the rest of its tick's stack alive.
+        """
+        return [tuple((v[row:row + 1].copy(), o_prev[row:row + 1].copy())
+                      for v, o_prev in state)
                 for row in range(count)]
 
     def step(self, state: Optional[Tuple], frame: np.ndarray):

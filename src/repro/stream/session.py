@@ -39,10 +39,11 @@ Fault tolerance: processing is transactional — per-stream state only
 commits once every event of a ``process_many`` call has fully
 processed, so a worker crash mid-call costs a retry of the whole call,
 never corrupted state.  A malformed event (a width that does not fit
-its stream or the plan) is rejected on its own with a ``ValueError``
-before anything steps.  Stale streams (event-time gap beyond ``ttl``)
-are reset (or carried, per ``reset_policy``) instead of poisoning the
-readout with decayed membranes.
+its stream or the plan) is rejected on its own with a
+:class:`RejectedEvent` (a ``ValueError``) before anything steps.  Stale
+streams (event-time gap beyond ``ttl``) are reset (or carried, per
+``reset_policy``) instead of poisoning the readout with decayed
+membranes.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ class StreamResult:
     @property
     def prediction(self) -> int:
         return int(np.argmax(self.logits))
+
+
+class RejectedEvent(ValueError):
+    """A malformed event, refused before anything stepped: its width
+    differs from its stream's recorded width or from the plan's."""
 
 
 class _StreamState:
@@ -216,10 +222,11 @@ class StreamSession:
 
         Transactional: on exception the stream's committed state is
         unchanged, so the caller can safely retry the same event.  A
-        malformed event raises its ``ValueError`` (see :meth:`process_many`).
+        malformed event raises its :class:`RejectedEvent` (see
+        :meth:`process_many`).
         """
         output = self.process_many([event])[0]
-        if isinstance(output, ValueError):
+        if isinstance(output, RejectedEvent):
             raise output
         return output
 
@@ -228,8 +235,8 @@ class StreamSession:
 
         The events must belong to distinct streams.  An output is the
         event's :class:`StreamResult`, ``None`` when no window closed, or
-        the ``ValueError`` rejecting a malformed event: one whose width
-        differs from its stream's recorded width or from the plan's
+        the :class:`RejectedEvent` refusing a malformed event: one whose
+        width differs from its stream's recorded width or from the plan's
         input width.  A rejected event leaves its stream untouched.
 
         A plan session runs the accepted events as one plan step over
@@ -245,7 +252,7 @@ class StreamSession:
         for event in events:
             try:
                 state = self._begin(event)
-            except ValueError as error:
+            except RejectedEvent as error:
                 outputs.append(error)
                 continue
             frame = self.encoder.encode(event.channels, state.encoder_state)
@@ -277,18 +284,18 @@ class StreamSession:
     def _begin(self, event: StreamEvent) -> _StreamState:
         """A working copy of the event's stream state, staleness applied.
 
-        Raises ``ValueError`` for an event whose width differs from its
-        stream's recorded width or from the plan's input width.
+        Raises :class:`RejectedEvent` for an event whose width differs
+        from its stream's recorded width or from the plan's input width.
         """
         width = event.num_channels
         stored = self._states.get(event.stream_id)
         if stored is not None and width != stored.num_channels:
-            raise ValueError(
+            raise RejectedEvent(
                 f"stream {event.stream_id!r} changed width: "
                 f"{stored.num_channels} -> {width}"
             )
         if self._plan is not None and width != self._plan.in_features:
-            raise ValueError(
+            raise RejectedEvent(
                 f"stream {event.stream_id!r} sent {width} channels; "
                 f"the plan takes {self._plan.in_features}"
             )

@@ -22,7 +22,7 @@ from repro.data.telemetry import make_telemetry_stream
 from repro.serve import InferenceServer, StreamServer
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
-from repro.stream import StreamEvent, StreamSession
+from repro.stream import AdaptiveStreamSession, StreamEvent, StreamSession
 
 CHANNELS = 6
 
@@ -35,6 +35,14 @@ def make_session(seed=0, window=4, encoder="rate", execution="csr"):
     manager.set_execution(execution)
     manager.freeze()
     return StreamSession(model, window=window, encoder=encoder, manager=manager)
+
+
+def make_adaptive_session(seed=0, window=4):
+    model = SpikingMLP(CHANNELS, 3, hidden=(10,), timesteps=window,
+                       rng=np.random.default_rng(seed))
+    manager = SparsityManager(model, rng=np.random.default_rng(seed + 1))
+    manager.init_random({name: 0.5 for name in manager.states})
+    return AdaptiveStreamSession(model, manager, adapt_every=1, window=window, encoder="rate")
 
 
 def make_feed(streams=3, events=8, seed=0):
@@ -140,6 +148,69 @@ class TestServedBitIdentity:
         for stream_id, logits in by_stream(served).items():
             assert all(np.array_equal(want, got)
                        for want, got in zip(by_stream(solo)[stream_id], logits))
+
+    def test_module_path_shards_step_one_event_at_a_time(self):
+        # An adaptive session rewires its masks as windows close, so its
+        # results depend on event order: a shard must keep strict FIFO.
+        # A wrong-width first event of a new stream has no plan width to
+        # be checked against; it fails inside the model, retries like a
+        # crash and fails alone.
+        feed = make_feed(streams=4, events=8)
+        bad = StreamEvent("device-99", 0.0, np.ones(CHANNELS + 2, np.float32))
+        mixed = feed[:9] + [bad] + feed[9:]
+        reference = make_adaptive_session()
+        solo = [r for e in feed if (r := reference.process(e)) is not None]
+        server = StreamServer(make_adaptive_session, workers=1, supervise_interval_s=0.002)
+        futures = [server.submit(event) for event in mixed]  # queued before start
+        with server:
+            with pytest.raises(ValueError):
+                futures[9].result(timeout=30.0)
+            served = [r for f in futures[:9] + futures[10:]
+                      if (r := f.result(timeout=30.0)) is not None]
+            stats = server.stats()
+            rounds = server._sessions[0].adaptation_rounds
+        assert [r.stream_id for r in served] == [r.stream_id for r in solo]
+        assert all(np.array_equal(want.logits, got.logits) for want, got in zip(solo, served))
+        assert rounds == reference.adaptation_rounds
+        assert stats["largest_tick"] == 1
+        assert stats["failed"] == 1
+        assert stats["completed"] == len(feed)
+
+    def test_a_replaced_process_sees_every_event(self):
+        # A wrapper set on the session instance (a profiler's, say) is
+        # served one event per tick; a rejection still fails alone.
+        seen = []
+
+        def wrapped_session():
+            session = make_session()
+            process = session.process
+
+            def traced(event):
+                seen.append(event)
+                return process(event)
+
+            session.process = traced
+            return session
+
+        feed = make_feed(streams=8, events=4)
+        bad = StreamEvent(feed[9].stream_id, feed[9].timestamp,
+                          np.ones(CHANNELS - 1, np.float32))
+        reference = make_session()
+        solo = [r for e in feed if (r := reference.process(e)) is not None]
+        server = StreamServer(wrapped_session, workers=1)
+        futures = [server.submit(event) for event in feed[:10] + [bad] + feed[10:]]
+        with server:
+            with pytest.raises(ValueError, match="width"):
+                futures[10].result(timeout=30.0)
+            served = [r for f in futures[:10] + futures[11:]
+                      if (r := f.result(timeout=30.0)) is not None]
+            stats = server.stats()
+        assert len(seen) == len(feed) + 1
+        assert [r.stream_id for r in served] == [r.stream_id for r in solo]
+        assert all(np.array_equal(want.logits, got.logits) for want, got in zip(solo, served))
+        assert stats["largest_tick"] == 1
+        assert stats["restarts"] == 0
+        assert stats["failed"] == 1
 
     def test_stats_report_each_shards_execution(self):
         with StreamServer(make_session, workers=2) as server:

@@ -15,6 +15,7 @@ from repro.sparse import SparsityManager
 from repro.stream import (
     AdaptiveStreamSession,
     ListSource,
+    RejectedEvent,
     StreamEvent,
     StreamSession,
 )
@@ -226,10 +227,10 @@ class TestLifecycle:
         bad = [StreamEvent(f"short-{i}", 0.0, np.ones(CHANNELS - 1, np.float32))
                for i in range(3)]
         for event in bad:
-            with pytest.raises(ValueError, match="the plan takes 6"):
+            with pytest.raises(RejectedEvent, match="the plan takes 6"):
                 session.process(event)
         outputs = session.process_many([bad[0], good[0], bad[1], good[1]])
-        assert [type(output) for output in outputs] == [ValueError, type(None)] * 2
+        assert [type(output) for output in outputs] == [RejectedEvent, type(None)] * 2
         # Rejected events leave no trace; accepted ones committed.
         assert session.stream_ids == ["device-00", "device-01"]
         assert all(per["events"] == 1 for per in session.stats().values())

@@ -66,30 +66,27 @@ class SpikingModel(Module):
         raise NotImplementedError
 
     def forward(self, x: Tensor) -> Tensor:
-        reset_net(self)
-        accumulated: Optional[Tensor] = None
-        for frame in self.encoder(x):
-            logits = self.forward_once(frame)
-            accumulated = logits if accumulated is None else accumulated + logits
-        return accumulated * (1.0 / self.timesteps)
+        return self.forward_window(self.encoder(x))
 
     def forward_window(self, frames) -> Tensor:
-        """Offline reference pass over pre-encoded ``frames``.
+        """The temporal loop: reset, then average ``forward_once`` over ``frames``.
 
-        Identical op order to :meth:`forward` but driven by an explicit
-        frame sequence instead of the encoder, so the streaming layer
-        can prove its incremental execution bit-identical to a batch
-        pass over the same window.
+        :meth:`forward` drives it with the encoder; the streaming layer
+        drives it with an explicit frame sequence to prove its
+        incremental execution bit-identical to a batch pass over the
+        same window.  ``frames`` is consumed lazily, so a stochastic
+        encoder's draws interleave with the timesteps.
         """
-        frames = list(frames)
-        if not frames:
-            raise ValueError("forward_window requires at least one frame")
         reset_net(self)
         accumulated: Optional[Tensor] = None
+        count = 0
         for frame in frames:
             logits = self.forward_once(frame)
             accumulated = logits if accumulated is None else accumulated + logits
-        return accumulated * (1.0 / len(frames))
+            count += 1
+        if not count:
+            raise ValueError("forward_window requires at least one frame")
+        return accumulated * (1.0 / count)
 
 
 def flattened_spatial(image_size: int, num_halvings: int) -> int:

@@ -193,31 +193,16 @@ class MaskedParameter:
 
         Returns the flat indices that were dropped.
         """
-        self._require_thawed("a topology edit")
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        mask_flat = self.mask.reshape(-1)
-        weight_flat = self.parameter.data.reshape(-1)
-        active = np.flatnonzero(mask_flat)
-        count = min(count, active.size)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        magnitudes = np.abs(weight_flat[active])
-        chosen = active[np.argpartition(magnitudes, count - 1)[:count]]
-        mask_flat[chosen] = 0.0
-        weight_flat[chosen] = 0.0
-        self.touch()
-        return chosen
+        return self.drop_by_score(count, self.parameter.data)
 
     def drop_by_score(self, count: int, scores: np.ndarray) -> np.ndarray:
         """Deactivate the ``count`` active positions with the lowest score.
 
-        ``scores`` is a dense array over the full weight tensor; the
-        streaming adaptation layer passes activity-weighted magnitudes
-        where training-time methods use raw magnitude (which
-        :meth:`drop_by_magnitude` keeps computing itself — this is the
-        generalized variant, not a replacement).  Returns the dropped
-        flat indices.
+        ``scores`` is a dense array over the full weight tensor, ranked
+        by magnitude at the active positions: the streaming adaptation
+        layer passes activity-weighted magnitudes, and
+        :meth:`drop_by_magnitude` passes the weights themselves.
+        Returns the dropped flat indices.
         """
         self._require_thawed("a topology edit")
         if count <= 0:

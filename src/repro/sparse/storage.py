@@ -11,7 +11,9 @@ A pattern caches the index structure of a *mask* (which only changes at
 drop-and-grow rounds) separately from the weight *values* (which change
 every optimizer step), and exposes the two products the training step
 needs — ``W @ X`` for the forward pass and ``W^T @ G`` for the input
-gradient — through SciPy's sparse kernels.  The same pattern serves
+gradient — each as one direct call into SciPy's compiled CSR/CSC
+kernels, the calls ``csr_matrix @`` and ``csr_matrix.T @`` make, with
+no SciPy matrix object in between.  The same pattern serves
 packed artifacts at their stored value precision: f16 or int8 values
 go straight to SciPy (which accumulates in float32), and int8 rows are
 rescaled by an optional per-row ``scales`` array after the product.
@@ -22,7 +24,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import sparse as _scipy_sparse
 from scipy.sparse import _sparsetools
 from scipy.sparse._sputils import upcast_char
 
@@ -45,10 +46,9 @@ class CSRPattern:
     dense weights, and with write-through maintenance (the optimizer
     step updates it directly, see
     :meth:`~repro.sparse.engine.MaskedParameter.write_through`) the
-    kernels run without any per-call re-gather.  The cached SciPy
-    ``csr_matrix`` and its transpose view share ``values`` as their data
-    buffer, so forward and input-gradient products both run at sparse
-    cost from a single refresh.
+    kernels run without any per-call re-gather.  Both products read
+    ``values`` (or whatever ``data`` they are handed) in place and never
+    write, copy or reallocate it.
 
     ``scales`` (``None`` unless set) is a per-row float32 multiplier
     applied to the product, ``W = diag(scales) @ Q``: packed int8
@@ -56,7 +56,7 @@ class CSRPattern:
     """
 
     __slots__ = ("shape", "orig_shape", "indices", "indptr", "flat_index", "nnz",
-                 "values", "scales", "frozen", "_sp", "_sp_t")
+                 "values", "scales", "frozen")
 
     def __init__(self, mask: np.ndarray) -> None:
         matrix = _as_matrix(np.asarray(mask))
@@ -75,8 +75,6 @@ class CSRPattern:
         self.values = np.empty(self.nnz, dtype=np.float32)
         self.scales: Optional[np.ndarray] = None
         self.frozen = False
-        self._sp = None
-        self._sp_t = None
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "CSRPattern":
@@ -124,8 +122,6 @@ class CSRPattern:
             self.values = np.empty(self.nnz, dtype=np.float32)
         self.scales = None
         self.frozen = False
-        self._sp = None
-        self._sp_t = None
         return self
 
     @property
@@ -160,9 +156,8 @@ class CSRPattern:
     def gather(self, weight: np.ndarray) -> np.ndarray:
         """Refresh ``values`` from the dense weights (CSR order).
 
-        The persistent buffer is returned; it doubles as the cached
-        SciPy matrix's data buffer, so no further copy happens when a
-        kernel runs.
+        The persistent buffer is returned; the kernels take it as their
+        ``data`` as it is, with no further copy.
         """
         if self.frozen:
             raise RuntimeError(
@@ -179,105 +174,64 @@ class CSRPattern:
                 rows * self.shape[1] + self.indices.astype(np.intp)
             ).astype(np.intp)
         flat = np.ascontiguousarray(weight).reshape(-1)
-        values = self._values_buffer(flat.dtype)
-        np.take(flat, self.flat_index, out=values)
-        return values
-
-    def _values_buffer(self, dtype) -> np.ndarray:
-        if self.values.dtype != dtype:
-            if self.frozen:
-                raise RuntimeError(
-                    "cannot reallocate a frozen CSRPattern's value buffer"
-                )
-            self.values = np.empty(self.nnz, dtype=dtype)
-            self._sp = None
-            self._sp_t = None
+        if self.values.dtype != flat.dtype:
+            self.values = np.empty(self.nnz, dtype=flat.dtype)
+        np.take(flat, self.flat_index, out=self.values)
         return self.values
-
-    @staticmethod
-    def _aliases(cached: np.ndarray, data: np.ndarray) -> bool:
-        """True when ``cached`` already is (a view of) ``data``.
-
-        SciPy wraps the data array it is constructed around in a view,
-        so an identity check alone misses the shared-buffer case — and
-        would both waste a copy per kernel call and fault on frozen
-        (read-only) value buffers.  The base chain is not reliable
-        either (views of ``np.memmap``-backed package buffers re-root
-        it), so fall back to comparing the raw data pointers.
-        """
-        if cached is data or cached.base is data:
-            return True
-        return (
-            cached.dtype == data.dtype
-            and cached.nbytes == data.nbytes
-            and cached.__array_interface__["data"][0]
-            == data.__array_interface__["data"][0]
-        )
-
-    def _scipy_matrix(self, dtype):
-        if self._sp is None or self._sp.data.dtype != dtype:
-            data = self._values_buffer(dtype)
-            self._sp = _scipy_sparse.csr_matrix(
-                (data, self.indices, self.indptr), shape=self.shape
-            )
-            # Transpose view shares the data buffer: one gather feeds
-            # both the forward and the transposed product.
-            self._sp_t = self._sp.T
-        return self._sp
 
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def _bound_matrix(self, data: np.ndarray):
-        sp = self._scipy_matrix(data.dtype)
-        if not self._aliases(sp.data, data):
-            sp.data[:] = data
-        return sp
+    def _product(self, kernel: str, data: np.ndarray, dense: np.ndarray,
+                 rows: int, cols: int) -> np.ndarray:
+        """One call into SciPy's compiled ``<kernel>_matvec(s)``.
+
+        These are the calls ``csr_matrix @`` (``kernel="csr"``) and its
+        ``.T @`` (``"csc"``: the same arrays, shape swapped) make for the
+        same operands, so the bits are SciPy's.
+        """
+        columns = dense.shape[1]
+        out = np.zeros((rows, columns), dtype=upcast_char(data.dtype.char, dense.dtype.char))
+        if columns == 1:
+            getattr(_sparsetools, kernel + "_matvec")(
+                rows, cols, self.indptr, self.indices, data, dense.ravel(), out.ravel())
+        else:
+            getattr(_sparsetools, kernel + "_matvecs")(
+                rows, cols, columns, self.indptr, self.indices, data,
+                dense.ravel(), out.ravel())
+        return out
+
+    def _check_operands(self, data: np.ndarray, dense: np.ndarray, length: int) -> None:
+        # The compiled kernels do no bounds check: a short value buffer or
+        # operand would be read past its end instead of failing.
+        if data.size != self.nnz:
+            raise ValueError(
+                f"values buffer has {data.size} entries, pattern has {self.nnz} non-zeros"
+            )
+        if dense.ndim != 2 or dense.shape[0] != length:
+            raise ValueError(
+                f"dimension mismatch: CSR pattern {self.shape} @ operand {dense.shape}"
+            )
 
     def matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
         """``W @ dense`` where ``W`` is this pattern with ``data`` values.
 
         ``dense`` has shape ``(cols, m)``; returns ``(rows, m)``.
         """
-        out = np.asarray(self._bound_matrix(data) @ dense)
-        if self.scales is not None:
-            out *= self.scales[:, None]
-        return out
-
-    def kernel_matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
-        """:meth:`matmul` straight through SciPy's compiled kernel.
-
-        Skips the ``csr_matrix`` binding and the ``@`` dispatch layer
-        but makes exactly the call SciPy makes for the same operands —
-        ``csr_matvec`` for one column, ``csr_matvecs`` for more — so the
-        result is bit-identical to :meth:`matmul`.  Frozen streaming
-        plans run their CSR layers through it.  SciPy's dimension check
-        is skipped with the binding, so the operand's row count is
-        checked here: the compiled kernel would read past its end.
-        """
         rows, cols = self.shape
-        if dense.ndim != 2 or dense.shape[0] != cols:
-            raise ValueError(
-                f"dimension mismatch: CSR pattern {self.shape} @ operand {dense.shape}"
-            )
-        columns = dense.shape[1]
-        out = np.zeros((rows, columns), dtype=upcast_char(data.dtype.char, dense.dtype.char))
-        if columns == 1:
-            _sparsetools.csr_matvec(rows, cols, self.indptr, self.indices, data,
-                                    dense.ravel(), out.ravel())
-        else:
-            _sparsetools.csr_matvecs(rows, cols, columns, self.indptr, self.indices,
-                                     data, dense.ravel(), out.ravel())
+        self._check_operands(data, dense, cols)
+        out = self._product("csr", data, dense, rows, cols)
         if self.scales is not None:
             out *= self.scales[:, None]
         return out
 
     def t_matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
         """``W^T @ dense``; ``dense`` is ``(rows, m)``, returns ``(cols, m)``."""
-        self._bound_matrix(data)
+        rows, cols = self.shape
+        self._check_operands(data, dense, rows)
         if self.scales is not None:
             dense = self.scales[:, None] * dense
-        return np.asarray(self._sp_t @ dense)
+        return self._product("csc", data, dense, cols, rows)
 
 
 def model_csr_storage_bits(

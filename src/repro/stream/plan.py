@@ -13,8 +13,9 @@ plan order.  A step returns a new tuple and never writes the old one,
 so a session that drops a half-processed event keeps its committed
 state.  Every op repeats the module path's op order on the same operand
 layouts (the dense route multiplies by the same transposed weight view
-``Tensor.matmul`` uses; the CSR route makes SciPy's own kernel call),
-so a plan step is bit-identical to ``model.forward_once``.
+``Tensor.matmul`` uses; the CSR route makes the same
+``CSRPattern.matmul`` call ``masked_linear`` makes), so a plan step is
+bit-identical to ``model.forward_once``.
 
 Weights are aliased, never copied: dense layers read ``weight.data`` at
 each step and CSR layers run on the frozen value buffers, which may be
@@ -80,7 +81,7 @@ class _SparseLinear:
         self.bias = layer.bias
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = self.pattern.kernel_matmul(self.values, x.T).T
+        out = self.pattern.matmul(self.values, x.T).T
         if self.bias is not None:
             out = out + self.bias.data
         return out

@@ -41,20 +41,6 @@ def _use_csr(state) -> bool:
     return state.manager.use_csr(state)
 
 
-def _csr_values(state, pattern, weight) -> np.ndarray:
-    """Active weight values in CSR order.
-
-    Real :class:`~repro.sparse.engine.MaskedParameter` states keep a
-    write-through value cache refreshed by the optimizer step, so this
-    is a no-copy read on the training hot path.  Minimal states (tests,
-    external callers) without the cache fall back to a per-call gather.
-    """
-    values = getattr(state, "csr_values", None)
-    if values is not None:
-        return values()
-    return pattern.gather(weight)
-
-
 def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) -> Tensor:
     """``y = x W^T + b`` with density-based dense/CSR dispatch.
 
@@ -70,7 +56,7 @@ def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) ->
         return out
     DISPATCH_COUNTS["csr"] += 1
     pattern = state.csr_pattern()
-    data = _csr_values(state, pattern, weight.data)
+    data = state.csr_values()
     out_data = pattern.matmul(data, x.data.T).T
     if bias is not None:
         out_data = out_data + bias.data
@@ -128,7 +114,7 @@ def masked_conv2d(
     if _use_csr(state):
         DISPATCH_COUNTS["csr"] += 1
         pattern = state.csr_pattern()
-        data = _csr_values(state, pattern, weight.data)
+        data = state.csr_values()
         out_rows = pattern.matmul(data, cols_t).T
         input_grad = lambda grad_rows: pattern.t_matmul(data, grad_rows.T)
     else:

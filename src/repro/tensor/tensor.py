@@ -123,10 +123,6 @@ class Tensor:
         gen = rng if rng is not None else np.random.default_rng()
         return Tensor(gen.standard_normal(shape).astype(np.float32), requires_grad=requires_grad)
 
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.asarray(array, dtype=np.float32), requires_grad=requires_grad)
-
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------

@@ -8,6 +8,7 @@ serve) and the dense-vs-CSR dispatch shim in
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.nn.layers import Conv2d, Linear
 from repro.sparse import CSRPattern, SparsityManager
@@ -43,10 +44,15 @@ class FakeManager:
 
 
 class FakeState:
-    """MaskedParameter stand-in for direct kernel testing."""
+    """MaskedParameter stand-in for direct kernel testing.
 
-    def __init__(self, mask, csr=True):
+    ``csr_values`` gathers from ``weight`` on every call, so in-place
+    weight edits (finite-difference probes) reach the CSR route.
+    """
+
+    def __init__(self, mask, weight, csr=True):
         self.mask = mask
+        self.weight = weight
         self.manager = FakeManager(csr)
         self._pattern = None
 
@@ -55,6 +61,9 @@ class FakeState:
             self._pattern = CSRPattern.from_mask(self.mask)
         return self._pattern
 
+    def csr_values(self):
+        return self.csr_pattern().gather(self.weight.data)
+
 
 def masked_layer_pair(shape, sparsity, seed):
     """A masked weight tensor plus its CSR state."""
@@ -62,7 +71,7 @@ def masked_layer_pair(shape, sparsity, seed):
     mask = random_mask(shape, sparsity, seed=seed + 1)
     weight = Tensor((rng.standard_normal(shape) * 0.5).astype(np.float32) * mask,
                     requires_grad=True)
-    return weight, mask, FakeState(mask)
+    return weight, mask, FakeState(mask, weight)
 
 
 class TestCSRPatternKernels:
@@ -128,11 +137,13 @@ class TestCSRPatternKernels:
         np.testing.assert_allclose(out, weight @ x, rtol=1e-5, atol=1e-4)
         np.testing.assert_allclose(pattern.t_matmul(pattern.values, g),
                                    weight.T @ g, rtol=1e-5, atol=1e-4)
-        assert pattern._sp.data.dtype == dtype
+        # The stored buffer is served as it is: never copied or recast.
+        assert pattern.values is values
+        assert values.dtype == dtype
 
-    @pytest.mark.parametrize("columns", [1, 8])
+    @pytest.mark.parametrize("columns", [1, 8, 16])
     @pytest.mark.parametrize("precision", ["f32", "f16", "int8"])
-    def test_kernel_matmul_is_bit_identical_to_matmul(self, precision, columns):
+    def test_products_are_bit_identical_to_scipy(self, precision, columns):
         mask = random_mask((16, 24), 0.8, seed=13)
         mask[[2, 9]] = 0.0  # empty rows
         rng = np.random.default_rng(14)
@@ -143,24 +154,58 @@ class TestCSRPatternKernels:
         elif precision == "int8":
             values = rng.integers(-127, 128, pattern.nnz).astype(np.int8)
             pattern.scales = rng.uniform(0.01, 0.1, 16).astype(np.float32)
+        oracle = csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
         # Row-major activations seen through .T, as masked_linear passes them.
         x = rng.standard_normal((columns, 24)).astype(np.float32)
-        want = pattern.matmul(values, x.T)
-        got = pattern.kernel_matmul(values, x.T)
-        assert got.dtype == want.dtype == np.float32
-        assert got.shape == want.shape == (16, columns)
-        assert got.tobytes() == want.tobytes()
+        g = rng.standard_normal((columns, 16)).astype(np.float32)
+        if pattern.scales is None:
+            want, want_t = oracle @ x.T, oracle.T @ g.T
+        else:  # W = diag(scales) @ Q: rescale rows after, the operand before
+            scales = pattern.scales[:, None]
+            want, want_t = (oracle @ x.T) * scales, oracle.T @ (scales * g.T)
+        got = pattern.matmul(values, x.T)
+        got_t = pattern.t_matmul(values, g.T)
+        assert got.dtype == got_t.dtype == np.float32
+        assert got.shape == (16, columns) and got_t.shape == (24, columns)
+        assert got.tobytes() == np.asarray(want).tobytes()
+        assert got_t.tobytes() == np.asarray(want_t).tobytes()
         assert np.all(got[[2, 9]] == 0.0)
 
     @pytest.mark.parametrize("columns", [1, 3])
-    def test_kernel_matmul_rejects_a_wrong_width_operand(self, columns):
-        # The compiled kernel has no bounds check: a short operand would
-        # be read past its end and return garbage instead of failing.
+    @pytest.mark.parametrize("product", ["matmul", "t_matmul"])
+    def test_products_reject_a_wrong_length_operand(self, product, columns):
+        # The compiled kernels have no bounds check: a short operand
+        # would be read past its end and return garbage instead of failing.
         pattern = CSRPattern.from_mask(random_mask((16, 24), 0.8, seed=13))
         values = pattern.gather(np.ones((16, 24), dtype=np.float32))
-        short = np.ones((5, columns), dtype=np.float32)
-        with pytest.raises(ValueError, match=rf"\(16, 24\) @ operand \(5, {columns}\)"):
-            pattern.kernel_matmul(values, short)
+        # Checked before t_matmul's row scales could broadcast the operand.
+        pattern.scales = np.ones(16, dtype=np.float32)
+        short = np.ones((1 if columns == 1 else 5, columns), dtype=np.float32)
+        with pytest.raises(ValueError, match=rf"\(16, 24\) @ operand \({len(short)}, {columns}\)"):
+            getattr(pattern, product)(values, short)
+
+    @pytest.mark.parametrize("product", ["matmul", "t_matmul"])
+    def test_products_reject_a_short_value_buffer(self, product):
+        pattern = CSRPattern.from_mask(random_mask((16, 24), 0.8, seed=13))
+        short = np.ones(pattern.nnz - 1, dtype=np.float32)
+        operand = np.ones((24 if product == "matmul" else 16, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match=rf"{pattern.nnz - 1} entries, pattern has {pattern.nnz}"):
+            getattr(pattern, product)(short, operand)
+
+    @pytest.mark.parametrize("product", ["matmul", "t_matmul"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_products_never_touch_the_value_buffer(self, product, dtype):
+        mask = random_mask((16, 24), 0.8, seed=15)
+        rng = np.random.default_rng(16)
+        pattern = CSRPattern.from_mask(mask)
+        before = pattern.gather(rng.standard_normal(mask.shape).astype(np.float32))
+        saved = before.tobytes()
+        foreign = rng.standard_normal(pattern.nnz).astype(dtype)
+        operand = np.ones((24 if product == "matmul" else 16, 3), dtype=np.float32)
+        getattr(pattern, product)(foreign, operand)
+        assert pattern.values is before
+        assert pattern.values.dtype == np.float32
+        assert pattern.values.tobytes() == saved
 
 
 class TestMaskedLinearCSR:

@@ -2,10 +2,13 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def load_example(name):
@@ -24,3 +27,16 @@ def test_edge_deployment_fast(capsys):
     assert "Frozen serving package" in out
     assert "Batched server burst" in out
     assert "correctly refused" in out
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("name", ["toy_drop_and_grow", "quickstart"])
+def test_example_runs_standalone(name):
+    # A fresh interpreter, as `python examples/<name>.py` runs it: no
+    # state carried over from the test process but the environment.
+    result = subprocess.run(
+        [sys.executable, os.path.join(EXAMPLES_DIR, name + ".py")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+    )
+    assert result.returncode == 0, result.stderr

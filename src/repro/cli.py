@@ -54,6 +54,22 @@ from .utils import save_json
 METHOD_CHOICES = ("dense", "ndsnn", "set", "rigl", "lth", "admm", "gmp", "snip")
 
 
+def positive_int(value: str) -> int:
+    """argparse type: an integer >= 1."""
+    parsed = int(value)
+    if parsed < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
+    return parsed
+
+
+def fraction(value: str) -> float:
+    """argparse type: a sparsity in ``[0, 1)``."""
+    parsed = float(value)
+    if not 0.0 <= parsed < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return parsed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -66,17 +82,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ) -> None:
         parser.add_argument("--dataset", default="cifar10", choices=sorted(DATASET_SPECS))
         parser.add_argument("--model", default="vgg16", choices=sorted(MODEL_REGISTRY))
-        parser.add_argument("--sparsity", type=float, default=0.9)
-        parser.add_argument("--initial-sparsity", type=float, default=0.6)
+        parser.add_argument("--sparsity", type=fraction, default=0.9)
+        parser.add_argument("--initial-sparsity", type=fraction, default=0.6)
         parser.add_argument("--epochs", type=int, default=10)
-        parser.add_argument("--timesteps", type=int, default=2)
-        parser.add_argument("--batch-size", type=int, default=16)
+        parser.add_argument("--timesteps", type=positive_int, default=2)
+        parser.add_argument("--batch-size", type=positive_int, default=16)
         parser.add_argument("--lr", type=float, default=0.1)
         parser.add_argument("--width-mult", type=float, default=0.125)
-        parser.add_argument("--image-size", type=int, default=16)
+        parser.add_argument("--image-size", type=positive_int, default=16)
         parser.add_argument("--train-samples", type=int, default=224)
         parser.add_argument("--test-samples", type=int, default=64)
-        parser.add_argument("--update-frequency", type=int, default=8)
+        parser.add_argument("--update-frequency", type=positive_int, default=8)
         parser.add_argument("--seed", type=int, default=0)
         parser.add_argument(
             "--encoder", default="direct", choices=("direct", "poisson", "latency"),
@@ -225,12 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_queue_arguments(sweep, spool_required=False)
 
-    def positive_int(value: str) -> int:
-        parsed = int(value)
-        if parsed < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-        return parsed
-
     worker = commands.add_parser(
         "worker", help="drain jobs from a sweep spool until it is empty"
     )
@@ -266,22 +276,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--source", default="telemetry", choices=("telemetry",),
         help="event source (synthetic sensor telemetry)",
     )
-    stream.add_argument("--streams", type=int, default=4, help="simulated devices")
-    stream.add_argument("--channels", type=int, default=16, help="sensor channels per event")
+    stream.add_argument("--streams", type=positive_int, default=4, help="simulated devices")
+    stream.add_argument("--channels", type=positive_int, default=16, help="sensor channels per event")
     stream.add_argument("--events", type=int, default=256, help="events per device")
     stream.add_argument("--rate-hz", type=float, default=100.0, help="mean arrival rate")
-    stream.add_argument("--window", type=int, default=8, help="events per readout window")
+    stream.add_argument("--window", type=positive_int, default=8, help="events per readout window")
     stream.add_argument(
-        "--stride", type=int, default=None,
+        "--stride", type=positive_int, default=None,
         help="events between readouts (default: window, i.e. tumbling)",
     )
     stream.add_argument(
         "--encoder", default="direct", choices=("direct", "rate", "latency"),
         help="online encoder applied per event",
     )
-    stream.add_argument("--hidden", type=int, default=32, help="hidden layer width")
-    stream.add_argument("--classes", type=int, default=4, help="readout classes")
-    stream.add_argument("--sparsity", type=float, default=0.9, help="mask sparsity")
+    stream.add_argument("--hidden", type=positive_int, default=32, help="hidden layer width")
+    stream.add_argument("--classes", type=positive_int, default=4, help="readout classes")
+    stream.add_argument("--sparsity", type=fraction, default=0.9, help="mask sparsity")
     stream.add_argument(
         "--ttl", type=float, default=None,
         help="stale-state TTL in event-time seconds (default: no TTL)",
@@ -295,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="thaw the masks and run online drop/grow adaptation",
     )
     stream.add_argument(
-        "--adapt-every", type=int, default=4,
+        "--adapt-every", type=positive_int, default=4,
         help="windows between adaptation rounds (with --adapt)",
     )
     stream.add_argument(
@@ -314,10 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     memory = commands.add_parser("memory", help="Section III-D footprint of a model")
     memory.add_argument("--model", default="vgg16", choices=sorted(MODEL_REGISTRY))
-    memory.add_argument("--sparsity", type=float, default=0.9)
-    memory.add_argument("--timesteps", type=int, default=5)
+    memory.add_argument("--sparsity", type=fraction, default=0.9)
+    memory.add_argument("--timesteps", type=positive_int, default=5)
     memory.add_argument("--width-mult", type=float, default=1.0)
-    memory.add_argument("--image-size", type=int, default=32)
+    memory.add_argument("--image-size", type=positive_int, default=32)
     return parser
 
 
@@ -847,6 +857,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"--{flag.replace('_', '-')} must be at least the {classes} "
                     f"classes of {args.dataset}, got {getattr(args, flag)}"
                 )
+        # NDSNN ramps the sparsity from --initial-sparsity up to --sparsity.
+        methods = [args.method] if isinstance(args.method, str) else args.method or METHOD_CHOICES
+        if "ndsnn" in methods and args.initial_sparsity > args.sparsity:
+            parser.error(
+                f"--initial-sparsity {args.initial_sparsity} exceeds "
+                f"--sparsity {args.sparsity} (ndsnn ramps up to --sparsity)"
+            )
+    if args.command == "stream":
+        if args.stride is not None and args.stride > args.window:
+            parser.error(f"--stride {args.stride} exceeds --window {args.window}")
+        if not args.rate_hz > 0:
+            parser.error(f"--rate-hz must be > 0, got {args.rate_hz}")
     handlers = {
         "run": _command_run,
         "infer": _command_infer,

@@ -24,11 +24,11 @@ import numpy as np
 from ..nn import BatchNorm2d, Linear
 from ..nn.module import Module
 from ..tensor import Tensor
-from .neuron import BaseNeuron, spike_function
+from .neuron import BaseNeuron, LIFNeuron
 from .surrogate import SurrogateFunction
 
 
-class AdaptiveLIFNeuron(BaseNeuron):
+class AdaptiveLIFNeuron(LIFNeuron):
     """LIF with spike-triggered threshold adaptation (ALIF).
 
     The effective threshold is ``theta + beta * a[t]`` where the
@@ -38,6 +38,8 @@ class AdaptiveLIFNeuron(BaseNeuron):
 
     Neurons that fire often become harder to fire, providing longer
     memory and sparser activity — both useful on neuromorphic targets.
+    The trace lives on the module, outside the ``(v, o_prev)`` state
+    that :meth:`forward_arrays` takes, so stream plans do not run ALIF.
     """
 
     def __init__(
@@ -49,14 +51,11 @@ class AdaptiveLIFNeuron(BaseNeuron):
         surrogate: Optional[SurrogateFunction] = None,
         track_spikes: bool = True,
     ) -> None:
-        super().__init__(v_threshold=v_threshold, surrogate=surrogate, track_spikes=track_spikes)
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+        super().__init__(alpha, v_threshold, surrogate, track_spikes)
         if not 0.0 <= rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if beta < 0.0:
             raise ValueError("beta must be non-negative")
-        self.alpha = float(alpha)
         self.beta = float(beta)
         self.rho = float(rho)
         self.adaptation: Optional[np.ndarray] = None
@@ -77,24 +76,15 @@ class AdaptiveLIFNeuron(BaseNeuron):
         adaptation = state["adaptation"]
         self.adaptation = None if adaptation is None else adaptation.copy()
 
-    def forward(self, current: Tensor) -> Tensor:
+    def _threshold(self, shape):
         if self.adaptation is None:
-            self.adaptation = np.zeros(current.shape, dtype=np.float32)
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v * self.alpha + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        effective_threshold = self.v_threshold + self.beta * self.adaptation
-        spikes = spike_function(self.v - Tensor(effective_threshold), self.surrogate)
+            self.adaptation = np.zeros(shape, dtype=np.float32)
+        return self.v_threshold + self.beta * self.adaptation
+
+    def _fired(self, spikes: np.ndarray) -> None:
         # The adaptation trace is treated as a constant w.r.t. the tape
         # (standard ALIF practice: no gradient through the threshold).
-        self.adaptation = self.rho * self.adaptation + spikes.data
-        self.o_prev = spikes
-        self._record(spikes.data)
-        return spikes
+        self.adaptation = self.rho * self.adaptation + spikes
 
     def __repr__(self) -> str:
         return (
@@ -123,8 +113,6 @@ class RecurrentSpikingLayer(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        from .neuron import LIFNeuron  # avoid import cycle at module load
-
         self.input_proj = Linear(in_features, out_features, rng=rng)
         self.recurrent_proj = Linear(out_features, out_features, bias=False, rng=rng)
         self.neuron = neuron if neuron is not None else LIFNeuron()

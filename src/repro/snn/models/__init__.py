@@ -2,7 +2,7 @@
 
 from typing import Dict, Type
 
-from .base import SpikingModel, flattened_spatial, make_neuron, scaled_width
+from .base import SpikingModel, flattened_spatial, scaled_width
 from .lenet import SpikingLeNet5
 from .resnet import SpikingBasicBlock, SpikingResNet19
 from .small import SpikingConvNet, SpikingMLP
@@ -45,7 +45,6 @@ __all__ = [
     "SpikingConvNet",
     "MODEL_REGISTRY",
     "build_model",
-    "make_neuron",
     "scaled_width",
     "flattened_spatial",
 ]

@@ -15,32 +15,6 @@ from ...nn.module import Module
 from ...tensor import Tensor
 from ..encoding import DirectEncoder
 from ..functional import reset_net
-from ..neuron import BaseNeuron, IFNeuron, LIFNeuron, ParametricLIFNeuron
-from ..surrogate import get_surrogate
-
-
-def make_neuron(
-    alpha: float = 0.5,
-    v_threshold: float = 1.0,
-    surrogate: Optional[object] = None,
-    kind: str = "lif",
-) -> BaseNeuron:
-    """Construct a zoo neuron: ``lif`` (default), ``if``, ``plif`` or ``alif``."""
-    if isinstance(surrogate, str):
-        surrogate = get_surrogate(surrogate)
-    if kind == "lif":
-        return LIFNeuron(alpha=alpha, v_threshold=v_threshold, surrogate=surrogate)
-    if kind == "if":
-        return IFNeuron(v_threshold=v_threshold, surrogate=surrogate)
-    if kind == "plif":
-        return ParametricLIFNeuron(
-            init_alpha=alpha, v_threshold=v_threshold, surrogate=surrogate
-        )
-    if kind == "alif":
-        from ..extensions import AdaptiveLIFNeuron
-
-        return AdaptiveLIFNeuron(alpha=alpha, v_threshold=v_threshold, surrogate=surrogate)
-    raise ValueError(f"unknown neuron kind {kind!r} (lif, if, plif, alif)")
 
 
 def scaled_width(channels: int, width_mult: float, minimum: int = 4) -> int:

@@ -8,7 +8,8 @@ import numpy as np
 
 from ...nn import AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear
 from ...tensor import Tensor
-from .base import SpikingModel, make_neuron, scaled_width
+from ..neuron import build_neuron
+from .base import SpikingModel, scaled_width
 
 
 class SpikingLeNet5(SpikingModel):
@@ -35,7 +36,7 @@ class SpikingLeNet5(SpikingModel):
         c2 = scaled_width(16, width_mult)
         f1 = scaled_width(120, width_mult, minimum=8)
         f2 = scaled_width(84, width_mult, minimum=8)
-        neuron = lambda: make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind)  # noqa: E731
+        neuron = lambda: build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate)  # noqa: E731
 
         self.conv1 = Conv2d(in_channels, c1, 5, padding=2, bias=False, rng=rng)
         self.bn1 = BatchNorm2d(c1)

@@ -20,7 +20,8 @@ import numpy as np
 from ...nn import AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, Flatten, Identity, Linear, Sequential
 from ...nn.module import Module
 from ...tensor import Tensor
-from .base import SpikingModel, flattened_spatial, make_neuron, scaled_width
+from ..neuron import build_neuron
+from .base import SpikingModel, flattened_spatial, scaled_width
 
 
 class SpikingBasicBlock(Module):
@@ -40,7 +41,7 @@ class SpikingBasicBlock(Module):
         super().__init__()
         self.conv1 = Conv2d(in_channels, out_channels, 3, stride=stride, padding=1, bias=False, rng=rng)
         self.bn1 = BatchNorm2d(out_channels)
-        self.neuron1 = make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind)
+        self.neuron1 = build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate)
         self.conv2 = Conv2d(out_channels, out_channels, 3, stride=1, padding=1, bias=False, rng=rng)
         self.bn2 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
@@ -50,7 +51,7 @@ class SpikingBasicBlock(Module):
             )
         else:
             self.shortcut = Identity()
-        self.neuron2 = make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind)
+        self.neuron2 = build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate)
 
     def forward(self, x: Tensor) -> Tensor:
         out = self.neuron1(self.bn1(self.conv1(x)))
@@ -89,7 +90,7 @@ class SpikingResNet19(SpikingModel):
 
         self.conv1 = Conv2d(in_channels, widths[0], 3, stride=1, padding=1, bias=False, rng=rng)
         self.bn1 = BatchNorm2d(widths[0])
-        self.neuron1 = make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind)
+        self.neuron1 = build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate)
         self.layer1 = self._make_stage(widths[0], widths[0], blocks=3, stride=1, **neuron_kwargs)
         self.layer2 = self._make_stage(widths[0], widths[1], blocks=3, stride=2, **neuron_kwargs)
         self.layer3 = self._make_stage(widths[1], widths[2], blocks=2, stride=2, **neuron_kwargs)
@@ -101,7 +102,7 @@ class SpikingResNet19(SpikingModel):
         # Normalize the head's membrane input: spike counts shrink after
         # global pooling, and without BN the readout neuron goes silent.
         self.bn_fc = BatchNorm1d(hidden)
-        self.neuron_fc = make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind)
+        self.neuron_fc = build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate)
         self.fc2 = Linear(hidden, num_classes, rng=rng)
 
     @staticmethod

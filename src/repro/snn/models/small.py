@@ -8,7 +8,8 @@ import numpy as np
 
 from ...nn import AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, Sequential
 from ...tensor import Tensor
-from .base import SpikingModel, flattened_spatial, make_neuron
+from ..neuron import build_neuron
+from .base import SpikingModel, flattened_spatial
 
 
 class SpikingMLP(SpikingModel):
@@ -31,7 +32,7 @@ class SpikingMLP(SpikingModel):
         previous = in_features
         for width in hidden:
             layers.append(Linear(previous, width, rng=rng))
-            layers.append(make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind))
+            layers.append(build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate))
             previous = width
         self.body = Sequential(*layers)
         self.head = Linear(previous, num_classes, rng=rng)
@@ -70,7 +71,7 @@ class SpikingConvNet(SpikingModel):
             layers.append(Conv2d(previous, width, 3, padding=1, bias=not batch_norm, rng=rng))
             if batch_norm:
                 layers.append(BatchNorm2d(width))
-            layers.append(make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind))
+            layers.append(build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate))
             layers.append(AvgPool2d(2))
             previous = width
         self.features = Sequential(*layers)

@@ -19,7 +19,8 @@ import numpy as np
 
 from ...nn import AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, Linear, Sequential
 from ...tensor import Tensor
-from .base import SpikingModel, make_neuron, scaled_width
+from ..neuron import build_neuron
+from .base import SpikingModel, scaled_width
 
 VGG16_CONFIG: List[Union[int, str]] = [
     64, 64, "M",
@@ -67,7 +68,7 @@ class SpikingVGG(SpikingModel):
             out_channels = scaled_width(int(item), width_mult)
             layers.append(Conv2d(channels, out_channels, kernel_size=3, padding=1, bias=False, rng=rng))
             layers.append(BatchNorm2d(out_channels))
-            layers.append(make_neuron(alpha=neuron_alpha, v_threshold=v_threshold, surrogate=surrogate, kind=neuron_kind))
+            layers.append(build_neuron(neuron_kind, neuron_alpha, v_threshold, surrogate))
             channels = out_channels
         self.features = Sequential(*layers)
         self.flatten = Flatten()

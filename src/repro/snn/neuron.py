@@ -1,6 +1,6 @@
 """Spiking neuron models with BPTT-compatible state.
 
-The Leaky Integrate-and-Fire (LIF) neuron implements the paper's Eq. 1:
+Every neuron runs the paper's Eq. 1, written once in :class:`BaseNeuron`:
 
     v[t] = alpha * v[t-1] + sum_i w_i s_i[t] - theta * o[t-1]   (1a)
     o[t] = u(v[t] - theta)                                       (1b)
@@ -9,7 +9,9 @@ where ``u`` is the Heaviside step.  The subtraction of ``theta * o[t-1]``
 is the *soft reset*: a neuron that fired loses one threshold's worth of
 potential on the next step.  The Heaviside derivative is replaced by a
 surrogate (Eq. 3) during the backward pass, so the whole temporal
-unrolling is trainable with BPTT.
+unrolling is trainable with BPTT.  Subclasses supply only the decay
+``alpha`` (none for IF, learned for PLIF) and, for ALIF, an adaptive
+``theta``.
 """
 
 from __future__ import annotations
@@ -109,6 +111,56 @@ class BaseNeuron(Module):
             return 0.0
         return self.spike_count / self.neuron_steps
 
+    # Eq. 1 hooks: a subclass supplies only what differs from IF.
+    def _decay(self):
+        """The leak ``alpha`` of Eq. 1a (float or Tensor); ``None`` for no leak."""
+        return None
+
+    def _threshold(self, shape):
+        """Eq. 1b's firing threshold for a step of ``shape`` (float or array)."""
+        return self.v_threshold
+
+    def _fired(self, spikes: np.ndarray) -> None:
+        """Runs after each step's spikes (ALIF updates its trace here)."""
+
+    def _membrane(self, v, o_prev, current, decay):
+        """Eq. 1a on Tensors or arrays: leak, integrate, soft reset."""
+        if v is None:
+            return current
+        if decay is not None:
+            v = v * decay
+        v = v + current
+        if o_prev is not None:
+            v = v - o_prev * self.v_threshold
+        return v
+
+    def forward(self, current: Tensor) -> Tensor:
+        threshold = self._threshold(current.shape)
+        self.v = self._membrane(self.v, self.o_prev, current, self._decay())
+        spikes = spike_function(self.v - threshold, self.surrogate)
+        self._fired(spikes.data)
+        self.o_prev = spikes
+        self._record(spikes.data)
+        return spikes
+
+    def forward_arrays(self, v, o_prev, current: np.ndarray):
+        """:meth:`forward` on plain arrays, for flat execution plans.
+
+        Takes the state ``(v, o_prev)`` explicitly and returns the new
+        ``(v, spikes)`` without touching ``self.v``/``self.o_prev``; the
+        op order (and so every bit) matches :meth:`forward`.  Spike
+        accounting still lands on this neuron.
+        """
+        threshold = self._threshold(current.shape)
+        decay = self._decay()
+        if isinstance(decay, Tensor):
+            decay = decay.data
+        v = self._membrane(v, o_prev, current, decay)
+        spikes = ((v - threshold) >= 0.0).astype(np.float32)
+        self._fired(spikes)
+        self._record(spikes)
+        return v, spikes
+
 
 class LIFNeuron(BaseNeuron):
     """Leaky Integrate-and-Fire neuron (paper Eq. 1, soft reset).
@@ -136,37 +188,8 @@ class LIFNeuron(BaseNeuron):
             raise ValueError("alpha must lie in (0, 1]")
         self.alpha = float(alpha)
 
-    def forward(self, current: Tensor) -> Tensor:
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v * self.alpha + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        spikes = spike_function(self.v - self.v_threshold, self.surrogate)
-        self.o_prev = spikes
-        self._record(spikes.data)
-        return spikes
-
-    def forward_arrays(self, v, o_prev, current: np.ndarray):
-        """:meth:`forward` on plain arrays, for flat execution plans.
-
-        Takes the state ``(v, o_prev)`` explicitly and returns the new
-        ``(v, spikes)`` without touching ``self.v``/``self.o_prev``; the
-        op order (and so every bit) matches :meth:`forward`.  Spike
-        accounting still lands on this neuron.
-        """
-        theta = np.float32(self.v_threshold)
-        if v is None:
-            v = current
-        else:
-            v = v * np.float32(self.alpha) + current
-            if o_prev is not None:
-                v = v - o_prev * theta
-        spikes = ((v - theta) >= 0.0).astype(np.float32)
-        self._record(spikes)
-        return v, spikes
+    def _decay(self):
+        return self.alpha
 
     def __repr__(self) -> str:
         return f"LIFNeuron(alpha={self.alpha}, threshold={self.v_threshold})"
@@ -174,32 +197,6 @@ class LIFNeuron(BaseNeuron):
 
 class IFNeuron(BaseNeuron):
     """Integrate-and-Fire neuron: LIF without leak (``alpha = 1``)."""
-
-    def forward(self, current: Tensor) -> Tensor:
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        spikes = spike_function(self.v - self.v_threshold, self.surrogate)
-        self.o_prev = spikes
-        self._record(spikes.data)
-        return spikes
-
-    def forward_arrays(self, v, o_prev, current: np.ndarray):
-        """:meth:`forward` on plain arrays (see :meth:`LIFNeuron.forward_arrays`)."""
-        theta = np.float32(self.v_threshold)
-        if v is None:
-            v = current
-        else:
-            v = v + current
-            if o_prev is not None:
-                v = v - o_prev * theta
-        spikes = ((v - theta) >= 0.0).astype(np.float32)
-        self._record(spikes)
-        return v, spikes
 
     def __repr__(self) -> str:
         return f"IFNeuron(threshold={self.v_threshold})"
@@ -223,36 +220,37 @@ class ParametricLIFNeuron(BaseNeuron):
         super().__init__(v_threshold=v_threshold, surrogate=surrogate, track_spikes=track_spikes)
         from ..nn.module import Parameter  # local import to avoid cycle at module load
 
+        if not 0.0 < init_alpha < 1.0:
+            raise ValueError("init_alpha must lie in (0, 1)")
         logit = np.log(init_alpha / (1.0 - init_alpha)).astype(np.float32)
         self.decay_logit = Parameter(np.array([logit], dtype=np.float32))
 
-    def forward(self, current: Tensor) -> Tensor:
-        alpha = self.decay_logit.sigmoid()
-        if self.v is None:
-            self.v = current
-        else:
-            membrane = self.v * alpha + current
-            if self.o_prev is not None:
-                membrane = membrane - self.o_prev * self.v_threshold
-            self.v = membrane
-        spikes = spike_function(self.v - self.v_threshold, self.surrogate)
-        self.o_prev = spikes
-        self._record(spikes.data)
-        return spikes
+    def _decay(self):
+        return self.decay_logit.sigmoid()
 
     def __repr__(self) -> str:
         alpha = float(1.0 / (1.0 + np.exp(-self.decay_logit.data[0])))
         return f"ParametricLIFNeuron(alpha={alpha:.3f}, threshold={self.v_threshold})"
 
 
-def build_neuron(kind: str = "lif", **kwargs) -> BaseNeuron:
-    """Factory for neuron models: ``lif``, ``if`` or ``plif``."""
-    surrogate = kwargs.pop("surrogate", None)
+def build_neuron(
+    kind: str = "lif",
+    alpha: float = 0.5,
+    v_threshold: float = 1.0,
+    surrogate: Optional[object] = None,
+) -> BaseNeuron:
+    """Construct a neuron: ``lif`` (default), ``if``, ``plif`` or ``alif``.
+
+    ``alpha`` is the LIF/ALIF decay and PLIF's initial decay; IF has no
+    leak and ignores it.  ``surrogate`` may be an instance or a name.
+    """
+    from .extensions import AdaptiveLIFNeuron  # extensions imports this module
+
     if isinstance(surrogate, str):
         surrogate = get_surrogate(surrogate)
-    kinds = {"lif": LIFNeuron, "if": IFNeuron, "plif": ParametricLIFNeuron}
-    try:
-        cls = kinds[kind]
-    except KeyError:
-        raise ValueError(f"unknown neuron kind {kind!r}; available: {sorted(kinds)}") from None
-    return cls(surrogate=surrogate, **kwargs)
+    if kind == "if":
+        return IFNeuron(v_threshold, surrogate)
+    leaky = {"lif": LIFNeuron, "plif": ParametricLIFNeuron, "alif": AdaptiveLIFNeuron}
+    if kind not in leaky:
+        raise ValueError(f"unknown neuron kind {kind!r}; available: ['alif', 'if', 'lif', 'plif']")
+    return leaky[kind](alpha, v_threshold, surrogate=surrogate)

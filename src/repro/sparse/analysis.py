@@ -10,19 +10,12 @@ criterion beats another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import networkx as nx
 import numpy as np
 
-
-def _as_matrix(mask: np.ndarray) -> np.ndarray:
-    """Collapse a conv mask (F, C, kh, kw) to (F, C*kh*kw)."""
-    if mask.ndim == 2:
-        return mask
-    if mask.ndim == 4:
-        return mask.reshape(mask.shape[0], -1)
-    raise ValueError(f"unsupported mask rank {mask.ndim}")
+from .storage import _as_matrix
 
 
 @dataclass

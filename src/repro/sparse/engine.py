@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +58,13 @@ def sparsifiable_parameters(model: Module, exclude: Iterable[str] = ()) -> List[
         if parameter.ndim >= 2 and name not in excluded:
             selected.append((name, parameter))
     return selected
+
+
+def _kept_count(name: str, density: float, size: int) -> int:
+    """Active weights of a ``size``-weight layer at ``density``, at least one."""
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"layer {name!r}: density {density} outside [0, 1]")
+    return max(1, min(size, int(round(density * size))))
 
 
 class MaskedParameter:
@@ -499,13 +506,13 @@ class SparsityManager:
         """Random topology at the requested per-layer densities.
 
         The number of active weights per layer is the rounded density
-        times the layer size, clamped to at least one active weight.
+        times the layer size, clamped to at least one active weight.  A
+        density outside ``[0, 1]`` raises ``ValueError`` naming the layer.
         """
         for name, state in self.states.items():
             density = densities[name]
             size = state.size
-            keep = int(round(density * size))
-            keep = max(1, min(size, keep))
+            keep = _kept_count(name, density, size)
             mask = np.zeros(size, dtype=np.float32)
             active = self.rng.choice(size, size=keep, replace=False)
             mask[active] = 1.0
@@ -518,7 +525,7 @@ class SparsityManager:
         for name, state in self.states.items():
             density = densities[name]
             size = state.size
-            keep = max(1, min(size, int(round(density * size))))
+            keep = _kept_count(name, density, size)
             flat = np.abs(state.parameter.data.reshape(-1))
             threshold_index = size - keep
             order = np.argpartition(flat, threshold_index)[threshold_index:]

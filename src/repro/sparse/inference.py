@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from .storage import csr_bits
+
 
 def serving_storage_report(manager, precision: str = None) -> Dict[str, object]:
     """Per-layer storage/dispatch summary of a (frozen) serving engine.
@@ -34,14 +36,12 @@ def serving_storage_report(manager, precision: str = None) -> Dict[str, object]:
     layers = []
     for name, state in manager.states.items():
         pattern = state.csr_pattern()
-        rows = pattern.shape[0]
-        csr_bits = pattern.nnz * 32 + pattern.nnz * 32 + (rows + 1) * 32
         layers.append({
             "layer": name,
             "route": "csr" if manager.use_csr(state) else "dense",
             "density": round(state.density(), 4),
             "nonzeros": pattern.nnz,
-            "csr_bits": csr_bits,
+            "csr_bits": csr_bits(pattern.nnz, pattern.shape[0]),
             "dense_bits": state.size * 32,
             "packed_bytes": packed_layer_bytes(pattern, stored)["total_bytes"],
             "frozen": state.frozen,

@@ -48,7 +48,7 @@ from ..nn.init import skip_init
 from ..utils import atomic_replace
 from .dispatch import CalibrationTable
 from .engine import SparsityManager
-from .storage import CSRPattern
+from .storage import CSRPattern, csr_bits
 
 MAGIC = b"REPROM\x00\x01"
 FORMAT_VERSION = 1
@@ -421,7 +421,7 @@ def write_package(
     meta["storage"] = {
         "value_bits": {"f32": 32, "f16": 16, "int8": 8}[precision],
         "csr_bits_theoretical": sum(
-            entry["nnz"] * 64 + (entry["shape"][0] + 1) * 32 for entry in layers
+            csr_bits(entry["nnz"], entry["shape"][0]) for entry in layers
         ),
         "layer_bytes": sum(
             sum(t["nbytes"] for t in entry["tensors"].values()) for entry in layers

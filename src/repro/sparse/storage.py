@@ -234,6 +234,11 @@ class CSRPattern:
         return self._product("csc", data, dense, cols, rows)
 
 
+def csr_bits(nnz: int, rows: int, value_bits: int = 32, index_bits: int = 32) -> int:
+    """§III-D CSR bits of one ``rows``-row matrix: values, column indices, row pointers."""
+    return nnz * (value_bits + index_bits) + (rows + 1) * index_bits
+
+
 def model_csr_storage_bits(
     model, value_bits: int = 32, index_bits: int = 32
 ) -> int:
@@ -249,6 +254,5 @@ def model_csr_storage_bits(
     total = 0
     for _, parameter in sparsifiable_parameters(model):
         row_counts = np.count_nonzero(_as_matrix(parameter.data), axis=1)
-        nnz = int(row_counts.sum())
-        total += nnz * (value_bits + index_bits) + (row_counts.size + 1) * index_bits
+        total += csr_bits(int(row_counts.sum()), row_counts.size, value_bits, index_bits)
     return total

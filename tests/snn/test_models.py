@@ -154,9 +154,9 @@ class TestNeuronKinds:
         assert plif.count_parameters() == plain.count_parameters() + 1
 
     def test_unknown_kind_raises(self):
-        from repro.snn.models.base import make_neuron
+        from repro.snn import build_neuron
         with pytest.raises(ValueError):
-            make_neuron(kind="izhikevich")
+            build_neuron(kind="izhikevich")
 
     def test_resnet_blocks_receive_kind(self):
         model = build_model("resnet19", num_classes=3, image_size=16, timesteps=2,

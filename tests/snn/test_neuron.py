@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn.module import Module
 from repro.snn import (
+    AdaptiveLIFNeuron,
     FastInverse,
     IFNeuron,
     LIFNeuron,
@@ -146,12 +147,27 @@ class TestParametricLIF:
         alpha = 1.0 / (1.0 + np.exp(-neuron.decay_logit.data[0]))
         assert np.isclose(alpha, 0.25, atol=1e-5)
 
+    @pytest.mark.parametrize("init_alpha", [1.5, -0.2, 0.0, 1.0])
+    def test_rejects_init_alpha_outside_open_unit_interval(self, init_alpha):
+        with pytest.raises(ValueError, match=r"init_alpha must lie in \(0, 1\)"):
+            ParametricLIFNeuron(init_alpha=init_alpha)
+
 
 class TestFactoryAndReset:
     def test_build_neuron_kinds(self):
         assert isinstance(build_neuron("lif"), LIFNeuron)
         assert isinstance(build_neuron("if"), IFNeuron)
         assert isinstance(build_neuron("plif"), ParametricLIFNeuron)
+        assert isinstance(build_neuron("alif"), AdaptiveLIFNeuron)
+
+    def test_build_neuron_passes_alpha_through(self):
+        assert build_neuron("lif", alpha=0.25).alpha == 0.25
+        assert build_neuron("alif", alpha=0.25).alpha == 0.25
+        plif = build_neuron("plif", alpha=0.25, v_threshold=0.5)
+        assert np.isclose(float(plif.decay_logit.sigmoid().data[0]), 0.25, atol=1e-5)
+        assert plif.v_threshold == 0.5
+        # IF has no leak: alpha is accepted and ignored.
+        assert isinstance(build_neuron("if", alpha=0.5), IFNeuron)
 
     def test_build_neuron_with_surrogate_string(self):
         neuron = build_neuron("lif", surrogate="triangle")

@@ -216,6 +216,16 @@ class TestSparsityManager:
         for name, state in manager.states.items():
             assert state.density_target == densities[name]
 
+    @pytest.mark.parametrize("init", ["init_random", "init_from_magnitude"])
+    @pytest.mark.parametrize("bad", [1.5, -0.5, float("nan")])
+    def test_init_rejects_density_outside_unit_interval(self, init, bad):
+        _, manager = self._manager()
+        densities = {name: 0.5 for name in manager.states}
+        layer = sorted(densities)[-1]
+        densities[layer] = bad
+        with pytest.raises(ValueError, match=f"layer '{layer}'"):
+            getattr(manager, init)(densities)
+
     def test_bind_layers_attaches_state(self):
         model, manager = self._manager()
         bound = manager.bind_layers()

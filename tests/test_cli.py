@@ -67,6 +67,34 @@ class TestRun:
         assert f"{flag} must be at least the 10 classes of cifar10, got 3" in err
 
     @pytest.mark.smoke
+    @pytest.mark.parametrize("argv", [
+        ["run", "--batch-size", "0"],
+        ["run", "--timesteps", "0"],
+        ["run", "--update-frequency", "0"],
+        ["run", "--image-size", "0"],
+        ["run", "--initial-sparsity", "0.95"],
+        ["run", "--sparsity", "1.0"],
+        ["sweep", "--method", "set", "--method", "ndsnn", "--sparsity", "0.5"],
+        ["stream", "--hidden", "0"],
+        ["stream", "--classes", "0"],
+        ["stream", "--window", "0"],
+        ["stream", "--streams", "0"],
+        ["stream", "--channels", "0"],
+        ["stream", "--rate-hz", "0"],
+        ["stream", "--stride", "0"],
+        ["stream", "--stride", "9", "--window", "8"],
+        ["stream", "--adapt", "--adapt-every", "0"],
+        ["stream", "--sparsity", "1.5"],
+        ["memory", "--sparsity", "2"],
+        ["memory", "--timesteps", "-1"],
+    ], ids=" ".join)
+    def test_bad_numeric_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.smoke
     def test_csr_execution_run(self, capsys):
         code = main([
             "run", "--dataset", "cifar10", "--model", "convnet",

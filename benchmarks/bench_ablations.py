@@ -11,7 +11,7 @@ result depends on.
 import numpy as np
 import pytest
 
-from repro.experiments import run_method
+from repro.experiments import run_experiment
 from repro.experiments.tables import format_table
 from repro.snn.models import build_model
 from repro.optim import SGD, CosineAnnealingLR
@@ -28,7 +28,7 @@ def test_ablation_growth_mode(benchmark):
     def run():
         results = {}
         for mode in ("gradient", "random", "momentum"):
-            outcome = run_method(
+            outcome = run_experiment(
                 profile_config("cifar10", "vgg16", "ndsnn", SPARSITY, growth_mode=mode)
             )
             results[mode] = outcome.final_accuracy
@@ -50,7 +50,7 @@ def test_ablation_ramp_power(benchmark):
     def run():
         results = {}
         for power in (1.0, 2.0, 3.0):
-            outcome = run_method(
+            outcome = run_experiment(
                 profile_config("cifar10", "vgg16", "ndsnn", SPARSITY, ramp_power=power)
             )
             results[power] = (outcome.final_accuracy, float(np.mean(outcome.densities)))

@@ -12,7 +12,7 @@ Paper shape:
 
 import pytest
 
-from repro.experiments import run_method
+from repro.experiments import run_experiment
 from repro.experiments.tables import ascii_plot, format_table
 
 from _profiles import PROFILE, profile_config
@@ -20,7 +20,7 @@ from _profiles import PROFILE, profile_config
 
 def _trace(method: str, sparsity: float = 0.95):
     config = profile_config("cifar10", "vgg16", method, sparsity)
-    outcome = run_method(config)
+    outcome = run_experiment(config)
     return [stats.sparsity for stats in outcome.history]
 
 

@@ -7,7 +7,7 @@ training configuration, with the largest gaps at 99% sparsity.
 
 import pytest
 
-from repro.experiments import run_method
+from repro.experiments import run_experiment
 from repro.experiments.tables import format_table
 
 from _profiles import PROFILE, profile_config
@@ -24,10 +24,10 @@ def _run_combo(model: str, dataset: str):
     rows = []
     gaps = []
     for sparsity in PROFILE.sparsities:
-        ndsnn = run_method(
+        ndsnn = run_experiment(
             profile_config(dataset, model, "ndsnn", sparsity, timesteps=2)
         ).final_accuracy
-        lth = run_method(
+        lth = run_experiment(
             profile_config(dataset, model, "lth", sparsity, timesteps=2)
         ).final_accuracy
         rows.append((f"{sparsity:.0%}", ndsnn, lth, ndsnn - lth))

@@ -9,7 +9,7 @@ run.  Paper shape: NDSNN trains for a small fraction of the dense cost
 
 import pytest
 
-from repro.experiments import run_method
+from repro.experiments import run_experiment
 from repro.experiments.tables import format_table
 from repro.train import relative_training_cost
 
@@ -26,11 +26,11 @@ SPARSITY = 0.95
 
 
 def _run_combo(model: str, dataset: str):
-    dense = run_method(profile_config(dataset, model, "dense", SPARSITY))
+    dense = run_experiment(profile_config(dataset, model, "dense", SPARSITY))
     dense_rates = dense.spike_rates
     costs = {"dense": 100.0}
 
-    lth = run_method(profile_config(dataset, model, "lth", SPARSITY))
+    lth = run_experiment(profile_config(dataset, model, "lth", SPARSITY))
     # The paper's Fig. 5 charges LTH for the winning-ticket retrain (the
     # final round); the all-rounds figure is the honest total and is
     # reported alongside.
@@ -43,7 +43,7 @@ def _run_combo(model: str, dataset: str):
         lth.spike_rates, lth.densities, dense_rates, method="lth"
     ).percent_of_dense
 
-    ndsnn = run_method(profile_config(dataset, model, "ndsnn", SPARSITY))
+    ndsnn = run_experiment(profile_config(dataset, model, "ndsnn", SPARSITY))
     costs["ndsnn"] = relative_training_cost(
         ndsnn.spike_rates, ndsnn.densities, dense_rates, method="ndsnn"
     ).percent_of_dense

@@ -9,7 +9,7 @@ Absolute numbers differ (synthetic data, scaled models; see DESIGN.md).
 
 import pytest
 
-from repro.experiments import run_method
+from repro.experiments import run_experiment
 from repro.experiments.tables import format_table
 
 from _profiles import PROFILE, profile_config
@@ -22,12 +22,12 @@ METHODS = ("lth", "set", "rigl", "ndsnn")
 def _run_cells(model: str, dataset: str):
     """One (model, dataset) block of Table I: dense + all methods x sparsities."""
     rows = []
-    dense = run_method(profile_config(dataset, model, "dense", 0.9))
+    dense = run_experiment(profile_config(dataset, model, "dense", 0.9))
     rows.append(("dense", "-", dense.final_accuracy, 0.0))
     results = {}
     for method in METHODS:
         for sparsity in PROFILE.sparsities:
-            outcome = run_method(profile_config(dataset, model, method, sparsity))
+            outcome = run_experiment(profile_config(dataset, model, method, sparsity))
             rows.append((method, f"{sparsity:.0%}", outcome.final_accuracy, outcome.final_sparsity))
             results[(method, sparsity)] = outcome.final_accuracy
     return rows, results, dense.final_accuracy

@@ -8,7 +8,7 @@ noticeably past ~50%.
 
 import pytest
 
-from repro.experiments import run_method
+from repro.experiments import run_experiment
 from repro.experiments.tables import format_table
 
 from _profiles import PROFILE, profile_config
@@ -19,18 +19,18 @@ SPARSITIES = (0.4, 0.5, 0.6, 0.75)
 def _run_table2():
     results = {"admm": {}, "ndsnn": {}}
     dense = {}
-    dense["lenet5"] = run_method(
+    dense["lenet5"] = run_experiment(
         profile_config("cifar10", "lenet5", "dense", 0.5, width_mult=1.0)
     ).final_accuracy
-    dense["vgg16"] = run_method(
+    dense["vgg16"] = run_experiment(
         profile_config("cifar10", "vgg16", "dense", 0.5)
     ).final_accuracy
     for sparsity in SPARSITIES:
-        admm = run_method(
+        admm = run_experiment(
             profile_config("cifar10", "lenet5", "admm", sparsity, width_mult=1.0)
         )
         results["admm"][sparsity] = admm.final_accuracy
-        ndsnn = run_method(
+        ndsnn = run_experiment(
             profile_config(
                 "cifar10", "vgg16", "ndsnn", sparsity,
                 initial_sparsity=min(0.3, sparsity / 2),

@@ -9,7 +9,7 @@ density, i.e. more training FLOPs — both are reported here.
 
 import pytest
 
-from repro.experiments import run_method
+from repro.experiments import run_experiment
 from repro.experiments.tables import format_table
 from repro.train import training_flops_estimate
 
@@ -24,7 +24,7 @@ def _run_table3(model: str, dataset: str):
     accuracies = {}
     for target in TARGETS:
         for theta_i in INITIAL_SPARSITIES:
-            outcome = run_method(
+            outcome = run_experiment(
                 profile_config(dataset, model, "ndsnn", target, initial_sparsity=theta_i)
             )
             # FLOPs proxy from the per-epoch density trace.

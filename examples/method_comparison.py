@@ -9,7 +9,7 @@ Run:  python examples/method_comparison.py [--sparsity 0.95]
 
 import argparse
 
-from repro.experiments import run_method, scaled_config
+from repro.experiments import run_experiment, scaled_config
 from repro.experiments.tables import format_table
 from repro.train import relative_training_cost
 
@@ -31,7 +31,7 @@ def main() -> None:
             timesteps=2, image_size=16, update_frequency=8, lth_rounds=2,
         )
         print(f"training {method} ...")
-        outcomes[method] = run_method(config)
+        outcomes[method] = run_experiment(config)
 
     dense_rates = outcomes["dense"].spike_rates
     rows = []

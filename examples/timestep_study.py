@@ -9,7 +9,7 @@ Run:  python examples/timestep_study.py
 
 import time
 
-from repro.experiments import run_method, scaled_config
+from repro.experiments import run_experiment, scaled_config
 from repro.experiments.tables import format_table
 
 
@@ -24,7 +24,7 @@ def main() -> None:
                 timesteps=timesteps, image_size=16, update_frequency=8, lth_rounds=2,
             )
             start = time.perf_counter()
-            outcome = run_method(config)
+            outcome = run_experiment(config)
             elapsed = time.perf_counter() - start
             rows.append((f"T={timesteps}", method, outcome.final_accuracy, elapsed))
             print(f"T={timesteps} {method:6s} acc={outcome.final_accuracy:.3f} ({elapsed:.1f}s)")

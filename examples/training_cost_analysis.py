@@ -12,7 +12,7 @@ then reports:
 Run:  python examples/training_cost_analysis.py
 """
 
-from repro.experiments import build_experiment_model, run_method, scaled_config
+from repro.experiments import build_experiment_model, run_experiment, scaled_config
 from repro.experiments.tables import ascii_plot, format_table
 from repro.sparse import sparsifiable_parameters
 from repro.train import (
@@ -33,7 +33,7 @@ def main() -> None:
     outcomes = {}
     for method in ("dense", "lth", "ndsnn"):
         print(f"training {method} ...")
-        outcomes[method] = run_method(
+        outcomes[method] = run_experiment(
             scaled_config("cifar10", "vgg16", method, sparsity, **base)
         )
 

@@ -36,7 +36,7 @@ import sys
 from typing import List, Optional
 
 from .data import DATASET_SPECS
-from .experiments import run_method, run_sweep, scaled_config, sweep_configs
+from .experiments import run_experiment, run_sweep, scaled_config, sweep_configs
 from .experiments.config import SCALED_NUM_CLASSES
 from .experiments.queue import (
     DEFAULT_BACKOFF_SECONDS,
@@ -62,6 +62,14 @@ def positive_int(value: str) -> int:
     return parsed
 
 
+def non_negative_float(value: str) -> float:
+    """argparse type: a float >= 0."""
+    parsed = float(value)
+    if not parsed >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return parsed
+
+
 def fraction(value: str) -> float:
     """argparse type: a sparsity in ``[0, 1)``."""
     parsed = float(value)
@@ -84,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--model", default="vgg16", choices=sorted(MODEL_REGISTRY))
         parser.add_argument("--sparsity", type=fraction, default=0.9)
         parser.add_argument("--initial-sparsity", type=fraction, default=0.6)
-        parser.add_argument("--epochs", type=int, default=10)
+        parser.add_argument("--epochs", type=positive_int, default=10)
         parser.add_argument("--timesteps", type=positive_int, default=2)
         parser.add_argument("--batch-size", type=positive_int, default=16)
         parser.add_argument("--lr", type=float, default=0.1)
@@ -142,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "time (smaller dense kernels; see compact_model)",
         )
         parser.add_argument(
-            "--max-batch", type=int, default=8,
+            "--max-batch", type=positive_int, default=8,
             help="canonical serving batch size (requests are padded to "
                  "it so results never depend on batching)",
         )
@@ -158,17 +166,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_workload_arguments(serve)
     add_serving_arguments(serve)
-    serve.add_argument("--workers", type=int, default=2, help="worker thread count")
+    serve.add_argument("--workers", type=positive_int, default=2, help="worker thread count")
     serve.add_argument(
-        "--max-latency-ms", type=float, default=5.0,
+        "--max-latency-ms", type=non_negative_float, default=5.0,
         help="micro-batch flush deadline (oldest request age)",
     )
     serve.add_argument(
-        "--requests", type=int, default=64,
+        "--requests", type=positive_int, default=64,
         help="synthetic closed-loop requests to issue",
     )
     serve.add_argument(
-        "--clients", type=int, default=4,
+        "--clients", type=positive_int, default=4,
         help="concurrent closed-loop client threads",
     )
 
@@ -355,7 +363,7 @@ def _config_from_args(args: argparse.Namespace, method: str):
 
 def _command_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args, args.method)
-    outcome = run_method(
+    outcome = run_experiment(
         config,
         verbose=not args.quiet,
         checkpoint_path=args.checkpoint,
@@ -551,8 +559,8 @@ def _serving_registry(args: argparse.Namespace):
 
 
 def _command_export(args: argparse.Namespace) -> int:
-    from .experiments.runner import build_experiment_model
-    from .sparse.packaging import spec_from_config, write_package
+    from .experiments.runner import build_experiment_model, spec_from_config
+    from .sparse.packaging import write_package
     from .train.checkpoint import restore_manager
 
     config = _config_from_args(args, args.method)
@@ -625,9 +633,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .experiments.runner import build_loaders
     from .serve import InferenceServer
 
-    if args.requests < 1 or args.clients < 1:
-        print("error: --requests and --clients must be >= 1", file=sys.stderr)
-        return 2
     registry, config, _ = _serving_registry(args)
     _, test_loader, _ = build_loaders(config)
     samples = np.concatenate([images.data for images, _ in test_loader], axis=0)
@@ -864,6 +869,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--initial-sparsity {args.initial_sparsity} exceeds "
                 f"--sparsity {args.sparsity} (ndsnn ramps up to --sparsity)"
             )
+    if args.command == "run" and args.method == "lth" and args.checkpoint:
+        parser.error(
+            "--checkpoint is not supported with --method lth (its "
+            "prune/rewind round loop has no resume seam, so nothing is saved)"
+        )
     if args.command == "stream":
         if args.stride is not None and args.stride > args.window:
             parser.error(f"--stride {args.stride} exceeds --window {args.window}")

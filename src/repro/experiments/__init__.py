@@ -18,8 +18,6 @@ from .runner import (
     build_method,
     iterations_per_epoch,
     run_experiment,
-    run_lth_experiment,
-    run_method,
     run_sweep,
     sweep_configs,
 )
@@ -31,8 +29,6 @@ __all__ = [
     "SCALED_IMAGE_SIZE",
     "ExperimentOutcome",
     "run_experiment",
-    "run_lth_experiment",
-    "run_method",
     "run_sweep",
     "sweep_configs",
     "build_loaders",

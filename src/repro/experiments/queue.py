@@ -635,11 +635,11 @@ class _CrashAfterEpochs(TrainerCallback):
 class QueueWorker:
     """Claims jobs from a spool and runs them to a result manifest.
 
-    Each job runs through :func:`~repro.experiments.runner.run_method`
+    Each job runs through :func:`~repro.experiments.runner.run_experiment`
     with epoch-granular checkpointing into the spool, so any later
     claimant resumes instead of recomputing, and with a lease heartbeat
     so healthy long jobs are never reaped.  Results are bit-identical
-    to a plain in-process ``run_method`` of the same config.
+    to a plain in-process ``run_experiment`` of the same config.
     """
 
     def __init__(
@@ -676,10 +676,10 @@ class QueueWorker:
         callbacks: List[TrainerCallback] = [_LeaseHeartbeat(job)]
         if self.fault_epochs is not None:
             callbacks.append(_CrashAfterEpochs(self.fault_epochs))
-        from .runner import run_method
+        from .runner import run_experiment
 
         try:
-            outcome = run_method(
+            outcome = run_experiment(
                 job.config,
                 verbose=self.verbose,
                 checkpoint_path=job.checkpoint_path,

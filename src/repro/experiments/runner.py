@@ -1,9 +1,10 @@
-"""Experiment runners: build everything from a config and train.
+"""Experiment runner: build everything from a config and train.
 
-These runners are the single code path behind every table/figure bench
-and the examples, so the reproduction results always exercise the real
-library API.  :func:`run_sweep` fans a list of configs out across
-worker processes (``--jobs`` on the CLI) for table/figure grids.
+:func:`run_experiment` is the single code path behind every method
+(LTH included), every table/figure bench and the examples, so the
+reproduction results always exercise the real library API.
+:func:`run_sweep` fans a list of configs out across worker processes
+(``--jobs`` on the CLI) for table/figure grids.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..data import DataLoader, make_dataset, standard_train_transform
+from ..data import DATASET_SPECS, DataLoader, make_dataset, standard_train_transform
 from ..optim import SGD, CosineAnnealingLR
-from ..snn.encoding import build_encoder
-from ..snn.models import build_model
 from ..sparse import (
     ADMMPruner,
     DenseMethod,
@@ -33,10 +32,12 @@ from ..sparse import (
     SNIPSNN,
     SparseTrainingMethod,
 )
+from ..sparse.packaging import build_spec_model
 from ..train import (
     CheckpointCallback,
     EpochStats,
     Trainer,
+    evaluate,
     has_training_state,
     load_training_state,
 )
@@ -104,38 +105,51 @@ def build_loaders(config: ExperimentConfig, augment: bool = False):
     return train_loader, test_loader, train_set
 
 
-def build_experiment_model(config: ExperimentConfig, dataset=None):
-    """Model instance matching a config (and dataset geometry)."""
-    if dataset is not None:
-        num_classes = dataset.num_classes
-        image_size = dataset.spec.image_size
-        in_channels = dataset.spec.in_channels
-    else:
-        num_classes = config.num_classes or 10
-        image_size = config.image_size or 32
-        in_channels = 3
-    rng = np.random.default_rng(config.seed + 2)
+def spec_from_config(config: ExperimentConfig) -> Dict:
+    """Model spec for a config: the one config -> model geometry mapping.
+
+    Class count, resolution and channels resolve from the dataset spec
+    exactly as :func:`~repro.data.make_dataset` resolves them, so a
+    config that leaves ``num_classes`` or ``image_size`` unset gets the
+    dataset's own.  Training, checkpoint serving, ``repro export`` and
+    the package loader all build from this spec through
+    :func:`~repro.sparse.packaging.build_spec_model`.
+    """
+    data = DATASET_SPECS[config.dataset].scaled(config.image_size, config.num_classes)
     kwargs = dict(
-        num_classes=num_classes,
-        in_channels=in_channels,
-        image_size=image_size,
+        num_classes=data.num_classes,
+        in_channels=data.in_channels,
+        image_size=data.image_size,
         timesteps=config.timesteps,
-        rng=rng,
     )
     if config.model != "convnet":
         kwargs["width_mult"] = config.width_mult
-    model = build_model(config.model, **kwargs)
-    if config.encoder != "direct":
-        encoder_kwargs = {}
-        if config.encoder == "poisson":
-            # Dedicated seed stream (seed + 4, after model/method/loader)
-            # so rate coding is reproducible and resumable; the
-            # checkpoint layer captures/restores ``encoder.rng``.
-            encoder_kwargs["rng"] = np.random.default_rng(config.seed + 4)
-        model.encoder = build_encoder(
-            config.encoder, config.timesteps, **encoder_kwargs
-        )
-    return model
+    return {
+        "model": config.model,
+        "kwargs": kwargs,
+        "encoder": config.encoder,
+        "seed": config.seed,
+    }
+
+
+def build_experiment_model(config: ExperimentConfig, dataset=None):
+    """Model instance for a config, built from :func:`spec_from_config`.
+
+    ``dataset`` only cross-checks geometry: a dataset whose class
+    count, resolution or channels differ from the config's raises
+    ``ValueError``.
+    """
+    spec = spec_from_config(config)
+    if dataset is not None:
+        kwargs = spec["kwargs"]
+        expected = (kwargs["num_classes"], kwargs["image_size"], kwargs["in_channels"])
+        actual = (dataset.num_classes, dataset.spec.image_size, dataset.spec.in_channels)
+        if actual != expected:
+            raise ValueError(
+                f"dataset geometry (classes, image size, channels) {actual} "
+                f"does not match the config's {expected}"
+            )
+    return build_spec_model(spec)
 
 
 def iterations_per_epoch(config: ExperimentConfig) -> int:
@@ -203,7 +217,33 @@ def build_method(config: ExperimentConfig, total_iterations: int) -> SparseTrain
             distribution=config.distribution,
             rng=rng,
         )
-    raise ValueError(f"unknown method {name!r} (use run_lth_experiment for 'lth')")
+    raise ValueError(f"unknown method {name!r} ('lth' is a round loop inside run_experiment)")
+
+
+def _build_trainer(
+    config: ExperimentConfig, model, method: SparseTrainingMethod, train_loader, test_loader
+) -> Trainer:
+    """SGD, cosine schedule and trainer for one ``config.epochs`` fit.
+
+    Binds ``method`` to the model and calibrates its execution mode.
+    """
+    optimizer = SGD(
+        model.parameters(),
+        lr=config.learning_rate,
+        momentum=config.momentum,
+        weight_decay=config.weight_decay,
+    )
+    scheduler = CosineAnnealingLR(optimizer, t_max=max(1, config.epochs))
+    trainer = Trainer(
+        model,
+        method,
+        optimizer,
+        train_loader,
+        test_loader=test_loader,
+        scheduler=scheduler,
+    )
+    method.set_execution(config.execution, calibrate=True)
+    return trainer
 
 
 def run_experiment(
@@ -214,7 +254,7 @@ def run_experiment(
     resume: bool = True,
     extra_callbacks: Optional[Sequence] = None,
 ) -> ExperimentOutcome:
-    """Train one method per the config; returns accuracy and traces.
+    """Train ``config.method`` per the config; returns accuracy and traces.
 
     With ``checkpoint_path`` set, the complete training state is saved
     every ``checkpoint_every`` epochs, and (if ``resume`` and a
@@ -223,32 +263,54 @@ def run_experiment(
     every RNG stream, optimizer buffer and schedule position, the
     resumed run is bit-identical to an uninterrupted one — this is the
     contract the sweep queue's crash-recovery is built on.
+
+    ``lth`` is iterative magnitude pruning: ``config.lth_rounds``
+    train/prune/rewind rounds of ``config.epochs`` each, and the
+    history concatenates every round's epochs, which is the honest
+    accounting for LTH's training cost (Fig. 5).  The round loop has no
+    mid-run checkpoint seam, so LTH ignores ``checkpoint_path`` and
+    ``resume`` (a re-claimed queue job recomputes it deterministically
+    from scratch); ``extra_callbacks`` attach to every round's trainer.
     """
-    total_iterations = iterations_per_epoch(config) * config.epochs
-
-    def build_trainer():
-        train_loader, test_loader, train_set = build_loaders(config)
-        model = build_experiment_model(config, train_set)
-        optimizer = SGD(
-            model.parameters(),
-            lr=config.learning_rate,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-        )
-        scheduler = CosineAnnealingLR(optimizer, t_max=max(1, config.epochs))
-        method = build_method(config, total_iterations)
-        trainer = Trainer(
+    train_loader, test_loader, train_set = build_loaders(config)
+    model = build_experiment_model(config, train_set)
+    if config.method == "lth":
+        controller = LTHSNN(
             model,
-            method,
-            optimizer,
-            train_loader,
-            test_loader=test_loader,
-            scheduler=scheduler,
+            target_sparsity=config.sparsity,
+            rounds=config.lth_rounds,
+            rng=np.random.default_rng(config.seed + 3),
         )
-        method.set_execution(config.execution, calibrate=True)
-        return trainer, method
+        history: List[EpochStats] = []
+        best_accuracy = 0.0
+        for round_index in range(1, config.lth_rounds + 1):
+            trainer = _build_trainer(
+                config, model, controller.method_for_round(round_index),
+                train_loader, test_loader,
+            )
+            for callback in extra_callbacks or ():
+                trainer.add_callback(callback)
+            result = trainer.fit(config.epochs, verbose=verbose)
+            history.extend(result.history)
+            best_accuracy = max(best_accuracy, result.best_accuracy)
+            controller.prune(round_index)
+            if round_index < config.lth_rounds:
+                controller.rewind()
+        # Final mask applied to the trained weights for evaluation.
+        for name, parameter in controller.parameters.items():
+            parameter.data *= controller.masks[name]
+        return ExperimentOutcome(
+            config=config,
+            final_accuracy=evaluate(model, test_loader),
+            best_accuracy=best_accuracy,
+            final_sparsity=controller.current_sparsity(),
+            history=history,
+        )
 
-    trainer, method = build_trainer()
+    total_iterations = iterations_per_epoch(config) * config.epochs
+    trainer = _build_trainer(
+        config, model, build_method(config, total_iterations), train_loader, test_loader
+    )
     start_epoch = 0
     initial_history: List[EpochStats] = []
     if checkpoint_path is not None:
@@ -264,10 +326,11 @@ def run_experiment(
                 # A torn or mismatched checkpoint (e.g. two claimants
                 # raced the save) must cost a recompute, not the job;
                 # a partial load may have touched anything, so rebuild
-                # the whole trainer stack and start fresh.
-                trainer, method = build_trainer()
-                start_epoch = 0
-                initial_history = []
+                # everything and start fresh over the checkpoint.
+                return run_experiment(
+                    config, verbose, checkpoint_path, checkpoint_every,
+                    resume=False, extra_callbacks=extra_callbacks,
+                )
         trainer.add_callback(CheckpointCallback(checkpoint_path, every=checkpoint_every))
     for callback in extra_callbacks or ():
         trainer.add_callback(callback)
@@ -281,112 +344,9 @@ def run_experiment(
         config=config,
         final_accuracy=result.final_accuracy,
         best_accuracy=result.best_accuracy,
-        final_sparsity=method.sparsity(),
+        final_sparsity=trainer.method.sparsity(),
         history=result.history,
     )
-
-
-def run_lth_experiment(
-    config: ExperimentConfig,
-    rounds: Optional[int] = None,
-    epochs_per_round: Optional[int] = None,
-    verbose: bool = False,
-    extra_callbacks: Optional[Sequence] = None,
-) -> ExperimentOutcome:
-    """Iterative magnitude pruning: ``rounds`` train/prune/rewind cycles.
-
-    The returned history concatenates every round's epochs, which is the
-    honest accounting for LTH's training cost (Fig. 5).  LTH's
-    multi-round meta-loop has no mid-run checkpoint seam, so a
-    re-claimed queue job recomputes it deterministically from scratch;
-    ``extra_callbacks`` (lease heartbeats and the like) attach to every
-    round's trainer.
-    """
-    rounds = rounds if rounds is not None else config.lth_rounds
-    epochs_per_round = epochs_per_round if epochs_per_round is not None else config.epochs
-    train_loader, test_loader, train_set = build_loaders(config)
-    model = build_experiment_model(config, train_set)
-    controller = LTHSNN(
-        model,
-        target_sparsity=config.sparsity,
-        rounds=rounds,
-        rng=np.random.default_rng(config.seed + 3),
-    )
-    combined_history: List[EpochStats] = []
-    final_accuracy = 0.0
-    best_accuracy = 0.0
-    total_iterations = iterations_per_epoch(config) * epochs_per_round
-    for round_index in range(1, rounds + 1):
-        method = controller.method_for_round(round_index)
-        optimizer = SGD(
-            model.parameters(),
-            lr=config.learning_rate,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-        )
-        scheduler = CosineAnnealingLR(optimizer, t_max=max(1, epochs_per_round))
-        trainer = Trainer(
-            model,
-            method,
-            optimizer,
-            train_loader,
-            test_loader=test_loader,
-            scheduler=scheduler,
-        )
-        for callback in extra_callbacks or ():
-            trainer.add_callback(callback)
-        method.set_execution(config.execution, calibrate=True)
-        result = trainer.fit(epochs_per_round, verbose=verbose)
-        combined_history.extend(result.history)
-        final_accuracy = result.final_accuracy
-        best_accuracy = max(best_accuracy, result.best_accuracy)
-        controller.prune(round_index)
-        if round_index < rounds:
-            controller.rewind()
-        else:
-            # Final mask applied to the trained weights for evaluation.
-            for name, parameter in controller.parameters.items():
-                parameter.data *= controller.masks[name]
-            from ..train.metrics import evaluate
-
-            final_accuracy = evaluate(model, test_loader)
-    return ExperimentOutcome(
-        config=config,
-        final_accuracy=final_accuracy,
-        best_accuracy=best_accuracy,
-        final_sparsity=controller.current_sparsity(),
-        history=combined_history,
-    )
-
-
-def run_method(
-    config: ExperimentConfig,
-    verbose: bool = False,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
-    resume: bool = True,
-    extra_callbacks: Optional[Sequence] = None,
-) -> ExperimentOutcome:
-    """Dispatch on ``config.method``, including the LTH meta-method.
-
-    Checkpoint/resume arguments apply to single-run methods; LTH
-    ignores them (its re-runs are deterministic recomputations).
-    """
-    if config.method == "lth":
-        return run_lth_experiment(config, verbose=verbose, extra_callbacks=extra_callbacks)
-    return run_experiment(
-        config,
-        verbose=verbose,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        extra_callbacks=extra_callbacks,
-    )
-
-
-def _sweep_worker(config: ExperimentConfig) -> ExperimentOutcome:
-    """Module-level worker so it pickles under every start method."""
-    return run_method(config, verbose=False)
 
 
 @contextlib.contextmanager
@@ -470,7 +430,7 @@ def run_sweep(
             unknown = ", ".join(sorted(queue_options))
             raise TypeError(f"queue options ({unknown}) require backend='queue'")
         if jobs <= 1 or len(configs) <= 1:
-            return [run_method(config, verbose=verbose) for config in configs]
+            return [run_experiment(config, verbose=verbose) for config in configs]
         # fork shares the already-imported interpreter state (cheapest);
         # spawn is the portable fallback where fork is unavailable.
         try:
@@ -478,4 +438,4 @@ def run_sweep(
         except ValueError:
             context = multiprocessing.get_context("spawn")
         with context.Pool(processes=min(jobs, len(configs))) as pool:
-            return pool.map(_sweep_worker, configs)
+            return pool.map(run_experiment, configs)

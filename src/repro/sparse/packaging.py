@@ -245,68 +245,45 @@ def packed_layer_bytes(
 
 
 # ----------------------------------------------------------------------
-# Model specs (geometry rebuild without the training stack)
+# Model specs (the one model constructor; no training-stack imports)
 # ----------------------------------------------------------------------
 def build_spec_model(spec: Dict):
-    """Instantiate model geometry from a package's model spec.
+    """Instantiate a model from a model spec.
 
     ``spec`` records the zoo name (plus ``"mlp"`` for
     :class:`~repro.snn.models.SpikingMLP`, which is not an experiment
-    model) and the resolved constructor kwargs.  Runs under
-    :func:`~repro.nn.init.skip_init` — every parameter is overwritten
-    from the package, so the init draws would be wasted work.
+    model), the resolved constructor kwargs, the encoder and the seed.
+    This is the one model constructor behind training, checkpoint
+    serving and package loading.  Weights draw from ``seed + 2`` and the
+    Poisson encoder from its own ``seed + 4`` stream, so rate coding is
+    reproducible and resumable (the checkpoint layer captures and
+    restores ``encoder.rng``).  The package loader calls it under
+    :func:`~repro.nn.init.skip_init`, since every parameter is
+    overwritten from the package.
     """
     from ..snn.encoding import build_encoder
     from ..snn.models import MODEL_REGISTRY, SpikingMLP, build_model
 
     name = spec["model"]
-    kwargs = dict(spec.get("kwargs", {}))
-    with skip_init():
-        if name in MODEL_REGISTRY:
-            model = build_model(name, **kwargs)
-        elif name == "mlp":
-            model = SpikingMLP(**kwargs)
-        else:
-            raise ValueError(
-                f"unknown model {name!r} in package spec "
-                f"(available: {sorted(MODEL_REGISTRY) + ['mlp']})"
-            )
+    seed = int(spec.get("seed", 0))
+    kwargs = dict(spec.get("kwargs", {}), rng=np.random.default_rng(seed + 2))
+    if name in MODEL_REGISTRY:
+        model = build_model(name, **kwargs)
+    elif name == "mlp":
+        model = SpikingMLP(**kwargs)
+    else:
+        raise ValueError(
+            f"unknown model {name!r} in package spec "
+            f"(available: {sorted(MODEL_REGISTRY) + ['mlp']})"
+        )
     encoder = spec.get("encoder", "direct")
     if encoder and encoder != "direct":
         encoder_kwargs = {}
         if encoder == "poisson":
-            # Mirrors build_experiment_model's dedicated stream
-            # (seed + 4) so packaged and checkpointed serving draw
-            # identical spike trains.
-            encoder_kwargs["rng"] = np.random.default_rng(
-                int(spec.get("seed", 0)) + 4
-            )
+            encoder_kwargs["rng"] = np.random.default_rng(seed + 4)
         timesteps = kwargs.get("timesteps", 4)
         model.encoder = build_encoder(encoder, timesteps, **encoder_kwargs)
     return model
-
-
-def spec_from_config(config) -> Dict:
-    """Model spec for an :class:`~repro.experiments.config.ExperimentConfig`.
-
-    Export-side helper (the experiments import happens at the caller);
-    resolves the same kwargs ``build_experiment_model`` would pass so
-    the package loader rebuilds identical geometry without the config.
-    """
-    kwargs = dict(
-        num_classes=config.num_classes or 10,
-        in_channels=3,
-        image_size=config.image_size or 32,
-        timesteps=config.timesteps,
-    )
-    if config.model != "convnet":
-        kwargs["width_mult"] = config.width_mult
-    return {
-        "model": config.model,
-        "kwargs": kwargs,
-        "encoder": config.encoder,
-        "seed": config.seed,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +562,8 @@ def build_packed_runtime(
             f"{package.path} stores {package.precision!r} values "
             "(re-export, or serve at f32 which pre-scales at load)"
         )
-    model = build_spec_model(package.meta["model_spec"])
+    with skip_init():
+        model = build_spec_model(package.meta["model_spec"])
     model.eval()
     _assign_dense_entries(package, model)
     patterns = {}

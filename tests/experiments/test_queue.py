@@ -16,7 +16,7 @@ from repro.experiments import (
     job_id_for,
     manifest_to_outcome,
     outcome_to_manifest,
-    run_method,
+    run_experiment,
     run_sweep,
     scaled_config,
     sweep_configs,
@@ -215,7 +215,7 @@ class TestLeaseExpiryAndRetry:
 
         save_json_atomic(tmp_path / "failed" / f"{job_id}.json",
                          {"job_id": job_id, "attempt": 3, "error": "boom"})
-        outcome = run_method(stalled.config)
+        outcome = run_experiment(stalled.config)
         stalled.complete(outcome_to_manifest(outcome))
         status = queue.status()
         assert status.results == 1 and status.done == 1 and status.failed == 0
@@ -227,7 +227,7 @@ class TestLeaseExpiryAndRetry:
         queue = JobQueue(tmp_path)
         (job_id,) = queue.submit([fast_config("dense")])
         job = queue.claim("worker")
-        outcome = run_method(job.config)
+        outcome = run_experiment(job.config)
         from repro.utils import save_json_atomic
 
         # Result written, then the worker died before _finalize; later a
@@ -262,7 +262,7 @@ class TestManifests:
     @pytest.mark.smoke
     def test_outcome_manifest_roundtrip(self):
         config = fast_config("dense")
-        outcome = run_method(config)
+        outcome = run_experiment(config)
         manifest = outcome_to_manifest(outcome)
         rebuilt = manifest_to_outcome(json.loads(json.dumps(manifest)))
         assert rebuilt.config == config
@@ -285,7 +285,7 @@ class TestManifests:
         queue = JobQueue(tmp_path, lease_seconds=0.1)
         (job_id,) = queue.submit([fast_config("dense")])
         job = queue.claim("slowpoke")
-        outcome = run_method(job.config)
+        outcome = run_experiment(job.config)
         # Simulate: result written, then the worker dies before retiring
         # the token; the next claimant must finalize, not re-run.
         from repro.utils import save_json_atomic
@@ -336,7 +336,7 @@ class TestCrashRecovery:
 
     def test_killed_worker_job_resumes_to_golden_result(self, tmp_path):
         config = scaled_config("cifar10", "convnet", "ndsnn", 0.9, **RESUME)
-        golden = run_method(config)
+        golden = run_experiment(config)
 
         spool = tmp_path / "spool"
         queue = JobQueue(spool, lease_seconds=0.5, backoff_seconds=0.05)
@@ -396,7 +396,7 @@ class TestCrashRecovery:
         config = scaled_config("cifar10", "convnet", "ndsnn", 0.9, **RESUME)
         # World A: CSR wins everywhere.
         calibration_world(tmp_path / "calib-a", 0.99)
-        golden = run_method(config)
+        golden = run_experiment(config)
 
         spool = tmp_path / "spool"
         queue = JobQueue(spool, lease_seconds=0.5, backoff_seconds=0.05)
@@ -431,7 +431,7 @@ class TestCrashRecovery:
     def test_scheduler_survives_all_workers_dying(self, tmp_path):
         """SweepScheduler drains in-process if its workers all crash."""
         config = scaled_config("cifar10", "convnet", "ndsnn", 0.9, **RESUME)
-        golden = run_method(config)
+        golden = run_experiment(config)
         spool = tmp_path / "spool"
         queue = JobQueue(spool, lease_seconds=0.5, backoff_seconds=0.05)
         queue.submit([config])

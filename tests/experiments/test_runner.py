@@ -10,8 +10,6 @@ from repro.experiments import (
     build_method,
     iterations_per_epoch,
     run_experiment,
-    run_lth_experiment,
-    run_method,
     run_sweep,
     scaled_config,
     sweep_configs,
@@ -86,15 +84,16 @@ class TestRunners:
         assert abs(outcome.final_sparsity - 0.9) < 0.05
 
     def test_run_lth_concatenates_history(self):
-        config = scaled_config("cifar10", "convnet", "lth", 0.9, **FAST)
-        outcome = run_lth_experiment(config, rounds=2, epochs_per_round=1)
+        config = scaled_config("cifar10", "convnet", "lth", 0.9, **FAST, lth_rounds=2)
+        outcome = run_experiment(config)
         assert len(outcome.history) == 2
         assert abs(outcome.final_sparsity - 0.9) < 0.05
 
-    def test_run_method_dispatch(self):
+    def test_run_lth_ignores_checkpoint(self, tmp_path):
         config = scaled_config("cifar10", "convnet", "lth", 0.9, **FAST, lth_rounds=2)
-        outcome = run_method(config)
+        outcome = run_experiment(config, checkpoint_path=tmp_path / "ckpt")
         assert len(outcome.history) == 2
+        assert not list(tmp_path.iterdir())
 
     def test_outcome_traces(self):
         config = scaled_config("cifar10", "convnet", "dense", 0.9, **FAST)

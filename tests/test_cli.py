@@ -74,6 +74,13 @@ class TestRun:
         ["run", "--image-size", "0"],
         ["run", "--initial-sparsity", "0.95"],
         ["run", "--sparsity", "1.0"],
+        ["run", "--epochs", "0"],
+        ["run", "--epochs", "-1"],
+        ["serve", "--workers", "0"],
+        ["serve", "--max-latency-ms", "-1"],
+        ["serve", "--requests", "0"],
+        ["serve", "--clients", "0"],
+        ["infer", "--max-batch", "0"],
         ["sweep", "--method", "set", "--method", "ndsnn", "--sparsity", "0.5"],
         ["stream", "--hidden", "0"],
         ["stream", "--classes", "0"],
@@ -93,6 +100,15 @@ class TestRun:
             main(argv)
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.smoke
+    def test_lth_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ckpt"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--method", "lth", "--checkpoint", str(checkpoint)])
+        assert exit_info.value.code == 2
+        assert "--method lth" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.smoke
     def test_csr_execution_run(self, capsys):

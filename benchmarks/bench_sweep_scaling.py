@@ -1,9 +1,14 @@
-"""Sweep-scaling benchmark: local pool vs the durable queue backend.
+"""Sweep-scaling benchmark: the durable job queue vs an in-process sweep.
 
-Times one method-grid sweep at several worker counts for both sweep
-backends, and re-verifies at every cell that the results are
-bit-identical to the sequential single-process reference — the
-guarantee the queue backend must preserve while adding durability.
+Times one method-grid sweep through the job queue at several worker
+counts, each cell in its own spool directory (so ``jobs=1`` times one
+queue worker, not the in-process path), and re-verifies at every cell
+that the results are bit-identical to the sequential in-process
+reference, ``run_sweep(jobs=1)`` — the guarantee the queue must
+preserve while adding durability.  Every cell adopts one shared
+dispatch calibration (``REPRO_CALIBRATION_DIR``, a temporary directory
+unless already set), so a cell's routes cannot drift from the
+reference's with timing noise.
 
 Emits ``BENCH_sweep.json``::
 
@@ -18,17 +23,20 @@ A regression gate over the committed numbers::
 
     PYTHONPATH=src python benchmarks/bench_sweep_scaling.py --check BENCH_sweep.json
 
-re-times the grid and exits non-zero if the headline queue-backend
-speedup regressed by more than 15% or any backend's results diverge
+re-times the grid and exits non-zero if the headline queue speedup
+regressed by more than 15% or any cell's results diverge
 from the sequential reference (tier-1 runs the gate mechanism via a
 smoke test; only the speedup ratio is gated, never absolute times).
 """
 
+import contextlib
 import os
 import sys
+import tempfile
 import time
 
 from repro.experiments import run_sweep, scaled_config, sweep_configs
+from repro.sparse.dispatch import CALIBRATION_ENV
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 if BENCH_DIR not in sys.path:  # spec loaders do not put it there
@@ -38,12 +46,12 @@ import _gate  # noqa: E402
 METHODS = ("ndsnn", "set", "rigl", "gmp")
 SPARSITIES = (0.9, 0.95)
 #: Headline metrics the regression gate compares (higher is better);
-#: every backend must also reproduce the sequential reference
+#: every queue cell must also reproduce the sequential reference
 #: bit-for-bit.
 HEADLINE_METRICS = ("best_queue_speedup",)
 GATE = _gate.Gate(
     HEADLINE_METRICS,
-    divergence="backend results diverged from the sequential reference",
+    divergence="queue results diverged from the sequential reference",
 )
 
 
@@ -69,40 +77,49 @@ def outcome_fingerprint(outcome):
     )
 
 
-def time_sweep(configs, backend: str, jobs: int):
+def time_sweep(configs, jobs: int, spool=None):
     start = time.perf_counter()
-    outcomes = run_sweep(configs, jobs=jobs, backend=backend)
+    outcomes = run_sweep(configs, jobs=jobs, spool=spool)
     return time.perf_counter() - start, outcomes
+
+
+@contextlib.contextmanager
+def shared_calibration():
+    """Point every cell at one calibration cache for the whole run."""
+    if os.environ.get(CALIBRATION_ENV):
+        yield
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-bench-calibration-") as directory:
+        os.environ[CALIBRATION_ENV] = directory
+        try:
+            yield
+        finally:
+            del os.environ[CALIBRATION_ENV]
 
 
 def run_scaling(epochs: int, train_samples: int, worker_counts,
                 methods=METHODS, sparsities=SPARSITIES):
     configs = build_grid(epochs, train_samples,
                          methods=methods, sparsities=sparsities)
-    reference_seconds, reference = time_sweep(configs, "local", jobs=1)
-    reference_prints = [outcome_fingerprint(outcome) for outcome in reference]
     cells = []
-    for backend in ("local", "queue"):
+    with shared_calibration():
+        reference_seconds, reference = time_sweep(configs, jobs=1)
+        reference_prints = [outcome_fingerprint(outcome) for outcome in reference]
         for jobs in worker_counts:
-            if backend == "local" and jobs == 1:
-                seconds, identical = reference_seconds, True
-            else:
-                seconds, outcomes = time_sweep(configs, backend, jobs)
-                identical = [
-                    outcome_fingerprint(outcome) for outcome in outcomes
-                ] == reference_prints
+            with tempfile.TemporaryDirectory(prefix="repro-bench-spool-") as spool:
+                seconds, outcomes = time_sweep(configs, jobs, spool=spool)
             cells.append(
                 {
-                    "backend": backend,
                     "jobs": jobs,
                     "seconds": seconds,
                     "speedup_vs_sequential": reference_seconds / seconds,
-                    "bit_identical": identical,
+                    "bit_identical": [
+                        outcome_fingerprint(outcome) for outcome in outcomes
+                    ] == reference_prints,
                 }
             )
-    queue_cells = [c for c in cells if c["backend"] == "queue"]
     return {
-        "bench": "sweep_scaling_local_vs_queue",
+        "bench": "sweep_scaling_queue_vs_sequential",
         "grid_configs": len(configs),
         "methods": list(methods),
         "sparsities": list(sparsities),
@@ -111,12 +128,12 @@ def run_scaling(epochs: int, train_samples: int, worker_counts,
         "sequential_seconds": reference_seconds,
         "cells": cells,
         "all_bit_identical": all(c["bit_identical"] for c in cells),
-        "best_queue_speedup": max(c["speedup_vs_sequential"] for c in queue_cells),
+        "best_queue_speedup": max(c["speedup_vs_sequential"] for c in cells),
     }
 
 
 def main(argv=None):
-    parser = _gate.parser("sweep backend scaling comparison", "BENCH_sweep.json")
+    parser = _gate.parser("sweep queue scaling comparison", "BENCH_sweep.json")
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--train-samples", type=int, default=128)
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
@@ -130,12 +147,12 @@ def main(argv=None):
     )
     for cell in payload["cells"]:
         print(
-            f"{cell['backend']:>5s} jobs={cell['jobs']}: "
+            f"queue jobs={cell['jobs']}: "
             f"{cell['seconds']:6.2f}s  "
             f"({cell['speedup_vs_sequential']:.2f}x vs sequential, "
             f"bit-identical: {cell['bit_identical']})"
         )
-    print(f"best queue-backend speedup: {payload['best_queue_speedup']:.2f}x")
+    print(f"best queue speedup: {payload['best_queue_speedup']:.2f}x")
     return _gate.finish(args, payload, GATE)
 
 

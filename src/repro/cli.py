@@ -7,16 +7,17 @@ Run one cell of Table I and save the result::
     python -m repro run --dataset cifar10 --model vgg16 --method ndsnn \
         --sparsity 0.95 --epochs 10 --out result.json
 
-Sweep several methods across worker processes::
+Sweep several methods across worker processes (``--jobs`` above 1 runs
+the grid through a durable job queue in a temporary spool directory)::
 
     python -m repro sweep --method ndsnn --method set --method rigl \
         --jobs 4 --epochs 2 --out sweep.json
 
-Shard the same sweep through a durable spool directory (any number of
-extra workers — on this host or on others sharing the filesystem — can
-join with ``repro worker``)::
+Name the spool to share it: any number of extra workers — on this host
+or on others sharing the filesystem — can join with ``repro worker``,
+and re-running an interrupted sweep resumes it::
 
-    python -m repro sweep --backend queue --spool /shared/spool --jobs 2
+    python -m repro sweep --spool /shared/spool --jobs 2
     python -m repro worker --spool /shared/spool          # second terminal
     python -m repro sweep-status --spool /shared/spool    # progress
 
@@ -59,6 +60,14 @@ def positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
+    return parsed
+
+
+def positive_float(value: str) -> float:
+    """argparse type: a float > 0."""
+    parsed = float(value)
+    if not parsed > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return parsed
 
 
@@ -205,27 +214,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     def add_queue_arguments(parser: argparse.ArgumentParser, spool_required: bool) -> None:
-        # Defaults are applied in _queue_params, not here, so the sweep
-        # command can tell "flag passed" from "default" and reject queue
-        # flags when the backend is local.
         parser.add_argument(
             "--spool", required=spool_required, default=None,
             help="spool directory of the durable job queue (shared "
                  "across hosts for multi-host sweeps)",
         )
         parser.add_argument(
-            "--lease-seconds", type=float, default=None,
+            "--lease-seconds", type=positive_float, default=DEFAULT_LEASE_SECONDS,
             help="heartbeat lease: a claimed job whose worker stops "
                  f"renewing for this long is re-queued "
                  f"(default {DEFAULT_LEASE_SECONDS:g})",
         )
         parser.add_argument(
-            "--max-attempts", type=int, default=None,
+            "--max-attempts", type=positive_int, default=DEFAULT_MAX_ATTEMPTS,
             help=f"attempts per job before it lands in failed/ "
                  f"(default {DEFAULT_MAX_ATTEMPTS})",
         )
         parser.add_argument(
-            "--backoff-seconds", type=float, default=None,
+            "--backoff-seconds", type=non_negative_float,
+            default=DEFAULT_BACKOFF_SECONDS,
             help="base of the exponential retry backoff "
                  f"(default {DEFAULT_BACKOFF_SECONDS:g})",
         )
@@ -239,13 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="method to include (repeatable; default: the full zoo)",
     )
     sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep (1 = sequential)",
-    )
-    sweep.add_argument(
-        "--backend", default="local", choices=("local", "queue"),
-        help="local = in-process pool; queue = durable spool-directory "
-             "job queue (crash-safe, joinable from other hosts)",
+        "--jobs", type=positive_int, default=1,
+        help="worker processes draining the sweep's job queue (1 without "
+             "--spool = sequential, in-process)",
     )
     add_queue_arguments(sweep, spool_required=False)
 
@@ -258,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stop after processing this many jobs",
     )
     worker.add_argument(
-        "--idle-timeout", type=float, default=None,
+        "--idle-timeout", type=non_negative_float, default=None,
         help="exit after this many seconds without claiming a job "
              "(a worker on a still-empty spool waits for the sweep to "
              "submit; without this flag it waits indefinitely)",
@@ -286,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--streams", type=positive_int, default=4, help="simulated devices")
     stream.add_argument("--channels", type=positive_int, default=16, help="sensor channels per event")
-    stream.add_argument("--events", type=int, default=256, help="events per device")
+    stream.add_argument("--events", type=positive_int, default=256, help="events per device")
     stream.add_argument("--rate-hz", type=float, default=100.0, help="mean arrival rate")
     stream.add_argument("--window", type=positive_int, default=8, help="events per readout window")
     stream.add_argument(
@@ -301,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--classes", type=positive_int, default=4, help="readout classes")
     stream.add_argument("--sparsity", type=fraction, default=0.9, help="mask sparsity")
     stream.add_argument(
-        "--ttl", type=float, default=None,
+        "--ttl", type=positive_float, default=None,
         help="stale-state TTL in event-time seconds (default: no TTL)",
     )
     stream.add_argument(
@@ -322,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "stall:duration=1.0,p=0.05; reconnect:gap=2.0,drop=3,p=0.02)",
     )
     stream.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help=">1 serves the feed through the sharded StreamServer",
     )
     stream.add_argument("--seed", type=int, default=0)
@@ -396,33 +399,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     methods = args.method or list(METHOD_CHOICES)
     base = _config_from_args(args, methods[0])
     configs = sweep_configs(base, methods)
-    if args.backend == "queue":
-        outcomes = run_sweep(
-            configs,
-            jobs=args.jobs,
-            backend="queue",
-            spool=args.spool,
-            **_queue_params(args),
-        )
-    else:
-        stray = [
-            flag
-            for flag, value in (
-                ("--spool", args.spool),
-                ("--lease-seconds", args.lease_seconds),
-                ("--max-attempts", args.max_attempts),
-                ("--backoff-seconds", args.backoff_seconds),
-            )
-            if value is not None
-        ]
-        if stray:
-            print(
-                f"error: {', '.join(stray)} require(s) --backend queue "
-                "(the local backend has no spool, leases or retries)",
-                file=sys.stderr,
-            )
-            return 2
-        outcomes = run_sweep(configs, jobs=args.jobs)
+    outcomes = run_sweep(configs, jobs=args.jobs, spool=args.spool, **_queue_params(args))
     rows = [
         (
             config.dataset,
@@ -460,17 +437,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _queue_params(args: argparse.Namespace) -> dict:
-    """Queue knobs from flags, with defaults for the ones not passed."""
+    """Queue knobs from the queue flags."""
     return {
-        "lease_seconds": (
-            DEFAULT_LEASE_SECONDS if args.lease_seconds is None else args.lease_seconds
-        ),
-        "max_attempts": (
-            DEFAULT_MAX_ATTEMPTS if args.max_attempts is None else args.max_attempts
-        ),
-        "backoff_seconds": (
-            DEFAULT_BACKOFF_SECONDS if args.backoff_seconds is None else args.backoff_seconds
-        ),
+        "lease_seconds": args.lease_seconds,
+        "max_attempts": args.max_attempts,
+        "backoff_seconds": args.backoff_seconds,
     }
 
 

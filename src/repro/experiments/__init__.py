@@ -6,10 +6,10 @@ from .queue import (
     JobQueue,
     QueueStatus,
     QueueWorker,
-    SweepScheduler,
     job_id_for,
     manifest_to_outcome,
     outcome_to_manifest,
+    run_sweep,
 )
 from .runner import (
     ExperimentOutcome,
@@ -18,7 +18,6 @@ from .runner import (
     build_method,
     iterations_per_epoch,
     run_experiment,
-    run_sweep,
     sweep_configs,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "QueueWorker",
     "QueueStatus",
     "ClaimedJob",
-    "SweepScheduler",
     "job_id_for",
     "outcome_to_manifest",
     "manifest_to_outcome",

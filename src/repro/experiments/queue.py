@@ -1,11 +1,13 @@
-"""Durable, filesystem-backed job queue for distributed sweeps.
+"""Durable, filesystem-backed job queue: the one parallel sweep path.
 
-``run_sweep`` fans a config grid across local processes; this module
-scales the same pure-function worker across processes *and hosts* that
-share a filesystem (NFS scratch, a cluster home directory, one laptop's
-``/tmp``).  There is no broker and no daemon: every piece of queue
-state is a file in a spool directory, and every state transition is an
-atomic ``os.rename``::
+:func:`run_sweep` runs a config grid in-process, one
+``run_experiment`` after another, or, given a ``spool`` or ``jobs >
+1``, through this queue: it submits the grid and starts ``jobs`` worker
+processes, and further workers on any host that shares the filesystem
+(NFS scratch, a cluster home directory, one laptop's ``/tmp``) can join
+with ``repro worker --spool``.  There is no broker and no daemon: every
+piece of queue state is a file in a spool directory, and every state
+transition is an atomic ``os.rename``::
 
     spool/
       jobs/<id>.json         immutable job spec (the ExperimentConfig)
@@ -17,6 +19,7 @@ atomic ``os.rename``::
       results/<id>.json      one manifest entry per finished job
       done/<id>.json         retired tokens of completed jobs
       failed/<id>.json       tokens of jobs that exhausted max_attempts
+      calibration/           write-once dispatch cutoffs every job adopts
 
 **Claiming** is ``rename(pending/x -> claimed/x)``: on POSIX the rename
 succeeds for exactly one claimant, so no locks are needed.  The winner
@@ -42,24 +45,36 @@ worker is reaped, then both it and the re-claimant finish) both writers
 produce byte-identical manifests — every job is a deterministic
 function of its config — so the manifest set always ends up with
 exactly one entry per job, no duplicates and no holes.
+
+**Shared calibration**: under ``auto`` execution a job measures the
+dense-vs-CSR dispatch cutoff of each layer shape.  A worker runs every
+job with ``REPRO_CALIBRATION_DIR`` at ``spool/calibration`` (unless the
+variable already names a directory), so the first claimant to measure a
+shape publishes its cutoff and every other job, on any host, adopts it:
+all jobs of a sweep route their layers alike, whatever each host's
+timing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
+from ..sparse.dispatch import CALIBRATION_ENV
 from ..train import EpochStats
 from ..train.hooks import TrainerCallback
 from ..utils import load_json, save_json, save_json_atomic
 from .config import ExperimentConfig
+from .runner import ExperimentOutcome, run_experiment
 
 DEFAULT_LEASE_SECONDS = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
@@ -75,6 +90,7 @@ _STATE_DIRS = (
     "results",
     "done",
     "failed",
+    "calibration",
 )
 
 
@@ -107,8 +123,6 @@ def manifest_to_outcome(manifest: Dict):
     JSON serializes floats with shortest-roundtrip ``repr``, so the
     rebuilt outcome compares equal, value for value, with the original.
     """
-    from .runner import ExperimentOutcome
-
     return ExperimentOutcome(
         config=ExperimentConfig.from_dict(manifest["config"]),
         final_accuracy=manifest["final_accuracy"],
@@ -184,6 +198,8 @@ class JobQueue:
             raise ValueError("lease_seconds must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if backoff_seconds < 0:
+            raise ValueError("backoff_seconds must be >= 0")
         self.spool = Path(spool)
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
@@ -668,7 +684,9 @@ class QueueWorker:
         Success and failure are tallied on :attr:`jobs_completed` /
         :attr:`jobs_failed`; a failed job is reported to the queue
         (retry with backoff, or ``failed/`` after max attempts) and
-        never kills the worker.
+        never kills the worker.  Unless ``REPRO_CALIBRATION_DIR`` already
+        names a directory, it points at ``spool/calibration`` for the
+        job's duration.
         """
         job = self.queue.claim(self.worker_id)
         if job is None:
@@ -676,8 +694,9 @@ class QueueWorker:
         callbacks: List[TrainerCallback] = [_LeaseHeartbeat(job)]
         if self.fault_epochs is not None:
             callbacks.append(_CrashAfterEpochs(self.fault_epochs))
-        from .runner import run_experiment
-
+        inherited = os.environ.get(CALIBRATION_ENV)
+        if not inherited:
+            os.environ[CALIBRATION_ENV] = str(self.queue.spool / "calibration")
         try:
             outcome = run_experiment(
                 job.config,
@@ -691,6 +710,9 @@ class QueueWorker:
             job.fail(f"{type(exc).__name__}: {exc}")
             self.jobs_failed += 1
             return job.job_id
+        finally:
+            if not inherited:
+                os.environ.pop(CALIBRATION_ENV, None)
         job.complete(outcome_to_manifest(outcome))
         self.jobs_completed += 1
         return job.job_id
@@ -762,111 +784,82 @@ def _worker_main(
 
 
 # ----------------------------------------------------------------------
-# Scheduler
+# Sweeps
 # ----------------------------------------------------------------------
-class SweepScheduler:
-    """Shards a config grid across workers through the spool queue.
+def run_sweep(
+    configs: Iterable[ExperimentConfig],
+    jobs: int = 1,
+    verbose: bool = False,
+    spool: Optional[Union[str, Path]] = None,
+    **queue_options,
+) -> List[ExperimentOutcome]:
+    """Run a config grid; outcomes come back in input order.
 
-    On one host it launches ``jobs`` worker processes itself; across
-    hosts, point extra ``repro worker --spool DIR`` processes at the
-    same directory and they join the pool — the queue does not care who
-    claims a token.  If every launched worker dies (faults included),
-    the scheduler drains the remainder in-process, so :meth:`run`
-    always returns the complete, input-ordered outcome list.
+    With no ``spool`` and ``jobs <= 1`` the configs run in-process, one
+    :func:`~repro.experiments.runner.run_experiment` after another.
+    Otherwise they go through the job queue in ``spool`` (a temporary
+    directory, removed afterwards, if omitted): ``jobs`` worker
+    processes drain it, and ``repro worker --spool`` processes on other
+    hosts can join.  If every worker process dies, the remainder is
+    drained in-process, so the outcome list is always complete.
+    ``queue_options`` (``lease_seconds``, ``max_attempts``,
+    ``backoff_seconds``, ``checkpoint_every``) tune the queue.
+
+    Each experiment derives every random stream from its own config
+    seed, and queued jobs share the spool's calibration, so results are
+    bit-identical to the in-process run at any worker count.
     """
-
-    def __init__(
-        self,
-        spool: Optional[Union[str, Path]] = None,
-        jobs: int = 1,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
-        checkpoint_every: int = 1,
-        keep_spool: bool = False,
-        verbose: bool = False,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.spool = None if spool is None else Path(spool)
-        self.jobs = int(jobs)
-        self.lease_seconds = float(lease_seconds)
-        self.max_attempts = int(max_attempts)
-        self.backoff_seconds = float(backoff_seconds)
-        self.checkpoint_every = int(checkpoint_every)
-        self.keep_spool = keep_spool
-        self.verbose = verbose
-
-    def _make_queue(self, spool: Union[str, Path]) -> JobQueue:
-        return JobQueue(
-            spool,
-            lease_seconds=self.lease_seconds,
-            max_attempts=self.max_attempts,
-            backoff_seconds=self.backoff_seconds,
-        )
-
-    def run(
-        self,
-        configs: Sequence[ExperimentConfig],
-        timeout: Optional[float] = None,
-    ) -> List:
-        """Submit, fan out, wait, and collect outcomes in input order."""
-        import multiprocessing
-        import tempfile
-
-        configs = list(configs)
-        spool = self.spool
-        ephemeral = spool is None
-        if ephemeral:
-            spool = Path(tempfile.mkdtemp(prefix="repro-sweep-"))
+    configs = list(configs)
+    if spool is None and jobs <= 1:
+        return [run_experiment(config, verbose=verbose) for config in configs]
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    checkpoint_every = int(queue_options.pop("checkpoint_every", 1))
+    ephemeral = spool is None
+    spool = Path(tempfile.mkdtemp(prefix="repro-sweep-") if ephemeral else spool)
+    try:
+        queue = JobQueue(spool, **queue_options)
+        job_ids = queue.submit(configs)
+        # fork shares the already-imported interpreter state (cheapest);
+        # spawn is the portable fallback where fork is unavailable.
         try:
-            queue = self._make_queue(spool)
-            job_ids = queue.submit(configs)
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:
-                context = multiprocessing.get_context("spawn")
-            workers = [
-                context.Process(
-                    target=_worker_main,
-                    args=(
-                        str(spool),
-                        self.lease_seconds,
-                        self.max_attempts,
-                        self.backoff_seconds,
-                        self.checkpoint_every,
-                        None,
-                        self.verbose,
-                    ),
-                    daemon=True,
-                )
-                for _ in range(min(self.jobs, max(1, len(configs))))
-            ]
-            for worker in workers:
-                worker.start()
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = multiprocessing.get_context("spawn")
+        workers = [
+            context.Process(
+                target=_worker_main,
+                args=(
+                    str(spool),
+                    queue.lease_seconds,
+                    queue.max_attempts,
+                    queue.backoff_seconds,
+                    checkpoint_every,
+                    None,
+                    verbose,
+                ),
+                daemon=True,
+            )
+            for _ in range(min(jobs, max(1, len(configs))))
+        ]
+        for worker in workers:
+            worker.start()
 
-            def drain_if_workers_died() -> None:
-                # Every worker process died (crash, OOM, fault
-                # injection): finish the remainder ourselves so run()
-                # always returns the complete outcome list.
-                if not any(worker.is_alive() for worker in workers):
-                    if queue.status().in_flight > 0:
-                        QueueWorker(
-                            queue,
-                            checkpoint_every=self.checkpoint_every,
-                            verbose=self.verbose,
-                        ).run()
+        def drain_if_workers_died() -> None:
+            if not any(worker.is_alive() for worker in workers):
+                if queue.status().in_flight > 0:
+                    QueueWorker(
+                        queue, checkpoint_every=checkpoint_every, verbose=verbose
+                    ).run()
 
-            try:
-                manifests = queue.wait(
-                    job_ids, timeout=timeout, on_poll=drain_if_workers_died
-                )
-            finally:
-                for worker in workers:
-                    worker.join(timeout=5.0)
-                    if worker.is_alive():
-                        worker.terminate()
-            return [manifest_to_outcome(manifests[job_id]) for job_id in job_ids]
+        try:
+            manifests = queue.wait(job_ids, on_poll=drain_if_workers_died)
         finally:
-            if ephemeral and not self.keep_spool:
-                shutil.rmtree(spool, ignore_errors=True)
+            for worker in workers:
+                worker.join(timeout=5.0)
+                if worker.is_alive():
+                    worker.terminate()
+        return [manifest_to_outcome(manifests[job_id]) for job_id in job_ids]
+    finally:
+        if ephemeral:
+            shutil.rmtree(spool, ignore_errors=True)

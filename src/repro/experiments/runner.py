@@ -3,19 +3,15 @@
 :func:`run_experiment` is the single code path behind every method
 (LTH included), every table/figure bench and the examples, so the
 reproduction results always exercise the real library API.
-:func:`run_sweep` fans a list of configs out across worker processes
-(``--jobs`` on the CLI) for table/figure grids.
+:func:`sweep_configs` builds the method x sparsity grids that
+:func:`~repro.experiments.queue.run_sweep` runs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -349,32 +345,6 @@ def run_experiment(
     )
 
 
-@contextlib.contextmanager
-def _calibration_scope():
-    """Point all sweep workers at one shared dispatch-calibration cache.
-
-    Under ``auto`` execution each worker calibrates its dispatch cutoffs
-    by timing kernels; with the write-once cache in a shared directory,
-    the first worker to measure a shape publishes the cutoff and every
-    later worker (same process or sibling) adopts it — so all runs of a
-    sweep route dense-vs-CSR identically regardless of per-process
-    timing jitter.  Respects a pre-set ``REPRO_CALIBRATION_DIR`` (the
-    queue backend's cross-host workers set it to the spool).
-    """
-    from ..sparse.dispatch import CALIBRATION_ENV, clear_process_cache
-
-    if os.environ.get(CALIBRATION_ENV):
-        yield
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-calib-") as shared:
-        os.environ[CALIBRATION_ENV] = shared
-        try:
-            yield
-        finally:
-            os.environ.pop(CALIBRATION_ENV, None)
-            clear_process_cache()
-
-
 def sweep_configs(
     base: ExperimentConfig,
     methods: Sequence[str],
@@ -387,55 +357,3 @@ def sweep_configs(
             configs.append(base.scaled(method=method, sparsity=sparsity))
     return configs
 
-
-def run_sweep(
-    configs: Iterable[ExperimentConfig],
-    jobs: int = 1,
-    verbose: bool = False,
-    backend: str = "local",
-    spool: Optional[Union[str, Path]] = None,
-    **queue_options,
-) -> List[ExperimentOutcome]:
-    """Run many experiments, optionally fanned out across processes.
-
-    Backends:
-
-    * ``local`` — ``jobs <= 1`` runs sequentially in-process; otherwise
-      a ``multiprocessing`` pool of ``jobs`` workers maps over the
-      configs.
-    * ``queue`` — the configs are submitted to a durable file-backed
-      job queue in ``spool`` (a temporary directory if omitted) and
-      ``jobs`` worker processes drain it; workers on *other* hosts can
-      join by pointing ``repro worker --spool`` at the same directory.
-      Extra ``queue_options`` (``lease_seconds``, ``max_attempts``,
-      ``backoff_seconds``, ``checkpoint_every``) are forwarded to
-      :class:`~repro.experiments.queue.SweepScheduler`.
-
-    Outcomes come back in input order either way, and each experiment
-    derives every random stream from its own config seed, so results
-    are bit-identical across backends and at any worker count.
-    """
-    configs = list(configs)
-    with _calibration_scope():
-        if backend == "queue":
-            from .queue import SweepScheduler
-
-            scheduler = SweepScheduler(
-                spool=spool, jobs=jobs, verbose=verbose, **queue_options
-            )
-            return scheduler.run(configs)
-        if backend != "local":
-            raise ValueError(f"unknown sweep backend {backend!r} (use 'local' or 'queue')")
-        if queue_options:
-            unknown = ", ".join(sorted(queue_options))
-            raise TypeError(f"queue options ({unknown}) require backend='queue'")
-        if jobs <= 1 or len(configs) <= 1:
-            return [run_experiment(config, verbose=verbose) for config in configs]
-        # fork shares the already-imported interpreter state (cheapest);
-        # spawn is the portable fallback where fork is unavailable.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=min(jobs, len(configs))) as pool:
-            return pool.map(run_experiment, configs)

@@ -12,7 +12,6 @@ from repro.experiments import (
     ExperimentConfig,
     JobQueue,
     QueueWorker,
-    SweepScheduler,
     job_id_for,
     manifest_to_outcome,
     outcome_to_manifest,
@@ -110,6 +109,14 @@ class TestSubmitAndClaim:
 
 
 class TestLeaseExpiryAndRetry:
+    @pytest.mark.smoke
+    @pytest.mark.parametrize("option, value", [
+        ("lease_seconds", 0.0), ("max_attempts", 0), ("backoff_seconds", -1.0),
+    ])
+    def test_rejects_out_of_range_knobs(self, tmp_path, option, value):
+        with pytest.raises(ValueError, match=option):
+            JobQueue(tmp_path, **{option: value})
+
     @pytest.mark.smoke
     def test_expired_lease_is_reaped_with_backoff(self, tmp_path):
         queue = JobQueue(tmp_path, lease_seconds=0.2, backoff_seconds=0.5)
@@ -300,19 +307,18 @@ class TestManifests:
         assert not list((tmp_path / "leases").iterdir())
 
 
-class TestRunSweepQueueBackend:
-    def test_queue_backend_matches_local_eight_configs(self, tmp_path):
-        """The ISSUE acceptance grid: >= 8 configs, bit-identical."""
+class TestRunSweepQueued:
+    def test_queue_matches_sequential_eight_configs(self, tmp_path):
+        """>= 8 configs through the queue, bit-identical to in-process."""
         base = fast_config("ndsnn")
         configs = sweep_configs(
             base, ["dense", "ndsnn", "set", "rigl"], sparsities=[0.8, 0.9]
         )
         assert len(configs) == 8
-        local = run_sweep(configs, jobs=1)
-        queued = run_sweep(configs, jobs=3, backend="queue",
-                           spool=tmp_path / "spool")
-        assert [o.config for o in queued] == [o.config for o in local]
-        for want, got in zip(local, queued):
+        sequential = run_sweep(configs, jobs=1)
+        queued = run_sweep(configs, jobs=3, spool=tmp_path / "spool")
+        assert [o.config for o in queued] == [o.config for o in sequential]
+        for want, got in zip(sequential, queued):
             assert got.final_accuracy == want.final_accuracy
             assert got.best_accuracy == want.best_accuracy
             assert got.final_sparsity == want.final_sparsity
@@ -320,15 +326,49 @@ class TestRunSweepQueueBackend:
                 s.as_dict() for s in want.history
             ]
 
-    @pytest.mark.smoke
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            run_sweep([fast_config()], backend="carrier-pigeon")
+    def test_workers_share_the_spools_calibration(self, tmp_path, monkeypatch):
+        """Every claimant of a spool adopts the cutoffs measured first."""
+        import fcntl
 
-    @pytest.mark.smoke
-    def test_queue_options_require_queue_backend(self):
-        with pytest.raises(TypeError, match="lease_seconds"):
-            run_sweep([fast_config()], backend="local", lease_seconds=5.0)
+        import repro.sparse.dispatch as dispatch
+
+        log = tmp_path / "measured.log"
+        lock = tmp_path / "lookup.lock"
+        real_get_cutoff = dispatch.get_cutoff
+
+        def logging_measure(rows, cols, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{rows}x{cols}\n")
+            return {"cutoff": 0.5, "buckets": {}}
+
+        def serialized_get_cutoff(rows, cols, measure):
+            # Two workers looking a shape up at the same instant can
+            # both miss the write-once cache and both measure; holding
+            # a lock over the lookup removes that race, so one
+            # measurement per shape shows that the workers share a cache.
+            with open(lock, "w") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)
+                return real_get_cutoff(rows, cols, measure=measure)
+
+        monkeypatch.delenv(dispatch.CALIBRATION_ENV, raising=False)
+        monkeypatch.setattr(dispatch, "measure_crossover", logging_measure)
+        monkeypatch.setattr(dispatch, "get_cutoff", serialized_get_cutoff)
+        spool = tmp_path / "spool"
+        configs = sweep_configs(fast_config("ndsnn"), ["ndsnn", "set", "rigl", "gmp"])
+        run_sweep(configs, jobs=2, spool=spool)
+        measured = log.read_text().split()
+        assert measured and len(measured) == len(set(measured))
+        published = sorted(path.name for path in (spool / "calibration").iterdir())
+        assert published == sorted(f"calibration-{shape}.json" for shape in measured)
+        assert dispatch.CALIBRATION_ENV not in os.environ
+
+        # A later in-process worker on a new job measures nothing.
+        log.write_text("")
+        queue = JobQueue(spool)
+        queue.submit([fast_config("set", seed=7)])
+        assert QueueWorker(queue, poll_seconds=0.01).run() == 1
+        assert log.read_text() == ""
+        assert dispatch.CALIBRATION_ENV not in os.environ
 
 
 class TestCrashRecovery:
@@ -428,8 +468,8 @@ class TestCrashRecovery:
         ]
         dispatch.clear_process_cache()
 
-    def test_scheduler_survives_all_workers_dying(self, tmp_path):
-        """SweepScheduler drains in-process if its workers all crash."""
+    def test_sweep_survives_all_workers_dying(self, tmp_path):
+        """run_sweep drains in-process if its workers all crash."""
         config = scaled_config("cifar10", "convnet", "ndsnn", 0.9, **RESUME)
         golden = run_experiment(config)
         spool = tmp_path / "spool"
@@ -443,9 +483,8 @@ class TestCrashRecovery:
         assert crasher.exitcode == 113
         time.sleep(0.6)
 
-        scheduler = SweepScheduler(spool=spool, jobs=1, lease_seconds=0.5,
-                                   backoff_seconds=0.05)
-        (outcome,) = scheduler.run([config])
+        (outcome,) = run_sweep([config], jobs=1, spool=spool,
+                               lease_seconds=0.5, backoff_seconds=0.05)
         assert outcome.final_accuracy == golden.final_accuracy
         assert [s.as_dict() for s in outcome.history] == [
             s.as_dict() for s in golden.history

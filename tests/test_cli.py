@@ -82,6 +82,16 @@ class TestRun:
         ["serve", "--clients", "0"],
         ["infer", "--max-batch", "0"],
         ["sweep", "--method", "set", "--method", "ndsnn", "--sparsity", "0.5"],
+        ["sweep", "--jobs", "0"],
+        ["sweep", "--jobs", "-3"],
+        ["sweep", "--lease-seconds", "0"],
+        ["sweep", "--max-attempts", "0"],
+        ["sweep", "--backoff-seconds", "-1"],
+        ["worker", "--spool", "spool", "--lease-seconds", "-1"],
+        ["worker", "--spool", "spool", "--max-attempts", "0"],
+        ["worker", "--spool", "spool", "--backoff-seconds", "-1"],
+        ["worker", "--spool", "spool", "--idle-timeout", "-1"],
+        ["sweep-status", "--spool", "spool", "--lease-seconds", "nan"],
         ["stream", "--hidden", "0"],
         ["stream", "--classes", "0"],
         ["stream", "--window", "0"],
@@ -92,6 +102,10 @@ class TestRun:
         ["stream", "--stride", "9", "--window", "8"],
         ["stream", "--adapt", "--adapt-every", "0"],
         ["stream", "--sparsity", "1.5"],
+        ["stream", "--events", "0"],
+        ["stream", "--workers", "0"],
+        ["stream", "--ttl", "-1"],
+        ["stream", "--ttl", "0"],
         ["memory", "--sparsity", "2"],
         ["memory", "--timesteps", "-1"],
     ], ids=" ".join)
@@ -157,22 +171,6 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--method", "magic"])
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--backend", "carrier-pigeon", *FAST_SWEEP])
-
-    @pytest.mark.smoke
-    def test_spool_without_queue_backend_is_an_error(self, tmp_path, capsys):
-        code = main(["sweep", "--spool", str(tmp_path / "s"), *FAST_SWEEP])
-        assert code == 2
-        assert "--backend queue" in capsys.readouterr().err
-
-    @pytest.mark.smoke
-    def test_queue_knobs_without_queue_backend_are_an_error(self, capsys):
-        code = main(["sweep", "--lease-seconds", "5", *FAST_SWEEP])
-        assert code == 2
-        assert "--lease-seconds" in capsys.readouterr().err
-
     @pytest.mark.smoke
     @pytest.mark.parametrize("flag", ["--checkpoint-every", "--max-jobs"])
     def test_worker_rejects_nonpositive_counts(self, tmp_path, flag):
@@ -180,18 +178,19 @@ class TestSweep:
             main(["worker", "--spool", str(tmp_path), flag, "0"])
 
 
-class TestQueueBackendCLI:
-    def test_queue_sweep_matches_local_output_file(self, tmp_path, capsys):
-        local_out = tmp_path / "local.json"
+class TestQueueCLI:
+    def test_queue_sweep_matches_sequential_output_file(self, tmp_path, capsys):
+        sequential_out = tmp_path / "sequential.json"
         queue_out = tmp_path / "queue.json"
         args = ["sweep", "--method", "dense", "--method", "ndsnn", *FAST_SWEEP]
-        assert main([*args, "--out", str(local_out)]) == 0
+        assert main([*args, "--jobs", "1", "--out", str(sequential_out)]) == 0
         assert main([
-            *args, "--backend", "queue", "--jobs", "2",
-            "--spool", str(tmp_path / "spool"), "--out", str(queue_out),
+            *args, "--jobs", "2", "--spool", str(tmp_path / "spool"),
+            "--out", str(queue_out),
         ]) == 0
-        # The acceptance bar: byte-identical result files across backends.
-        assert queue_out.read_text() == local_out.read_text()
+        # The acceptance bar: the queued result file is byte-identical
+        # to the in-process one.
+        assert queue_out.read_text() == sequential_out.read_text()
 
     @pytest.mark.smoke
     def test_worker_drains_spool(self, tmp_path, capsys):

@@ -30,13 +30,14 @@ def test_edge_deployment_fast(capsys):
 
 
 @pytest.mark.smoke
-@pytest.mark.parametrize("name", ["toy_drop_and_grow", "quickstart"])
-def test_example_runs_standalone(name):
+@pytest.mark.parametrize("name", ["toy_drop_and_grow", "quickstart", "distributed_sweep"])
+def test_example_runs_standalone(name, tmp_path):
     # A fresh interpreter, as `python examples/<name>.py` runs it: no
     # state carried over from the test process but the environment.
     result = subprocess.run(
         [sys.executable, os.path.join(EXAMPLES_DIR, name + ".py")],
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        env={**os.environ, "PYTHONPATH": SRC_DIR, "TMPDIR": str(tmp_path)},
     )
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.iterdir()), "the example left temporary files"

@@ -73,10 +73,14 @@ def main(argv=None):
     parser.add_argument("--fast", action="store_true",
                         help="tiny workload (the smoke-test profile)")
     args = parser.parse_args(argv)
-    seed = 0
-    epochs, train_samples, test_samples = (1, 64, 32) if args.fast else (8, 256, 128)
+    with tempfile.TemporaryDirectory(prefix="repro-edge-") as workdir:
+        deploy(Path(workdir) / "ckpt", args.fast)
 
-    checkpoint = Path(tempfile.mkdtemp(prefix="repro-edge-")) / "ckpt"
+
+def deploy(checkpoint, fast):
+    """Steps 1-5 of the module docstring, with the checkpoint at ``checkpoint``."""
+    seed = 0
+    epochs, train_samples, test_samples = (1, 64, 32) if fast else (8, 256, 128)
     test_loader = train_checkpoint(
         checkpoint, seed, epochs, train_samples, test_samples
     )
@@ -110,7 +114,7 @@ def main(argv=None):
     ))
 
     # --- batched serving under concurrent clients ----------------------
-    burst = images[: 24 if args.fast else 96]
+    burst = images[: 24 if fast else 96]
     latencies = []
     lock = threading.Lock()
 

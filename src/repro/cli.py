@@ -578,7 +578,7 @@ def _command_infer(args: argparse.Namespace) -> int:
             [(d["layer"], "x".join(map(str, d["shape"])), d["density"],
               d["route"], d["cutoff_source"]) for d in dispatch],
             title=f"serving dispatch (execution={args.execution}, "
-                  f"compact={args.compact})",
+                  f"compact={args.compact}; session runs {session.execution})",
         )
     )
     print(f"test accuracy: {accuracy:.4f} over {seen} samples")
@@ -588,6 +588,7 @@ def _command_infer(args: argparse.Namespace) -> int:
             "samples": seen,
             "compact": args.compact,
             "execution": args.execution,
+            "session_execution": session.execution,
             "dispatch": dispatch,
             "storage": storage,
         })
@@ -604,7 +605,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .experiments.runner import build_loaders
     from .serve import InferenceServer
 
-    registry, config, _ = _serving_registry(args)
+    registry, config, session = _serving_registry(args)
     _, test_loader, _ = build_loaders(config)
     samples = np.concatenate([images.data for images, _ in test_loader], axis=0)
     server = InferenceServer(
@@ -660,7 +661,7 @@ def _command_serve(args: argparse.Namespace) -> int:
               f"{p99:.2f}" if latencies else "-", f"{throughput:.1f}",
               stats["batches"], stats["restarts"])],
             title=f"serving load (execution={args.execution}, "
-                  f"compact={args.compact})",
+                  f"compact={args.compact}; sessions run {session.execution})",
         )
     )
     if args.out:
@@ -676,6 +677,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             "stats": stats,
             "compact": args.compact,
             "execution": args.execution,
+            "session_execution": session.execution,
         })
         print(f"wrote {args.out}")
     if failed:

@@ -9,7 +9,8 @@ turns them into a service.  Three pieces compose:
   sessions are never shared across threads).  Sessions run the engine
   inference-frozen (read-only CSR buffers, no dense grads) and pad
   every forward to one canonical batch shape so results are
-  bit-identical no matter how requests were grouped.
+  bit-identical no matter how requests were grouped.  A straight
+  ``Linear``/LIF/IF chain runs as a flat plan (``session.execution``).
 * :class:`~repro.serve.batcher.MicroBatcher` — request queue with a
   max-batch / max-latency flush policy, optionally keyed so a batch
   holds at most one request per key.

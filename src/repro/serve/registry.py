@@ -8,9 +8,12 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..nn.module import Module
+from ..snn.encoding import DirectEncoder
+from ..snn.models.base import SpikingModel
 from ..sparse.engine import SparsityManager
 from ..sparse.inference import serving_storage_report
 from ..sparse.structured import compact_model
+from ..stream.plan import compile_plan
 from ..tensor import Tensor, no_grad
 
 # NOTE: repro.train / repro.experiments are imported lazily inside
@@ -37,6 +40,20 @@ class InferenceSession:
     so without the padding a request's result would depend on how the
     batcher happened to group it.  With it, batched and sequential
     inference are bit-identical — the concurrency tests pin this down.
+
+    Execution: a straight ``Linear``/LIF/IF chain under the direct
+    encoder is compiled once, at construction, into a
+    :class:`~repro.stream.plan.StreamPlan`, and every padded chunk runs
+    as one :meth:`~repro.stream.plan.StreamPlan.repeat_window`: plain
+    numpy, no module-tree walk, and the ops before the first neuron run
+    once per chunk instead of once per timestep.  Its dense route is one
+    gemm over the padded chunk, the call the module path makes, so the
+    plan is bit-identical to ``model(Tensor(chunk))``.  Anything else
+    runs the module path, and so does a batch that is not ``(rows,
+    in_features)`` (what ``forward_once`` makes of other shapes is the
+    model's own).  ``session.execution`` says which path a batch takes,
+    and why.  A manager thawed, edited or re-routed after construction
+    is noticed at the next call: the session recompiles.
     """
 
     def __init__(
@@ -52,12 +69,56 @@ class InferenceSession:
         self.max_batch = int(max_batch)
         model.eval()
         manager.freeze()
+        self._compiled_for = None
+        self._current_plan()
+
+    @property
+    def execution(self) -> str:
+        """``"plan"``, or ``"modules: <reason>"`` when no plan compiled.
+
+        The path a ``(rows, in_features)`` batch takes.
+        """
+        if self._current_plan() is not None:
+            return "plan"
+        return f"modules: {self._fallback_reason}"
+
+    def _current_plan(self):
+        """The compiled plan, or ``None`` for the module path.
+
+        Recompiles whenever what a plan bakes in has changed since the
+        last compile: the manager's freeze, the encoder, or a layer's
+        topology or route.
+        """
+        manager = self.manager
+        key = (manager.frozen, type(getattr(self.model, "encoder", None)),
+               tuple((state.pattern_version, manager.use_csr(state))
+                     for state in manager.states.values()))
+        if key != self._compiled_for:
+            self._compiled_for = key
+            self._plan, self._fallback_reason = self._compile()
+        return self._plan
+
+    def _compile(self):
+        """``compile_plan`` for a direct-encoded window: ``(plan, reason)``."""
+        model = self.model
+        if not isinstance(model, SpikingModel):
+            return None, f"{type(model).__name__} is not a SpikingModel"
+        for method in ("forward", "forward_window"):
+            overridden = getattr(type(model), method) is not getattr(SpikingModel, method)
+            if overridden or method in vars(model):
+                return None, f"{type(model).__name__} overrides {method}"
+        if type(model.encoder) is not DirectEncoder:
+            return None, f"the encoder is not direct ({type(model.encoder).__name__})"
+        return compile_plan(model, self.manager, batched_dense=True)
 
     def predict(self, inputs) -> np.ndarray:
         """Model outputs for a batch of inputs (any row count)."""
         data = np.asarray(inputs, dtype=np.float32)
         if data.ndim < 2:
             raise ValueError("predict expects a batch (rows are samples)")
+        plan = self._current_plan()
+        if plan is not None and data.shape[1:] != (plan.in_features,):
+            plan = None
         rows = data.shape[0]
         outputs = []
         with no_grad():
@@ -69,7 +130,10 @@ class InferenceSession:
                         (self.max_batch - n,) + chunk.shape[1:], dtype=np.float32
                     )
                     chunk = np.concatenate([chunk, pad], axis=0)
-                out = self.model(Tensor(chunk)).data
+                if plan is None:
+                    out = self.model(Tensor(chunk)).data
+                else:
+                    out = plan.repeat_window(chunk, self.model.encoder.timesteps)
                 outputs.append(out[:n])
         return np.concatenate(outputs, axis=0)
 

@@ -28,6 +28,12 @@ is bit-equal to stepping that stream alone.  Neuron updates are
 elementwise, and SciPy's multi-column CSR kernel sums each column in the
 single-column kernel's order.  A stacked dense gemm is not bit-equal to
 per-row gemv calls, so the dense route runs a stack one row at a time.
+
+A frozen :class:`~repro.serve.registry.InferenceSession` runs the same
+plans over whole padded batches (:meth:`StreamPlan.repeat_window`).
+Its reference is ``model(Tensor(batch))``, one gemm over the batch, so
+it compiles with ``batched_dense=True`` and the dense route multiplies
+the whole batch at once.
 """
 
 from __future__ import annotations
@@ -47,17 +53,22 @@ SUPPORTED_LEAVES = (Linear, LIFNeuron, IFNeuron)
 
 
 class _DenseLinear:
-    """``x @ W^T + b`` exactly as the dense ``masked_linear`` route runs it."""
+    """``x @ W^T + b`` exactly as the dense ``masked_linear`` route runs it.
 
-    __slots__ = ("weight", "bias")
+    ``batched`` multiplies a stack of rows in one gemm, as ``masked_linear``
+    does on the same batch; otherwise each row runs as a lone event would.
+    """
 
-    def __init__(self, layer: Linear) -> None:
+    __slots__ = ("weight", "bias", "batched")
+
+    def __init__(self, layer: Linear, batched: bool) -> None:
         self.weight = layer.weight
         self.bias = layer.bias
+        self.batched = batched
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         weight_t = self.weight.data.T
-        if len(x) == 1:
+        if self.batched or len(x) == 1:
             out = x @ weight_t
         else:
             # A gemm over the stack sums in another order than the lone
@@ -100,6 +111,10 @@ class StreamPlan:
         self.in_features = int(in_features)
         neurons = sum(is_neuron for _, is_neuron in ops)
         self._fresh = ((None, None),) * neurons
+        # Ops before the first neuron carry no state: their output
+        # depends on the frame alone.
+        prefix = next((index for index, (_, is_neuron) in enumerate(ops) if is_neuron), len(ops))
+        self._prefix_ops, self._stateful_ops = ops[:prefix], ops[prefix:]
 
     @staticmethod
     def stack(states: List[Optional[Tuple]]) -> Optional[Tuple]:
@@ -135,12 +150,33 @@ class StreamPlan:
 
     def step(self, state: Optional[Tuple], frame: np.ndarray):
         """One timestep: ``(logits, next_state)``; ``state=None`` is a reset."""
-        previous = self._fresh if state is None else state
-        following = []
+        return self._run(self._ops, self._fresh if state is None else state, frame)
+
+    def repeat_window(self, frame: np.ndarray, timesteps: int) -> np.ndarray:
+        """``forward_window`` over ``timesteps`` copies of ``frame``, from a reset.
+
+        The direct-encoded window of ``model(Tensor(frame))``: the ops
+        before the first neuron see the same input every timestep, so
+        they run once, and the rest steps ``timesteps`` times.  The
+        logits accumulate in ``forward_window``'s order (``acc +
+        logits``, then one scale by ``1 / timesteps``).
+        """
         x = frame
-        for op, is_neuron in self._ops:
+        for op, _ in self._prefix_ops:
+            x = op(x)
+        state = self._fresh
+        accumulated = None
+        for _ in range(timesteps):
+            logits, state = self._run(self._stateful_ops, state, x)
+            accumulated = logits if accumulated is None else accumulated + logits
+        return accumulated * np.float32(1.0 / timesteps)
+
+    @staticmethod
+    def _run(ops, state: Tuple, x: np.ndarray):
+        following = []
+        for op, is_neuron in ops:
             if is_neuron:
-                v, o_prev = previous[len(following)]
+                v, o_prev = state[len(following)]
                 v, x = op.forward_arrays(v, o_prev, x)
                 following.append((v, x))
             else:
@@ -185,8 +221,13 @@ def _record_leaf_calls(model, leaves, width: int):
     return probe, calls, output
 
 
-def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
+def compile_plan(model, manager=None,
+                 batched_dense: bool = False) -> Tuple[Optional[StreamPlan], str]:
     """``(plan, "")`` for a frozen straight chain, else ``(None, reason)``.
+
+    ``batched_dense`` picks the dense route's form: one gemm over the
+    whole stack (a batched predict's reference) or one row at a time (a
+    lone event's).
 
     ``reason`` names why the model keeps the module path: a thawed
     manager, the first unsupported leaf (in registration order), a
@@ -224,8 +265,10 @@ def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
         if kwargs or len(args) != 1 or args[0] is not previous:
             return None, f"leaf calls do not form a straight chain at {paths[id(module)]}"
         if type(module) is Linear:
-            linear = _SparseLinear if _use_csr(module.weight_state) else _DenseLinear
-            ops.append((linear(module), False))
+            if _use_csr(module.weight_state):
+                ops.append((_SparseLinear(module), False))
+            else:
+                ops.append((_DenseLinear(module, batched_dense), False))
         else:
             ops.append((module, True))
         previous = result

@@ -262,7 +262,10 @@ class TestServing:
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy" in out
+        # A convnet keeps the module path; the table and JSON say why.
+        assert "session runs modules: unsupported leaf features.0 (Conv2d)" in out
         payload = json.loads(out_path.read_text())
+        assert payload["session_execution"] == "modules: unsupported leaf features.0 (Conv2d)"
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["samples"] == 16
         routes = {entry["route"] for entry in payload["dispatch"]}
@@ -321,6 +324,7 @@ class TestServing:
         assert code == 0
         out = capsys.readouterr().out
         assert "p50_ms" in out
+        assert "sessions run modules: unsupported leaf features.0 (Conv2d)" in out
         payload = json.loads(out_path.read_text())
         assert payload["p50_ms"] > 0.0
         assert payload["p99_ms"] >= payload["p50_ms"]

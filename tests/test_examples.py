@@ -30,12 +30,19 @@ def test_edge_deployment_fast(capsys):
 
 
 @pytest.mark.smoke
-@pytest.mark.parametrize("name", ["toy_drop_and_grow", "quickstart", "distributed_sweep"])
-def test_example_runs_standalone(name, tmp_path):
+@pytest.mark.parametrize("name, args", [
+    pytest.param(name, args, id=name) for name, args in [
+        ("toy_drop_and_grow", []),
+        ("quickstart", []),
+        ("distributed_sweep", []),
+        ("edge_deployment", ["--fast"]),
+    ]
+])
+def test_example_runs_standalone(name, args, tmp_path):
     # A fresh interpreter, as `python examples/<name>.py` runs it: no
     # state carried over from the test process but the environment.
     result = subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES_DIR, name + ".py")],
+        [sys.executable, os.path.join(EXAMPLES_DIR, name + ".py"), *args],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": SRC_DIR, "TMPDIR": str(tmp_path)},
     )

@@ -72,7 +72,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from ..sparse.dispatch import CALIBRATION_ENV
 from ..train import EpochStats
 from ..train.hooks import TrainerCallback
-from ..utils import load_json, save_json, save_json_atomic
+from ..utils import load_json, publish_once, save_json_atomic
 from .config import ExperimentConfig
 from .runner import ExperimentOutcome, run_experiment
 
@@ -252,24 +252,14 @@ class JobQueue:
     def _publish_fresh_token(self, job_id: str) -> None:
         """Create ``pending/<id>.json`` at attempt 1 — but never clobber.
 
-        Uses ``os.link`` (fails with EEXIST) rather than a rename, so a
+        Uses :func:`~repro.utils.publish_once` rather than a rename, so a
         reaper racing us with a requeue->pending move of the *real*
         token (attempt counter, backoff stamp) always wins; a plain
         atomic write here could reset a crashing job's attempt count
         every time the sweep is re-submitted against a live spool.
         """
-        pending = self._state_path("pending", job_id)
-        tmp = pending.with_name(pending.name + f".new-{socket.gethostname()}-{os.getpid()}")
-        save_json(tmp, {"job_id": job_id, "attempt": 1, "not_before": 0.0})
-        try:
-            os.link(tmp, pending)
-        except FileExistsError:
-            pass  # a real token got there first; keep it
-        finally:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass  # don't mask the original error if save_json failed
+        publish_once(self._state_path("pending", job_id),
+                     {"job_id": job_id, "attempt": 1, "not_before": 0.0})
 
     def _token_state(self, job_id: str) -> Optional[str]:
         for state in ("pending", "claimed", "requeue", "done", "failed"):
@@ -428,20 +418,32 @@ class JobQueue:
             except (OSError, json.JSONDecodeError):
                 token = {"job_id": job_id, "attempt": 1}
             attempt = int(token.get("attempt", 1))
-            if attempt >= self.max_attempts:
-                token["error"] = token.get("error") or (
-                    f"lease expired after attempt {attempt}/{self.max_attempts}"
-                )
-                save_json_atomic(hold_path, token)
-                os.replace(hold_path, self._state_path("failed", job_id))
-            else:
-                token["attempt"] = attempt + 1
-                token["not_before"] = now + self.backoff_seconds * (2 ** (attempt - 1))
-                save_json_atomic(hold_path, token)
-                os.replace(hold_path, self._state_path("pending", job_id))
-            self._remove_lease(job_id)
+            self._retry_or_fail(job_id, token, now, error=token.get("error") or (
+                f"lease expired after attempt {attempt}/{self.max_attempts}"))
             reaped.append(job_id)
         return reaped
+
+    def _retry_or_fail(self, job_id: str, token: Dict, now: float,
+                       error: Optional[str] = None) -> None:
+        """Move a held ``requeue/`` token on and drop the job's lease.
+
+        With attempts left it goes back to ``pending/`` at the next
+        attempt, stamped with its backoff; once they are spent it goes
+        to ``failed/``, with ``error`` (when given) as its error.
+        """
+        hold_path = self._state_path("requeue", job_id)
+        attempt = int(token.get("attempt", 1))
+        if attempt >= self.max_attempts:
+            if error is not None:
+                token["error"] = error
+            destination = "failed"
+        else:
+            token["attempt"] = attempt + 1
+            token["not_before"] = now + self.backoff_seconds * (2 ** (attempt - 1))
+            destination = "pending"
+        save_json_atomic(hold_path, token)
+        os.replace(hold_path, self._state_path(destination, job_id))
+        self._remove_lease(job_id)
 
     def _handle_failure(self, job_id: str, attempt: int, error: str, worker_id: str) -> None:
         """A worker hit an exception: requeue with backoff or fail.
@@ -459,16 +461,8 @@ class JobQueue:
             os.rename(claimed_path, hold_path)
         except OSError:
             return
-        token = {"job_id": job_id, "attempt": attempt, "error": error}
-        if attempt >= self.max_attempts:
-            save_json_atomic(hold_path, token)
-            os.replace(hold_path, self._state_path("failed", job_id))
-        else:
-            token["attempt"] = attempt + 1
-            token["not_before"] = time.time() + self.backoff_seconds * (2 ** (attempt - 1))
-            save_json_atomic(hold_path, token)
-            os.replace(hold_path, self._state_path("pending", job_id))
-        self._remove_lease(job_id)
+        self._retry_or_fail(job_id, {"job_id": job_id, "attempt": attempt, "error": error},
+                            time.time())
 
     def _finalize(self, job_id: str) -> None:
         """Retire a completed job's token and scratch state.

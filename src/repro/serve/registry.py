@@ -52,8 +52,10 @@ class InferenceSession:
     runs the module path, and so does a batch that is not ``(rows,
     in_features)`` (what ``forward_once`` makes of other shapes is the
     model's own).  ``session.execution`` says which path a batch takes,
-    and why.  A manager thawed, edited or re-routed after construction
-    is noticed at the next call: the session recompiles.
+    and why.  The plan fixes only the chain of layers: each call reads
+    every layer's route, CSR pattern and values, so a manager thawed,
+    edited or re-routed after construction is served exactly as the
+    module path would serve it, without recompiling.
     """
 
     def __init__(
@@ -69,8 +71,7 @@ class InferenceSession:
         self.max_batch = int(max_batch)
         model.eval()
         manager.freeze()
-        self._compiled_for = None
-        self._current_plan()
+        self._plan, self._fallback_reason = self._compile()
 
     @property
     def execution(self) -> str:
@@ -78,25 +79,9 @@ class InferenceSession:
 
         The path a ``(rows, in_features)`` batch takes.
         """
-        if self._current_plan() is not None:
+        if self._plan is not None:
             return "plan"
         return f"modules: {self._fallback_reason}"
-
-    def _current_plan(self):
-        """The compiled plan, or ``None`` for the module path.
-
-        Recompiles whenever what a plan bakes in has changed since the
-        last compile: the manager's freeze, the encoder, or a layer's
-        topology or route.
-        """
-        manager = self.manager
-        key = (manager.frozen, type(getattr(self.model, "encoder", None)),
-               tuple((state.pattern_version, manager.use_csr(state))
-                     for state in manager.states.values()))
-        if key != self._compiled_for:
-            self._compiled_for = key
-            self._plan, self._fallback_reason = self._compile()
-        return self._plan
 
     def _compile(self):
         """``compile_plan`` for a direct-encoded window: ``(plan, reason)``."""
@@ -109,14 +94,15 @@ class InferenceSession:
                 return None, f"{type(model).__name__} overrides {method}"
         if type(model.encoder) is not DirectEncoder:
             return None, f"the encoder is not direct ({type(model.encoder).__name__})"
-        return compile_plan(model, self.manager, batched_dense=True)
+        return compile_plan(model, self.manager)
 
     def predict(self, inputs) -> np.ndarray:
         """Model outputs for a batch of inputs (any row count)."""
         data = np.asarray(inputs, dtype=np.float32)
-        if data.ndim < 2:
-            raise ValueError("predict expects a batch (rows are samples)")
-        plan = self._current_plan()
+        if data.ndim < 2 or len(data) == 0:
+            raise ValueError(
+                "predict expects a batch (rows are samples) with at least one row")
+        plan = self._plan
         if plan is not None and data.shape[1:] != (plan.in_features,):
             plan = None
         rows = data.shape[0]

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..tensor.functional import STATIC_CSR_DENSITY_CUTOFF
+from ..utils import publish_once
 from .storage import CSRPattern
 
 #: Environment variable naming a directory for the shared write-once
@@ -140,12 +140,9 @@ def _read_cutoff(path: str) -> float:
 
 
 def _publish(directory: str, rows: int, cols: int, measured: Dict) -> float:
-    """Write-once publish; on collision adopt the winner's cutoff.
-
-    The payload is written to a private temp file and hard-linked to
-    its final name, so the name appears complete or not at all and
-    ``os.link`` refuses to replace a file another process published.
-    """
+    """Write-once publish (:func:`~repro.utils.publish_once`); on
+    collision adopt the winner's cutoff, and keep our own when the
+    directory is unwritable."""
     path = _cache_path(directory, rows, cols)
     payload = {
         "rows": rows,
@@ -154,21 +151,10 @@ def _publish(directory: str, rows: int, cols: int, measured: Dict) -> float:
         "buckets": {f"{d:.2f}": float(s) for d, s in measured["buckets"].items()},
     }
     try:
-        fd, temp = tempfile.mkstemp(dir=directory, prefix=".calibration-", suffix=".tmp")
+        published = publish_once(path, payload)
     except OSError:
         return float(measured["cutoff"])  # unwritable dir: keep our own
-    try:
-        with os.fdopen(fd, "w") as handle:
-            os.fchmod(handle.fileno(), 0o644)  # mkstemp's 0o600 is private
-            json.dump(payload, handle, indent=2)
-        os.link(temp, path)
-    except FileExistsError:
-        return _read_cutoff(path)
-    except OSError:
-        return float(measured["cutoff"])
-    finally:
-        os.unlink(temp)
-    return float(measured["cutoff"])
+    return float(measured["cutoff"]) if published else _read_cutoff(path)
 
 
 def get_cutoff(rows: int, cols: int, measure=measure_crossover) -> float:

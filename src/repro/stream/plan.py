@@ -1,12 +1,19 @@
-"""Flat execution plans for frozen streaming sessions.
+"""Flat execution plans for frozen streaming and serving sessions.
 
 A frozen :class:`~repro.stream.session.StreamSession` runs the same
 computation for every event: a straight chain of ``Linear`` layers and
-LIF/IF neurons whose dense-vs-CSR routes can no longer change.
-:func:`compile_plan` records one ``forward_once`` call, checks that it
-has that shape, and returns a :class:`StreamPlan` that replays it as
-plain numpy on arrays — no ``Tensor`` objects, no module-tree walks,
-no state swapped in and out of the shared model.
+LIF/IF neurons.  :func:`compile_plan` records one ``forward_once`` call,
+checks that it has that shape, and returns a :class:`StreamPlan` that
+replays it as plain numpy on arrays — no ``Tensor`` objects, no
+module-tree walks, no state swapped in and out of the shared model.
+
+A plan fixes the chain of leaves and nothing else.  Each linear op does
+at every call what ``masked_linear`` does: it reads the layer's route
+(``_use_csr``), CSR pattern, value buffer, weight and bias then, so a
+manager thawed, edited, re-frozen or re-routed after compiling is run
+exactly as the module path would run it, and a plan cannot go stale.
+Values are aliased, never copied; frozen CSR buffers may be views into
+an mmap'd package.
 
 Per-stream neuron state is a tuple of ``(v, o_prev)`` array pairs in
 plan order.  A step returns a new tuple and never writes the old one,
@@ -17,23 +24,19 @@ layouts (the dense route multiplies by the same transposed weight view
 ``CSRPattern.matmul`` call ``masked_linear`` makes), so a plan step is
 bit-identical to ``model.forward_once``.
 
-Weights are aliased, never copied: dense layers read ``weight.data`` at
-each step and CSR layers run on the frozen value buffers, which may be
-views into an mmap'd package.
-
 One step can advance many streams at once: :meth:`StreamPlan.stack`
 row-stacks their states, the step runs on ``(streams, width)`` arrays
 and :meth:`StreamPlan.split` hands each stream its rows back.  Every row
 is bit-equal to stepping that stream alone.  Neuron updates are
 elementwise, and SciPy's multi-column CSR kernel sums each column in the
 single-column kernel's order.  A stacked dense gemm is not bit-equal to
-per-row gemv calls, so the dense route runs a stack one row at a time.
+per-row gemv calls, so :meth:`StreamPlan.step` runs a dense stack one
+row at a time.
 
 A frozen :class:`~repro.serve.registry.InferenceSession` runs the same
 plans over whole padded batches (:meth:`StreamPlan.repeat_window`).
 Its reference is ``model(Tensor(batch))``, one gemm over the batch, so
-it compiles with ``batched_dense=True`` and the dense route multiplies
-the whole batch at once.
+there the dense route multiplies the whole batch at once.
 """
 
 from __future__ import annotations
@@ -52,49 +55,35 @@ from ..tensor.functional import _use_csr
 SUPPORTED_LEAVES = (Linear, LIFNeuron, IFNeuron)
 
 
-class _DenseLinear:
-    """``x @ W^T + b`` exactly as the dense ``masked_linear`` route runs it.
+class _Linear:
+    """One ``Linear`` as ``masked_linear`` runs it, read at each call.
 
-    ``batched`` multiplies a stack of rows in one gemm, as ``masked_linear``
-    does on the same batch; otherwise each row runs as a lone event would.
+    The route, CSR pattern and values, weight and bias all come from the
+    layer when the op runs.  ``batched`` multiplies a dense stack in one
+    gemm, as ``masked_linear`` does on the same batch; otherwise each
+    row runs as a lone event would.
     """
 
-    __slots__ = ("weight", "bias", "batched")
+    __slots__ = ("layer",)
 
-    def __init__(self, layer: Linear, batched: bool) -> None:
-        self.weight = layer.weight
-        self.bias = layer.bias
-        self.batched = batched
+    def __init__(self, layer: Linear) -> None:
+        self.layer = layer
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        weight_t = self.weight.data.T
-        if self.batched or len(x) == 1:
-            out = x @ weight_t
+    def __call__(self, x: np.ndarray, batched: bool) -> np.ndarray:
+        layer = self.layer
+        state = layer.weight_state
+        if _use_csr(state):
+            out = state.csr_pattern().matmul(state.csr_values(), x.T).T
+        elif batched or len(x) == 1:
+            out = x @ layer.weight.data.T
         else:
             # A gemm over the stack sums in another order than the lone
             # event's call, so each row runs alone, on a fresh (1, k) copy.
+            weight_t = layer.weight.data.T
             out = np.concatenate([x[row:row + 1].copy() @ weight_t
                                   for row in range(len(x))])
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
-
-class _SparseLinear:
-    """``(W @ x^T)^T + b`` exactly as the CSR ``masked_linear`` route runs it."""
-
-    __slots__ = ("pattern", "values", "bias")
-
-    def __init__(self, layer: Linear) -> None:
-        state = layer.weight_state
-        self.pattern = state.csr_pattern()
-        self.values = state.csr_values()
-        self.bias = layer.bias
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = self.pattern.matmul(self.values, x.T).T
-        if self.bias is not None:
-            out = out + self.bias.data
+        if layer.bias is not None:
+            out = out + layer.bias.data
         return out
 
 
@@ -149,30 +138,34 @@ class StreamPlan:
                 for row in range(count)]
 
     def step(self, state: Optional[Tuple], frame: np.ndarray):
-        """One timestep: ``(logits, next_state)``; ``state=None`` is a reset."""
-        return self._run(self._ops, self._fresh if state is None else state, frame)
+        """One timestep: ``(logits, next_state)``; ``state=None`` is a reset.
+
+        Each row of ``frame`` steps as a lone event would.
+        """
+        return self._run(self._ops, self._fresh if state is None else state, frame, False)
 
     def repeat_window(self, frame: np.ndarray, timesteps: int) -> np.ndarray:
         """``forward_window`` over ``timesteps`` copies of ``frame``, from a reset.
 
         The direct-encoded window of ``model(Tensor(frame))``: the ops
         before the first neuron see the same input every timestep, so
-        they run once, and the rest steps ``timesteps`` times.  The
-        logits accumulate in ``forward_window``'s order (``acc +
-        logits``, then one scale by ``1 / timesteps``).
+        they run once, and the rest steps ``timesteps`` times.  Dense
+        layers multiply the whole stack in one gemm, as the module path
+        does on the batch.  The logits accumulate in ``forward_window``'s
+        order (``acc + logits``, then one scale by ``1 / timesteps``).
         """
         x = frame
         for op, _ in self._prefix_ops:
-            x = op(x)
+            x = op(x, True)
         state = self._fresh
         accumulated = None
         for _ in range(timesteps):
-            logits, state = self._run(self._stateful_ops, state, x)
+            logits, state = self._run(self._stateful_ops, state, x, True)
             accumulated = logits if accumulated is None else accumulated + logits
         return accumulated * np.float32(1.0 / timesteps)
 
     @staticmethod
-    def _run(ops, state: Tuple, x: np.ndarray):
+    def _run(ops, state: Tuple, x: np.ndarray, batched: bool):
         following = []
         for op, is_neuron in ops:
             if is_neuron:
@@ -180,7 +173,7 @@ class StreamPlan:
                 v, x = op.forward_arrays(v, o_prev, x)
                 following.append((v, x))
             else:
-                x = op(x)
+                x = op(x, batched)
         return x, tuple(following)
 
 
@@ -221,14 +214,11 @@ def _record_leaf_calls(model, leaves, width: int):
     return probe, calls, output
 
 
-def compile_plan(model, manager=None,
-                 batched_dense: bool = False) -> Tuple[Optional[StreamPlan], str]:
+def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
     """``(plan, "")`` for a frozen straight chain, else ``(None, reason)``.
 
-    ``batched_dense`` picks the dense route's form: one gemm over the
-    whole stack (a batched predict's reference) or one row at a time (a
-    lone event's).
-
+    Eligibility is decided here, once: what the plan later reads per
+    call (routes, patterns, values) may change, the chain may not.
     ``reason`` names why the model keeps the module path: a thawed
     manager, the first unsupported leaf (in registration order), a
     stateful container (its state can route later steps differently
@@ -246,7 +236,8 @@ def compile_plan(model, manager=None,
         if type(module) not in SUPPORTED_LEAVES:
             return None, f"unsupported stateful module {path} ({type(module).__name__})"
     for path, module in leaves:
-        # A bound layer must be frozen, so the route compiled below is final.
+        # A layer bound to a thawed manager is still adapting, and an
+        # adaptive session reads the live module state after each step.
         state = getattr(module, "weight_state", None)
         if state is not None and not state.frozen:
             return None, f"{path} is bound to a thawed manager"
@@ -264,13 +255,8 @@ def compile_plan(model, manager=None,
     for module, args, kwargs, result in calls:
         if kwargs or len(args) != 1 or args[0] is not previous:
             return None, f"leaf calls do not form a straight chain at {paths[id(module)]}"
-        if type(module) is Linear:
-            if _use_csr(module.weight_state):
-                ops.append((_SparseLinear(module), False))
-            else:
-                ops.append((_DenseLinear(module, batched_dense), False))
-        else:
-            ops.append((module, True))
+        is_neuron = type(module) is not Linear
+        ops.append((module if is_neuron else _Linear(module), is_neuron))
         previous = result
     if previous is not output:
         return None, "forward_once does not return the last leaf's output"

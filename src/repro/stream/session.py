@@ -29,11 +29,14 @@ touching the module tree.  :meth:`StreamSession.process_many` takes at
 most one event per stream and runs them all as **one** plan step over
 the streams' stacked states, so a server shard with 16 busy streams
 walks the plan once and makes one CSR kernel call per layer, not 16;
-every row is bit-equal to stepping its stream alone.  Anything else (a
-thawed manager, other neuron or layer types) runs the module path:
-per-stream state is swapped into the shared model around every
-``forward_once``, one event at a time.  ``session.execution`` says
-which, and why.
+every row is bit-equal to stepping its stream alone.  The plan fixes
+only the chain of layers: every step reads each layer's route, CSR
+pattern and values, so a manager thawed, edited and re-frozen after
+construction is run exactly as ``offline_reference`` runs it.  Anything
+else (a manager thawed at construction, other neuron or layer types)
+runs the module path: per-stream state is swapped into the shared model
+around every ``forward_once``, one event at a time.
+``session.execution`` says which, and why.
 
 Fault tolerance: processing is transactional — per-stream state only
 commits once every event of a ``process_many`` call has fully

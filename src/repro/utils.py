@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import tempfile
 import time
 import zlib
 from contextlib import contextmanager
@@ -117,6 +118,31 @@ def atomic_replace(write: Callable[[Path], None], final_path: Union[str, Path]) 
         except OSError:
             pass
         raise
+
+
+def publish_once(path: Union[str, Path], payload: Dict[str, Any]) -> bool:
+    """Write ``payload`` as JSON to ``path`` unless ``path`` exists.
+
+    The JSON goes to a private temp file beside ``path``, which is then
+    hard-linked to the final name: ``os.link`` refuses to replace an
+    existing file, so the first publisher wins and readers see complete
+    bytes or nothing.  Returns ``True`` when this call published and
+    ``False`` when another publisher got there first; any other
+    ``OSError`` (an unwritable directory) propagates.  The file is
+    world-readable, and the temp file never outlives the call.
+    """
+    path = Path(path)
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o644)  # mkstemp's 0o600 is private
+            json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+        os.link(temp, path)
+    except FileExistsError:
+        return False
+    finally:
+        os.unlink(temp)
+    return True
 
 
 def save_json_atomic(path: Union[str, Path], payload: Dict[str, Any]) -> None:

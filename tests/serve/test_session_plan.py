@@ -135,15 +135,15 @@ def test_plan_predict_matches_module_path(tmp_path, neuron, source, max_batch):
 
 def test_the_direct_encoded_prefix_runs_once_per_chunk(tmp_path, monkeypatch):
     session = InferenceSession(*factory(tmp_path, "lif", "dense")(), max_batch=8)
-    first = session.model.body[0].weight
+    first = session.model.body[0]
     calls = []
-    original = plan._DenseLinear.__call__
+    original = plan._Linear.__call__
 
-    def counted(op, x):
-        calls.append(op.weight is first)
-        return original(op, x)
+    def counted(op, x, batched):
+        calls.append(op.layer is first)
+        return original(op, x, batched)
 
-    monkeypatch.setattr(plan._DenseLinear, "__call__", counted)
+    monkeypatch.setattr(plan._Linear, "__call__", counted)
     session.predict(inputs(11))
     # Two chunks: the first layer once each, the other two every timestep.
     assert calls.count(True) == 2
@@ -210,13 +210,36 @@ def test_a_thawed_manager_runs_modules_and_an_edited_one_recompiles():
     assert session.execution == "plan"
     for twin in (session, reference):
         twin.manager.thaw()
-    assert session.execution == "modules: manager is thawed"
+    assert session.execution == "plan"
     assert_matches_module_path(session, reference, [inputs(5)])
     # A topology edit that flips the first layer to the dense route,
-    # then a re-freeze: the next call compiles a fresh plan.
+    # then a re-freeze: the same plan runs the new routes.
     for twin in (session, reference):
         twin.manager.init_random({name: 0.6 for name in twin.manager.states})
         twin.manager.freeze()
     assert session.execution == "plan"
     assert {entry["route"] for entry in session.dispatch_report()} == {"dense"}
     assert_matches_module_path(session, reference, [inputs(5, seed=6)])
+
+
+def test_a_frozen_manager_re_routed_is_served_at_once():
+    session = InferenceSession(*frozen(mlp(), "csr"), max_batch=4)
+    reference = InferenceSession(*frozen(mlp(), "csr"), max_batch=4)
+    for execution, route in (("dense", "dense"), ("csr", "csr"), ("auto", "dense")):
+        for twin in (session, reference):
+            twin.manager.set_execution(execution)
+        assert session.execution == "plan"
+        assert {entry["route"] for entry in session.dispatch_report()} == {route}
+        assert_matches_module_path(session, reference, [inputs(5, seed=7)])
+
+
+@pytest.mark.parametrize("name", ("plan", "modules"))
+def test_an_empty_batch_is_a_named_error(name):
+    if name == "plan":
+        session, shape = InferenceSession(*frozen(mlp()), max_batch=4), (IN_FEATURES,)
+    else:
+        build, shape, _ = FALLBACKS["convnet"]
+        session = InferenceSession(*frozen(build()), max_batch=4)
+    assert session.execution.startswith(name)
+    with pytest.raises(ValueError, match="at least one row"):
+        session.predict(np.zeros((0,) + shape, dtype=np.float32))

@@ -268,6 +268,58 @@ class TestStackedTicks:
             assert sum(per["stale_resets"] for per in ticked.stats().values()) > 0
 
 
+class TestEditedManagers:
+    """A plan reads routes, patterns and values per call: a manager
+    thawed, edited and re-frozen under a live session is served fresh."""
+
+    @staticmethod
+    def rewire(manager, density, seed):
+        """New unit-scale weights and a new random topology at ``density``."""
+        rng = np.random.default_rng(seed)
+        for state in manager.states.values():
+            state.parameter.data[...] = rng.standard_normal(state.shape).astype(np.float32)
+        manager.init_random({name: density for name in manager.states})
+
+    @pytest.mark.parametrize("density", [0.9, 0.12], ids=["to-dense", "new-csr"])
+    def test_a_refrozen_manager_is_served_fresh(self, density):
+        # 6 -> 64 -> 3 under auto at density 0.1: both layers start on the
+        # CSR route; 0.9 flips them dense, 0.12 keeps CSR on a new pattern.
+        # Wide enough, and a threshold low enough, that the windows'
+        # logits differ, so a stale layer cannot pass unseen.
+        model = SpikingMLP(CHANNELS, CLASSES, hidden=(64,), timesteps=4,
+                           v_threshold=0.5, rng=np.random.default_rng(0))
+        manager = SparsityManager(model, rng=np.random.default_rng(1))
+        manager.set_execution("auto")
+        self.rewire(manager, 0.1, seed=6)
+        session = StreamSession(model, manager=manager.freeze(), window=4)
+
+        def routes():
+            return {manager.explain_dispatch(name)["route"] for name in manager.states}
+
+        def assert_fresh(results):
+            assert results
+            assert session.execution == "plan"
+            assert len({result.logits.tobytes() for result in results}) > 1
+            for result in results:
+                oracle = session.offline_reference(result.frames)
+                assert oracle.tobytes() == result.logits.tobytes()
+
+        assert routes() == {"csr"}
+        assert_fresh([r for e in make_feed(streams=3, events=16)
+                      if (r := session.process(e)) is not None])
+
+        manager.thaw()
+        self.rewire(manager, density, seed=7)
+        manager.freeze()
+        assert routes() == ({"dense"} if density > 0.15 else {"csr"})
+        assert_fresh([r for e in make_feed(streams=3, events=16, seed=1)
+                      if (r := session.process(e)) is not None])
+        ticks = keyed_ticks(make_feed(streams=3, events=16, seed=2), width=3)
+        assert max(len(tick) for tick in ticks) == 3
+        assert_fresh([r for tick in ticks for r in session.process_many(tick)
+                      if r is not None])
+
+
 class TestExecution:
     @pytest.mark.parametrize("execution", ["dense", "csr"])
     def test_benchmark_shaped_sessions_run_plans(self, execution):

@@ -36,6 +36,7 @@ def test_edge_deployment_fast(capsys):
         ("quickstart", []),
         ("distributed_sweep", []),
         ("edge_deployment", ["--fast"]),
+        ("topology_evolution", []),
     ]
 ])
 def test_example_runs_standalone(name, args, tmp_path):

@@ -1,11 +1,15 @@
 """Shared utilities."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from repro.utils import (
     Timer,
     load_json,
+    publish_once,
     save_json,
     seed_everything,
     timed,
@@ -61,3 +65,19 @@ class TestJson:
         path = tmp_path / "deep" / "dir" / "out.json"
         save_json(path, {"a": 1})
         assert path.exists()
+
+
+class TestPublishOnce:
+    def test_the_first_publisher_wins(self, tmp_path):
+        path = tmp_path / "token.json"
+        assert publish_once(path, {"attempt": np.int64(1)}) is True
+        assert publish_once(path, {"attempt": 2}) is False
+        assert load_json(path) == {"attempt": 1}
+        # World-readable, and no temp file outlives a publish.
+        assert os.stat(path).st_mode & stat.S_IROTH
+        assert os.listdir(tmp_path) == ["token.json"]
+
+    def test_a_missing_directory_raises(self, tmp_path):
+        with pytest.raises(OSError):
+            publish_once(tmp_path / "missing" / "token.json", {"attempt": 1})
+        assert os.listdir(tmp_path) == []

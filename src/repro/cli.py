@@ -104,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--epochs", type=positive_int, default=10)
         parser.add_argument("--timesteps", type=positive_int, default=2)
         parser.add_argument("--batch-size", type=positive_int, default=16)
-        parser.add_argument("--lr", type=float, default=0.1)
-        parser.add_argument("--width-mult", type=float, default=0.125)
+        parser.add_argument("--lr", type=positive_float, default=0.1)
+        parser.add_argument("--width-mult", type=positive_float, default=0.125)
         parser.add_argument("--image-size", type=positive_int, default=16)
         parser.add_argument("--train-samples", type=int, default=224)
         parser.add_argument("--test-samples", type=int, default=64)
@@ -337,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     memory.add_argument("--model", default="vgg16", choices=sorted(MODEL_REGISTRY))
     memory.add_argument("--sparsity", type=fraction, default=0.9)
     memory.add_argument("--timesteps", type=positive_int, default=5)
-    memory.add_argument("--width-mult", type=float, default=1.0)
+    memory.add_argument("--width-mult", type=positive_float, default=1.0)
     memory.add_argument("--image-size", type=positive_int, default=32)
     return parser
 

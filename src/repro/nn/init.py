@@ -36,10 +36,6 @@ def skip_init():
         _SKIP_DEPTH -= 1
 
 
-def _skipping() -> bool:
-    return _SKIP_DEPTH > 0
-
-
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     """Compute fan-in/fan-out for linear (out, in) or conv (F, C, kh, kw)."""
     if len(shape) == 2:
@@ -52,44 +48,40 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     raise ValueError(f"unsupported parameter shape {shape}")
 
 
-def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None, gain: float = math.sqrt(2.0)) -> np.ndarray:
-    """He/Kaiming uniform init (default for conv/linear weights)."""
-    if _skipping():
+def _draw(shape, rng, fan_shape, spread, normal: bool = False) -> np.ndarray:
+    """The skip-or-draw body every initializer shares.
+
+    Under :func:`skip_init`: zeros, with no RNG draw and no shape check.
+    Otherwise ``spread(fan_in, fan_out)`` of ``fan_shape`` is the bound
+    of a uniform draw, or with ``normal`` the std of a normal one.
+    """
+    if _SKIP_DEPTH > 0:
         return np.zeros(shape, dtype=np.float32)
     gen = rng if rng is not None else _DEFAULT_RNG
-    fan_in, _ = _fan_in_out(shape)
-    bound = gain * math.sqrt(3.0 / fan_in)
-    return gen.uniform(-bound, bound, size=shape).astype(np.float32)
+    scale = spread(*_fan_in_out(fan_shape))
+    if normal:
+        return (gen.standard_normal(shape) * scale).astype(np.float32)
+    return gen.uniform(-scale, scale, size=shape).astype(np.float32)
+
+
+def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None, gain: float = math.sqrt(2.0)) -> np.ndarray:
+    """He/Kaiming uniform init (default for conv/linear weights)."""
+    return _draw(shape, rng, shape, lambda fan_in, _: gain * math.sqrt(3.0 / fan_in))
 
 
 def kaiming_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None, gain: float = math.sqrt(2.0)) -> np.ndarray:
     """He/Kaiming normal init."""
-    if _skipping():
-        return np.zeros(shape, dtype=np.float32)
-    gen = rng if rng is not None else _DEFAULT_RNG
-    fan_in, _ = _fan_in_out(shape)
-    std = gain / math.sqrt(fan_in)
-    return (gen.standard_normal(shape) * std).astype(np.float32)
+    return _draw(shape, rng, shape, lambda fan_in, _: gain / math.sqrt(fan_in), normal=True)
 
 
 def xavier_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Glorot/Xavier uniform init."""
-    if _skipping():
-        return np.zeros(shape, dtype=np.float32)
-    gen = rng if rng is not None else _DEFAULT_RNG
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return gen.uniform(-bound, bound, size=shape).astype(np.float32)
+    return _draw(shape, rng, shape, lambda fan_in, fan_out: math.sqrt(6.0 / (fan_in + fan_out)))
 
 
 def uniform_bias(shape: Tuple[int, ...], weight_shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Torch-style bias init: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-    if _skipping():
-        return np.zeros(shape, dtype=np.float32)
-    gen = rng if rng is not None else _DEFAULT_RNG
-    fan_in, _ = _fan_in_out(weight_shape)
-    bound = 1.0 / math.sqrt(fan_in)
-    return gen.uniform(-bound, bound, size=shape).astype(np.float32)
+    return _draw(shape, rng, weight_shape, lambda fan_in, _: 1.0 / math.sqrt(fan_in))
 
 
 def set_default_seed(seed: int) -> None:

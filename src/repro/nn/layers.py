@@ -11,15 +11,6 @@ from . import init
 from .module import Module, Parameter
 
 
-def _layer_dispatch_info(layer) -> Optional[dict]:
-    """Shared ``dispatch_info`` body for masked layers (duck-typed on
-    ``weight_state`` to avoid importing the sparse engine here)."""
-    state = layer.weight_state
-    if state is None or state.manager is None:
-        return None
-    return state.manager.explain_dispatch(state.name)
-
-
 def _keep_index(keep, bound: int, what: str) -> np.ndarray:
     """Validate a keep-index array for :meth:`compact` (sorted, in range)."""
     index = np.asarray(keep, dtype=np.int64).reshape(-1)
@@ -32,33 +23,22 @@ def _keep_index(keep, bound: int, what: str) -> np.ndarray:
     return index
 
 
-class Linear(Module):
-    """Affine layer ``y = x W^T + b`` with weight shape ``(out, in)``.
+class _MaskedLayer(Module):
+    """Shared body of :class:`Linear` and :class:`Conv2d`.
 
-    When a :class:`~repro.sparse.engine.SparsityManager` binds layers,
+    The weight has shape ``(out, in, *kernel)``.  When a
+    :class:`~repro.sparse.engine.SparsityManager` binds layers,
     ``weight_state`` carries the layer's mask/CSR state and the forward
-    pass dispatches dense-vs-CSR by measured density.
+    pass dispatches dense-vs-CSR by measured density.  Subclasses name
+    their output and input units (``_units``) for :meth:`compact`'s
+    errors and supply ``forward``.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
+    def __init__(self, shape, bias: bool, rng: Optional[np.random.Generator]) -> None:
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng=rng))
-        if bias:
-            self.bias = Parameter(init.uniform_bias((out_features,), self.weight.shape, rng=rng))
-        else:
-            self.bias = None
+        self.weight = Parameter(init.kaiming_uniform(shape, rng=rng))
+        self.bias = Parameter(init.uniform_bias(shape[:1], shape, rng=rng)) if bias else None
         self.weight_state = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return masked_linear(x, self.weight, self.bias, self.weight_state)
 
     def dispatch_info(self) -> Optional[dict]:
         """Dispatch decision for this layer, or ``None`` when unbound.
@@ -67,44 +47,67 @@ class Linear(Module):
         can ask a layer directly which route (dense vs CSR) its next
         forward will take and why.
         """
-        return _layer_dispatch_info(self)
+        state = self.weight_state
+        if state is None or state.manager is None:
+            return None
+        return state.manager.explain_dispatch(state.name)
 
-    def compact(self, keep_out=None, keep_in=None) -> "Linear":
-        """Physically shrink the layer to the kept output/input features.
+    def compact(self, keep_out=None, keep_in=None):
+        """Physically shrink the layer to the kept output/input units.
 
-        Structured pruning zeroes whole weight rows but still pays dense
-        FLOPs for them; compaction slices the pruned rows (``keep_out``)
-        and the input columns fed by upstream pruned units (``keep_in``)
-        out of the weight matrix, so the layer runs a genuinely smaller
-        kernel.  Any bound ``weight_state`` is detached — the caller
-        (see :func:`repro.sparse.structured.compact_model`) rebinds a
-        fresh manager over the sliced shapes.
+        Structured pruning zeroes whole output units (rows or filters)
+        but still pays dense FLOPs for them; compaction slices the
+        pruned units (``keep_out``) and the inputs fed by upstream
+        pruned units (``keep_in``) out of the weight, so the layer runs
+        a genuinely smaller kernel.  Any bound ``weight_state`` is
+        detached — the caller (see
+        :func:`repro.sparse.structured.compact_model`) rebinds a fresh
+        manager over the sliced shapes.
         """
         weight = self.weight.data
+        out_unit, in_unit = self._units
         if keep_out is not None:
-            keep_out = _keep_index(keep_out, self.out_features, "output feature")
+            keep_out = _keep_index(keep_out, weight.shape[0], out_unit)
             weight = weight[keep_out]
             if self.bias is not None:
                 self.bias = Parameter(self.bias.data[keep_out].copy())
-            self.out_features = int(keep_out.size)
         if keep_in is not None:
-            keep_in = _keep_index(keep_in, self.in_features, "input feature")
+            keep_in = _keep_index(keep_in, weight.shape[1], in_unit)
             weight = weight[:, keep_in]
-            self.in_features = int(keep_in.size)
         self.weight = Parameter(np.ascontiguousarray(weight))
         self.weight_state = None
         return self
+
+
+class Linear(_MaskedLayer):
+    """Affine layer ``y = x W^T + b`` with weight shape ``(out, in)``."""
+
+    _units = ("output feature", "input feature")
+    out_features = property(lambda self: self.weight.shape[0])
+    in_features = property(lambda self: self.weight.shape[1])
+
+    def __init__(
+        self,
+        in_features: int,
+        out_features: int,
+        bias: bool = True,
+        rng: Optional[np.random.Generator] = None,
+    ) -> None:
+        super().__init__((out_features, in_features), bias, rng)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return masked_linear(x, self.weight, self.bias, self.weight_state)
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
 
 
-class Conv2d(Module):
-    """2-D convolution with filters of shape ``(F, C, kh, kw)``.
+class Conv2d(_MaskedLayer):
+    """2-D convolution with filters of shape ``(F, C, kh, kw)``."""
 
-    Like :class:`Linear`, a bound ``weight_state`` routes the forward
-    pass through the CSR fast path at low measured density.
-    """
+    _units = ("filter", "input channel")
+    out_channels = property(lambda self: self.weight.shape[0])
+    in_channels = property(lambda self: self.weight.shape[1])
 
     def __init__(
         self,
@@ -116,47 +119,16 @@ class Conv2d(Module):
         bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
+        super().__init__((out_channels, in_channels, kernel_size, kernel_size), bias, rng)
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Parameter(init.kaiming_uniform(shape, rng=rng))
-        if bias:
-            self.bias = Parameter(init.uniform_bias((out_channels,), shape, rng=rng))
-        else:
-            self.bias = None
-        self.weight_state = None
 
     def forward(self, x: Tensor) -> Tensor:
         return masked_conv2d(
             x, self.weight, self.bias,
             stride=self.stride, padding=self.padding, state=self.weight_state,
         )
-
-    def dispatch_info(self) -> Optional[dict]:
-        """Dispatch decision for this layer, or ``None`` when unbound."""
-        return _layer_dispatch_info(self)
-
-    def compact(self, keep_out=None, keep_in=None) -> "Conv2d":
-        """Physically remove pruned filters (``keep_out``) and the input
-        channels of upstream pruned filters (``keep_in``)."""
-        weight = self.weight.data
-        if keep_out is not None:
-            keep_out = _keep_index(keep_out, self.out_channels, "filter")
-            weight = weight[keep_out]
-            if self.bias is not None:
-                self.bias = Parameter(self.bias.data[keep_out].copy())
-            self.out_channels = int(keep_out.size)
-        if keep_in is not None:
-            keep_in = _keep_index(keep_in, self.in_channels, "input channel")
-            weight = weight[:, keep_in]
-            self.in_channels = int(keep_in.size)
-        self.weight = Parameter(np.ascontiguousarray(weight))
-        self.weight_state = None
-        return self
 
     def __repr__(self) -> str:
         return (
@@ -165,10 +137,13 @@ class Conv2d(Module):
         )
 
 
-class BatchNorm2d(Module):
-    """Batch normalization over ``(N, C, H, W)`` inputs.
+class _BatchNorm(Module):
+    """Shared body of :class:`BatchNorm1d` and :class:`BatchNorm2d`.
 
-    Keeps running statistics for evaluation mode, like torch.
+    Statistics run over every axis but the feature axis 1; running
+    statistics are kept for evaluation mode, like torch.  Subclasses
+    give only the input layout: its rank (``_ndim``) and the error an
+    input of another rank raises (``_layout_error``).
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
@@ -182,62 +157,13 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError("BatchNorm2d expects (N, C, H, W) input")
-        axes = (0, 2, 3)
+        if x.ndim != self._ndim:
+            raise ValueError(self._layout_error)
+        view = (1, -1) + (1,) * (x.ndim - 2)
         if self.training:
+            axes = (0,) + tuple(range(2, x.ndim))
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)
-            with_momentum = self.momentum
-            new_mean = (1 - with_momentum) * self.running_mean + with_momentum * mean.data.reshape(-1)
-            new_var = (1 - with_momentum) * self.running_var + with_momentum * var.data.reshape(-1)
-            self.update_buffer("running_mean", new_mean.astype(np.float32))
-            self.update_buffer("running_var", new_var.astype(np.float32))
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        scale = self.weight.reshape(1, self.num_features, 1, 1)
-        shift = self.bias.reshape(1, self.num_features, 1, 1)
-        return x_hat * scale + shift
-
-    def compact(self, keep) -> "BatchNorm2d":
-        """Shrink to the kept channels (affine params + running stats)."""
-        _compact_batchnorm(self, keep)
-        return self
-
-    def __repr__(self) -> str:
-        return f"BatchNorm2d({self.num_features})"
-
-
-def _compact_batchnorm(layer, keep) -> None:
-    keep = _keep_index(keep, layer.num_features, "channel")
-    layer.weight = Parameter(layer.weight.data[keep].copy())
-    layer.bias = Parameter(layer.bias.data[keep].copy())
-    layer.update_buffer("running_mean", layer.running_mean[keep].copy())
-    layer.update_buffer("running_var", layer.running_var[keep].copy())
-    layer.num_features = int(keep.size)
-
-
-class BatchNorm1d(Module):
-    """Batch normalization over ``(N, F)`` inputs."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.weight = Parameter(np.ones(num_features, dtype=np.float32))
-        self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError("BatchNorm1d expects (N, F) input")
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            var = x.var(axis=0, keepdims=True)
             m = self.momentum
             self.update_buffer(
                 "running_mean",
@@ -248,45 +174,64 @@ class BatchNorm1d(Module):
                 ((1 - m) * self.running_var + m * var.data.reshape(-1)).astype(np.float32),
             )
         else:
-            mean = Tensor(self.running_mean.reshape(1, -1))
-            var = Tensor(self.running_var.reshape(1, -1))
+            mean = Tensor(self.running_mean.reshape(view))
+            var = Tensor(self.running_var.reshape(view))
         x_hat = (x - mean) / (var + self.eps).sqrt()
-        return x_hat * self.weight.reshape(1, -1) + self.bias.reshape(1, -1)
+        return x_hat * self.weight.reshape(view) + self.bias.reshape(view)
 
-    def compact(self, keep) -> "BatchNorm1d":
+    def compact(self, keep):
         """Shrink to the kept features (affine params + running stats)."""
-        _compact_batchnorm(self, keep)
+        keep = _keep_index(keep, self.num_features, "channel")
+        self.weight = Parameter(self.weight.data[keep].copy())
+        self.bias = Parameter(self.bias.data[keep].copy())
+        self.update_buffer("running_mean", self.running_mean[keep].copy())
+        self.update_buffer("running_var", self.running_var[keep].copy())
+        self.num_features = int(keep.size)
         return self
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.num_features})"
 
-class AvgPool2d(Module):
+
+class BatchNorm1d(_BatchNorm):
+    """Batch normalization over ``(N, F)`` inputs."""
+
+    _ndim = 2
+    _layout_error = "BatchNorm1d expects (N, F) input"
+
+
+class BatchNorm2d(_BatchNorm):
+    """Batch normalization over ``(N, C, H, W)`` inputs."""
+
+    _ndim = 4
+    _layout_error = "BatchNorm2d expects (N, C, H, W) input"
+
+
+class _Pool2d(Module):
+    """Shared body of the pooling layers; ``_pool`` is the functional op."""
+
+    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
+        super().__init__()
+        self.kernel_size = kernel_size
+        self.stride = stride
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self._pool(x, self.kernel_size, self.stride)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(kernel={self.kernel_size})"
+
+
+class AvgPool2d(_Pool2d):
     """Average pooling layer."""
 
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(kernel={self.kernel_size})"
+    _pool = staticmethod(avg_pool2d)
 
 
-class MaxPool2d(Module):
+class MaxPool2d(_Pool2d):
     """Max pooling layer."""
 
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel_size, self.stride)
-
-    def __repr__(self) -> str:
-        return f"MaxPool2d(kernel={self.kernel_size})"
+    _pool = staticmethod(max_pool2d)
 
 
 class Flatten(Module):

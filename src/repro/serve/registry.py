@@ -220,11 +220,11 @@ class ModelRegistry:
     ) -> "ModelRegistry":
         """Register a packed ``.reprom`` artifact (mmap, zero-copy).
 
-        The file is mapped **once**; every session the factory mints
-        rebuilds only the model geometry (under
-        :func:`~repro.nn.init.skip_init`) and aliases the shared map
-        for its CSR values and f16 biases — N workers cost one copy of
-        the weights.  ``precision`` picks the value buffers: the default
+        The file is mapped and its layers decoded **once**; every
+        session the factory mints rebuilds only the model geometry
+        (under :func:`~repro.nn.init.skip_init`) and aliases the shared
+        map and decoded frozen CSR patterns — N workers cost one copy
+        of the weights.  ``precision`` picks the value buffers: the default
         ``"f32"`` pre-scales quantized values into frozen float32 CSR
         buffers at load; ``"f16"`` / ``"int8"`` run the same CSR
         kernels straight off the mapped buffers at stored precision

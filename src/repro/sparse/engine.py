@@ -211,21 +211,11 @@ class MaskedParameter:
         :meth:`drop_by_magnitude` passes the weights themselves.
         Returns the dropped flat indices.
         """
-        self._require_thawed("a topology edit")
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        mask_flat = self.mask.reshape(-1)
-        weight_flat = self.parameter.data.reshape(-1)
-        active = np.flatnonzero(mask_flat)
-        count = min(count, active.size)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        score_flat = np.abs(scores.reshape(-1)[active])
-        chosen = active[np.argpartition(score_flat, count - 1)[:count]]
-        mask_flat[chosen] = 0.0
-        weight_flat[chosen] = 0.0
-        self.touch()
-        return chosen
+        def lowest(active, count):
+            score_flat = np.abs(scores.reshape(-1)[active])
+            return active[np.argpartition(score_flat, count - 1)[:count]]
+
+        return self._edit(False, count, lowest)
 
     def grow_by_score(self, count: int, scores: np.ndarray) -> np.ndarray:
         """Activate the ``count`` inactive positions with the highest score.
@@ -234,36 +224,38 @@ class MaskedParameter:
         gradient magnitude for RigL/NDSNN).  New weights start at zero,
         following the RigL convention.  Returns the grown flat indices.
         """
-        self._require_thawed("a topology edit")
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        mask_flat = self.mask.reshape(-1)
-        weight_flat = self.parameter.data.reshape(-1)
-        inactive = np.flatnonzero(mask_flat == 0.0)
-        count = min(count, inactive.size)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        score_flat = np.abs(scores.reshape(-1)[inactive])
-        chosen = inactive[np.argpartition(score_flat, score_flat.size - count)[-count:]]
-        mask_flat[chosen] = 1.0
-        weight_flat[chosen] = 0.0
-        self.touch()
-        return chosen
+        def highest(inactive, count):
+            score_flat = np.abs(scores.reshape(-1)[inactive])
+            return inactive[np.argpartition(score_flat, score_flat.size - count)[-count:]]
+
+        return self._edit(True, count, highest)
 
     def grow_random(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Activate ``count`` random inactive positions (SET growth)."""
+        return self._edit(
+            True, count, lambda inactive, count: rng.choice(inactive, size=count, replace=False)
+        )
+
+    def _edit(self, grow: bool, count: int, choose) -> np.ndarray:
+        """The one topology edit behind every drop and grow.
+
+        The candidates are the inactive positions when ``grow``, else
+        the active ones; ``choose(candidates, count)`` picks at most
+        ``count`` of them.  Their mask entries flip, their weights are
+        zeroed (a grown weight starts at zero, as in RigL) and the
+        chosen flat indices are returned.
+        """
         self._require_thawed("a topology edit")
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         mask_flat = self.mask.reshape(-1)
-        weight_flat = self.parameter.data.reshape(-1)
-        inactive = np.flatnonzero(mask_flat == 0.0)
-        count = min(count, inactive.size)
+        candidates = np.flatnonzero(mask_flat == 0.0) if grow else np.flatnonzero(mask_flat)
+        count = min(count, candidates.size)
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        chosen = rng.choice(inactive, size=count, replace=False)
-        mask_flat[chosen] = 1.0
-        weight_flat[chosen] = 0.0
+        chosen = choose(candidates, count)
+        mask_flat[chosen] = 1.0 if grow else 0.0
+        self.parameter.data.reshape(-1)[chosen] = 0.0
         self.touch()
         return chosen
 
@@ -509,28 +501,26 @@ class SparsityManager:
         times the layer size, clamped to at least one active weight.  A
         density outside ``[0, 1]`` raises ``ValueError`` naming the layer.
         """
-        for name, state in self.states.items():
-            density = densities[name]
-            size = state.size
-            keep = _kept_count(name, density, size)
-            mask = np.zeros(size, dtype=np.float32)
-            active = self.rng.choice(size, size=keep, replace=False)
-            mask[active] = 1.0
-            state.set_mask(mask.reshape(state.shape))
-            state.density_target = density
-        self.apply_masks()
+        self._init_masks(
+            densities, lambda state, keep: self.rng.choice(state.size, size=keep, replace=False)
+        )
 
     def init_from_magnitude(self, densities: Dict[str, float]) -> None:
         """Keep the largest-magnitude weights per layer (pruning init)."""
+        def largest(state, keep):
+            flat = np.abs(state.parameter.data.reshape(-1))
+            threshold_index = state.size - keep
+            return np.argpartition(flat, threshold_index)[threshold_index:]
+
+        self._init_masks(densities, largest)
+
+    def _init_masks(self, densities: Dict[str, float], choose) -> None:
+        """One mask per layer: ``choose(state, keep)`` picks its active
+        flat indices, ``keep`` being the layer's kept count."""
         for name, state in self.states.items():
             density = densities[name]
-            size = state.size
-            keep = _kept_count(name, density, size)
-            flat = np.abs(state.parameter.data.reshape(-1))
-            threshold_index = size - keep
-            order = np.argpartition(flat, threshold_index)[threshold_index:]
-            mask = np.zeros(size, dtype=np.float32)
-            mask[order] = 1.0
+            mask = np.zeros(state.size, dtype=np.float32)
+            mask[choose(state, _kept_count(name, density, state.size))] = 1.0
             state.set_mask(mask.reshape(state.shape))
             state.density_target = density
         self.apply_masks()

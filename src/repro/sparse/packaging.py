@@ -38,6 +38,7 @@ stack.
 from __future__ import annotations
 
 import json
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -437,8 +438,9 @@ class PackedModel:
 
     Thread-safe to share: the map is read-only and every accessor
     returns views.  One ``PackedModel`` feeds any number of serving
-    sessions (each session builds its own model geometry; the heavy
-    value buffers all alias this single map).
+    sessions: each session builds its own model, neurons and manager,
+    but all of them alias this single map and the frozen layers
+    decoded from it once per runtime precision (:func:`_frozen_layers`).
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -455,6 +457,8 @@ class PackedModel:
                 f"{self.path}: unsupported format version {self.meta.get('format')}"
             )
         self._data_start = _aligned(16 + meta_len)
+        self._frozen: Dict[str, Tuple[Dict, Dict]] = {}
+        self._frozen_lock = threading.Lock()
 
     @property
     def precision(self) -> str:
@@ -474,25 +478,40 @@ class PackedModel:
         return view.reshape(entry["shape"])
 
 
-def _decode_layer_indices(package: PackedModel, entry: Dict) -> Tuple[np.ndarray, np.ndarray]:
-    indptr = np.asarray(package.tensor(entry["tensors"]["indptr"]), dtype=np.int32)
-    deltas = varint_decode(
-        package.tensor(entry["tensors"]["indices"]), entry["nnz"]
-    )
-    indices = delta_decode_indices(deltas, indptr, entry["shape"][1])
-    return indices, indptr
+def _frozen_layers(package: PackedModel, runtime: str) -> Tuple[Dict, Dict]:
+    """``(patterns, dense)`` of a package's layers at ``runtime``, decoded
+    once per ``(package, runtime)`` and shared by all its sessions.
 
-
-def _layer_values_f32(package: PackedModel, entry: Dict) -> np.ndarray:
-    """Float32 values of one layer (f32 artifacts: a view into the map)."""
-    stored = package.tensor(entry["tensors"]["values"])
-    if package.precision == "f32":
-        return stored
-    if package.precision == "f16":
-        return stored.astype(np.float32)
-    scales = package.tensor(entry["tensors"]["scales"])
-    indptr = package.tensor(entry["tensors"]["indptr"])
-    return dequantize_rows(stored, scales, indptr)
+    The lock makes the concurrent first calls of an ``InferenceServer``'s
+    workers decode once.  Each frozen pattern aliases the map's values
+    (and ``scales`` at ``int8``) unless ``f32`` pre-scales them;
+    ``dense`` holds a read-only weight for each layer the manifest
+    routes dense at ``f32``.
+    """
+    with package._frozen_lock:
+        if runtime not in package._frozen:
+            patterns, dense = {}, {}
+            for entry in package.meta["layers"]:
+                tensors = entry["tensors"]
+                indptr = np.asarray(package.tensor(tensors["indptr"]), dtype=np.int32)
+                deltas = varint_decode(package.tensor(tensors["indices"]), entry["nnz"])
+                indices = delta_decode_indices(deltas, indptr, entry["shape"][1])
+                values = package.tensor(tensors["values"])
+                if runtime == "f32" and package.precision == "f16":
+                    values = values.astype(np.float32)
+                elif runtime == "f32" and package.precision == "int8":
+                    values = dequantize_rows(values, package.tensor(tensors["scales"]), indptr)
+                pattern = CSRPattern.from_arrays(
+                    indices, indptr, entry["shape"], entry["orig_shape"], values=values
+                )
+                if runtime == "int8":
+                    pattern.scales = package.tensor(tensors["scales"])
+                patterns[entry["name"]] = pattern.freeze()
+                if runtime == "f32" and entry["route"] == "dense":
+                    dense[entry["name"]] = _dense_from_pattern(pattern)
+                    dense[entry["name"]].setflags(write=False)
+            package._frozen[runtime] = (patterns, dense)
+        return package._frozen[runtime]
 
 
 def _assign_dense_entries(package: PackedModel, model) -> None:
@@ -566,19 +585,7 @@ def build_packed_runtime(
         model = build_spec_model(package.meta["model_spec"])
     model.eval()
     _assign_dense_entries(package, model)
-    patterns = {}
-    for entry in package.meta["layers"]:
-        indices, indptr = _decode_layer_indices(package, entry)
-        if runtime == "f32":
-            values = _layer_values_f32(package, entry)
-        else:
-            values = package.tensor(entry["tensors"]["values"])
-        pattern = CSRPattern.from_arrays(
-            indices, indptr, entry["shape"], entry["orig_shape"], values=values
-        )
-        if runtime == "int8":
-            pattern.scales = package.tensor(entry["tensors"]["scales"])
-        patterns[entry["name"]] = pattern.freeze()
+    patterns, dense = _frozen_layers(package, runtime)
     manager = SparsityManager.from_patterns(
         model,
         patterns,
@@ -597,5 +604,5 @@ def build_packed_runtime(
                     f"but the manifest records {entry['route']!r}"
                 )
             if route == "dense":
-                state.parameter.data = _dense_from_pattern(state.csr_pattern())
+                state.parameter.data = dense[state.name]
     return model, manager

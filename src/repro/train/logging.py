@@ -3,23 +3,15 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, List, Union, get_type_hints
 
 from ..utils import save_json
 from .trainer import EpochStats
 
-FIELDS = [
-    "epoch",
-    "train_loss",
-    "train_accuracy",
-    "test_accuracy",
-    "sparsity",
-    "density",
-    "spike_rate",
-    "learning_rate",
-    "csr_dispatch_share",
-]
+FIELDS = [field.name for field in fields(EpochStats)]
+_TYPES = get_type_hints(EpochStats)
 
 
 def write_history_csv(path: Union[str, Path], history: Iterable[EpochStats]) -> None:
@@ -34,26 +26,16 @@ def write_history_csv(path: Union[str, Path], history: Iterable[EpochStats]) -> 
 
 
 def read_history_csv(path: Union[str, Path]) -> List[EpochStats]:
-    """Read a CSV written by :func:`write_history_csv`."""
-    out: List[EpochStats] = []
+    """Read a CSV written by :func:`write_history_csv`.
+
+    An absent or empty column reads back as its field's default, so
+    CSVs written before ``csr_dispatch_share`` existed still load.
+    """
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            out.append(
-                EpochStats(
-                    epoch=int(row["epoch"]),
-                    train_loss=float(row["train_loss"]),
-                    train_accuracy=float(row["train_accuracy"]),
-                    test_accuracy=float(row["test_accuracy"]),
-                    sparsity=float(row["sparsity"]),
-                    density=float(row["density"]),
-                    spike_rate=float(row["spike_rate"]),
-                    learning_rate=float(row["learning_rate"]),
-                    # CSVs written before this column existed read back
-                    # with the default share.
-                    csr_dispatch_share=float(row.get("csr_dispatch_share") or 0.0),
-                )
-            )
-    return out
+        return [
+            EpochStats(**{name: _TYPES[name](row[name]) for name in FIELDS if row.get(name)})
+            for row in csv.DictReader(handle)
+        ]
 
 
 def write_history_json(path: Union[str, Path], history: Iterable[EpochStats]) -> None:

@@ -14,7 +14,7 @@ trainer core since every consumer needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -47,17 +47,7 @@ class EpochStats:
     csr_dispatch_share: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "sparsity": self.sparsity,
-            "density": self.density,
-            "spike_rate": self.spike_rate,
-            "learning_rate": self.learning_rate,
-            "csr_dispatch_share": self.csr_dispatch_share,
-        }
+        return asdict(self)
 
 
 @dataclass

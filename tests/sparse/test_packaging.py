@@ -19,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 import repro
 from repro.serve import InferenceSession, ModelRegistry
 from repro.snn.models import SpikingMLP
-from repro.sparse import CalibrationTable, MaskedParameter, SparsityManager
+from repro.sparse import CalibrationTable, MaskedParameter, SparsityManager, packaging
 from repro.sparse.packaging import (
     _VALUE_DTYPES,
     MAGIC,
@@ -407,6 +408,95 @@ class TestStoredPrecisionRuntime:
             # the manifest routed dense: only the f32 runtime follows it
             assert {item["route"] for item in
                     sessions["f32"].dispatch_report()} == {"dense"}
+
+
+# ----------------------------------------------------------------------
+# One decode per package: sessions alias the decoded frozen layers
+# ----------------------------------------------------------------------
+def make_auto_package(tmp_path, precision):
+    """An ``auto`` MLP package whose middle layer the manifest routes dense."""
+    model = SpikingMLP(16, 3, hidden=(24, 20), timesteps=3,
+                       rng=np.random.default_rng(5))
+    model.eval()
+    manager = SparsityManager(model, rng=np.random.default_rng(6))
+    names = list(manager.states)
+    manager.init_random(dict(zip(names, (0.2, 0.1, 0.1))))
+    manager.set_execution("auto")
+    manager.calibration = CalibrationTable({(24, 16): 0.3, (20, 24): 0.05})
+    spec = {**MLP_SPEC, "kwargs": {**MLP_SPEC["kwargs"], "hidden": [24, 20]}}
+    path = tmp_path / f"auto_{precision}.reprom"
+    write_package(path, model, manager, spec, precision=precision)
+    return path, names
+
+
+class TestSharedDecode:
+    @pytest.mark.parametrize("precision", ["f32", "f16", "int8"])
+    def test_sessions_alias_one_decode_and_match_a_fresh_package(
+        self, tmp_path, precision
+    ):
+        path, names = make_auto_package(tmp_path, precision)
+        registry = ModelRegistry().load_package("m", path, precision=precision)
+        first, second = registry.session("m"), registry.session("m")
+        fresh = InferenceSession(
+            *build_packed_runtime(PackedModel(path), precision=precision),
+            max_batch=first.max_batch,
+        )
+        assert first.model is not second.model
+        assert first.manager is not second.manager
+        for name in names:
+            pattern = first.manager.states[name].csr_pattern()
+            assert pattern is second.manager.states[name].csr_pattern()
+            assert pattern is not fresh.manager.states[name].csr_pattern()
+            assert pattern.frozen
+        routes = [item["route"] for item in first.dispatch_report()]
+        if precision == "f32":
+            assert routes == ["csr", "dense", "csr"]
+            dense = first.manager.states[names[1]].parameter.data
+            assert dense is second.manager.states[names[1]].parameter.data
+            assert not dense.flags.writeable
+            assert first.manager.states[names[1]].parameter is not (
+                second.manager.states[names[1]].parameter)
+        else:
+            assert set(routes) == {"csr"}
+        inputs = np.random.default_rng(21).standard_normal((5, 16)).astype(
+            np.float32)
+        want = fresh.predict(inputs).tobytes()
+        assert first.predict(inputs).tobytes() == want
+        assert second.predict(inputs).tobytes() == want
+
+    def test_concurrent_factory_calls_decode_once(self, tmp_path, monkeypatch):
+        path, names = make_auto_package(tmp_path, "int8")
+        decodes = []
+        real_decode = packaging.varint_decode
+
+        def counting_decode(*args, **kwargs):
+            decodes.append(threading.get_ident())
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(packaging, "varint_decode", counting_decode)
+        registry = ModelRegistry().load_package("m", path)
+        barrier = threading.Barrier(8)
+        sessions, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait()
+                sessions.append(registry.session("m"))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(sessions) == 8
+        # one varint decode per layer, all on one thread
+        assert len(decodes) == len(names)
+        assert len(set(decodes)) == 1
+        for name in names:
+            assert len({id(s.manager.states[name].csr_pattern()) for s in sessions}) == 1
 
 
 # ----------------------------------------------------------------------

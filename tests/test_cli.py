@@ -108,6 +108,16 @@ class TestRun:
         ["stream", "--ttl", "0"],
         ["memory", "--sparsity", "2"],
         ["memory", "--timesteps", "-1"],
+        ["run", "--lr", "-1"],
+        ["run", "--lr", "0"],
+        ["run", "--width-mult", "0"],
+        ["run", "--width-mult", "-1"],
+        ["sweep", "--lr", "-0.5"],
+        ["infer", "--width-mult", "0"],
+        ["serve", "--lr", "nan"],
+        ["export", "--width-mult", "-1"],
+        ["memory", "--width-mult", "0"],
+        ["memory", "--width-mult", "-1"],
     ], ids=" ".join)
     def test_bad_numeric_input_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

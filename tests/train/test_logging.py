@@ -39,3 +39,25 @@ class TestJSON:
         payload = json.loads(path.read_text())
         assert len(payload["history"]) == 2
         assert payload["history"][1]["test_accuracy"] == 0.5
+
+
+class TestOldCSV:
+    def test_missing_or_empty_dispatch_share_reads_as_zero(self, tmp_path):
+        columns = ["epoch", "train_loss", "train_accuracy", "test_accuracy",
+                   "sparsity", "density", "spike_rate", "learning_rate"]
+        values = ["3", "1.25", "0.5", "0.4", "0.9", "0.1", "0.2", "0.05"]
+        old = tmp_path / "old.csv"
+        old.write_text(",".join(columns) + "\n" + ",".join(values) + "\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text(
+            ",".join(columns + ["csr_dispatch_share"]) + "\n"
+            + ",".join(values + [""]) + "\n"
+        )
+        want = EpochStats(epoch=3, train_loss=1.25, train_accuracy=0.5,
+                          test_accuracy=0.4, sparsity=0.9, density=0.1,
+                          spike_rate=0.2, learning_rate=0.05)
+        for path in (old, empty):
+            (loaded,) = read_history_csv(path)
+            assert loaded == want
+            assert loaded.csr_dispatch_share == 0.0
+            assert type(loaded.epoch) is int

@@ -808,6 +808,8 @@ def run_sweep(
         return [run_experiment(config, verbose=verbose) for config in configs]
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if not configs:  # a worker on a spool with no jobs would idle forever
+        return []
     checkpoint_every = int(queue_options.pop("checkpoint_every", 1))
     ephemeral = spool is None
     spool = Path(tempfile.mkdtemp(prefix="repro-sweep-") if ephemeral else spool)

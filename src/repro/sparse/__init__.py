@@ -63,7 +63,6 @@ from .lth import LTHSNN
 from .ndsnn import NDSNN, UpdateRecord
 from .rigl_snn import RigLSNN
 from .schedule import (
-    ConstantDeathSchedule,
     CosineDeathSchedule,
     LayerwiseSparsityRamp,
     SparsityRamp,
@@ -127,5 +126,4 @@ __all__ = [
     "SparsityRamp",
     "LayerwiseSparsityRamp",
     "CosineDeathSchedule",
-    "ConstantDeathSchedule",
 ]

@@ -14,15 +14,18 @@ Two layers live here:
   global magnitude pruning, sparsity reporting, and (optionally) layer
   binding so the forward pass can take the CSR fast path.
 
-On top of the manager, :class:`DropGrowMethod` factors the shared
-structure of the drop-and-grow family (NDSNN, SET, RigL, GMP): the
-update clock, the per-round record keeping, and the momentum reset at
-grown connections.  Concrete methods reduce to a handful of lines that
-define per-layer drop/grow counts and growth scores.
+On top of the manager, :class:`DropGrowMethod` is the one engine of
+every scheduled sparse method (NDSNN, SET, RigL, GMP, structured filter
+pruning and the streaming adaptation layer).  It owns the update clock,
+the Eq. 4 ramp and its per-layer targets, the default counts (drop
+``rate * n_active``, regrow as many), the per-round record keeping and
+the momentum reset at grown connections.  A method supplies only its
+rate, its growth scores and, if it ramps, the ramp's endpoints; NDSNN
+adds the Eq. 9 birth count and GMP grows nothing.
 
 The engine preserves the exact numerical behaviour (including RNG call
 order) of the pre-refactor per-method implementations; the golden-mask
-regression test pins this down for all eight methods.
+regression test pins this down for every method.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from ..nn.module import Module, Parameter
 from ..tensor.functional import STATIC_CSR_DENSITY_CUTOFF
 from .erk import build_distribution
+from .schedule import LayerwiseSparsityRamp
 
 #: Execution modes for masked layers.  ``dense`` always multiplies the
 #: (already masked) dense weights; ``auto`` picks CSR when the measured
@@ -560,21 +564,6 @@ class SparsityManager:
         self.apply_masks()
 
     # ------------------------------------------------------------------
-    # Topology edits (per-layer delegates, kept for API compatibility)
-    # ------------------------------------------------------------------
-    def drop_by_magnitude(self, name: str, count: int) -> np.ndarray:
-        return self.states[name].drop_by_magnitude(count)
-
-    def drop_by_score(self, name: str, count: int, scores: np.ndarray) -> np.ndarray:
-        return self.states[name].drop_by_score(count, scores)
-
-    def grow_by_score(self, name: str, count: int, scores: np.ndarray) -> np.ndarray:
-        return self.states[name].grow_by_score(count, scores)
-
-    def grow_random(self, name: str, count: int) -> np.ndarray:
-        return self.states[name].grow_random(count, self.rng)
-
-    # ------------------------------------------------------------------
     # Network-level pruning
     # ------------------------------------------------------------------
     def global_magnitude_threshold(
@@ -968,26 +957,32 @@ class StaticMaskMethod(SparseTrainingMethod):
 
 
 class DropGrowMethod(SparseTrainingMethod):
-    """Shared engine of the drop-and-grow family (NDSNN/SET/RigL/GMP).
+    """Shared engine of the scheduled sparse methods.
 
-    Subclasses customise four small hooks:
+    NDSNN, SET, RigL, GMP, structured filter pruning and the streaming
+    adaptation layer all run here.  The engine owns the update clock,
+    the Eq. 4 ramp (for :attr:`ramped` methods), the default counts, the
+    per-round record keeping, the momentum reset at grown connections
+    and mask re-application.  A method supplies what is its own:
 
-    * :meth:`initial_densities` — topology at setup;
-    * :meth:`drop_count` — how many active weights one layer loses at
-      an update round;
-    * :meth:`grow_count` — how many connections it regains;
-    * :meth:`growth_scores` — dense score array ranking the inactive
-      positions (``None`` requests random growth).
+    * :meth:`round_death_rate` — the fraction of each layer's active
+      weights dropped per round;
+    * :meth:`growth_scores` — a dense score array ranking the inactive
+      positions (the default ``None`` grows at random);
+    * for a ramped method, its ``initial_sparsity``,
+      ``final_sparsity`` and ``ramp_power``.
 
-    Everything else — the update clock, the per-round bookkeeping, the
-    momentum reset at grown positions, mask re-application and the
-    :class:`UpdateRecord` history — lives here once.
+    :meth:`drop_count` drops ``round_death_rate * n_active`` (leaving
+    at least one weight) and :meth:`grow_count` regrows what was
+    dropped; NDSNN and GMP override them with counts from
+    :meth:`target_active`.
     """
 
-    #: Ramp-based methods (NDSNN, GMP) shrink ``update_frequency`` at
-    #: setup so very short runs still fit one update round; the
-    #: constant-sparsity baselines (SET, RigL) historically do not.
-    shrink_update_frequency = False
+    #: Ramp methods (NDSNN, GMP, structured) set this: setup builds
+    #: :attr:`ramp` from ``initial_sparsity`` to ``final_sparsity`` and
+    #: shrinks ``update_frequency`` so very short runs still fit one
+    #: update round.  The constant-sparsity methods keep ``target_sparsity``.
+    ramped = False
 
     def __init__(
         self,
@@ -1008,6 +1003,8 @@ class DropGrowMethod(SparseTrainingMethod):
         self.distribution = distribution
         self._rng = rng
         self.history: List[UpdateRecord] = []
+        self.ramp: Optional[LayerwiseSparsityRamp] = None
+        self.round_targets: Dict[str, float] = {}
 
     # -- schedule geometry ---------------------------------------------
     @property
@@ -1031,10 +1028,18 @@ class DropGrowMethod(SparseTrainingMethod):
 
     # -- lifecycle ------------------------------------------------------
     def setup(self) -> None:
-        # Guarantee at least one update round on very short runs.
-        if self.shrink_update_frequency and self.update_frequency >= self.total_iterations:
+        if self.ramped and self.update_frequency >= self.total_iterations:
             self.update_frequency = max(1, self.total_iterations - 1)
         self.masks = SparsityManager(self.model, rng=self._rng)
+        if self.ramped:
+            self.ramp = LayerwiseSparsityRamp(
+                self.layer_sparsities(self.initial_sparsity),
+                self.layer_sparsities(self.final_sparsity),
+                t_start=0,
+                num_rounds=self.num_rounds,
+                update_frequency=self.update_frequency,
+                power=self.ramp_power,
+            )
         self.configure_schedules()
         densities = self.initial_densities()
         if densities is not None:
@@ -1044,32 +1049,51 @@ class DropGrowMethod(SparseTrainingMethod):
     def configure_schedules(self) -> None:
         """Build per-method schedules; masks/shapes are available."""
 
+    def layer_sparsities(self, sparsity: float) -> Dict[str, float]:
+        """Per-layer sparsities of ``distribution`` at a global ``sparsity``."""
+        densities = build_distribution(self.distribution, self.masks.shapes, 1.0 - sparsity)
+        return {name: 1.0 - density for name, density in densities.items()}
+
     def initial_densities(self) -> Optional[Dict[str, float]]:
         """Per-layer densities for the random topology at setup.
 
-        Return ``None`` to start dense (GMP with zero initial sparsity).
+        The ramp's start for a ramped method, else the distribution at
+        ``target_sparsity``; return ``None`` to start dense.
         """
-        raise NotImplementedError
+        if self.ramped:
+            start = self.layer_sparsities(self.initial_sparsity)
+            return {name: 1.0 - sparsity for name, sparsity in start.items()}
+        return build_distribution(
+            self.distribution, self.masks.shapes, 1.0 - self.target_sparsity
+        )
 
     # -- per-round strategy hooks --------------------------------------
     def begin_round(self, iteration: int) -> None:
-        """Called once per update round before any layer is edited.
+        """Cache the ramp's per-layer targets before any layer is edited."""
+        if self.ramp is not None:
+            self.round_targets = self.ramp.sparsity_at(iteration)
 
-        Strategies cache round-level schedule values (death rate,
-        sparsity targets) here instead of recomputing them per layer.
-        """
+    def target_active(self, name: str) -> int:
+        """Active weights layer ``name`` keeps at this round's ramp target."""
+        layer_size = self.masks.layer_size(name)
+        return max(1, int(round((1.0 - self.round_targets[name]) * layer_size)))
+
+    def round_death_rate(self, iteration: int) -> float:
+        """Fraction of each layer's active weights dropped this round."""
+        return 0.0
 
     def drop_count(self, name: str, iteration: int) -> int:
-        """Active weights layer ``name`` should lose this round."""
-        raise NotImplementedError
+        """Active weights layer ``name`` loses this round (never its last)."""
+        n_active = self.masks.nonzero_count(name)
+        return min(int(self.round_death_rate(iteration) * n_active), max(0, n_active - 1))
 
     def grow_count(self, name: str, iteration: int, dropped: int) -> int:
         """Connections layer ``name`` regains after dropping ``dropped``."""
-        raise NotImplementedError
+        return dropped
 
     def growth_scores(self, name: str) -> Optional[np.ndarray]:
         """Dense score array for growth, or ``None`` for random growth."""
-        raise NotImplementedError
+        return None
 
     def drop_scores(self, name: str) -> Optional[np.ndarray]:
         """Dense score array for dropping, or ``None`` for magnitude.
@@ -1079,10 +1103,6 @@ class DropGrowMethod(SparseTrainingMethod):
         with activity-weighted scores.  Lowest score is dropped first.
         """
         return None
-
-    def round_death_rate(self, iteration: int) -> float:
-        """Death/update fraction recorded on the round's audit record."""
-        return 0.0
 
     # -- the one shared drop-and-grow loop ------------------------------
     def after_backward(self, iteration: int) -> None:
@@ -1115,6 +1135,10 @@ class DropGrowMethod(SparseTrainingMethod):
                 self._reset_momentum(name, grown)
             record.dropped[name] = int(dropped.size)
             record.grown[name] = int(grown.size)
+        return self._close_round(record)
+
+    def _close_round(self, record: UpdateRecord) -> UpdateRecord:
+        """Re-apply the masks and log ``record`` once every layer is edited."""
         self.masks.apply_masks()
         # Write-through at the mask-update site: rebuild the CSR index
         # and values here (the only index-rebuild event) so the next

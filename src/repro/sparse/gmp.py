@@ -6,19 +6,18 @@ magnitude at each update step and never return.  Including it isolates
 the value of NDSNN's grow step: GMP shares the ramp, NDSNN adds
 gradient-guided regrowth.
 
-A thin strategy over :class:`~repro.sparse.engine.DropGrowMethod` with
-the grow count pinned to zero.
+A thin strategy over :class:`~repro.sparse.engine.DropGrowMethod`,
+which builds the ramp and caches its per-layer targets: GMP drops each
+layer to its target and grows nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from .engine import DropGrowMethod, UpdateRecord
-from .erk import build_distribution
-from .schedule import LayerwiseSparsityRamp
+from .engine import DropGrowMethod
 
 
 class GMPSNN(DropGrowMethod):
@@ -29,7 +28,7 @@ class GMPSNN(DropGrowMethod):
     """
 
     name = "gmp"
-    shrink_update_frequency = True
+    ramped = True
 
     def __init__(
         self,
@@ -56,54 +55,17 @@ class GMPSNN(DropGrowMethod):
         self.initial_sparsity = float(initial_sparsity)
         self.final_sparsity = float(final_sparsity)
         self.ramp_power = float(ramp_power)
-        self.ramp: Optional[LayerwiseSparsityRamp] = None
-        self.prune_trace: List[float] = []
-        self._round_targets: Dict[str, float] = {}
-
-    def configure_schedules(self) -> None:
-        shapes = self.masks.shapes
-        self._initial_distribution = {
-            name: 1.0 - d
-            for name, d in build_distribution(
-                self.distribution, shapes, 1.0 - self.initial_sparsity
-            ).items()
-        } if self.initial_sparsity > 0 else {name: 0.0 for name in shapes}
-        final = {
-            name: 1.0 - d
-            for name, d in build_distribution(
-                self.distribution, shapes, 1.0 - self.final_sparsity
-            ).items()
-        }
-        self.ramp = LayerwiseSparsityRamp(
-            self._initial_distribution, final,
-            t_start=0, num_rounds=self.num_rounds,
-            update_frequency=self.update_frequency, power=self.ramp_power,
-        )
-        self.prune_trace = []
 
     def initial_densities(self) -> Optional[Dict[str, float]]:
         if self.initial_sparsity > 0:
-            return {name: 1.0 - s for name, s in self._initial_distribution.items()}
+            return super().initial_densities()
         return None  # start dense
 
-    def begin_round(self, iteration: int) -> None:
-        self._round_targets = self.ramp.sparsity_at(iteration)
-
     def drop_count(self, name: str, iteration: int) -> int:
-        layer_size = self.masks.layer_size(name)
-        target_active = max(1, int(round((1.0 - self._round_targets[name]) * layer_size)))
-        return self.masks.nonzero_count(name) - target_active
+        return self.masks.nonzero_count(name) - self.target_active(name)
 
     def grow_count(self, name: str, iteration: int, dropped: int) -> int:
         return 0  # pruned weights never return
-
-    def growth_scores(self, name: str) -> None:
-        return None
-
-    def update_topology(self, iteration: int) -> UpdateRecord:
-        record = super().update_topology(iteration)
-        self.prune_trace.append(record.sparsity_after)
-        return record
 
     def __repr__(self) -> str:
         return f"GMPSNN(theta_f={self.final_sparsity}, dT={self.update_frequency})"

@@ -21,7 +21,7 @@ owns the round schedule and the rewind logic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class LTHSNN:
         # Dict views shared with the manager's per-layer states.
         self.parameters = self.manager.parameters
         self.masks: Dict[str, np.ndarray] = self.manager.masks
-        self.sparsity_trace: List[float] = []
 
     # ------------------------------------------------------------------
     # Schedule

@@ -18,19 +18,20 @@ at ``theta_f``, mirroring the declining neuron population of adult
 hippocampal neurogenesis.
 
 Implemented as a thin strategy over the shared
-:class:`~repro.sparse.engine.DropGrowMethod` engine: this class only
-supplies the Eq. 4/5 schedules and the per-layer death/birth counts.
+:class:`~repro.sparse.engine.DropGrowMethod` engine, which builds the
+Eq. 4 ramp from ``theta_i`` to ``theta_f`` and caches its per-layer
+targets each round: this class only supplies the Eq. 5 death rate, the
+Eq. 6–9 death/birth counts and the growth scores.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import DropGrowMethod, UpdateRecord
-from .erk import build_distribution
-from .schedule import CosineDeathSchedule, LayerwiseSparsityRamp
+from .schedule import CosineDeathSchedule
 
 __all__ = ["NDSNN", "UpdateRecord"]
 
@@ -65,7 +66,7 @@ class NDSNN(DropGrowMethod):
     """
 
     name = "ndsnn"
-    shrink_update_frequency = True
+    ramped = True
 
     def __init__(
         self,
@@ -100,36 +101,12 @@ class NDSNN(DropGrowMethod):
         self.minimum_death_rate = float(minimum_death_rate)
         self.growth_mode = growth_mode
         self.ramp_power = float(ramp_power)
-        self.ramp: Optional[LayerwiseSparsityRamp] = None
         self.death_schedule: Optional[CosineDeathSchedule] = None
-        self._round_targets: Dict[str, float] = {}
-        self._round_rate = 0.0
 
     # ------------------------------------------------------------------
-    # Schedules (Eqs. 4 and 5)
+    # Per-round strategy (Eqs. 5–9)
     # ------------------------------------------------------------------
     def configure_schedules(self) -> None:
-        shapes = self.masks.shapes
-        self._initial_distribution = {
-            name: 1.0 - d
-            for name, d in build_distribution(
-                self.distribution, shapes, 1.0 - self.initial_sparsity
-            ).items()
-        }
-        final = {
-            name: 1.0 - d
-            for name, d in build_distribution(
-                self.distribution, shapes, 1.0 - self.final_sparsity
-            ).items()
-        }
-        self.ramp = LayerwiseSparsityRamp(
-            self._initial_distribution,
-            final,
-            t_start=0,
-            num_rounds=self.num_rounds,
-            update_frequency=self.update_frequency,
-            power=self.ramp_power,
-        )
         self.death_schedule = CosineDeathSchedule(
             self.initial_death_rate,
             self.minimum_death_rate,
@@ -137,35 +114,21 @@ class NDSNN(DropGrowMethod):
             update_frequency=self.update_frequency,
         )
 
-    def initial_densities(self) -> Dict[str, float]:
-        return {name: 1.0 - s for name, s in self._initial_distribution.items()}
-
-    # ------------------------------------------------------------------
-    # Per-round strategy (Eqs. 5–9)
-    # ------------------------------------------------------------------
-    def begin_round(self, iteration: int) -> None:
-        self._round_rate = self.death_schedule.rate_at(iteration)
-        self._round_targets = self.ramp.sparsity_at(iteration)
-
     def round_death_rate(self, iteration: int) -> float:
-        return self._round_rate
-
-    def _target_active(self, name: str) -> int:
-        layer_size = self.masks.layer_size(name)
-        return max(1, int(round((1.0 - self._round_targets[name]) * layer_size)))
+        return self.death_schedule.rate_at(iteration)  # Eq. 5
 
     def drop_count(self, name: str, iteration: int) -> int:
         n_pre = self.masks.nonzero_count(name)  # Eq. 6
-        drop = int(self._round_rate * n_pre)  # Eq. 7
+        drop = int(self.round_death_rate(iteration) * n_pre)  # Eq. 7
         # Never drop below the target active count: the sparsity ramp
         # dominates when the cosine death rate gets small (Eq. 9 must
         # yield G >= 0).
-        drop = max(drop, n_pre - self._target_active(name))
-        return min(drop, n_pre - 1) if n_pre > 1 else 0
+        drop = max(drop, n_pre - self.target_active(name))
+        return min(drop, max(0, n_pre - 1))
 
     def grow_count(self, name: str, iteration: int, dropped: int) -> int:
         n_post = self.masks.nonzero_count(name)  # Eq. 8
-        return self._target_active(name) - n_post  # Eq. 9
+        return self.target_active(name) - n_post  # Eq. 9
 
     def growth_scores(self, name: str) -> np.ndarray:
         parameter = self.masks.parameters[name]

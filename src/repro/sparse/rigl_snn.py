@@ -8,19 +8,19 @@ zero over the schedule horizon:
     f(t) = (alpha / 2) * (1 + cos(pi * t / T_horizon))
 
 A thin strategy over :class:`~repro.sparse.engine.DropGrowMethod`:
-the cosine update fraction sets the drop count, gradient magnitude
-scores the regrowth.
+RigL supplies the cosine update fraction as its rate, gradient
+magnitude as its growth scores, and its own update clock; the engine's
+default counts (drop ``f(t) * n_active``, regrow as many) do the rest.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import DropGrowMethod
-from .erk import build_distribution
 
 
 class RigLSNN(DropGrowMethod):
@@ -62,12 +62,6 @@ class RigLSNN(DropGrowMethod):
         )
         self.target_sparsity = float(sparsity)
         self.alpha = float(alpha)
-        self._round_fraction = 0.0
-
-    def initial_densities(self) -> Dict[str, float]:
-        return build_distribution(
-            self.distribution, self.masks.shapes, 1.0 - self.target_sparsity
-        )
 
     @property
     def horizon(self) -> int:
@@ -89,19 +83,8 @@ class RigLSNN(DropGrowMethod):
             and iteration < self.horizon
         )
 
-    def begin_round(self, iteration: int) -> None:
-        self._round_fraction = self.update_fraction(iteration)
-
     def round_death_rate(self, iteration: int) -> float:
-        return self._round_fraction
-
-    def drop_count(self, name: str, iteration: int) -> int:
-        n_active = self.masks.nonzero_count(name)
-        count = int(self._round_fraction * n_active)
-        return min(count, max(0, n_active - 1))
-
-    def grow_count(self, name: str, iteration: int, dropped: int) -> int:
-        return dropped
+        return self.update_fraction(iteration)
 
     def growth_scores(self, name: str) -> np.ndarray:
         parameter = self.masks.parameters[name]

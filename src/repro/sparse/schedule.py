@@ -160,20 +160,3 @@ class CosineDeathSchedule:
             f"rounds={self.num_rounds}, dT={self.update_frequency})"
         )
 
-
-class ConstantDeathSchedule:
-    """Fixed death ratio (the SET baseline's behaviour)."""
-
-    def __init__(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
-        self.rate = float(rate)
-
-    def rate_at(self, iteration: int) -> float:
-        return self.rate
-
-    def __call__(self, iteration: int) -> float:
-        return self.rate
-
-    def __repr__(self) -> str:
-        return f"ConstantDeathSchedule(rate={self.rate})"

@@ -6,17 +6,18 @@ magnitude active weights per layer and regrows the *same number* of
 connections at random inactive positions.
 
 A thin strategy over :class:`~repro.sparse.engine.DropGrowMethod`:
-drop ``zeta * n_active``, grow the same count at random.
+SET supplies the constant rate ``zeta`` and keeps its own update clock;
+the engine's default counts (drop ``zeta * n_active``, regrow as many)
+and random growth do the rest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import DropGrowMethod
-from .erk import build_distribution
 
 
 class SETSNN(DropGrowMethod):
@@ -57,11 +58,6 @@ class SETSNN(DropGrowMethod):
         self.target_sparsity = float(sparsity)
         self.prune_rate = float(prune_rate)
 
-    def initial_densities(self) -> Dict[str, float]:
-        return build_distribution(
-            self.distribution, self.masks.shapes, 1.0 - self.target_sparsity
-        )
-
     def _is_update_step(self, iteration: int) -> bool:
         # SET's historical horizon is the raw stop iteration, not the
         # round-quantized (and min-one-round clamped) base-class one:
@@ -77,17 +73,6 @@ class SETSNN(DropGrowMethod):
 
     def round_death_rate(self, iteration: int) -> float:
         return self.prune_rate
-
-    def drop_count(self, name: str, iteration: int) -> int:
-        n_active = self.masks.nonzero_count(name)
-        count = int(self.prune_rate * n_active)
-        return min(count, max(0, n_active - 1))
-
-    def grow_count(self, name: str, iteration: int, dropped: int) -> int:
-        return dropped
-
-    def growth_scores(self, name: str) -> None:
-        return None  # random regrowth
 
     def __repr__(self) -> str:
         return f"SETSNN(sparsity={self.target_sparsity}, zeta={self.prune_rate})"

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..nn.layers import BatchNorm1d, BatchNorm2d, Conv2d, Linear
-from .engine import SparseTrainingMethod, SparsityManager
-from .schedule import SparsityRamp
+from .engine import DropGrowMethod, SparsityManager, UpdateRecord
 
 
 def filter_norms(weight: np.ndarray) -> np.ndarray:
@@ -28,13 +27,16 @@ def filter_norms(weight: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported weight rank {weight.ndim}")
 
 
-class StructuredFilterPruning(SparseTrainingMethod):
+class StructuredFilterPruning(DropGrowMethod):
     """Gradually deactivate the lowest-norm filters along an Eq. 4 ramp.
 
     Sparsity is measured in *weights*, but pruning granularity is whole
     filters (output channels for conv, output neurons for linear).  The
     final layer (classifier) keeps all of its output units: removing a
     class row would change the task.
+
+    The engine supplies the update clock and the ramp from dense to
+    ``final_sparsity``; this class only replaces the round itself.
 
     Parameters
     ----------
@@ -44,6 +46,8 @@ class StructuredFilterPruning(SparseTrainingMethod):
     """
 
     name = "structured"
+    ramped = True
+    initial_sparsity = 0.0
 
     def __init__(
         self,
@@ -54,32 +58,31 @@ class StructuredFilterPruning(SparseTrainingMethod):
         protect_last_layer: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__()
         if not 0.0 < final_sparsity < 1.0:
             raise ValueError(f"final_sparsity must be in (0, 1), got {final_sparsity}")
+        super().__init__(
+            total_iterations=total_iterations,
+            update_frequency=update_frequency,
+            rng=rng,
+        )
         self.final_sparsity = float(final_sparsity)
-        self.total_iterations = int(total_iterations)
-        self.update_frequency = int(update_frequency)
         self.ramp_power = float(ramp_power)
         self.protect_last_layer = protect_last_layer
-        self._rng = rng
-        self.ramp: Optional[SparsityRamp] = None
-        self.pruned_filters: Dict[str, List[int]] = {}
 
-    def setup(self) -> None:
-        if self.update_frequency >= self.total_iterations:
-            self.update_frequency = max(1, self.total_iterations - 1)
-        self.masks = SparsityManager(self.model, rng=self._rng)
-        num_rounds = max(1, self.total_iterations // self.update_frequency)
-        self.ramp = SparsityRamp(
-            0.0,
-            self.final_sparsity,
-            t_start=0,
-            num_rounds=num_rounds,
-            update_frequency=self.update_frequency,
-            power=self.ramp_power,
-        )
-        self.pruned_filters = {name: [] for name in self.masks.masks}
+    def layer_sparsities(self, sparsity: float) -> Dict[str, float]:
+        # Every layer ramps to the global target itself.
+        return dict.fromkeys(self.masks.states, sparsity)
+
+    def initial_densities(self) -> None:
+        return None  # start dense
+
+    @property
+    def pruned_filters(self) -> Dict[str, List[int]]:
+        """Dead filters (all-zero mask rows) per layer."""
+        return {
+            name: dead_output_rows(mask).tolist()
+            for name, mask in self.masks.masks.items()
+        }
 
     def _prunable_layers(self) -> List[str]:
         names = list(self.masks.masks)
@@ -87,46 +90,33 @@ class StructuredFilterPruning(SparseTrainingMethod):
             names = names[:-1]
         return names
 
-    def after_backward(self, iteration: int) -> None:
-        if (
-            iteration > 0
-            and iteration % self.update_frequency == 0
-            and iteration < self.total_iterations
-        ):
-            self._prune_filters(iteration)
-        self.masks.apply_to_gradients()
-
-    def _prune_filters(self, iteration: int) -> None:
-        target = self.ramp.sparsity_at(iteration)
+    def update_topology(self, iteration: int) -> UpdateRecord:
+        """Deactivate the lowest-norm live filters up to the ramp target."""
+        self.begin_round(iteration)
+        record = UpdateRecord(iteration=iteration, death_rate=0.0)
         for name in self._prunable_layers():
-            parameter = self.masks.parameters[name]
-            num_filters = parameter.shape[0]
-            weights_per_filter = parameter.size // num_filters
-            target_pruned = int(target * num_filters)
+            state = self.masks.states[name]
+            num_filters = state.shape[0]
             # Always keep at least one filter alive.
-            target_pruned = min(target_pruned, num_filters - 1)
-            already = len(self.pruned_filters[name])
-            extra = target_pruned - already
+            target_pruned = min(int(self.round_targets[name] * num_filters), num_filters - 1)
+            dead = dead_output_rows(state.mask)
+            extra = target_pruned - dead.size
             if extra <= 0:
                 continue
-            norms = filter_norms(parameter.data)
-            norms[self.pruned_filters[name]] = np.inf  # never re-rank dead filters
+            norms = filter_norms(state.parameter.data)
+            norms[dead] = np.inf  # never re-rank dead filters
             victims = np.argsort(norms)[:extra]
-            state = self.masks.states[name]
-            for victim in victims:
-                state.mask[victim] = 0.0
-                self.pruned_filters[name].append(int(victim))
+            record.dropped[name] = int(state.mask[victims].sum())
+            state.mask[victims] = 0.0
             state.touch()
-        self.masks.apply_masks()
-        self._record_mask_update()
+        return self._close_round(record)
 
     def filter_sparsity(self) -> Dict[str, float]:
         """Fraction of filters removed per layer."""
-        out = {}
-        for name in self.masks.masks:
-            total = self.masks.parameters[name].shape[0]
-            out[name] = len(self.pruned_filters[name]) / total
-        return out
+        return {
+            name: len(dead) / self.masks.states[name].shape[0]
+            for name, dead in self.pruned_filters.items()
+        }
 
     def __repr__(self) -> str:
         return f"StructuredFilterPruning(final_sparsity={self.final_sparsity})"

@@ -14,9 +14,11 @@ grow count equals the drop count, so the :class:`SparsityManager`'s
 per-layer density targets survive any number of adaptation rounds.
 
 The machinery reuses :class:`~repro.sparse.engine.DropGrowMethod`
-wholesale — the streaming method only overrides the score hooks — so
-audit history (:class:`UpdateRecord`), momentum bookkeeping and mask
-re-application behave exactly as during training.
+wholesale — the streaming method supplies only its constant rate and
+the score hooks, and inherits the engine's counts (drop
+``death_rate * n_active``, regrow as many) — so audit history
+(:class:`UpdateRecord`), momentum bookkeeping and mask re-application
+behave exactly as during training.
 """
 
 from __future__ import annotations
@@ -82,9 +84,6 @@ class OnlineAdaptation(DropGrowMethod):
     def setup(self) -> None:  # the adopted manager is already configured
         self.history = []
 
-    def initial_densities(self) -> Optional[Dict[str, float]]:
-        return None
-
     # ------------------------------------------------------------------
     # Activity observation
     # ------------------------------------------------------------------
@@ -122,12 +121,6 @@ class OnlineAdaptation(DropGrowMethod):
     # ------------------------------------------------------------------
     # DropGrowMethod hooks
     # ------------------------------------------------------------------
-    def drop_count(self, name: str, iteration: int) -> int:
-        return int(self.death_rate * self.masks.nonzero_count(name))
-
-    def grow_count(self, name: str, iteration: int, dropped: int) -> int:
-        return dropped  # exact density hold
-
     def _scores(self, name: str) -> Optional[np.ndarray]:
         ema = self.activity.get(name)
         if ema is None:

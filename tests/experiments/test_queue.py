@@ -308,6 +308,22 @@ class TestManifests:
 
 
 class TestRunSweepQueued:
+    @pytest.mark.smoke
+    def test_empty_grid_returns_at_once(self, tmp_path, monkeypatch):
+        """No spool, no worker process and no wait for an empty grid."""
+        import repro.experiments.queue as queue_module
+
+        def no_processes(method):
+            raise AssertionError("an empty sweep started a process")
+
+        monkeypatch.setattr(queue_module.multiprocessing, "get_context", no_processes)
+        spool = tmp_path / "spool"
+        start = time.perf_counter()
+        assert run_sweep([], jobs=2, spool=spool) == []
+        assert run_sweep([], jobs=2) == []
+        assert time.perf_counter() - start < 1.0
+        assert not spool.exists()
+
     def test_queue_matches_sequential_eight_configs(self, tmp_path):
         """>= 8 configs through the queue, bit-identical to in-process."""
         base = fast_config("ndsnn")

@@ -596,7 +596,7 @@ def test_topology_edits():
                  ref_drop_by_score(ref_state, count, scores)),
                 (lib_state.grow_by_score(count, scores),
                  ref_grow_by_score(ref_state, count, scores)),
-                (lib.grow_random(name, count),
+                (lib_state.grow_random(count, lib.rng),
                  ref_grow_random(ref_state, count, ref.rng)),
                 (lib_state.drop_by_magnitude(count),
                  ref_drop_by_score(ref_state, count, ref_state.parameter.data)),

@@ -95,6 +95,7 @@ def golden():
         return json.load(fh)
 
 
+@pytest.mark.smoke
 class TestGoldenMasks:
     """All eight methods reproduce their pre-refactor masks bit-exactly."""
 

@@ -83,7 +83,7 @@ class TestGMP:
         method = GMPSNN(final_sparsity=0.95, total_iterations=60, update_frequency=10,
                         rng=np.random.default_rng(4))
         run_iterations(model, method, 60)
-        trace = method.prune_trace
+        trace = [record.sparsity_after for record in method.history]
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_validation(self):

@@ -113,7 +113,7 @@ class TestDropGrow:
         name = next(iter(masks.masks))
         parameter = masks.parameters[name]
         before_active = int(masks.masks[name].sum())
-        dropped = masks.drop_by_magnitude(name, 5)
+        dropped = masks.states[name].drop_by_magnitude(5)
         assert dropped.size == 5
         assert masks.nonzero_count(name) == before_active - 5
         assert np.all(parameter.data.reshape(-1)[dropped] == 0.0)
@@ -121,14 +121,14 @@ class TestDropGrow:
     def test_drop_zero_count_is_noop(self, tiny_convnet):
         masks = manager(tiny_convnet)
         name = next(iter(masks.masks))
-        assert masks.drop_by_magnitude(name, 0).size == 0
+        assert masks.states[name].drop_by_magnitude(0).size == 0
 
     def test_drop_chooses_least_magnitude(self, tiny_convnet):
         masks = manager(tiny_convnet)
         name = next(iter(masks.masks))
         parameter = masks.parameters[name]
         flat = np.abs(parameter.data.reshape(-1)).copy()
-        dropped = masks.drop_by_magnitude(name, 3)
+        dropped = masks.states[name].drop_by_magnitude(3)
         survivors = np.flatnonzero(masks.masks[name].reshape(-1))
         assert flat[dropped].max() <= flat[survivors].min() + 1e-7
 
@@ -138,7 +138,7 @@ class TestDropGrow:
         masks.init_random({n: 0.2 for n in masks.masks})
         scores = np.random.default_rng(2).random(masks.parameters[name].shape)
         inactive_before = np.flatnonzero(masks.masks[name].reshape(-1) == 0)
-        grown = masks.grow_by_score(name, 4, scores)
+        grown = masks.states[name].grow_by_score(4, scores)
         assert grown.size == 4
         flat_scores = scores.reshape(-1)
         not_grown = np.setdiff1d(inactive_before, grown)
@@ -149,7 +149,7 @@ class TestDropGrow:
         name = next(iter(masks.masks))
         masks.init_random({n: 0.2 for n in masks.masks})
         parameter = masks.parameters[name]
-        grown = masks.grow_random(name, 6)
+        grown = masks.states[name].grow_random(6, masks.rng)
         assert np.all(parameter.data.reshape(-1)[grown] == 0.0)
         assert np.all(masks.masks[name].reshape(-1)[grown] == 1.0)
 
@@ -157,7 +157,7 @@ class TestDropGrow:
         masks = manager(tiny_convnet)
         name = next(iter(masks.masks))
         # All weights already active: nothing to grow.
-        grown = masks.grow_random(name, 100)
+        grown = masks.states[name].grow_random(100, masks.rng)
         assert grown.size == 0
 
 
@@ -173,7 +173,7 @@ def test_drop_then_grow_restores_count(density):
     name = next(iter(masks.masks))
     before = masks.nonzero_count(name)
     k = max(1, before // 4)
-    dropped = masks.drop_by_magnitude(name, k)
-    grown = masks.grow_random(name, dropped.size)
+    dropped = masks.states[name].drop_by_magnitude(k)
+    grown = masks.states[name].grow_random(dropped.size, masks.rng)
     assert masks.nonzero_count(name) == before - dropped.size + grown.size
     assert dropped.size == grown.size or grown.size == 0

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import (
-    ConstantDeathSchedule,
     CosineDeathSchedule,
     LayerwiseSparsityRamp,
     SparsityRamp,
@@ -114,16 +113,6 @@ class TestCosineDeathSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             CosineDeathSchedule(0.05, 0.5, 10, 10)  # min > initial
-
-
-class TestConstantSchedule:
-    def test_constant(self):
-        schedule = ConstantDeathSchedule(0.3)
-        assert schedule.rate_at(0) == schedule.rate_at(999) == 0.3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConstantDeathSchedule(1.5)
 
 
 @settings(max_examples=50, deadline=None)

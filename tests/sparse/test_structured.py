@@ -126,3 +126,7 @@ class TestStructuredPruning:
             StructuredFilterPruning(final_sparsity=0.0)
         with pytest.raises(ValueError):
             StructuredFilterPruning(final_sparsity=1.0)
+
+    def test_zero_update_frequency_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="update_frequency must be >= 1"):
+            StructuredFilterPruning(update_frequency=0)

@@ -245,7 +245,7 @@ REFUSED_MUTATIONS = {
         2, np.ones(state.shape)),
     "grow_by_score": lambda model, manager, state: state.grow_by_score(
         2, np.ones(state.shape)),
-    "grow_random": lambda model, manager, state: manager.grow_random(state.name, 2),
+    "grow_random": lambda model, manager, state: state.grow_random(2, manager.rng),
     "load_state_dict": lambda model, manager, state: model.load_state_dict(
         {name: value * 2.0 for name, value in model.state_dict().items()}),
     "inject_weight_noise": lambda model, manager, state: inject_weight_noise(

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import Tensor, avg_pool2d, masked_conv2d, masked_linear, max_pool2d
+from ..tensor.tensor import _unbroadcast
 from . import init
 from .module import Module, Parameter
 
@@ -157,27 +158,74 @@ class _BatchNorm(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
+        """Normalise ``x`` per feature (batch statistics in training mode,
+        running ones in evaluation mode) as one autograd node.
+
+        Forward and backward make the numpy calls the composed Tensor ops
+        (``mean``, ``var``, ``-``, ``/``, ``sqrt``, ``*``, ``+``) made, in
+        the same order, once each where those made a value twice, and sum
+        the four training-mode input-gradient terms in the order that tape
+        did.  The one limit: the tape added each term to ``x.grad`` on its
+        own and this node adds their sum, so when ``x`` has a second
+        consumer its gradient agrees with the tape's to rounding only.
+        """
         if x.ndim != self._ndim:
             raise ValueError(self._layout_error)
-        view = (1, -1) + (1,) * (x.ndim - 2)
+        view = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+        axes = (0,) + tuple(range(2, x.ndim))
+        data, weight, bias = x.data, self.weight, self.bias
         if self.training:
-            axes = (0,) + tuple(range(2, x.ndim))
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
+            inv_count = np.float32(1.0 / (data.size // data.shape[1]))
+            mean = data.sum(axis=axes, keepdims=True) * inv_count
+            centered = data - mean
+            var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
             m = self.momentum
             self.update_buffer(
                 "running_mean",
-                ((1 - m) * self.running_mean + m * mean.data.reshape(-1)).astype(np.float32),
+                ((1 - m) * self.running_mean + m * mean.reshape(-1)).astype(np.float32),
             )
             self.update_buffer(
                 "running_var",
-                ((1 - m) * self.running_var + m * var.data.reshape(-1)).astype(np.float32),
+                ((1 - m) * self.running_var + m * var.reshape(-1)).astype(np.float32),
             )
         else:
-            mean = Tensor(self.running_mean.reshape(view))
-            var = Tensor(self.running_var.reshape(view))
-        x_hat = (x - mean) / (var + self.eps).sqrt()
-        return x_hat * self.weight.reshape(view) + self.bias.reshape(view)
+            centered = data - self.running_mean.reshape(view)
+            var = self.running_var.reshape(view)
+        std = np.sqrt(var + np.float32(self.eps))
+        x_hat = centered / std
+        scale = weight.data.reshape(view)
+        scaled = x_hat * scale
+        out = x._make(scaled + bias.data.reshape(view), (x, weight, bias), "batch_norm")
+        if not out.requires_grad:
+            return out
+        training = self.training
+
+        def backward(grad: np.ndarray) -> None:
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(grad, view).reshape(-1))
+            if weight.requires_grad:
+                weight._accumulate(_unbroadcast(grad * x_hat, view).reshape(-1))
+            if not x.requires_grad:
+                return
+            grad_x_hat = grad * scale
+            grad_x = grad_x_hat / std
+            if training:
+                grad_std = _unbroadcast(-grad_x_hat * centered / (std ** 2), view)
+                # Sums add in memory order, so the variance's gradient is
+                # materialised as the tape's sum node did and held by a
+                # name: numpy would reuse a temporary's buffer, and so its
+                # layout, for the product.
+                grad_square = np.broadcast_to(grad_std * 0.5 / std * inv_count, data.shape)
+                grad_square = grad_square.astype(np.float32)
+                grad_centered = grad_square * centered
+                grad_centered += grad_centered
+                grad_x += _unbroadcast(-grad_x, view) * inv_count
+                grad_x += grad_centered
+                grad_x += _unbroadcast(-grad_centered, view) * inv_count
+            x._accumulate(grad_x)
+
+        out._backward = backward
+        return out
 
     def compact(self, keep):
         """Shrink to the kept features (affine params + running stats)."""

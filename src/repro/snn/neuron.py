@@ -22,6 +22,7 @@ import numpy as np
 
 from ..nn.module import Module
 from ..tensor import Tensor, is_grad_enabled
+from ..tensor.tensor import _unbroadcast
 from .surrogate import FastInverse, SurrogateFunction, get_surrogate
 
 
@@ -124,7 +125,7 @@ class BaseNeuron(Module):
         """Runs after each step's spikes (ALIF updates its trace here)."""
 
     def _membrane(self, v, o_prev, current, decay):
-        """Eq. 1a on Tensors or arrays: leak, integrate, soft reset."""
+        """Eq. 1a on arrays: leak, integrate, soft reset."""
         if v is None:
             return current
         if decay is not None:
@@ -134,9 +135,42 @@ class BaseNeuron(Module):
             v = v - o_prev * self.v_threshold
         return v
 
+    def _membrane_node(self, v, o_prev, current: Tensor, decay) -> Tensor:
+        """Eq. 1a as one autograd node: :meth:`_membrane` on the arrays.
+
+        The backward hands each operand the gradient the composed
+        ``*``, ``+`` and ``-`` ops handed it, computed the same way.  The
+        parents are listed so that the tape is walked in the order those
+        ops put it in (reset term, input current, decay, membrane), so
+        every gradient that meets another accumulates in the same order.
+        """
+        if v is None:
+            return current
+        decay_data = decay.data if isinstance(decay, Tensor) else decay
+        o_prev_data = None if o_prev is None else o_prev.data
+        data = self._membrane(v.data, o_prev_data, current.data, decay_data)
+        parents = tuple(p for p in (v, decay, current, o_prev) if isinstance(p, Tensor))
+        out = current._make(data, parents, "membrane")
+        if not out.requires_grad:
+            return out
+        theta = self.v_threshold
+
+        def backward(grad: np.ndarray) -> None:
+            if v.requires_grad:
+                v._accumulate(grad if decay is None else grad * decay_data)
+            if isinstance(decay, Tensor) and decay.requires_grad:
+                decay._accumulate(_unbroadcast(grad * v.data, decay.shape))
+            if current.requires_grad:
+                current._accumulate(grad)
+            if o_prev is not None and o_prev.requires_grad:
+                o_prev._accumulate(-grad * theta)
+
+        out._backward = backward
+        return out
+
     def forward(self, current: Tensor) -> Tensor:
         threshold = self._threshold(current.shape)
-        self.v = self._membrane(self.v, self.o_prev, current, self._decay())
+        self.v = self._membrane_node(self.v, self.o_prev, current, self._decay())
         spikes = spike_function(self.v - threshold, self.surrogate)
         self._fired(spikes.data)
         self.o_prev = spikes

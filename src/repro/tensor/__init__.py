@@ -8,7 +8,7 @@ to train convolutional spiking neural networks with BPTT.
 from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where
 from .conv import (
     avg_pool2d,
-    col2im_t,
+    col2im,
     conv_output_shape,
     im2col_t,
     max_pool2d,
@@ -38,7 +38,7 @@ __all__ = [
     "avg_pool2d",
     "max_pool2d",
     "im2col_t",
-    "col2im_t",
+    "col2im",
     "conv_output_shape",
     "STATIC_CSR_DENSITY_CUTOFF",
     "log_softmax",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import _pair, col2im_t, conv_output_shape, im2col_t
+from .conv import _pair, col2im, conv_output_shape, im2col_t
 from .tensor import Tensor, is_grad_enabled
 
 #: Dispatch counters (reset freely in tests/benches): how many forward
@@ -93,9 +93,10 @@ def masked_conv2d(
     The only convolution op.  The input is lowered once, straight into
     the ``(C*kh*kw, N*L)`` layout (:func:`~repro.tensor.conv.im2col_t`),
     and both routes share that lowering, the dense weight gradient and
-    the :func:`~repro.tensor.conv.col2im_t` input-gradient scatter.
-    They differ only in the forward product and the input-gradient
-    product: a BLAS ``(F, K)`` matmul or the layer's ``CSRPattern``.
+    the :func:`~repro.tensor.conv.col2im` input-gradient scatter of
+    ``(N*L, C*kh*kw)`` rows.  They differ only in the forward product
+    and the input-gradient product: a BLAS ``(F, K)`` matmul or the
+    layer's ``CSRPattern``.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -116,12 +117,12 @@ def masked_conv2d(
         pattern = state.csr_pattern()
         data = state.csr_values()
         out_rows = pattern.matmul(data, cols_t).T
-        input_grad = lambda grad_rows: pattern.t_matmul(data, grad_rows.T)
+        input_grad = lambda grad_rows: pattern.t_matmul(data, grad_rows.T).T
     else:
         DISPATCH_COUNTS["dense"] += 1
         w_mat = weight.data.reshape(f, -1)
         out_rows = cols_t.T @ w_mat.T
-        input_grad = lambda grad_rows: (grad_rows @ w_mat).T
+        input_grad = lambda grad_rows: grad_rows @ w_mat
     out_data = out_rows.reshape(n, length, f).transpose(0, 2, 1).reshape(n, f, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, f, 1, 1)
@@ -138,7 +139,7 @@ def masked_conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            x._accumulate(col2im_t(input_grad(grad_rows), (n, c, h, w), (kh, kw), stride, padding))
+            x._accumulate(col2im(input_grad(grad_rows), (n, c, h, w), (kh, kw), stride, padding))
 
     out._backward = backward
     return out

@@ -241,8 +241,10 @@ class Tensor:
         out = self._make(self.data + other_t.data, (self, other_t), "add")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other_t._accumulate(_unbroadcast(grad, other_t.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(grad, other_t.shape))
 
         out._backward = backward
         return out
@@ -264,8 +266,10 @@ class Tensor:
         out = self._make(self.data - other_t.data, (self, other_t), "sub")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other_t._accumulate(_unbroadcast(-grad, other_t.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(-grad, other_t.shape))
 
         out._backward = backward
         return out
@@ -278,8 +282,10 @@ class Tensor:
         out = self._make(self.data * other_t.data, (self, other_t), "mul")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other_t.data, self.shape))
-            other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other_t.data, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape))
 
         out._backward = backward
         return out
@@ -292,10 +298,12 @@ class Tensor:
         out = self._make(self.data / other_t.data, (self, other_t), "div")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other_t.data, self.shape))
-            other_t._accumulate(
-                _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad / other_t.data, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(
+                    _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape)
+                )
 
         out._backward = backward
         return out
@@ -392,8 +400,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self_wins = (self.data >= other_t.data).astype(np.float32)
-            self._accumulate(_unbroadcast(grad * self_wins, self.shape))
-            other_t._accumulate(_unbroadcast(grad * (1.0 - self_wins), other_t.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * self_wins, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(grad * (1.0 - self_wins), other_t.shape))
 
         out._backward = backward
         return out
@@ -529,8 +539,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other_t.data
             if a.ndim == 1 and b.ndim == 1:
-                self._accumulate(grad * b)
-                other_t._accumulate(grad * a)
+                if self.requires_grad:
+                    self._accumulate(grad * b)
+                if other_t.requires_grad:
+                    other_t._accumulate(grad * a)
                 return
             # Lift 1-D operands to matrices; the output gradient gains
             # the corresponding singleton dimension.
@@ -541,14 +553,14 @@ class Tensor:
                 grad_mat = np.expand_dims(grad_mat, axis=-2)
             if b.ndim == 1:
                 grad_mat = np.expand_dims(grad_mat, axis=-1)
-            grad_a = grad_mat @ np.swapaxes(b_mat, -1, -2)
-            grad_b = np.swapaxes(a_mat, -1, -2) @ grad_mat
             # Sum over broadcast batch dimensions (e.g. a batched input
             # against a shared weight matrix), then restore 1-D shapes.
-            grad_a = _unbroadcast(grad_a, a_mat.shape).reshape(a.shape)
-            grad_b = _unbroadcast(grad_b, b_mat.shape).reshape(b.shape)
-            self._accumulate(grad_a)
-            other_t._accumulate(grad_b)
+            if self.requires_grad:
+                grad_a = grad_mat @ np.swapaxes(b_mat, -1, -2)
+                self._accumulate(_unbroadcast(grad_a, a_mat.shape).reshape(a.shape))
+            if other_t.requires_grad:
+                grad_b = np.swapaxes(a_mat, -1, -2) @ grad_mat
+                other_t._accumulate(_unbroadcast(grad_b, b_mat.shape).reshape(b.shape))
 
         out._backward = backward
         return out
@@ -617,8 +629,10 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data, requires_grad=requires, _prev=(a_t, b_t) if requires else (), _op="where")
 
     def backward(grad: np.ndarray) -> None:
-        a_t._accumulate(_unbroadcast(grad * cond, a_t.shape))
-        b_t._accumulate(_unbroadcast(grad * (~cond), b_t.shape))
+        if a_t.requires_grad:
+            a_t._accumulate(_unbroadcast(grad * cond, a_t.shape))
+        if b_t.requires_grad:
+            b_t._accumulate(_unbroadcast(grad * (~cond), b_t.shape))
 
     out._backward = backward
     return out

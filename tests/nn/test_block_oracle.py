@@ -9,7 +9,12 @@ The ``Ref*`` classes and ``ref_*`` functions below are copies of
 initializers as each was written before they shared one body.  Forward
 outputs (train and eval mode), input/weight/bias gradients, running
 statistics, masks, weights, returned indices and the manager's RNG state
-must agree bit for bit.
+must agree bit for bit.  Batch norm, now one autograd node, is held to the
+same bytes against the composed-op ``RefBatchNorm*`` at shapes large
+enough for numpy's blocked summation and temporary-buffer reuse, on
+C-ordered, channels-last and channel-major inputs and gradients; only an
+input with a second consumer is compared to rounding (the node sums its
+input-gradient terms before it adds them to ``x.grad``).
 """
 
 import math
@@ -28,6 +33,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.module import Module, Parameter
+from repro.snn import ThresholdDependentBatchNorm2d
 from repro.sparse.engine import SparsityManager, _kept_count
 from repro.tensor import Tensor, avg_pool2d, masked_conv2d, masked_linear, max_pool2d
 
@@ -204,6 +210,14 @@ class RefBatchNorm2d(Module):
     def compact(self, keep):
         ref_compact_batchnorm(self, keep)
         return self
+
+
+class RefThresholdDependentBatchNorm2d(RefBatchNorm2d):
+    def __init__(self, num_features, v_threshold=1.0, alpha_td=1.0, eps=1e-5, momentum=0.1):
+        super().__init__(num_features, eps=eps, momentum=momentum)
+        self.v_threshold = float(v_threshold)
+        self.alpha_td = float(alpha_td)
+        self.weight.data[:] = alpha_td * v_threshold
 
 
 class RefBatchNorm1d(Module):
@@ -490,6 +504,9 @@ def check_running_stats(lib, ref):
 BN_CASES = [
     (BatchNorm1d, RefBatchNorm1d, (8, 5)),
     (BatchNorm2d, RefBatchNorm2d, (4, 5, 3, 3)),
+    (BatchNorm2d, RefBatchNorm2d, (16, 8, 16, 16)),
+    (BatchNorm2d, RefBatchNorm2d, (16, 64, 2, 2)),
+    (BatchNorm1d, RefBatchNorm1d, (16, 300)),
 ]
 
 
@@ -517,6 +534,75 @@ def test_batchnorm_train_eval_and_compact(lib_cls, ref_cls, shape):
     run_both(lib, ref, x[:, keep], seed=12)
     check_running_stats(lib, ref)
     assert raised(lambda: lib.compact([5])) == raised(lambda: ref.compact([5]))
+
+
+def test_threshold_dependent_batchnorm():
+    kwargs = dict(v_threshold=0.5, alpha_td=1.5, momentum=0.3)
+    lib = ThresholdDependentBatchNorm2d(8, **kwargs)
+    ref = RefThresholdDependentBatchNorm2d(8, **kwargs)
+    same(lib.weight.data, ref.weight.data)
+    rng = np.random.default_rng(9)
+    for step in range(3):
+        x = (rng.standard_normal((16, 8, 6, 6)) * 1.5 - 0.3).astype(np.float32)
+        run_both(lib, ref, x, seed=step)
+        check_running_stats(lib, ref)
+    for layer in (lib, ref):
+        layer.eval()
+    run_both(lib, ref, x, seed=5)
+
+
+def with_layout(array, layout):
+    """``array``'s values in C order, channels-last or channel-major memory."""
+    if layout == "nhwc":
+        return np.ascontiguousarray(array.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    if layout == "cnhw":
+        return np.ascontiguousarray(array.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    return array.copy()
+
+
+@pytest.mark.parametrize("x_layout", ["c", "nhwc", "cnhw"])
+@pytest.mark.parametrize("grad_layout", ["c", "nhwc", "cnhw"])
+def test_batchnorm_memory_layouts(x_layout, grad_layout):
+    # Conv outputs reach batch norm channels-last (dense route) or
+    # channel-major (CSR route), and sums add in memory order.  At
+    # 256 KiB numpy also reuses temporaries' buffers, and with them
+    # their layout, so the node must keep the tape's temporaries too.
+    shape = (16, 16, 16, 16)
+    lib, ref = make_bn_pair(BatchNorm2d, RefBatchNorm2d, shape[1], seed=3)
+    rng = np.random.default_rng(4)
+    x = with_layout((rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32), x_layout)
+    upstream = with_layout(rng.standard_normal(shape).astype(np.float32), grad_layout)
+    xs = [Tensor(x, requires_grad=True) for _ in range(2)]
+    outs = [layer(xi) for layer, xi in zip((lib, ref), xs)]
+    same(outs[0].data, outs[1].data)
+    assert outs[0].data.strides == outs[1].data.strides
+    for out in outs:
+        out.backward(upstream)
+    same(xs[0].grad, xs[1].grad)
+    assert xs[0].grad.strides == xs[1].grad.strides
+    same(lib.weight.grad, ref.weight.grad)
+    same(lib.bias.grad, ref.bias.grad)
+    check_running_stats(lib, ref)
+
+
+def test_batchnorm_input_with_a_second_consumer():
+    # The composed ops add each of their four input-gradient terms to
+    # x.grad on its own, here after the other consumer's term; the node
+    # adds their sum once, so ~20% of the input gradient's entries move
+    # in the last bit.  Outputs and parameter gradients keep every bit.
+    lib, ref = make_bn_pair(BatchNorm2d, RefBatchNorm2d, 8, seed=5)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((16, 8, 16, 16)).astype(np.float32)
+    coef = rng.standard_normal(x.shape).astype(np.float32)
+    upstream = rng.standard_normal(x.shape).astype(np.float32)
+    xs = [Tensor(x.copy(), requires_grad=True) for _ in range(2)]
+    outs = [xi * Tensor(coef) + layer(xi) for layer, xi in zip((lib, ref), xs)]
+    same(outs[0].data, outs[1].data)
+    for out in outs:
+        out.backward(upstream)
+    np.testing.assert_allclose(xs[0].grad, xs[1].grad, rtol=1e-5, atol=1e-6)
+    same(lib.weight.grad, ref.weight.grad)
+    same(lib.bias.grad, ref.bias.grad)
 
 
 @pytest.mark.parametrize("lib_cls,ref_cls,shape", BN_CASES)

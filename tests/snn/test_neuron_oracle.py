@@ -3,9 +3,12 @@
 The functions below are frozen copies of the four per-kind ``forward``
 methods (LIF, IF, PLIF, ALIF) and the two ``forward_arrays`` methods
 (LIF, IF) as each neuron class once wrote them.  Every kind is driven
-for several steps through both the reference and the library neuron,
-and spikes, membranes, BPTT gradients and spike counters must agree
-bit for bit.
+for several steps (7, and 12 for a longer BPTT chain) through both the
+reference and the library neuron, from a fresh state and from a restored
+membrane with no previous spikes, and spikes, membranes, BPTT gradients
+and spike counters must agree bit for bit.  The library's Eq. 1a is one
+autograd node, so this also pins the order in which its gradients meet
+the spike path's on the tape.
 """
 
 import numpy as np
@@ -127,22 +130,22 @@ KINDS = {
 }
 
 
-def _inputs():
+def _inputs(steps=STEPS):
     rng = np.random.default_rng(7)
-    frames = rng.normal(0.0, 1.0, size=(STEPS, BATCH, IN)).astype(np.float32)
+    frames = rng.normal(0.0, 1.0, size=(steps, BATCH, IN)).astype(np.float32)
     weight = rng.normal(0.4, 0.6, size=(IN, OUT)).astype(np.float32)
     spike_coef = rng.normal(size=(BATCH, OUT)).astype(np.float32)
     membrane_coef = rng.normal(size=(BATCH, OUT)).astype(np.float32)
     return frames, weight, spike_coef, membrane_coef
 
 
-def _run(neuron, step):
-    """Drive ``step`` for ``STEPS`` steps and backprop a spike + membrane loss."""
-    frames, weight, spike_coef, membrane_coef = _inputs()
+def _run(neuron, step, steps=STEPS):
+    """Drive ``step`` for ``steps`` steps and backprop a spike + membrane loss."""
+    frames, weight, spike_coef, membrane_coef = _inputs(steps)
     x = Tensor(frames, requires_grad=True)
     w = Tensor(weight, requires_grad=True)
     spikes, membranes, loss = [], [], None
-    for t in range(STEPS):
+    for t in range(steps):
         out = step(neuron, x[t] @ w)
         term = (out * spike_coef).sum() + (neuron.v * membrane_coef).sum()
         loss = term if loss is None else loss + term
@@ -166,6 +169,31 @@ def test_forward_matches_reference_bit_for_bit(kind):
     assert actual[3] == expected[3]  # spike_count, neuron_steps
     assert any(np.frombuffer(s, np.float32).any() for s in expected[0])
     assert not all(np.frombuffer(s, np.float32).all() for s in expected[0])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_twelve_steps_match_reference_bit_for_bit(kind):
+    make, reference, _ = KINDS[kind]
+    expected = _run(make(), reference, steps=12)
+    assert _run(make(), lambda neuron, current: neuron(current), steps=12) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_restored_membrane_without_spikes_matches_reference(kind):
+    # A restored state with o_prev=None: the first step leaks and
+    # integrates a membrane that is not on the tape, with no reset term.
+    make, reference, _ = KINDS[kind]
+    membrane = np.random.default_rng(3).normal(0.5, 0.5, size=(BATCH, OUT)).astype(np.float32)
+
+    def restored():
+        neuron = make()
+        state = neuron.snapshot_state()
+        state.update(v=membrane, o_prev=None)
+        neuron.restore_state(state)
+        return neuron
+
+    expected = _run(restored(), reference)
+    assert _run(restored(), lambda neuron, current: neuron(current)) == expected
 
 
 @pytest.mark.parametrize("kind", ["lif", "if"])

@@ -9,7 +9,7 @@ from repro.tensor import (
     Tensor,
     avg_pool2d,
     check_gradients,
-    col2im_t,
+    col2im,
     conv_output_shape,
     im2col_t,
     masked_conv2d,
@@ -209,14 +209,14 @@ class TestIm2ColT:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
         cols_t = im2col_t(x, (1, 1), (1, 1), (0, 0))
-        back = col2im_t(cols_t, x.shape, (1, 1), (1, 1), (0, 0))
+        back = col2im(cols_t.T, x.shape, (1, 1), (1, 1), (0, 0))
         assert np.allclose(back, x)
 
     def test_col2im_t_counts_overlaps(self):
         # With a 2x2 kernel at stride 1, interior pixels appear in 4 patches.
         x = np.ones((1, 1, 3, 3), dtype=np.float32)
         cols_t = im2col_t(x, (2, 2), (1, 1), (0, 0))
-        back = col2im_t(cols_t, x.shape, (2, 2), (1, 1), (0, 0))
+        back = col2im(cols_t.T, x.shape, (2, 2), (1, 1), (0, 0))
         assert back[0, 0, 1, 1] == 4.0
         assert back[0, 0, 0, 0] == 1.0
         assert back[0, 0, 0, 1] == 2.0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, check_gradients
+import repro.tensor.tensor as tensor_module
+from repro.tensor import Tensor, check_gradients, where
 
 
 def make(shape, seed=0, scale=1.0):
@@ -174,3 +175,56 @@ class TestBackwardSemantics:
         out = a * 2
         assert not out.requires_grad
         assert out._prev == ()
+
+
+class TestConstantOperands:
+    """A binary op's backward computes no gradient for an operand that
+    does not require one (a wrapped float, a dropout mask, a threshold):
+    its ``_unbroadcast`` never runs, and the other operand's gradient
+    keeps its bits."""
+
+    OPS = {
+        "add": (lambda v, c: v + c, lambda g, v, c: g),
+        "radd": (lambda v, c: c + v, lambda g, v, c: g),
+        "sub": (lambda v, c: v - c, lambda g, v, c: g),
+        "rsub": (lambda v, c: c - v, lambda g, v, c: -g),
+        "mul": (lambda v, c: v * c, lambda g, v, c: g * c.data),
+        "div": (lambda v, c: v / c, lambda g, v, c: g / c.data),
+        "rdiv": (lambda v, c: c / v,
+                 lambda g, v, c: -g * c.data / (v.data ** 2)),
+        "maximum": (lambda v, c: v.maximum(c),
+                    lambda g, v, c: g * (v.data >= c.data).astype(np.float32)),
+        "where": (lambda v, c: where(v.data > 0.0, v, c), lambda g, v, c: g * (v.data > 0.0)),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_constant_gradient_is_never_formed(self, op, monkeypatch):
+        forward, expected = self.OPS[op]
+        v = make((4, 5), seed=1)
+        c = Tensor(np.random.default_rng(2).uniform(0.5, 1.5, 5).astype(np.float32))
+        shapes = []
+
+        def spy(grad, shape):
+            shapes.append(shape)
+            return original(grad, shape)
+
+        original = tensor_module._unbroadcast
+        monkeypatch.setattr(tensor_module, "_unbroadcast", spy)
+        upstream = np.random.default_rng(3).standard_normal((4, 5)).astype(np.float32)
+        forward(v, c).backward(upstream)
+        assert c.shape not in shapes
+        assert c.grad is None
+        assert v.grad.tobytes() == np.asarray(expected(upstream, v, c), np.float32).tobytes()
+
+    def test_matmul_against_a_constant_matrix(self, monkeypatch):
+        v = make((4, 5), seed=1)
+        c = Tensor(np.random.default_rng(2).standard_normal((5, 3)).astype(np.float32))
+        shapes = []
+        original = tensor_module._unbroadcast
+        monkeypatch.setattr(tensor_module, "_unbroadcast",
+                            lambda grad, shape: shapes.append(shape) or original(grad, shape))
+        upstream = np.random.default_rng(3).standard_normal((4, 3)).astype(np.float32)
+        (v @ c).backward(upstream)
+        assert shapes == [(4, 5)]
+        assert c.grad is None
+        assert v.grad.tobytes() == (upstream @ c.data.T).tobytes()

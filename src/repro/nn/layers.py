@@ -7,7 +7,6 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import Tensor, avg_pool2d, masked_conv2d, masked_linear, max_pool2d
-from ..tensor.tensor import _unbroadcast
 from . import init
 from .module import Module, Parameter
 
@@ -138,6 +137,23 @@ class Conv2d(_MaskedLayer):
         )
 
 
+def _feature_rows(array: np.ndarray) -> np.ndarray:
+    """``array`` as C-ordered ``(rows, features)``, features on axis 1: a
+    view where its memory is already channels-last (a dense conv output),
+    else one copy."""
+    if array.ndim == 4:
+        array = array.transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(array).reshape(-1, array.shape[-1])
+
+
+def _feature_layout(rows: np.ndarray, shape) -> np.ndarray:
+    """Inverse of :func:`_feature_rows`: a view of ``rows`` in ``shape``."""
+    if len(shape) == 4:
+        n, c, h, w = shape
+        return rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    return rows
+
+
 class _BatchNorm(Module):
     """Shared body of :class:`BatchNorm1d` and :class:`BatchNorm2d`.
 
@@ -161,68 +177,64 @@ class _BatchNorm(Module):
         """Normalise ``x`` per feature (batch statistics in training mode,
         running ones in evaluation mode) as one autograd node.
 
-        Forward and backward make the numpy calls the composed Tensor ops
-        (``mean``, ``var``, ``-``, ``/``, ``sqrt``, ``*``, ``+``) made, in
-        the same order, once each where those made a value twice, and sum
-        the four training-mode input-gradient terms in the order that tape
-        did.  The one limit: the tape added each term to ``x.grad`` on its
-        own and this node adds their sum, so when ``x`` has a second
-        consumer its gradient agrees with the tape's to rounding only.
+        The node works on C-ordered ``(rows, features)`` copies of ``x``
+        and of the upstream gradient (views where they are channels-last,
+        as a dense conv output is), so its bytes depend on neither's
+        memory layout.  Training mode is the closed form of Ioffe &
+        Szegedy (2015): two reductions forward (mean and biased
+        variance), then ``x̂ = (x − mean)/σ`` and ``x̂·γ + β``; two
+        backward (``Σg`` and ``Σg·x̂``, also the bias and weight
+        gradients), then ``dx = (γ/σ)·(g − Σg/M − x̂·Σg·x̂/M)``.
+        Evaluation mode is a per-feature scale ``γ/σ`` and shift.  Each
+        reduction is an ``einsum`` adding contiguous rows in order, never
+        BLAS, so no BLAS thread count moves a bit.
         """
         if x.ndim != self._ndim:
             raise ValueError(self._layout_error)
-        view = (1, x.shape[1]) + (1,) * (x.ndim - 2)
-        axes = (0,) + tuple(range(2, x.ndim))
-        data, weight, bias = x.data, self.weight, self.bias
-        if self.training:
-            inv_count = np.float32(1.0 / (data.size // data.shape[1]))
-            mean = data.sum(axis=axes, keepdims=True) * inv_count
-            centered = data - mean
-            var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+        rows = _feature_rows(x.data)
+        weight, bias = self.weight, self.bias
+        training = self.training
+        if training:
+            inv_count = np.float32(1.0 / rows.shape[0])
+            mean = np.einsum("ij->j", rows) * inv_count
+            x_hat = rows - mean
+            var = np.einsum("ij,ij->j", x_hat, x_hat) * inv_count
             m = self.momentum
-            self.update_buffer(
-                "running_mean",
-                ((1 - m) * self.running_mean + m * mean.reshape(-1)).astype(np.float32),
-            )
-            self.update_buffer(
-                "running_var",
-                ((1 - m) * self.running_var + m * var.reshape(-1)).astype(np.float32),
-            )
+            self.update_buffer("running_mean", ((1 - m) * self.running_mean + m * mean).astype(np.float32))
+            self.update_buffer("running_var", ((1 - m) * self.running_var + m * var).astype(np.float32))
         else:
-            centered = data - self.running_mean.reshape(view)
-            var = self.running_var.reshape(view)
-        std = np.sqrt(var + np.float32(self.eps))
-        x_hat = centered / std
-        scale = weight.data.reshape(view)
-        scaled = x_hat * scale
-        out = x._make(scaled + bias.data.reshape(view), (x, weight, bias), "batch_norm")
+            mean, var = self.running_mean, self.running_var
+        inv_std = 1.0 / np.sqrt(var + np.float32(self.eps))
+        gain = weight.data * inv_std
+        if training:
+            x_hat *= inv_std
+            out_rows = x_hat * weight.data
+            out_rows += bias.data
+        else:
+            out_rows = rows * gain
+            out_rows += bias.data - mean * gain
+        out = x._make(_feature_layout(out_rows, x.shape), (x, weight, bias), "batch_norm")
         if not out.requires_grad:
             return out
-        training = self.training
 
         def backward(grad: np.ndarray) -> None:
-            if bias.requires_grad:
-                bias._accumulate(_unbroadcast(grad, view).reshape(-1))
-            if weight.requires_grad:
-                weight._accumulate(_unbroadcast(grad * x_hat, view).reshape(-1))
+            g = _feature_rows(grad)
+            sum_g = np.einsum("ij->j", g)
+            bias._accumulate(sum_g)
+            if training or weight.requires_grad:
+                normed = x_hat if training else (_feature_rows(x.data) - mean) * inv_std
+                sum_g_x_hat = np.einsum("ij,ij->j", g, normed)
+                weight._accumulate(sum_g_x_hat)
             if not x.requires_grad:
                 return
-            grad_x_hat = grad * scale
-            grad_x = grad_x_hat / std
             if training:
-                grad_std = _unbroadcast(-grad_x_hat * centered / (std ** 2), view)
-                # Sums add in memory order, so the variance's gradient is
-                # materialised as the tape's sum node did and held by a
-                # name: numpy would reuse a temporary's buffer, and so its
-                # layout, for the product.
-                grad_square = np.broadcast_to(grad_std * 0.5 / std * inv_count, data.shape)
-                grad_square = grad_square.astype(np.float32)
-                grad_centered = grad_square * centered
-                grad_centered += grad_centered
-                grad_x += _unbroadcast(-grad_x, view) * inv_count
-                grad_x += grad_centered
-                grad_x += _unbroadcast(-grad_centered, view) * inv_count
-            x._accumulate(grad_x)
+                grad_x = x_hat * (-sum_g_x_hat * inv_count)
+                grad_x += g
+                grad_x -= sum_g * inv_count
+                grad_x *= gain
+            else:
+                grad_x = g * gain
+            x._accumulate(_feature_layout(grad_x, x.shape))
 
         out._backward = backward
         return out

@@ -26,18 +26,21 @@ from ..tensor.tensor import _unbroadcast
 from .surrogate import FastInverse, SurrogateFunction, get_surrogate
 
 
-def spike_function(x: Tensor, surrogate: SurrogateFunction) -> Tensor:
-    """Heaviside forward with surrogate-gradient backward.
+def spike_function(v: Tensor, surrogate: SurrogateFunction, threshold=None) -> Tensor:
+    """Heaviside forward with surrogate-gradient backward (Eq. 1b).
 
-    ``x`` is the membrane potential already shifted by the threshold,
-    so the spike condition is ``x >= 0``.
+    ``v`` is the membrane potential and ``threshold`` a float or array
+    (``None``: ``v`` is already shifted by it); the spike condition is
+    ``v - threshold >= 0``, and the backward hands ``v`` the surrogate of
+    that shifted potential.
     """
-    spikes = (x.data >= 0.0).astype(np.float32)
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(spikes, requires_grad=requires, _prev=(x,) if requires else (), _op="spike")
+    shifted = v.data if threshold is None else v.data - np.asarray(threshold, dtype=np.float32)
+    spikes = (shifted >= 0.0).astype(np.float32)
+    requires = is_grad_enabled() and v.requires_grad
+    out = Tensor(spikes, requires_grad=requires, _prev=(v,) if requires else (), _op="spike")
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * surrogate(x.data).astype(np.float32))
+        v._accumulate(grad * surrogate(shifted).astype(np.float32, copy=False))
 
     out._backward = backward
     return out
@@ -171,7 +174,7 @@ class BaseNeuron(Module):
     def forward(self, current: Tensor) -> Tensor:
         threshold = self._threshold(current.shape)
         self.v = self._membrane_node(self.v, self.o_prev, current, self._decay())
-        spikes = spike_function(self.v - threshold, self.surrogate)
+        spikes = spike_function(self.v, self.surrogate, threshold)
         self._fired(spikes.data)
         self.o_prev = spikes
         self._record(spikes.data)

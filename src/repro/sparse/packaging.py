@@ -38,6 +38,7 @@ stack.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -469,13 +470,44 @@ class PackedModel:
         return int(self._mm.size)
 
     def tensor(self, entry: Dict) -> np.ndarray:
-        """Zero-copy view of one manifest entry (read-only)."""
-        start = self._data_start + entry["offset"]
-        stop = start + entry["nbytes"]
+        """Zero-copy view of one manifest entry (read-only).
+
+        An entry that cannot describe a tensor of this file raises a
+        ``ValueError`` naming the file and the field: a missing key, an
+        ``offset`` or ``nbytes`` that is not an integer >= 0, a ``dtype``
+        that is not a NumPy number type, a ``shape`` whose size times the
+        item size is not ``nbytes``, or bytes past the end of the file.
+        """
+        def bad(field, why):
+            return ValueError(f"{self.path}: tensor entry field {field!r} {why}")
+
+        for field in ("offset", "nbytes", "dtype", "shape"):
+            if field not in entry:
+                raise bad(field, "is missing")
+        offset, nbytes, shape = entry["offset"], entry["nbytes"], entry["shape"]
+        for field, value in (("offset", offset), ("nbytes", nbytes)):
+            if not _is_count(value):
+                raise bad(field, f"is {value!r}, not an integer >= 0")
+        try:
+            dtype = np.dtype(entry["dtype"])
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in "biuf":
+            raise bad("dtype", f"is {entry['dtype']!r}, not a NumPy number type")
+        if not isinstance(shape, list) or not all(_is_count(size) for size in shape):
+            raise bad("shape", f"is {shape!r}, not a list of integers >= 0")
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise bad("shape", f"{shape} of {dtype.str} is not {nbytes} bytes")
+        start = self._data_start + offset
+        stop = start + nbytes
         if stop > self._mm.size:
             raise ValueError(f"{self.path}: tensor extends past end of file")
-        view = self._mm[start:stop].view(np.dtype(entry["dtype"]))
-        return view.reshape(entry["shape"])
+        return self._mm[start:stop].view(dtype).reshape(shape)
+
+
+def _is_count(value) -> bool:
+    """Whether a manifest ``value`` is a JSON integer >= 0."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _frozen_layers(package: PackedModel, runtime: str) -> Tuple[Dict, Dict]:

@@ -4,18 +4,29 @@
 N*out_h*out_w)`` column matrix and :func:`col2im` scatter-adds the
 ``(N*out_h*out_w, C*kh*kw)`` rows of a gradient back into an image.
 Both conv routes in :func:`~repro.tensor.functional.masked_conv2d`
-(dense BLAS and CSR) and both pooling ops here run on this single
+(dense BLAS and CSR) and the pooling ops here run on this single
 lowering, so every convolution-shaped op shares one layout and one
-backward scatter.
+backward scatter; only average pools whose windows tile the input sum
+strided tap slices instead, with the same bits.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import threading
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .tensor import Tensor
+
+#: Widest output row :func:`im2col_t` gathers instead of copying strided:
+#: at ``out_w <= 4`` a flat ``take`` beats NumPy's 6-D strided copy (its
+#: inner loop is only ``out_w`` long), at 16x16 it is ~2x slower.
+_GATHER_MAX_OUT_W = 4
+#: Bound on the gather-index cache: one entry per lowered geometry.
+_GATHER_CACHE_SIZE = 64
+_GATHER_INDEX: Dict[tuple, Optional[np.ndarray]] = {}
+_GATHER_LOCK = threading.Lock()
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -29,12 +40,54 @@ def conv_output_shape(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _patch_view(x: np.ndarray, kernel, stride, out_hw) -> np.ndarray:
+    """The patches of ``x`` as a strided ``(C, kh, kw, N, out_h, out_w)`` view."""
+    n, c = x.shape[:2]
+    s0, s1, s2, s3 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(c, *kernel, n, *out_hw),
+        strides=(s1, s2, s3, s0, s2 * stride[0], s3 * stride[1]),
+        writeable=False,
+    )
+
+
+def _gather_index(shape, kernel, stride, out_hw):
+    """Flat read-only index of the lowering of a C-ordered ``shape``, or
+    ``None`` where the lowering's reshape is a view (e.g. 1x1 outputs).
+
+    Entries are built from the lowering of ``arange`` itself and
+    published once per geometry: the first one stored is never
+    replaced, and once the cache is full new geometries are built per
+    call instead of stored.
+    """
+    key = (shape, kernel, stride)
+    if key in _GATHER_INDEX:
+        return _GATHER_INDEX[key]
+    view = _patch_view(np.arange(int(np.prod(shape))).reshape(shape), kernel, stride, out_hw)
+    lowered = (view.shape[0] * kernel[0] * kernel[1], -1)
+    try:
+        view.reshape(lowered, copy=False)
+        index = None
+    except ValueError:
+        index = view.reshape(lowered)
+        index.flags.writeable = False
+    with _GATHER_LOCK:
+        if len(_GATHER_INDEX) < _GATHER_CACHE_SIZE:
+            index = _GATHER_INDEX.setdefault(key, index)
+    return index
+
+
 def im2col_t(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]) -> np.ndarray:
     """Lower image patches to a ``(C*kh*kw, N*out_h*out_w)`` matrix.
 
     The strided view is ordered ``(c, kh, kw, n, oh, ow)``, so the single
     reshape copy lands in the layout a ``(F, K) @ (K, N*L)`` product
     consumes, and pooling windows sit on axis 1 of ``(C, kh*kw, N, L)``.
+    Where that reshape has to copy a C-ordered input and output rows are
+    at most ``_GATHER_MAX_OUT_W`` wide, the same C-ordered matrix is
+    gathered through a cached flat index instead; wherever the reshape
+    is a view it stays one, since BLAS bits depend on operand layout.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -47,15 +100,11 @@ def im2col_t(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], pa
         padded[:, :, ph:ph + h, pw:pw + w] = x
         x = padded
 
-    # Strided view: (C, kh, kw, N, out_h, out_w)
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, kh, kw, n, out_h, out_w),
-        strides=(s1, s2, s3, s0, s2 * sh, s3 * sw),
-        writeable=False,
-    )
-    return view.reshape(c * kh * kw, n * out_h * out_w)
+    if out_w <= _GATHER_MAX_OUT_W and x.flags.c_contiguous:
+        index = _gather_index(x.shape, kernel, stride, (out_h, out_w))
+        if index is not None:
+            return x.reshape(-1).take(index)
+    return _patch_view(x, kernel, stride, (out_h, out_w)).reshape(c * kh * kw, n * out_h * out_w)
 
 
 def col2im(
@@ -118,8 +167,44 @@ def _nchw(pooled: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pooled.transpose(1, 0, 2, 3))
 
 
+def _tiled_avg_pool2d(x: Tensor, kernel) -> Tensor:
+    """:func:`avg_pool2d` for ``kernel == stride`` on strided tap slices.
+
+    Same bits as the lowering: the forward sums the taps in the order
+    ``windows.mean`` added them, starting from its identity ``0.0``, and
+    divides once; the backward writes ``grad / size + 0.0`` into each tap
+    of a zeroed array, the ``0.0 + g`` :func:`col2im` makes.  Both
+    ``+ 0.0`` turn ``-0.0`` into ``0.0``.
+    """
+    (kh, kw), (h, w) = kernel, x.shape[2:]
+    out_h, out_w = h // kh, w // kw
+    taps = [(Ellipsis, slice(i, i + kh * out_h, kh), slice(j, j + kw * out_w, kw))
+            for i in range(kh) for j in range(kw)]
+    size = len(taps)
+    pooled = np.add(x.data[taps[0]], 0.0, order="C")
+    for tap in taps[1:]:
+        pooled += x.data[tap]
+    pooled /= size
+    out = x._make(pooled, (x,), "avg_pool2d")
+
+    def backward(grad: np.ndarray) -> None:
+        share = grad / size + 0.0
+        grad_x = np.zeros(x.shape, dtype=share.dtype)
+        for tap in taps:
+            grad_x[tap] = share
+        x._accumulate(grad_x)
+
+    out._backward = backward
+    return out
+
+
 def avg_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
     """Average pooling over the spatial dimensions."""
+    kernel = _pair(kernel_size)
+    # From 8 taps on, NumPy's pairwise sum orders a window's taps by its
+    # memory layout, which the slices would not reproduce.
+    if (stride is None or _pair(stride) == kernel) and kernel[0] * kernel[1] < 8:
+        return _tiled_avg_pool2d(x, kernel)
     kernel, stride_p, windows = _pool_windows(x, kernel_size, stride)
     rows_shape, size = _rows_shape(windows.shape), windows.shape[1]
     out = x._make(_nchw(windows.mean(axis=1)), (x,), "avg_pool2d")

@@ -108,9 +108,10 @@ def masked_conv2d(
     out_w = conv_output_shape(w, kw, stride[1], padding[1])
     length = out_h * out_w
 
-    # Operand orientations and both routes' output layouts are pinned:
-    # BLAS and the batch-norm reductions downstream sum in memory order,
-    # so changing either moves training bits (tests/tensor/test_conv.py).
+    # Operand orientations are pinned: BLAS sums in an order set by the
+    # operands' layout, so changing one moves training bits
+    # (tests/tensor/test_conv.py).  The dense route's channels-last output
+    # is the layout batch norm reduces over without a copy.
     cols_t = im2col_t(x.data, (kh, kw), stride, padding)  # (K, N*L)
     if _use_csr(state):
         DISPATCH_COUNTS["csr"] += 1

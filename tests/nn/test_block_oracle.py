@@ -9,19 +9,24 @@ The ``Ref*`` classes and ``ref_*`` functions below are copies of
 initializers as each was written before they shared one body.  Forward
 outputs (train and eval mode), input/weight/bias gradients, running
 statistics, masks, weights, returned indices and the manager's RNG state
-must agree bit for bit.  Batch norm, now one autograd node, is held to the
-same bytes against the composed-op ``RefBatchNorm*`` at shapes large
-enough for numpy's blocked summation and temporary-buffer reuse, on
-C-ordered, channels-last and channel-major inputs and gradients; only an
-input with a second consumer is compared to rounding (the node sums its
-input-gradient terms before it adds them to ``x.grad``).
+must agree bit for bit, except batch norm's.  Batch norm is one
+closed-form autograd node that rounds unlike the composed ops of
+``RefBatchNorm*``: its outputs, running statistics and three gradients
+are held within 1e-5 of those copies and of a float64 evaluation, and
+its bytes must not depend on the input's or the gradient's memory
+layout, nor on the BLAS thread count.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.nn import init
 from repro.nn.layers import (
     AvgPool2d,
@@ -38,6 +43,8 @@ from repro.sparse.engine import SparsityManager, _kept_count
 from repro.tensor import Tensor, avg_pool2d, masked_conv2d, masked_linear, max_pool2d
 
 pytestmark = pytest.mark.smoke
+
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 
 # ----------------------------------------------------------------------
@@ -496,9 +503,68 @@ def make_bn_pair(lib_cls, ref_cls, features, seed):
     return lib, ref
 
 
+def close(got, want):
+    """``got`` within 1e-5 of the largest magnitude of ``want`` (or of 1):
+    the closed-form node and the composed ops round differently."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    error = np.abs(got.astype(np.float64) - want).max(initial=0.0)
+    assert error <= 1e-5 * np.abs(want).max(initial=1.0), error
+
+
+def bn_float64(layer, x, upstream):
+    """``layer``'s batch norm evaluated in float64 from its parameters and
+    (evaluation mode) running statistics: the output, the input, weight
+    and bias gradients, and the running statistics after the step."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    view = (1, -1) + (1,) * (x.ndim - 2)
+    x, g = x.astype(np.float64), upstream.astype(np.float64)
+    weight = layer.weight.data.astype(np.float64)
+    running = (layer.running_mean.astype(np.float64), layer.running_var.astype(np.float64))
+    if layer.training:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        m = layer.momentum
+        running = ((1 - m) * running[0] + m * mean, (1 - m) * running[1] + m * var)
+    else:
+        mean, var = running
+    std = np.sqrt(var + layer.eps).reshape(view)
+    x_hat = (x - mean.reshape(view)) / std
+    out = x_hat * weight.reshape(view) + layer.bias.data.astype(np.float64).reshape(view)
+    grad_x = g
+    if layer.training:
+        grad_x = g - g.mean(axis=axes, keepdims=True) - x_hat * (g * x_hat).mean(axis=axes, keepdims=True)
+    grad_x = grad_x * weight.reshape(view) / std
+    return out, grad_x, (g * x_hat).sum(axis=axes), g.sum(axis=axes), running
+
+
 def check_running_stats(lib, ref):
-    same(lib.running_mean, ref.running_mean)
-    same(lib.running_var, ref.running_var)
+    close(lib.running_mean, ref.running_mean)
+    close(lib.running_var, ref.running_var)
+
+
+def run_bn(lib, ref, x, seed):
+    """:func:`run_both` for batch norm, to rounding: the output, the three
+    gradients and the running statistics agree with the composed-op
+    ``ref`` and with a float64 evaluation."""
+    upstream = np.random.default_rng(seed).standard_normal(x.shape).astype(np.float32)
+    out64, grad_x64, grad_w64, grad_b64, running64 = bn_float64(lib, x, upstream)
+    xs = [Tensor(x.copy(), requires_grad=True) for _ in range(2)]
+    outs = [layer(xi) for layer, xi in zip((lib, ref), xs)]
+    for out in outs:
+        out.backward(upstream)
+    for want in (outs[1].data, out64):
+        close(outs[0].data, want)
+    for want in (xs[1].grad, grad_x64):
+        close(xs[0].grad, want)
+    for want in (ref.weight.grad, grad_w64):
+        close(lib.weight.grad, want)
+    for want in (ref.bias.grad, grad_b64):
+        close(lib.bias.grad, want)
+    for got, want in zip((lib.running_mean, lib.running_var), running64):
+        close(got, want)
+    check_running_stats(lib, ref)
+    for layer in (lib, ref):
+        layer.zero_grad()
 
 
 BN_CASES = [
@@ -516,23 +582,20 @@ def test_batchnorm_train_eval_and_compact(lib_cls, ref_cls, shape):
     rng = np.random.default_rng(8)
     for step in range(3):
         x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32)
-        run_both(lib, ref, x, seed=step)
-        check_running_stats(lib, ref)
+        run_bn(lib, ref, x, seed=step)
     for layer in (lib, ref):
         layer.eval()
-    run_both(lib, ref, x, seed=10)
-    check_running_stats(lib, ref)
+    run_bn(lib, ref, x, seed=10)
 
     keep = [0, 2, 3]
     for layer in (lib, ref):
         layer.compact(keep)
     assert lib.num_features == ref.num_features == 3
     check_running_stats(lib, ref)
-    run_both(lib, ref, x[:, keep], seed=11)
+    run_bn(lib, ref, x[:, keep], seed=11)
     for layer in (lib, ref):
         layer.train()
-    run_both(lib, ref, x[:, keep], seed=12)
-    check_running_stats(lib, ref)
+    run_bn(lib, ref, x[:, keep], seed=12)
     assert raised(lambda: lib.compact([5])) == raised(lambda: ref.compact([5]))
 
 
@@ -544,11 +607,10 @@ def test_threshold_dependent_batchnorm():
     rng = np.random.default_rng(9)
     for step in range(3):
         x = (rng.standard_normal((16, 8, 6, 6)) * 1.5 - 0.3).astype(np.float32)
-        run_both(lib, ref, x, seed=step)
-        check_running_stats(lib, ref)
+        run_bn(lib, ref, x, seed=step)
     for layer in (lib, ref):
         layer.eval()
-    run_both(lib, ref, x, seed=5)
+    run_bn(lib, ref, x, seed=5)
 
 
 def with_layout(array, layout):
@@ -560,36 +622,72 @@ def with_layout(array, layout):
     return array.copy()
 
 
-@pytest.mark.parametrize("x_layout", ["c", "nhwc", "cnhw"])
-@pytest.mark.parametrize("grad_layout", ["c", "nhwc", "cnhw"])
-def test_batchnorm_memory_layouts(x_layout, grad_layout):
+def bn_bytes(x, upstream, training):
+    """Bytes of one batch-norm step: output, gradients, running statistics."""
+    layer, _ = make_bn_pair(BatchNorm2d, RefBatchNorm2d, x.shape[1], seed=3)
+    layer.train(training)
+    xt = Tensor(x, requires_grad=True)
+    out = layer(xt)
+    out.backward(upstream)
+    arrays = (out.data, xt.grad, layer.weight.grad, layer.bias.grad,
+              layer.running_mean, layer.running_var)
+    return [np.asarray(array).tobytes() for array in arrays]
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_bytes_do_not_depend_on_memory_layout(training):
     # Conv outputs reach batch norm channels-last (dense route) or
-    # channel-major (CSR route), and sums add in memory order.  At
-    # 256 KiB numpy also reuses temporaries' buffers, and with them
-    # their layout, so the node must keep the tape's temporaries too.
+    # channel-major (CSR route), and upstream gradients in either layout.
     shape = (16, 16, 16, 16)
-    lib, ref = make_bn_pair(BatchNorm2d, RefBatchNorm2d, shape[1], seed=3)
     rng = np.random.default_rng(4)
-    x = with_layout((rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32), x_layout)
-    upstream = with_layout(rng.standard_normal(shape).astype(np.float32), grad_layout)
-    xs = [Tensor(x, requires_grad=True) for _ in range(2)]
-    outs = [layer(xi) for layer, xi in zip((lib, ref), xs)]
-    same(outs[0].data, outs[1].data)
-    assert outs[0].data.strides == outs[1].data.strides
-    for out in outs:
-        out.backward(upstream)
-    same(xs[0].grad, xs[1].grad)
-    assert xs[0].grad.strides == xs[1].grad.strides
-    same(lib.weight.grad, ref.weight.grad)
-    same(lib.bias.grad, ref.bias.grad)
-    check_running_stats(lib, ref)
+    x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32)
+    upstream = rng.standard_normal(shape).astype(np.float32)
+    expected = bn_bytes(x, upstream, training)
+    for x_layout in ("c", "nhwc", "cnhw"):
+        for grad_layout in ("c", "nhwc", "cnhw"):
+            got = bn_bytes(with_layout(x, x_layout), with_layout(upstream, grad_layout), training)
+            assert got == expected, (x_layout, grad_layout)
+
+
+_BN_DIGEST_SNIPPET = """
+import hashlib, sys
+import numpy as np
+from repro.nn import BatchNorm1d, BatchNorm2d
+from repro.tensor import Tensor
+digest = hashlib.sha256()
+rng = np.random.default_rng(0)
+for layer, shape in ((BatchNorm2d(4), (32, 4, 64, 64)), (BatchNorm2d(64), (8, 64, 8, 8)),
+                     (BatchNorm1d(300), (64, 300))):
+    for training in (True, False):
+        layer.train(training)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        out = layer(x)
+        out.backward(rng.standard_normal(shape).astype(np.float32))
+        for array in (out.data, x.grad, layer.weight.grad, layer.bias.grad,
+                      layer.running_mean, layer.running_var):
+            digest.update(np.asarray(array).tobytes())
+        layer.zero_grad()
+print(digest.hexdigest())
+"""
+
+
+def test_batchnorm_bytes_do_not_depend_on_blas_threads():
+    # Sums through BLAS change bytes with the thread count (OpenBLAS
+    # splits ``ones @ rows`` at 131072 x 4 over two threads); batch
+    # norm's reductions must not, or workers with their own thread
+    # budgets would train different bits.
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC_DIR, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", _BN_DIGEST_SNIPPET],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_batchnorm_input_with_a_second_consumer():
-    # The composed ops add each of their four input-gradient terms to
-    # x.grad on its own, here after the other consumer's term; the node
-    # adds their sum once, so ~20% of the input gradient's entries move
-    # in the last bit.  Outputs and parameter gradients keep every bit.
     lib, ref = make_bn_pair(BatchNorm2d, RefBatchNorm2d, 8, seed=5)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((16, 8, 16, 16)).astype(np.float32)
@@ -597,12 +695,12 @@ def test_batchnorm_input_with_a_second_consumer():
     upstream = rng.standard_normal(x.shape).astype(np.float32)
     xs = [Tensor(x.copy(), requires_grad=True) for _ in range(2)]
     outs = [xi * Tensor(coef) + layer(xi) for layer, xi in zip((lib, ref), xs)]
-    same(outs[0].data, outs[1].data)
+    close(outs[0].data, outs[1].data)
     for out in outs:
         out.backward(upstream)
-    np.testing.assert_allclose(xs[0].grad, xs[1].grad, rtol=1e-5, atol=1e-6)
-    same(lib.weight.grad, ref.weight.grad)
-    same(lib.bias.grad, ref.bias.grad)
+    close(xs[0].grad, xs[1].grad)
+    close(lib.weight.grad, ref.weight.grad)
+    close(lib.bias.grad, ref.bias.grad)
 
 
 @pytest.mark.parametrize("lib_cls,ref_cls,shape", BN_CASES)

@@ -79,10 +79,19 @@ class TestBatchNorm:
         expected = (0.0 - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
         assert np.allclose(out.data[0, :, 0, 0], expected, atol=1e-4)
 
-    def test_gradients(self):
-        layer = BatchNorm2d(2)
-        x = Tensor(randn((3, 2, 2, 2), seed=8), requires_grad=True)
-        check_gradients(lambda: (layer(x) ** 2).sum(), [x, layer.weight, layer.bias])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("layer_cls,shape", [(BatchNorm2d, (3, 2, 2, 2)), (BatchNorm1d, (6, 3))])
+    def test_gradients(self, layer_cls, shape, training):
+        layer = layer_cls(shape[1], momentum=0.5)
+        layer.weight.data = randn(shape[1:2], seed=10) + 1.5
+        layer.bias.data = randn(shape[1:2], seed=11)
+        layer(Tensor(randn(shape, seed=12, scale=2.0) + 1.0))  # non-trivial running stats
+        layer.train(training)
+        x = Tensor(randn(shape, seed=8), requires_grad=True)
+        # Only the gradients are checked: every call in training mode also
+        # moves the running statistics, which that mode does not read.
+        check_gradients(lambda: (layer(x) * Tensor(randn(shape, seed=9))).sum(),
+                        [x, layer.weight, layer.bias])
 
     def test_input_validation(self):
         layer = BatchNorm2d(2)

@@ -344,6 +344,77 @@ class TestPackedArtifact:
             assert accounted["scale_bytes"] == tensors["scales"]["nbytes"]
 
 
+def rewrite_manifest(path, edit):
+    """Rewrite ``path`` with ``edit(meta)`` applied to its manifest; the
+    tensor bytes move along with the re-aligned data section."""
+    raw = path.read_bytes()
+    meta_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    meta = json.loads(raw[16:16 + meta_len])
+    data = raw[packaging._aligned(16 + meta_len):]
+    edit(meta)
+    meta_json = json.dumps(meta, sort_keys=True).encode("utf-8")
+    prefix = 16 + len(meta_json)
+    path.write_bytes(MAGIC + np.uint64(len(meta_json)).tobytes() + meta_json
+                     + b"\x00" * (packaging._aligned(prefix) - prefix) + data)
+
+
+class TestManifestEntryErrors:
+    """A manifest tensor entry that cannot describe a tensor of the file
+    fails at decode with a ``ValueError`` naming the file and the field,
+    never a raw ``TypeError``/``KeyError`` or a view of the wrong bytes."""
+
+    def doctored(self, tmp_path, field, value):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+
+        def edit(meta):
+            entry = meta["layers"][0]["tensors"]["values"]
+            if value is None:
+                del entry[field]
+            else:
+                entry[field] = value
+
+        rewrite_manifest(path, edit)
+        return PackedModel(path)
+
+    def raises(self, package, field):
+        message = f"{package.path}: tensor entry field {field!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_packed_runtime(package)
+
+    def test_rewritten_package_decodes_the_same_tensors(self, tmp_path):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+        original = tmp_path / "original.reprom"
+        original.write_bytes(path.read_bytes())
+        note = "rewritten " * 20  # moves the data section to the next alignment
+        rewrite_manifest(path, lambda meta: meta.update(note=note))
+        package, reference = PackedModel(path), PackedModel(original)
+        assert package.meta["note"] == note
+        assert package._data_start != reference._data_start
+        for entry in reference.meta["layers"]:
+            for tensor in entry["tensors"].values():
+                assert package.tensor(tensor).tobytes() == reference.tensor(tensor).tobytes()
+
+    @pytest.mark.parametrize("field", ["offset", "nbytes", "dtype", "shape"])
+    def test_missing_key(self, tmp_path, field):
+        self.raises(self.doctored(tmp_path, field, None), field)
+
+    @pytest.mark.parametrize("dtype", ["<y4", "|O", "<U1", 7])
+    def test_dtype(self, tmp_path, dtype):
+        self.raises(self.doctored(tmp_path, "dtype", dtype), "dtype")
+
+    @pytest.mark.parametrize("shape", [[3], [-1], "96", [2.0]])
+    def test_shape_disagreeing_with_nbytes(self, tmp_path, shape):
+        self.raises(self.doctored(tmp_path, "shape", shape), "shape")
+
+    @pytest.mark.parametrize("offset", [-64, 1.5, True])
+    def test_offset(self, tmp_path, offset):
+        self.raises(self.doctored(tmp_path, "offset", offset), "offset")
+
+    @pytest.mark.parametrize("nbytes", [-1, "96"])
+    def test_nbytes(self, tmp_path, nbytes):
+        self.raises(self.doctored(tmp_path, "nbytes", nbytes), "nbytes")
+
+
 # ----------------------------------------------------------------------
 # Stored-precision runtime: one CSRPattern runtime for every precision
 # ----------------------------------------------------------------------

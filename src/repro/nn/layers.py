@@ -220,11 +220,11 @@ class _BatchNorm(Module):
         def backward(grad: np.ndarray) -> None:
             g = _feature_rows(grad)
             sum_g = np.einsum("ij->j", g)
-            bias._accumulate(sum_g)
+            bias._accumulate(sum_g, owned=True)
             if training or weight.requires_grad:
                 normed = x_hat if training else (_feature_rows(x.data) - mean) * inv_std
                 sum_g_x_hat = np.einsum("ij,ij->j", g, normed)
-                weight._accumulate(sum_g_x_hat)
+                weight._accumulate(sum_g_x_hat, owned=True)
             if not x.requires_grad:
                 return
             if training:
@@ -234,7 +234,7 @@ class _BatchNorm(Module):
                 grad_x *= gain
             else:
                 grad_x = g * gain
-            x._accumulate(_feature_layout(grad_x, x.shape))
+            x._accumulate(_feature_layout(grad_x, x.shape), owned=True)
 
         out._backward = backward
         return out

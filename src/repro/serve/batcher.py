@@ -6,16 +6,18 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 
 class InferenceRequest:
-    """One queued inference request: payload, result future, retry count."""
+    """One queued inference request: payload, result future, retry count
+    and, in a keyed queue, its key."""
 
-    __slots__ = ("payload", "future", "enqueued_at", "attempts")
+    __slots__ = ("payload", "future", "enqueued_at", "attempts", "key")
 
-    def __init__(self, payload) -> None:
+    def __init__(self, payload, key: Hashable = None) -> None:
         self.payload = payload
+        self.key = key
         self.future: Future = Future()
         self.enqueued_at = time.monotonic()
         self.attempts = 0
@@ -34,19 +36,21 @@ class MicroBatcher:
 
     Keyed batches: given ``key`` (a function of the payload), a batch
     holds the oldest pending request of each key, at most one per key,
-    found in the first ``KEYED_SCAN * max_batch`` queued requests.
-    Requests it skips keep their queue order, so with one worker per
-    queue each key's requests are handled in submission order, and a
-    requeued batch restores that order.  ``key=None`` batches in plain
-    queue order.
+    found in the first ``KEYED_SCAN * max_batch`` queued requests.  The
+    queue counts its requests per key, so a take stops as soon as it
+    holds every queued key (or ``max_batch`` of them).  Requests it skips
+    keep their queue order, so with one worker per queue each key's
+    requests are handled in submission order, and a requeued batch
+    restores that order.  ``key=None`` batches in plain queue order.
     """
 
     #: A keyed take scans at most this many requests per batch slot,
     #: bounding how long a take holds the queue's lock when one key is
-    #: backed up.  On perfbench ``stream_telemetry`` (one CPU) it cuts
-    #: ~40% of ticks short (replays of a fully queued feed), yet a scan
-    #: of 4 or 16 ran no faster there.
-    KEYED_SCAN = 2
+    #: backed up.  On perfbench ``stream_telemetry`` (one CPU, 8 streams
+    #: per queue) a scan of 2 cut 20% of ticks short (6.4 events a tick
+    #: on average); 8 fills every tick, and its replays drained ~25%
+    #: faster once a tick's state is gathered and stepped at once.
+    KEYED_SCAN = 8
 
     def __init__(
         self,
@@ -62,6 +66,7 @@ class MicroBatcher:
         self.max_latency_s = float(max_latency_s)
         self.key = key
         self._pending: "deque[InferenceRequest]" = deque()
+        self._queued: Dict[Hashable, int] = {}  # keyed: queued requests per key
         self._condition = threading.Condition()
         self._closed = False
         self.submitted = 0
@@ -77,11 +82,12 @@ class MicroBatcher:
 
     def submit(self, payload) -> Future:
         """Enqueue one payload; returns the future carrying its result."""
-        request = InferenceRequest(payload)
+        request = InferenceRequest(payload, None if self.key is None else self.key(payload))
         with self._condition:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed MicroBatcher")
             self._pending.append(request)
+            self._count(request, 1)
             self.submitted += 1
             self._condition.notify_all()
         return request.future
@@ -91,6 +97,7 @@ class MicroBatcher:
         with self._condition:
             for request in reversed(requests):
                 self._pending.appendleft(request)
+                self._count(request, 1)
             self._condition.notify_all()
 
     def next_batch(self) -> Optional[List[InferenceRequest]]:
@@ -125,27 +132,40 @@ class MicroBatcher:
         return batch
 
     def _take_keyed(self) -> List[InferenceRequest]:
-        pending, key = self._pending, self.key
+        pending = self._pending
+        wanted = min(self.max_batch, len(self._queued))
         batch, skipped, keys = [], [], set()
         for _ in range(min(len(pending), self.KEYED_SCAN * self.max_batch)):
             request = pending.popleft()
-            request_key = key(request.payload)
-            if request_key in keys:
+            if request.key in keys:
                 skipped.append(request)
                 continue
-            keys.add(request_key)
+            keys.add(request.key)
             request.attempts += 1
             batch.append(request)
-            if len(batch) == self.max_batch:
+            if len(batch) == wanted:
                 break
         pending.extendleft(reversed(skipped))
+        for request in batch:
+            self._count(request, -1)
         return batch
+
+    def _count(self, request: InferenceRequest, change: int) -> None:
+        """Track the queued requests of ``request``'s key (keyed queues)."""
+        if self.key is None:
+            return
+        left = self._queued.get(request.key, 0) + change
+        if left:
+            self._queued[request.key] = left
+        else:
+            del self._queued[request.key]
 
     def drain_pending(self) -> List[InferenceRequest]:
         """Remove and return every queued request (server shutdown)."""
         with self._condition:
             remaining = list(self._pending)
             self._pending.clear()
+            self._queued.clear()
             self._condition.notify_all()
         return remaining
 

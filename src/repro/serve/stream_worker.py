@@ -10,10 +10,11 @@ per-stream neuron state must survive worker crashes, so:
   drained by one worker thread, so distinct streams run in parallel.
 * **Ticks**: one worker pass (a *tick*) takes the oldest queued event
   of each ready stream, up to :data:`TICK_WIDTH`, and hands them to
-  :meth:`~repro.stream.session.StreamSession.process_many`, which runs
-  them as one plan step over the streams' stacked states.  Per-stream
-  order is FIFO; events of different streams may overtake each other.
-  Only a plan session gains from a tick.  A shard whose session runs
+  :meth:`~repro.stream.session.StreamSession.process_many`, which
+  gathers the streams' rows from the session's slot store and runs them
+  as one plan step.  Per-stream order is FIFO; events of different
+  streams may overtake each other.  Only a plan session gains from a
+  tick.  A shard whose session runs
   the module path, or whose ``process`` was replaced (a wrapper set on
   the instance, a subclass override), takes one event per tick, strict
   FIFO, and serves it through ``session.process``, so a replaced

@@ -40,7 +40,7 @@ def spike_function(v: Tensor, surrogate: SurrogateFunction, threshold=None) -> T
     out = Tensor(spikes, requires_grad=requires, _prev=(v,) if requires else (), _op="spike")
 
     def backward(grad: np.ndarray) -> None:
-        v._accumulate(grad * surrogate(shifted).astype(np.float32, copy=False))
+        v._accumulate(grad * surrogate(shifted).astype(np.float32, copy=False), owned=True)
 
     out._backward = backward
     return out
@@ -105,8 +105,17 @@ class BaseNeuron(Module):
 
     def _record(self, spikes: np.ndarray) -> None:
         if self.track_spikes:
-            self.spike_count += float(spikes.sum())
-            self.neuron_steps += int(spikes.size)
+            self.add_spike_counts(float(spikes.sum()), spikes.size)
+
+    def add_spike_counts(self, spikes: float, steps: int) -> None:
+        """Add ``spikes`` fired over ``steps`` neuron-steps to the counters.
+
+        Plain counters, written straight into the instance dict past
+        ``Module.__setattr__``'s registry checks.
+        """
+        counters = self.__dict__
+        counters["spike_count"] += spikes
+        counters["neuron_steps"] += steps
 
     @property
     def spike_rate(self) -> float:
@@ -160,13 +169,16 @@ class BaseNeuron(Module):
 
         def backward(grad: np.ndarray) -> None:
             if v.requires_grad:
-                v._accumulate(grad if decay is None else grad * decay_data)
+                if decay is None:
+                    v._accumulate(grad)
+                else:
+                    v._accumulate(grad * decay_data, owned=True)
             if isinstance(decay, Tensor) and decay.requires_grad:
-                decay._accumulate(_unbroadcast(grad * v.data, decay.shape))
+                decay._accumulate(_unbroadcast(grad * v.data, decay.shape), owned=True)
             if current.requires_grad:
                 current._accumulate(grad)
             if o_prev is not None and o_prev.requires_grad:
-                o_prev._accumulate(-grad * theta)
+                o_prev._accumulate(-grad * theta, owned=True)
 
         out._backward = backward
         return out
@@ -185,8 +197,9 @@ class BaseNeuron(Module):
 
         Takes the state ``(v, o_prev)`` explicitly and returns the new
         ``(v, spikes)`` without touching ``self.v``/``self.o_prev``; the
-        op order (and so every bit) matches :meth:`forward`.  Spike
-        accounting still lands on this neuron.
+        op order (and so every bit) matches :meth:`forward`.  The spikes
+        are not counted here: a :class:`~repro.stream.plan.StreamPlan`
+        keeps its own counts and adds them with :meth:`add_spike_counts`.
         """
         threshold = self._threshold(current.shape)
         decay = self._decay()
@@ -195,7 +208,6 @@ class BaseNeuron(Module):
         v = self._membrane(v, o_prev, current, decay)
         spikes = ((v - threshold) >= 0.0).astype(np.float32)
         self._fired(spikes)
-        self._record(spikes)
         return v, spikes
 
 

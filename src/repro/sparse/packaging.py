@@ -49,7 +49,7 @@ import numpy as np
 from ..nn.init import skip_init
 from ..utils import atomic_replace
 from .dispatch import CalibrationTable
-from .engine import SparsityManager
+from .engine import EXECUTION_MODES, SparsityManager
 from .storage import CSRPattern, csr_bits
 
 MAGIC = b"REPROM\x00\x01"
@@ -463,7 +463,14 @@ class PackedModel:
 
     @property
     def precision(self) -> str:
-        return self.meta["precision"]
+        precision = self.meta.get("precision")
+        if precision not in PRECISIONS:
+            raise self.field_error("precision", f"is {precision!r}, not one of {PRECISIONS}")
+        return precision
+
+    def field_error(self, field: str, why: str) -> ValueError:
+        """The ``ValueError`` for a manifest ``field`` this file gets wrong."""
+        return ValueError(f"{self.path}: manifest field {field!r} {why}")
 
     @property
     def file_bytes(self) -> int:
@@ -508,6 +515,56 @@ class PackedModel:
 def _is_count(value) -> bool:
     """Whether a manifest ``value`` is a JSON integer >= 0."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_manifest(package: PackedModel) -> None:
+    """Check the manifest fields the runtime builder reads.
+
+    A missing or malformed field raises the ``ValueError`` of
+    :meth:`PackedModel.field_error`, naming the file and the field
+    (``layers[1].shape``), never a raw ``KeyError``/``TypeError``.
+    Tensor entries are checked where they are read
+    (:meth:`PackedModel.tensor`).
+    """
+    meta, bad = package.meta, package.field_error
+    tensors = ("indptr", "indices", "values") + (("scales",) if package.precision == "int8" else ())
+    if meta.get("execution") not in EXECUTION_MODES:
+        raise bad("execution", f"is {meta.get('execution')!r}, not one of {EXECUTION_MODES}")
+    spec = meta.get("model_spec")
+    if not isinstance(spec, dict) or not isinstance(spec.get("model"), str):
+        raise bad("model_spec", f"is {spec!r}, not an object naming a model")
+    for field in ("layers", "dense"):
+        if not isinstance(meta.get(field), list) or not all(
+                isinstance(entry, dict) for entry in meta[field]):
+            raise bad(field, "is not a list of objects")
+    for index, entry in enumerate(meta["layers"]):
+        def field(key):
+            return f"layers[{index}].{key}"
+
+        for key in ("name", "nnz", "shape", "orig_shape", "route", "tensors"):
+            if key not in entry:
+                raise bad(field(key), "is missing")
+        shape, orig_shape = entry["shape"], entry["orig_shape"]
+        if not isinstance(entry["name"], str):
+            raise bad(field("name"), f"is {entry['name']!r}, not a string")
+        if not _is_count(entry["nnz"]):
+            raise bad(field("nnz"), f"is {entry['nnz']!r}, not an integer >= 0")
+        if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_count, shape))):
+            raise bad(field("shape"), f"is {shape!r}, not a list of two integers >= 0")
+        if not (isinstance(orig_shape, list) and all(map(_is_count, orig_shape))
+                and math.prod(orig_shape) == math.prod(shape)):
+            raise bad(field("orig_shape"), f"is {orig_shape!r}, not a list of integers >= 0 "
+                      f"holding the {math.prod(shape)} weights of shape")
+        if entry["route"] not in ("csr", "dense"):
+            raise bad(field("route"), f"is {entry['route']!r}, not 'csr' or 'dense'")
+        if not (isinstance(entry["tensors"], dict)
+                and all(key in entry["tensors"] for key in tensors)):
+            raise bad(field("tensors"),
+                      f"is {entry['tensors']!r}, not an object of {list(tensors)}")
+    for index, entry in enumerate(meta["dense"]):
+        for key in ("name", "kind", "tensor"):
+            if key not in entry:
+                raise bad(f"dense[{index}].{key}", "is missing")
 
 
 def _frozen_layers(package: PackedModel, runtime: str) -> Tuple[Dict, Dict]:
@@ -613,9 +670,18 @@ def build_packed_runtime(
             f"{package.path} stores {package.precision!r} values "
             "(re-export, or serve at f32 which pre-scales at load)"
         )
-    with skip_init():
-        model = build_spec_model(package.meta["model_spec"])
+    _check_manifest(package)
+    try:
+        with skip_init():
+            model = build_spec_model(package.meta["model_spec"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise package.field_error("model_spec", f"does not build a model: {error!r}") from error
     model.eval()
+    parameters = dict(model.named_parameters())
+    for index, entry in enumerate(package.meta["layers"]):
+        if entry["name"] not in parameters:
+            raise package.field_error(f"layers[{index}].name",
+                                      f"is {entry['name']!r}, not a parameter of the model")
     _assign_dense_entries(package, model)
     patterns, dense = _frozen_layers(package, runtime)
     manager = SparsityManager.from_patterns(

@@ -14,7 +14,7 @@ a stream capture everything needed to replay it bit-exactly.
 from __future__ import annotations
 
 import copy
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -32,6 +32,11 @@ class OnlineEncoder:
         """One ``(C,)`` float32 frame; may mutate ``state`` in place."""
         raise NotImplementedError
 
+    def encode_many(self, channels: List[np.ndarray], states: List[Dict]) -> np.ndarray:
+        """:meth:`encode` for each event of a tick: one ``(events, C)`` array."""
+        return np.array([self.encode(row, state) for row, state in zip(channels, states)],
+                        dtype=np.float32)
+
     @staticmethod
     def copy_state(state: Dict) -> Dict:
         """Detached deep copy (RNG states are nested dicts)."""
@@ -43,6 +48,9 @@ class OnlineDirectEncoder(OnlineEncoder):
 
     def encode(self, channels: np.ndarray, state: Dict) -> np.ndarray:
         return np.asarray(channels, dtype=np.float32)
+
+    def encode_many(self, channels: List[np.ndarray], states: List[Dict]) -> np.ndarray:
+        return np.array(channels, dtype=np.float32)
 
     @staticmethod
     def copy_state(state: Dict) -> Dict:

@@ -15,23 +15,23 @@ exactly as the module path would run it, and a plan cannot go stale.
 Values are aliased, never copied; frozen CSR buffers may be views into
 an mmap'd package.
 
-Per-stream neuron state is a tuple of ``(v, o_prev)`` array pairs in
-plan order.  A step returns a new tuple and never writes the old one,
-so a session that drops a half-processed event keeps its committed
-state.  Every op repeats the module path's op order on the same operand
-layouts (the dense route multiplies by the same transposed weight view
+Neuron state is one flat tuple ``(v, o_prev, v, o_prev, ...)`` of
+arrays, a pair per neuron in plan order, one row per stream.  A step
+returns a new tuple and never writes the old one, so a session that
+drops a half-processed tick keeps its committed state.  Every op
+repeats the module path's op order on the same operand layouts (the
+dense route multiplies by the same transposed weight view
 ``Tensor.matmul`` uses; the CSR route makes the same
 ``CSRPattern.matmul`` call ``masked_linear`` makes), so a plan step is
 bit-identical to ``model.forward_once``.
 
-One step can advance many streams at once: :meth:`StreamPlan.stack`
-row-stacks their states, the step runs on ``(streams, width)`` arrays
-and :meth:`StreamPlan.split` hands each stream its rows back.  Every row
-is bit-equal to stepping that stream alone.  Neuron updates are
+One step can advance many streams at once: a session gathers their rows
+from its slot store, and the step runs on ``(streams, width)`` arrays.
+Every row is bit-equal to stepping that stream alone.  Neuron updates are
 elementwise, and SciPy's multi-column CSR kernel sums each column in the
-single-column kernel's order.  A stacked dense gemm is not bit-equal to
-per-row gemv calls, so :meth:`StreamPlan.step` runs a dense stack one
-row at a time.
+single-column kernel's order.  A dense gemm over several rows is not
+bit-equal to per-row gemv calls, so :meth:`StreamPlan.step` runs dense
+rows one at a time.
 
 A frozen :class:`~repro.serve.registry.InferenceSession` runs the same
 plans over whole padded batches (:meth:`StreamPlan.repeat_window`).
@@ -93,56 +93,45 @@ class StreamPlan:
     ``ops`` pairs each step with a flag marking neurons; neurons run
     through their ``forward_arrays`` method against the per-stream state.
     ``in_features`` is the width of the frames the plan takes.
+
+    The plan owns spike accounting: every step adds each neuron's spikes
+    to pending counts, and :meth:`publish_counts` adds those to the
+    neurons' ``spike_count``/``neuron_steps`` at once, so a stream
+    session publishes once per committed tick and a tick that fails
+    counts nothing.
     """
 
     def __init__(self, ops: List[Tuple[object, bool]], in_features: int) -> None:
         self._ops = ops
         self.in_features = int(in_features)
-        neurons = sum(is_neuron for _, is_neuron in ops)
-        self._fresh = ((None, None),) * neurons
+        self._neurons = [op for op, is_neuron in ops if is_neuron]
+        self._fresh = (None, None) * len(self._neurons)
+        self.drop_counts()
         # Ops before the first neuron carry no state: their output
         # depends on the frame alone.
         prefix = next((index for index, (_, is_neuron) in enumerate(ops) if is_neuron), len(ops))
         self._prefix_ops, self._stateful_ops = ops[:prefix], ops[prefix:]
 
-    @staticmethod
-    def stack(states: List[Optional[Tuple]]) -> Optional[Tuple]:
-        """One state whose rows are ``states`` in order, for one step.
-
-        A fresh stream (``None``) gets zero rows.  A neuron steps from
-        ``v = 0, o_prev = 0`` exactly as from a reset, up to the sign of
-        a zero membrane, which no spike or readout can see.
-        """
-        carried = next((state for state in states if state is not None), None)
-        if carried is None:
-            return None
-        rows = states
-        if None in states:
-            zeros = tuple((np.zeros_like(v), np.zeros_like(o_prev)) for v, o_prev in carried)
-            rows = [zeros if state is None else state for state in states]
-        return tuple(
-            (np.concatenate([row[slot][0] for row in rows]),
-             np.concatenate([row[slot][1] for row in rows]))
-            for slot in range(len(carried))
-        )
-
-    @staticmethod
-    def split(state: Tuple, count: int) -> List[Tuple]:
-        """Per-stream states from a stepped stack of ``count`` rows.
-
-        Each row is copied out, so a stream's committed state never keeps
-        the rest of its tick's stack alive.
-        """
-        return [tuple((v[row:row + 1].copy(), o_prev[row:row + 1].copy())
-                      for v, o_prev in state)
-                for row in range(count)]
-
     def step(self, state: Optional[Tuple], frame: np.ndarray):
         """One timestep: ``(logits, next_state)``; ``state=None`` is a reset.
 
-        Each row of ``frame`` steps as a lone event would.
+        Each row of ``frame`` steps as a lone event would.  Its spikes
+        are pending until :meth:`publish_counts`.
         """
         return self._run(self._ops, self._fresh if state is None else state, frame, False)
+
+    def publish_counts(self) -> None:
+        """Add the spikes of every step since the last publish or drop to
+        the neurons' counters (one add per neuron)."""
+        for neuron, spikes, steps in zip(self._neurons, self._spikes, self._steps):
+            if steps:
+                neuron.add_spike_counts(spikes, steps)
+        self.drop_counts()
+
+    def drop_counts(self) -> None:
+        """Forget the spikes counted since the last publish."""
+        self._spikes = [0.0] * len(self._neurons)
+        self._steps = [0] * len(self._neurons)
 
     def repeat_window(self, frame: np.ndarray, timesteps: int) -> np.ndarray:
         """``forward_window`` over ``timesteps`` copies of ``frame``, from a reset.
@@ -154,6 +143,7 @@ class StreamPlan:
         does on the batch.  The logits accumulate in ``forward_window``'s
         order (``acc + logits``, then one scale by ``1 / timesteps``).
         """
+        self.drop_counts()
         x = frame
         for op, _ in self._prefix_ops:
             x = op(x, True)
@@ -162,16 +152,19 @@ class StreamPlan:
         for _ in range(timesteps):
             logits, state = self._run(self._stateful_ops, state, x, True)
             accumulated = logits if accumulated is None else accumulated + logits
+        self.publish_counts()
         return accumulated * np.float32(1.0 / timesteps)
 
-    @staticmethod
-    def _run(ops, state: Tuple, x: np.ndarray, batched: bool):
+    def _run(self, ops, state: Tuple, x: np.ndarray, batched: bool):
         following = []
         for op, is_neuron in ops:
             if is_neuron:
-                v, o_prev = state[len(following)]
-                v, x = op.forward_arrays(v, o_prev, x)
-                following.append((v, x))
+                held = len(following)
+                v, x = op.forward_arrays(state[held], state[held + 1], x)
+                following += (v, x)
+                if op.track_spikes:
+                    self._spikes[held // 2] += float(x.sum())
+                    self._steps[held // 2] += x.size
             else:
                 x = op(x, batched)
         return x, tuple(following)

@@ -2,14 +2,13 @@
 
 A :class:`StreamSession` runs one spiking model over a multiplexed
 event feed, holding persistent neuron membrane state *per stream*: each
-arriving event is one timestep for its stream, and state is swapped in
-and out of the shared model instance around every ``forward_once``.
+arriving event is one timestep for its stream.
 
 Windowing — the readout is emitted per window of ``window`` events:
 
 * ``stride == window`` (tumbling, the default): neuron state carries
   across events *within* a window and resets at the boundary.  Each
-  event costs exactly one ``forward_once``.
+  event costs exactly one step.
 * ``stride < window`` (sliding): consecutive windows overlap.  On
   emission the session replays the retained tail of buffered *encoded*
   frames from a fresh reset, so every emitted window is exactly the
@@ -18,31 +17,43 @@ Windowing — the readout is emitted per window of ``window`` events:
 Either way the emitted logits are **bit-identical** to
 ``model.forward_window(frames)`` over the same encoded frames: the
 incremental accumulator uses the same op order (plain float32 adds,
-then one scale by ``1/len``) as the offline loop, and the state
-snapshot/restore round-trip is exact.
+then one scale by ``1/len``) as the offline loop, and the state a step
+hands on is stored and read back exactly.
 
-Execution: a frozen session whose ``forward_once`` is a straight chain
-of ``Linear`` layers and LIF/IF neurons is compiled once, at
-construction, into a flat :class:`~repro.stream.plan.StreamPlan` that
-runs events as plain numpy over per-stream state arrays, without
-touching the module tree.  :meth:`StreamSession.process_many` takes at
-most one event per stream and runs them all as **one** plan step over
-the streams' stacked states, so a server shard with 16 busy streams
-walks the plan once and makes one CSR kernel call per layer, not 16;
-every row is bit-equal to stepping its stream alone.  The plan fixes
-only the chain of layers: every step reads each layer's route, CSR
-pattern and values, so a manager thawed, edited and re-frozen after
-construction is run exactly as ``offline_reference`` runs it.  Anything
-else (a manager thawed at construction, other neuron or layer types)
-runs the module path: per-stream state is swapped into the shared model
-around every ``forward_once``, one event at a time.
-``session.execution`` says which, and why.
+Slots: the session keeps neuron state in one ``(capacity, width)``
+store.  A stream's row (its *slot*) holds the arrays of its stepped
+neuron state side by side (``v`` and ``o_prev`` per neuron on a plan;
+every entry of the module snapshot otherwise), then its logit sum.  The
+store is allocated at the first commit and doubles when the streams
+outgrow it.  A stream holds its slot only while its window holds
+events: a window that empties (a tumbling readout, ``flush``) or
+``drop_stream`` frees it for the next stream, so the store is as large
+as the open windows.
 
-Fault tolerance: processing is transactional — per-stream state only
-commits once every event of a ``process_many`` call has fully
-processed, so a worker crash mid-call costs a retry of the whole call,
-never corrupted state.  A malformed event (a width that does not fit
-its stream or the plan) is rejected on its own with a
+Ticks: :meth:`StreamSession.process_many` takes at most one event per
+stream and works on the whole tick at once.  It validates, applies the
+TTL and encodes every event in one pass, gathers the tick's rows with
+one fancy index per array, steps them, and scatters them back once every
+event has stepped.  A frozen session whose ``forward_once`` is a
+straight chain of ``Linear`` layers and LIF/IF neurons is compiled once,
+at construction, into a flat :class:`~repro.stream.plan.StreamPlan`, and
+steps the whole tick as **one** plan step: a server shard with 16 busy
+streams walks the plan once and makes one CSR kernel call per layer,
+not 16, and every row is bit-equal to stepping its stream alone.  The
+plan fixes only the chain of layers: every step reads each layer's
+route, CSR pattern and values, so a manager thawed, edited and
+re-frozen after construction is run exactly as ``offline_reference``
+runs it.  Anything else (a manager thawed at construction, other neuron
+or layer types) runs the module path: each row's snapshot is restored
+into the shared model around its own ``forward_once``, one event at a
+time.  ``session.execution`` says which, and why.
+
+Fault tolerance: processing is transactional — the store and every
+stream's bookkeeping change only once every event of a
+``process_many`` call (sliding-window replays included) has stepped,
+so a worker crash mid-call costs a retry of the whole call, never
+corrupted state.  A malformed event (a width that does not fit its
+stream or the plan) is rejected on its own with a
 :class:`RejectedEvent` (a ``ValueError``) before anything steps.  Stale
 streams (event-time gap beyond ``ttl``) are reset (or carried, per
 ``reset_policy``) instead of poisoning the readout with decayed
@@ -52,7 +63,7 @@ membranes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,21 +97,20 @@ class RejectedEvent(ValueError):
 
 
 class _StreamState:
-    """Everything one stream carries between events."""
+    """One stream's bookkeeping.  While its window holds events
+    (``count > 0``) its neuron state and logit sum live in row ``slot``
+    of the session's :class:`_Slots`; an empty window steps next from a
+    reset, needs no row and holds no slot."""
 
     __slots__ = (
-        "net_state", "encoder_state", "frames", "acc", "count",
-        "last_event_time", "events", "windows", "stale_resets",
-        "num_channels",
+        "slot", "encoder_state", "frames", "count", "last_event_time",
+        "events", "windows", "stale_resets", "num_channels",
     )
 
     def __init__(self, encoder_state: Dict, num_channels: int) -> None:
-        # Neuron state in the executor's format (plan tuple or module
-        # snapshot dict); ``None`` means freshly reset.
-        self.net_state = None
+        self.slot: Optional[int] = None
         self.encoder_state = encoder_state
         self.frames: List[np.ndarray] = []
-        self.acc: Optional[np.ndarray] = None
         self.count = 0
         self.last_event_time: Optional[float] = None
         self.events = 0
@@ -108,25 +118,106 @@ class _StreamState:
         self.stale_resets = 0
         self.num_channels = num_channels
 
-    def clone(self, encoder: OnlineEncoder) -> "_StreamState":
-        copy = _StreamState(encoder.copy_state(self.encoder_state), self.num_channels)
-        # net_state, frames entries and acc are arrays that processing
-        # replaces but never mutates in place, so sharing them is safe.
-        copy.net_state = self.net_state
-        copy.frames = list(self.frames)
-        copy.acc = self.acc
-        copy.count = self.count
-        copy.last_event_time = self.last_event_time
-        copy.events = self.events
-        copy.windows = self.windows
-        copy.stale_resets = self.stale_resets
-        return copy
 
-    def reset_window(self) -> None:
-        self.net_state = None
-        self.frames = []
-        self.acc = None
-        self.count = 0
+def _leaves(state) -> tuple:
+    """The arrays of a stepped state in order: a plan's flat tuple as it
+    is, the values of a module snapshot's nested dicts flattened."""
+    if isinstance(state, tuple):
+        return state
+    return tuple(leaf for part in state.values()
+                 for leaf in (_leaves(part) if isinstance(part, dict) else (part,)))
+
+
+def _rebuild(template, leaves: Iterator):
+    """The arrays ``leaves`` in ``template``'s nesting (see :func:`_leaves`)."""
+    if isinstance(template, tuple):
+        return tuple(leaves)
+    return {key: _rebuild(part, leaves) if isinstance(part, dict) else next(leaves)
+            for key, part in template.items()}
+
+
+class _Slots:
+    """Every stream's neuron state and logit sum, one row (slot) per stream.
+
+    ``rows`` is one ``(capacity, width)`` array.  A row holds each leaf of
+    its stream's stepped state (see :func:`_leaves`), flattened, then the
+    stream's logit sum, so a tick gathers and scatters all of them with
+    one fancy index each way.  ``rows`` is laid out at the first commit,
+    when the leaves' shapes are known, and doubles when the streams
+    outgrow it; released slots are reused.  ``template`` is the first
+    stepped state, whose nesting every gathered state is rebuilt in.
+    """
+
+    FIRST_CAPACITY = 8
+
+    def __init__(self) -> None:
+        self.template = None
+        self.rows: Optional[np.ndarray] = None
+        # Per leaf: None (a leaf a step leaves unset) or (columns, row
+        # shape, dtype); then the logit sum's columns.
+        self.columns: List[Optional[tuple]] = []
+        self.acc_columns = slice(0, 0)
+        self.free: List[int] = []
+        self.used = 0
+
+    def take(self) -> int:
+        """A free slot: a released one, else the next unused row."""
+        if self.free:
+            return self.free.pop()
+        self.used += 1
+        return self.used - 1
+
+    def gather(self, index: np.ndarray):
+        """``(block, leaves)``: a copy of rows ``index``, and its leaves as views."""
+        block = self.rows.take(index, axis=0)
+        leaves = []
+        for entry in self.columns:
+            if entry is not None:
+                columns, shape, dtype = entry
+                entry = block[:, columns]
+                if shape is not None:
+                    entry = entry.reshape((len(block),) + shape)
+                if dtype is not None:
+                    entry = entry.astype(dtype)
+            leaves.append(entry)
+        return block, leaves
+
+    def new_block(self, leaves: tuple, acc: np.ndarray) -> np.ndarray:
+        """An empty block for ``len(acc)`` rows, laying ``rows`` out first.
+
+        A leaf's row shape is kept only when it is not 1-D, and its dtype
+        only when it differs from the block's, so most views need neither
+        a reshape nor a cast.
+        """
+        if self.rows is None:
+            dtype = np.result_type(*[leaf for leaf in leaves if leaf is not None], acc)
+            width = 0
+            for leaf in leaves:
+                if leaf is None:
+                    self.columns.append(None)
+                    continue
+                size = leaf[0].size
+                self.columns.append((slice(width, width + size),
+                                     leaf.shape[1:] if leaf.ndim != 2 else None,
+                                     leaf.dtype if leaf.dtype != dtype else None))
+                width += size
+            self.acc_columns = slice(width, width + acc.shape[1])
+            self.rows = np.zeros((0, self.acc_columns.stop), dtype)
+        return np.empty((len(acc), self.rows.shape[1]), self.rows.dtype)
+
+    def scatter(self, index: np.ndarray, block: np.ndarray, leaves: tuple) -> None:
+        """Write ``leaves`` into ``block``, then ``block`` into rows ``index``."""
+        for leaf, entry in zip(leaves, self.columns):
+            if entry is not None:
+                block[:, entry[0]] = leaf if entry[1] is None else leaf.reshape(len(block), -1)
+        if self.used > len(self.rows):
+            capacity = max(len(self.rows), self.FIRST_CAPACITY)
+            while capacity < self.used:
+                capacity *= 2
+            grown = np.zeros((capacity, self.rows.shape[1]), self.rows.dtype)
+            grown[:len(self.rows)] = self.rows
+            self.rows = grown
+        self.rows[index] = block
 
 
 class StreamSession:
@@ -201,6 +292,7 @@ class StreamSession:
             self._check_manager(manager)
         self._plan, self._fallback_reason = compile_plan(model, manager)
         self._states: Dict[str, _StreamState] = {}
+        self._slots = _Slots()
 
     @property
     def execution(self) -> str:
@@ -242,103 +334,184 @@ class StreamSession:
         width differs from its stream's recorded width or from the plan's
         input width.  A rejected event leaves its stream untouched.
 
-        A plan session runs the accepted events as one plan step over
-        their stacked states; a module-path session steps them one at a
-        time.  Transactional: no stream commits until every step has
-        returned, so on exception every committed state is unchanged and
-        the caller can safely retry all the events.
+        The accepted events' rows are gathered from the slot store and
+        stepped (one plan step for all of them, or one module-path step
+        each), and written back only after every step has returned:
+        on exception nothing is committed, and the caller can safely
+        retry all the events.
         """
         if len(events) > 1 and len({event.stream_id for event in events}) < len(events):
             raise ValueError("process_many takes at most one event per stream")
-        outputs: List[object] = []
-        staged = []  # (output slot, event, working state, encoded frame)
-        for event in events:
+        outputs: List[object] = [None] * len(events)
+        ttl, stale_resets = self.ttl, self.reset_policy == "reset"
+        copy_state = self.encoder.copy_state
+        # One pass over the events.  Per accepted event, a row of the tick:
+        # (output position, event, stream, the events its window carries
+        # into this step, stale), its next encoder state, its channels and
+        # its stream's slot (0 for a new stream); ``reset`` lists the rows
+        # that step from a reset.
+        tick, encoder_states, channels, index, reset = [], [], [], [], []
+        for position, event in enumerate(events):
             try:
-                state = self._begin(event)
+                stream = self._stream_of(event)
             except RejectedEvent as error:
-                outputs.append(error)
+                outputs[position] = error
                 continue
-            frame = self.encoder.encode(event.channels, state.encoder_state)
-            staged.append((len(outputs), event, state, np.asarray(frame, dtype=np.float32)[None, :]))
-            outputs.append(None)
-        if self._plan is not None and len(staged) > 1:
-            # One plan step over the stacked streams; each row is
-            # bit-equal to stepping its stream alone.
-            frames = np.concatenate([frame for _, _, _, frame in staged])
-            logits, stacked = self._step(
-                self._plan.stack([state.net_state for _, _, state, _ in staged]), frames)
-            self._after_step(frames)
-            rows = self._plan.split(stacked, len(staged))
-            for row, (slot, event, state, frame) in enumerate(staged):
-                state.net_state = rows[row]
-                outputs[slot] = self._append(state, event, frame, logits[row:row + 1])
+            stale = (
+                ttl is not None
+                and stream.last_event_time is not None
+                and event.timestamp - stream.last_event_time > ttl
+            )
+            carried = 0 if stale and stale_resets else stream.count
+            if not carried:
+                reset.append(len(tick))
+            index.append(0 if stream.slot is None else stream.slot)
+            tick.append((position, event, stream, carried, stale))
+            encoder_states.append(copy_state(stream.encoder_state))
+            channels.append(event.channels)
+        if not tick:
+            return outputs
+        frames = self.encoder.encode_many(channels, encoder_states)
+        if self._plan is not None:
+            self._plan.drop_counts()  # a failed tick's steps count nothing
+
+        # Gather the carried rows and step every row.
+        slots = self._slots
+        index = np.array(index)
+        block = work = None
+        if slots.rows is not None and len(reset) < len(tick):
+            block, work = slots.gather(index)
+            if reset:
+                block[reset] = 0.0
+        logits, work = self._step_rows(work, reset, frames, observe=True)
+        if block is None:
+            block = slots.new_block(work, logits)
+            acc = block[:, slots.acc_columns]
+            acc[...] = logits
         else:
-            for slot, event, state, frame in staged:
-                logits, state.net_state = self._step(state.net_state, frame)
-                self._after_step(frame)
-                outputs[slot] = self._append(state, event, frame, logits)
-        for _, event, state, _ in staged:
-            self._states[event.stream_id] = state
-        for output in outputs:
-            if isinstance(output, StreamResult):
-                self._after_window(output)
+            acc = block[:, slots.acc_columns]
+            acc += logits
+            if reset:
+                acc[reset] = logits[reset]
+
+        # Closed windows: read out, then restart from the sliding tail.
+        window, stride = self.window, self.stride
+        closing = [row for row, entry in enumerate(tick) if entry[3] + 1 == window]
+        scale = np.float32(1.0 / window)
+        readouts = iter([acc[row] * scale for row in closing])
+        if closing and stride < window:
+            tail_acc, tail_work = self._replay(
+                [tick[row][2].frames[stride:] + [frames[row:row + 1]] for row in closing])
+            acc[closing] = tail_acc
+            for leaf, tail_leaf in zip(work, tail_work):
+                if leaf is not None:
+                    leaf[closing] = tail_leaf
+
+        # Commit: every step has returned.
+        for row, (_, event, stream, _, _) in enumerate(tick):
+            if stream.slot is None:  # a new stream, or one whose window was empty
+                stream.slot = index[row] = slots.take()
+                self._states[event.stream_id] = stream
+        slots.scatter(index, block, work)
+        if self._plan is not None:
+            self._plan.publish_counts()
+        for row, (position, event, stream, carried, stale) in enumerate(tick):
+            stream.encoder_state = encoder_states[row]
+            stream.events += 1
+            stream.last_event_time = float(event.timestamp)
+            if stale:
+                stream.stale_resets += 1
+            if carried:
+                stream.frames.append(frames[row:row + 1])
+            else:
+                stream.frames = [frames[row:row + 1]]
+            stream.count = carried + 1
+            if stream.count < window:
+                continue
+            outputs[position] = StreamResult(
+                stream_id=event.stream_id,
+                timestamp=float(event.timestamp),
+                logits=next(readouts),
+                window_index=stream.windows,
+                events_in_window=window,
+                frames=tuple(stream.frames),
+            )
+            stream.windows += 1
+            stream.frames = stream.frames[stride:]
+            stream.count = len(stream.frames)
+            if not stream.count:
+                self._release(stream)
+        if closing:
+            for output in outputs:
+                if isinstance(output, StreamResult):
+                    self._after_window(output)
         return outputs
 
-    def _begin(self, event: StreamEvent) -> _StreamState:
-        """A working copy of the event's stream state, staleness applied.
+    def _stream_of(self, event: StreamEvent) -> _StreamState:
+        """The event's stream, a new unregistered one on its first event.
 
         Raises :class:`RejectedEvent` for an event whose width differs
         from its stream's recorded width or from the plan's input width.
         """
-        width = event.num_channels
-        stored = self._states.get(event.stream_id)
-        if stored is not None and width != stored.num_channels:
+        width = event.channels.shape[0]
+        stream = self._states.get(event.stream_id)
+        if stream is not None and width != stream.num_channels:
             raise RejectedEvent(
                 f"stream {event.stream_id!r} changed width: "
-                f"{stored.num_channels} -> {width}"
+                f"{stream.num_channels} -> {width}"
             )
         if self._plan is not None and width != self._plan.in_features:
             raise RejectedEvent(
                 f"stream {event.stream_id!r} sent {width} channels; "
                 f"the plan takes {self._plan.in_features}"
             )
-        if stored is None:
-            state = _StreamState(self.encoder.init_state(event.stream_id), width)
-        else:
-            state = stored.clone(self.encoder)
-        stale = (
-            self.ttl is not None
-            and state.last_event_time is not None
-            and event.timestamp - state.last_event_time > self.ttl
-        )
-        if stale:
-            state.stale_resets += 1
-            if self.reset_policy == "reset":
-                state.reset_window()
-        return state
+        if stream is None:
+            stream = _StreamState(self.encoder.init_state(event.stream_id), width)
+        return stream
 
-    def _append(
-        self, state: _StreamState, event: StreamEvent, frame: np.ndarray, logits: np.ndarray
-    ) -> Optional[StreamResult]:
-        """Add one stepped event to ``state``; a result when its window closes."""
-        state.frames.append(frame)
-        state.acc = logits.copy() if state.acc is None else state.acc + logits
-        state.count += 1
-        state.events += 1
-        state.last_event_time = float(event.timestamp)
-        if state.count < self.window:
-            return None
-        result = StreamResult(
-            stream_id=event.stream_id,
-            timestamp=float(event.timestamp),
-            logits=(state.acc * np.float32(1.0 / self.window))[0],
-            window_index=state.windows,
-            events_in_window=self.window,
-            frames=tuple(state.frames),
-        )
-        state.windows += 1
-        self._advance(state)
-        return result
+    def _step_rows(self, work, reset: List[int], frames: np.ndarray, observe: bool):
+        """Step each row of ``frames`` from its row of ``work``: ``(logits, work)``.
+
+        ``work`` holds the rows' state leaves (``None`` when every row is
+        fresh); the rows listed in ``reset`` step from a reset.  A plan
+        steps every row at once, fresh rows from zeros: exactly as from a
+        reset, up to the sign of a zero membrane, which no spike or
+        readout can see.  The module path steps the rows one at a time.
+        ``observe`` runs :meth:`_after_step` after each step.
+        """
+        if self._plan is not None:
+            return self._step_group(work, frames, observe)
+        stepped = [
+            self._step_group(
+                None if work is None or row in reset
+                else [None if leaf is None else leaf[row:row + 1] for leaf in work],
+                frames[row:row + 1], observe)
+            for row in range(len(frames))
+        ]
+        if len(stepped) == 1:
+            return stepped[0]
+        return (np.concatenate([logits for logits, _ in stepped]),
+                [None if parts[0] is None else np.concatenate(parts)
+                 for parts in zip(*(leaves for _, leaves in stepped))])
+
+    def _step_group(self, work, frames: np.ndarray, observe: bool):
+        """One :meth:`_step` over ``frames`` from ``work``: ``(logits, leaves)``."""
+        slots = self._slots
+        state = None if work is None else _rebuild(slots.template, iter(work))
+        logits, state = self._step(state, frames)
+        if observe:
+            self._after_step(frames)
+        if slots.template is None:
+            slots.template = state
+        return logits, _leaves(state)
+
+    def _replay(self, tails: List[List[np.ndarray]]):
+        """Step equal-length frame ``tails`` from a reset: ``(acc, work)``."""
+        acc = work = None
+        for frames in zip(*tails):
+            logits, work = self._step_rows(work, [], np.concatenate(frames), observe=False)
+            acc = logits if acc is None else acc + logits
+        return acc, work
 
     def _after_step(self, frame: np.ndarray) -> None:
         """Hook: a step over ``frame`` just ran (one event's row on the
@@ -349,7 +522,12 @@ class StreamSession:
         """Hook: a window readout was just committed."""
 
     def _step(self, net_state, frame: np.ndarray) -> Tuple[np.ndarray, object]:
-        """One timestep from ``net_state``: ``(logits, next_net_state)``."""
+        """One timestep from ``net_state``: ``(logits, next_net_state)``.
+
+        ``net_state`` is ``None`` (a reset) or, rebuilt from the slot
+        store, a state this method returned: a plan state, or a module
+        snapshot on the module path.
+        """
         if self._plan is not None:
             return self._plan.step(net_state, frame)
         if net_state is None:
@@ -359,21 +537,6 @@ class StreamSession:
         with no_grad():
             out = self.model.forward_once(Tensor(frame))
         return out.data, snapshot_net_state(self.model)
-
-    def _advance(self, state: _StreamState) -> None:
-        """Slide the window forward after an emission."""
-        if self.stride >= self.window:
-            state.reset_window()
-            return
-        # Sliding: replay the retained tail from a fresh reset so the
-        # next window's prefix is exactly an offline pass over it.
-        tail = state.frames[self.stride:]
-        state.reset_window()
-        for frame in tail:
-            logits, state.net_state = self._step(state.net_state, frame)
-            state.frames.append(frame)
-            state.acc = logits.copy() if state.acc is None else state.acc + logits
-            state.count += 1
 
     def flush(self, stream_id: Optional[str] = None) -> List[StreamResult]:
         """Emit partial windows (e.g. at end of feed) and reset them."""
@@ -387,7 +550,8 @@ class StreamSession:
                 StreamResult(
                     stream_id=sid,
                     timestamp=state.last_event_time or 0.0,
-                    logits=(state.acc * np.float32(1.0 / state.count))[0],
+                    logits=(self._slots.rows[state.slot, self._slots.acc_columns]
+                            * np.float32(1.0 / state.count)),
                     window_index=state.windows,
                     events_in_window=state.count,
                     frames=tuple(state.frames),
@@ -395,7 +559,9 @@ class StreamSession:
                 )
             )
             state.windows += 1
-            state.reset_window()
+            state.frames = []
+            state.count = 0
+            self._release(state)
         return results
 
     # ------------------------------------------------------------------
@@ -406,8 +572,16 @@ class StreamSession:
         return sorted(self._states)
 
     def drop_stream(self, stream_id: str) -> None:
-        """Forget a stream entirely (device decommissioned)."""
-        self._states.pop(stream_id, None)
+        """Forget a stream entirely (device decommissioned); its slot is reused."""
+        state = self._states.pop(stream_id, None)
+        if state is not None:
+            self._release(state)
+
+    def _release(self, stream: _StreamState) -> None:
+        """Give ``stream``'s slot back: its window is empty or it is gone."""
+        if stream.slot is not None:
+            self._slots.free.append(stream.slot)
+            stream.slot = None
 
     def stats(self) -> Dict[str, Dict]:
         """Per-stream counters for monitoring."""

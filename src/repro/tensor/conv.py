@@ -192,7 +192,7 @@ def _tiled_avg_pool2d(x: Tensor, kernel) -> Tensor:
         grad_x = np.zeros(x.shape, dtype=share.dtype)
         for tap in taps:
             grad_x[tap] = share
-        x._accumulate(grad_x)
+        x._accumulate(grad_x, owned=True)
 
     out._backward = backward
     return out
@@ -211,7 +211,7 @@ def avg_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         grad_rows = np.broadcast_to((grad / size).transpose(0, 2, 3, 1)[..., None], rows_shape)
-        x._accumulate(col2im(grad_rows, x.shape, kernel, stride_p, (0, 0)))
+        x._accumulate(col2im(grad_rows, x.shape, kernel, stride_p, (0, 0)), owned=True)
 
     out._backward = backward
     return out
@@ -228,7 +228,7 @@ def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
         grad_rows = np.zeros(rows_shape, dtype=grad.dtype)
         np.put_along_axis(grad_rows, argmax.transpose(2, 3, 4, 0, 1),
                           grad.transpose(0, 2, 3, 1)[..., None], axis=4)
-        x._accumulate(col2im(grad_rows, x.shape, kernel, stride_p, (0, 0)))
+        x._accumulate(col2im(grad_rows, x.shape, kernel, stride_p, (0, 0)), owned=True)
 
     out._backward = backward
     return out

@@ -70,11 +70,11 @@ def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) ->
         if weight.requires_grad:
             # Dense weight gradient: regrowth criteria need scores at
             # *inactive* positions too (exact parity with the dense path).
-            weight._accumulate(grad.T @ x.data)
+            weight._accumulate(grad.T @ x.data, owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=0))
+            bias._accumulate(grad.sum(axis=0), owned=True)
         if x.requires_grad:
-            x._accumulate(pattern.t_matmul(data, grad.T).T)
+            x._accumulate(pattern.t_matmul(data, grad.T).T, owned=True)
 
     out._backward = backward
     return out
@@ -136,11 +136,12 @@ def masked_conv2d(
         if weight.requires_grad:
             # Dense weight gradient (regrowth scores need inactive
             # positions too); one BLAS product against the lowering.
-            weight._accumulate((cols_t @ grad_rows).T.reshape(weight.shape))
+            weight._accumulate((cols_t @ grad_rows).T.reshape(weight.shape), owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
-            x._accumulate(col2im(input_grad(grad_rows), (n, c, h, w), (kh, kw), stride, padding))
+            x._accumulate(col2im(input_grad(grad_rows), (n, c, h, w), (kh, kw), stride, padding),
+                          owned=True)
 
     out._backward = backward
     return out
@@ -194,7 +195,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, label_smoothing: float = 
     )
 
     def backward(grad: np.ndarray) -> None:
-        logits._accumulate(grad * (probs - one_hot) / n)
+        logits._accumulate(grad * (probs - one_hot) / n, owned=True)
 
     out._backward = backward
     return out

@@ -52,6 +52,17 @@ def is_grad_enabled() -> bool:
     return getattr(_GRAD_STATE, "enabled", True)
 
 
+def _dense(array: np.ndarray) -> bool:
+    """Whether ``array`` fills its memory without gaps, in some axis order
+    and with positive strides: the layout a copy of it keeps."""
+    expected = array.itemsize
+    for stride, length in sorted((s, n) for s, n in zip(array.strides, array.shape) if n > 1):
+        if stride != expected:
+            return False
+        expected *= length
+    return True
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that its shape matches ``shape``.
 
@@ -180,13 +191,23 @@ class Tensor:
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         return Tensor(data, requires_grad=requires, _prev=parents if requires else (), _op=op)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``; the first gradient is copied.
+
+        ``owned`` says the backward just built ``grad`` and keeps no other
+        reference to it.  Then a float32, writeable ``grad`` that lies
+        densely in memory becomes ``self.grad`` as it is: the copy would
+        have had the same layout, so every later sum over it adds in the
+        same order.
+        """
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float32, copy=True)
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif owned and grad.dtype == np.float32 and grad.flags.writeable and _dense(grad):
+            self.grad = grad
+        else:
+            self.grad = np.array(grad, dtype=np.float32, copy=True)
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
@@ -256,7 +277,7 @@ class Tensor:
         out = self._make(-self.data, (self,), "neg")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         out._backward = backward
         return out
@@ -269,7 +290,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(_unbroadcast(grad, self.shape))
             if other_t.requires_grad:
-                other_t._accumulate(_unbroadcast(-grad, other_t.shape))
+                other_t._accumulate(_unbroadcast(-grad, other_t.shape), owned=True)
 
         out._backward = backward
         return out
@@ -283,9 +304,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other_t.data, self.shape))
+                self._accumulate(_unbroadcast(grad * other_t.data, self.shape), owned=True)
             if other_t.requires_grad:
-                other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape))
+                other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape), owned=True)
 
         out._backward = backward
         return out
@@ -299,7 +320,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other_t.data, self.shape))
+                self._accumulate(_unbroadcast(grad / other_t.data, self.shape), owned=True)
             if other_t.requires_grad:
                 other_t._accumulate(
                     _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape)
@@ -317,7 +338,7 @@ class Tensor:
         out = self._make(self.data ** exponent, (self,), "pow")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         out._backward = backward
         return out
@@ -330,7 +351,7 @@ class Tensor:
         out = self._make(value, (self,), "exp")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * value)
+            self._accumulate(grad * value, owned=True)
 
         out._backward = backward
         return out
@@ -339,7 +360,7 @@ class Tensor:
         out = self._make(np.log(self.data), (self,), "log")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, owned=True)
 
         out._backward = backward
         return out
@@ -349,7 +370,7 @@ class Tensor:
         out = self._make(value, (self,), "sqrt")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / value)
+            self._accumulate(grad * 0.5 / value, owned=True)
 
         out._backward = backward
         return out
@@ -358,7 +379,7 @@ class Tensor:
         out = self._make(np.abs(self.data), (self,), "abs")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.sign(self.data))
+            self._accumulate(grad * np.sign(self.data), owned=True)
 
         out._backward = backward
         return out
@@ -368,7 +389,7 @@ class Tensor:
         out = self._make(self.data * mask, (self,), "relu")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, owned=True)
 
         out._backward = backward
         return out
@@ -378,7 +399,7 @@ class Tensor:
         out = self._make(value, (self,), "sigmoid")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * value * (1.0 - value))
+            self._accumulate(grad * value * (1.0 - value), owned=True)
 
         out._backward = backward
         return out
@@ -388,7 +409,7 @@ class Tensor:
         out = self._make(value, (self,), "tanh")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - value ** 2))
+            self._accumulate(grad * (1.0 - value ** 2), owned=True)
 
         out._backward = backward
         return out
@@ -401,9 +422,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self_wins = (self.data >= other_t.data).astype(np.float32)
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * self_wins, self.shape))
+                self._accumulate(_unbroadcast(grad * self_wins, self.shape), owned=True)
             if other_t.requires_grad:
-                other_t._accumulate(_unbroadcast(grad * (1.0 - self_wins), other_t.shape))
+                other_t._accumulate(_unbroadcast(grad * (1.0 - self_wins), other_t.shape),
+                                    owned=True)
 
         out._backward = backward
         return out
@@ -414,7 +436,7 @@ class Tensor:
         out = self._make(value, (self,), "clip")
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * inside)
+            self._accumulate(grad * inside, owned=True)
 
         out._backward = backward
         return out
@@ -430,7 +452,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.shape).astype(np.float32))
+            self._accumulate(np.broadcast_to(g, self.shape).astype(np.float32), owned=True)
 
         out._backward = backward
         return out
@@ -463,7 +485,7 @@ class Tensor:
             # Split gradient between ties, matching numpy argmax semantics
             # closely enough for training purposes.
             counts = winners.sum(axis=axis, keepdims=True) if axis is not None else winners.sum()
-            self._accumulate(np.broadcast_to(g, self.shape) * winners / counts)
+            self._accumulate(np.broadcast_to(g, self.shape) * winners / counts, owned=True)
 
         out._backward = backward
         return out
@@ -507,7 +529,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         out._backward = backward
         return out
@@ -540,9 +562,9 @@ class Tensor:
             a, b = self.data, other_t.data
             if a.ndim == 1 and b.ndim == 1:
                 if self.requires_grad:
-                    self._accumulate(grad * b)
+                    self._accumulate(grad * b, owned=True)
                 if other_t.requires_grad:
-                    other_t._accumulate(grad * a)
+                    other_t._accumulate(grad * a, owned=True)
                 return
             # Lift 1-D operands to matrices; the output gradient gains
             # the corresponding singleton dimension.
@@ -557,10 +579,10 @@ class Tensor:
             # against a shared weight matrix), then restore 1-D shapes.
             if self.requires_grad:
                 grad_a = grad_mat @ np.swapaxes(b_mat, -1, -2)
-                self._accumulate(_unbroadcast(grad_a, a_mat.shape).reshape(a.shape))
+                self._accumulate(_unbroadcast(grad_a, a_mat.shape).reshape(a.shape), owned=True)
             if other_t.requires_grad:
                 grad_b = np.swapaxes(a_mat, -1, -2) @ grad_mat
-                other_t._accumulate(_unbroadcast(grad_b, b_mat.shape).reshape(b.shape))
+                other_t._accumulate(_unbroadcast(grad_b, b_mat.shape).reshape(b.shape), owned=True)
 
         out._backward = backward
         return out
@@ -630,9 +652,9 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a_t.requires_grad:
-            a_t._accumulate(_unbroadcast(grad * cond, a_t.shape))
+            a_t._accumulate(_unbroadcast(grad * cond, a_t.shape), owned=True)
         if b_t.requires_grad:
-            b_t._accumulate(_unbroadcast(grad * (~cond), b_t.shape))
+            b_t._accumulate(_unbroadcast(grad * (~cond), b_t.shape), owned=True)
 
     out._backward = backward
     return out

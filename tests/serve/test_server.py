@@ -99,11 +99,39 @@ class TestMicroBatcher:
 
     def test_keyed_take_scans_a_bounded_prefix(self):
         batcher = MicroBatcher(max_batch=2, max_latency_s=0.0, key=lambda p: p[0])
-        for payload in ("a1", "a2", "a3", "a4", "b1"):
-            batcher.submit(payload)
-        # b1 lies beyond the KEYED_SCAN * max_batch = 4 requests scanned.
+        scanned = MicroBatcher.KEYED_SCAN * batcher.max_batch
+        for index in range(1, scanned + 1):
+            batcher.submit(f"a{index}")
+        batcher.submit("b1")
+        # b1 lies beyond the KEYED_SCAN * max_batch requests scanned.
         assert [r.payload for r in batcher.next_batch()] == ["a1"]
         assert [r.payload for r in batcher.next_batch()] == ["a2", "b1"]
+
+    def test_keyed_queue_counts_its_requests_per_key(self):
+        # A take stops once it holds every queued key, so the counts must
+        # follow every submit, take, requeue and drain.
+        batcher = MicroBatcher(max_batch=2, max_latency_s=0.0, key=lambda p: p[0])
+
+        def assert_counts():
+            pending = [request.key for request in batcher._pending]
+            assert batcher._queued == {key: pending.count(key) for key in set(pending)}
+
+        for payload in ("a1", "a2", "b1", "c1", "a3"):
+            batcher.submit(payload)
+        assert_counts()
+        first = batcher.next_batch()
+        assert [r.payload for r in first] == ["a1", "b1"]
+        assert_counts()
+        batcher.requeue(first)
+        assert_counts()
+        assert [r.payload for r in batcher.next_batch()] == ["a1", "b1"]
+        assert [r.payload for r in batcher.next_batch()] == ["a2", "c1"]
+        assert_counts()
+        assert [r.payload for r in batcher.next_batch()] == ["a3"]
+        assert batcher._queued == {}
+        batcher.submit("d1")
+        batcher.drain_pending()
+        assert batcher._queued == {}
 
     def test_unkeyed_batches_are_plain_queue_order(self):
         batcher = MicroBatcher(max_batch=3, max_latency_s=0.0)

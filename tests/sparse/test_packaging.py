@@ -415,6 +415,52 @@ class TestManifestEntryErrors:
         self.raises(self.doctored(tmp_path, "nbytes", nbytes), "nbytes")
 
 
+MISSING = object()
+
+
+class TestManifestFieldErrors:
+    """A top-level or layer manifest field the runtime builder reads
+    fails with a ``ValueError`` naming the file and the field, never a
+    raw ``KeyError``/``TypeError``."""
+
+    @staticmethod
+    def doctored(tmp_path, field, value):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+
+        def edit(meta):
+            target, key = meta, field
+            if field.startswith("layers[0]."):
+                target, key = meta["layers"][0], field.split(".", 1)[1]
+            if value is MISSING:
+                del target[key]
+            else:
+                target[key] = value
+
+        rewrite_manifest(path, edit)
+        return PackedModel(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("precision", MISSING), ("precision", "f64"),
+        ("execution", MISSING), ("execution", "sparse"),
+        ("model_spec", MISSING), ("model_spec", {"kwargs": {}}),
+        ("model_spec", {"model": "mlp", "kwargs": {"bogus": 1}}),
+        ("layers", MISSING), ("layers", {"body.0.weight": {}}),
+        ("layers[0].name", MISSING), ("layers[0].name", 7),
+        ("layers[0].name", "body.9.weight"),
+        ("layers[0].nnz", MISSING), ("layers[0].nnz", -3), ("layers[0].nnz", "12"),
+        ("layers[0].shape", MISSING), ("layers[0].shape", [24]),
+        ("layers[0].shape", ["24", "16"]),
+        ("layers[0].orig_shape", MISSING), ("layers[0].orig_shape", [5, 5]),
+        ("layers[0].route", MISSING), ("layers[0].route", "sparse"),
+        ("layers[0].tensors", MISSING), ("layers[0].tensors", {"indptr": {}}),
+    ])
+    def test_field(self, tmp_path, field, value):
+        package = self.doctored(tmp_path, field, value)
+        message = f"{package.path}: manifest field {field!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_packed_runtime(package)
+
+
 # ----------------------------------------------------------------------
 # Stored-precision runtime: one CSRPattern runtime for every precision
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ Two oracles pin the plan:
 ``execution`` must say ``"plan"`` wherever a plan is expected, or a
 silent fallback to the module path would pass every identity check.
 
-A third oracle pins stacked steps: ``process_many`` over ticks of
-several streams must match ``process`` run event by event.
+A third oracle pins ticks: ``process_many`` over ticks of several
+streams, gathered from the slot store and stepped at once, must match
+``process`` run event by event.
 """
 
 import numpy as np
@@ -242,16 +243,22 @@ class TestStackedTicks:
         single = StreamSession(single_model, manager=single_manager,
                                encoder="rate", **windows)
         assert ticked.execution == single.execution == "plan"
-        stack, mixed = ticked._plan.stack, []
+        step, rows, mixed = ticked._step, [], []
 
-        def spying_stack(states):
-            fresh = sum(state is None for state in states)
-            mixed.append(0 < fresh < len(states))
-            return stack(states)
+        def spying_step(state, frame):
+            rows.append(len(frame))
+            return step(state, frame)
 
-        ticked._plan.stack = spying_stack
+        ticked._step = spying_step
         ticks = keyed_ticks(staggered_feed(), width=3)
-        emitted = [r for tick in ticks for r in ticked.process_many(tick) if r is not None]
+        emitted = []
+        for tick in ticks:
+            buffered = {sid: per["buffered"] for sid, per in ticked.stats().items()}
+            fresh = sum(buffered.get(event.stream_id, 0) == 0 for event in tick)
+            rows.clear()
+            emitted += [r for r in ticked.process_many(tick) if r is not None]
+            # One step over the whole tick comes first.
+            mixed.append(0 < fresh < len(tick) and rows[0] == len(tick))
         expected = [r for tick in ticks for e in tick if (r := single.process(e)) is not None]
 
         assert max(len(tick) for tick in ticks) == 3

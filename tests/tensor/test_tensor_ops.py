@@ -228,3 +228,44 @@ class TestConstantOperands:
         assert shapes == [(4, 5)]
         assert c.grad is None
         assert v.grad.tobytes() == (upstream @ c.data.T).tobytes()
+
+
+class TestGradientOwnership:
+    """``_accumulate`` copies a first gradient unless the backward just
+    built it (``owned``), and never lets two tensors share one array."""
+
+    def test_add_parents_of_one_upstream_array_do_not_alias(self):
+        a, b = make((3, 4), seed=1), make((3, 4), seed=2)
+        upstream = np.ones((3, 4), dtype=np.float32)
+        (a + b).backward(upstream)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, upstream)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, upstream)
+        assert np.array_equal(upstream, np.ones((3, 4), dtype=np.float32))
+
+    def test_an_owned_fresh_array_becomes_the_grad(self):
+        t = make((2, 3))
+        fresh = np.full((3, 2), 2.0, dtype=np.float32).T  # dense, F-ordered
+        t._accumulate(fresh, owned=True)
+        assert t.grad is fresh
+        t._accumulate(fresh.copy(), owned=True)  # later gradients add in
+        assert np.array_equal(t.grad, np.full((2, 3), 4.0, dtype=np.float32))
+
+    @pytest.mark.parametrize("grad", [
+        np.ones((4, 6), dtype=np.float32)[:, ::2],  # strided: a copy would change layout
+        np.ones((2, 3), dtype=np.float64),  # another dtype
+        np.broadcast_to(np.ones(3, dtype=np.float32), (2, 3)),  # read-only, overlapping
+    ], ids=["strided", "float64", "broadcast"])
+    def test_an_owned_array_a_copy_would_change_is_copied(self, grad):
+        t = make(grad.shape)
+        t._accumulate(grad, owned=True)
+        assert not np.shares_memory(t.grad, grad)
+        assert t.grad.dtype == np.float32
+        assert np.array_equal(t.grad, grad.astype(np.float32))
+
+    def test_unowned_first_gradient_is_copied(self):
+        t = make((2, 2))
+        grad = np.ones((2, 2), dtype=np.float32)
+        t._accumulate(grad)
+        assert not np.shares_memory(t.grad, grad)

@@ -231,9 +231,11 @@ class _BenchState:
     """Minimal MaskedParameter stand-in forcing the CSR conv route."""
 
     class _Manager:
+        dispatch_counts = {"dense": 0, "csr": 0}
+
         @staticmethod
-        def use_csr(state):
-            return True
+        def route(state):
+            return "csr"
 
     def __init__(self, mask, weight):
         self.mask = mask

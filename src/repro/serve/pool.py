@@ -111,7 +111,7 @@ class SupervisedPool:
         self.stop()
 
     def stats(self) -> Dict[str, int]:
-        """Counters; ``emitted`` counts the outputs that were not ``None``."""
+        """Counters; ``emitted`` counts the outputs that carry a result."""
         with self._lock:
             return {
                 "submitted": sum(shard.submitted for shard in self.shards),
@@ -154,7 +154,10 @@ class SupervisedPool:
                 self._fail(exhausted, error)
                 raise
             failed = sum(isinstance(output, Exception) for output in outputs)
-            emitted = sum(output is not None for output in outputs) - failed
+            # A failed output still emitted the ``result`` it carries (a
+            # stream window committed before its hook raised).
+            emitted = sum((getattr(output, "result", None) if isinstance(output, Exception)
+                           else output) is not None for output in outputs)
             # Counted before any future resolves, so a caller that saw
             # its result also sees it in stats().
             with self._lock:

@@ -26,7 +26,9 @@ per-stream neuron state must survive worker crashes, so:
   pool restarts the thread, the whole tick retries from the queue
   front, and no membrane state or readout is lost.  A malformed event
   fails only its own future, with a
-  :class:`~repro.stream.session.RejectedEvent`; the worker lives on.
+  :class:`~repro.stream.session.RejectedEvent`, and so does an event
+  whose window hook raised after its tick committed, with a
+  :class:`~repro.stream.session.WindowHookError`; the worker lives on.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..stream.events import StreamEvent
-from ..stream.session import RejectedEvent, StreamResult, StreamSession
+from ..stream.session import RejectedEvent, StreamResult, StreamSession, WindowHookError
 from .batcher import MicroBatcher
 from .pool import SupervisedPool
 
@@ -52,10 +54,11 @@ def _steps_ticks(session: StreamSession) -> bool:
 
 
 def _process_one(session: StreamSession, event: StreamEvent):
-    """``session.process(event)``, a rejection returned instead of raised."""
+    """``session.process(event)``, a rejection or a failed window hook
+    returned instead of raised."""
     try:
         return session.process(event)
-    except RejectedEvent as error:
+    except (RejectedEvent, WindowHookError) as error:
         return error
 
 

@@ -36,7 +36,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..tensor.functional import STATIC_CSR_DENSITY_CUTOFF
 from ..utils import publish_once
 from .storage import CSRPattern
 
@@ -56,6 +55,11 @@ WIN_MARGIN = 1.10
 #: Batch (columns of the dense operand) used for calibration timings —
 #: representative of the reproduction's training batches.
 CALIBRATION_BATCH = 32
+
+#: ``auto`` density cutoff of a shape no :class:`CalibrationTable` has
+#: measured.  Conservative: ``BENCH_kernels.json`` shows CSR is a
+#: *slowdown* at 50% density and only clearly ahead below ~15–20%.
+STATIC_CSR_DENSITY_CUTOFF = 0.15
 
 _PROCESS_CACHE: Dict[Tuple[Optional[str], int, int], float] = {}
 
@@ -197,7 +201,7 @@ class CalibrationTable:
     Maps a reduced 2-D weight shape to the highest density at which the
     CSR kernels are worth taking on this machine.  Layers whose shape
     is absent fall back to the static
-    :data:`~repro.tensor.functional.STATIC_CSR_DENSITY_CUTOFF`.
+    :data:`STATIC_CSR_DENSITY_CUTOFF`.
     """
 
     def __init__(self, cutoffs: Optional[Dict[Tuple[int, int], float]] = None) -> None:

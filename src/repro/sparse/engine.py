@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..nn.module import Module, Parameter
-from ..tensor.functional import STATIC_CSR_DENSITY_CUTOFF
+from .dispatch import STATIC_CSR_DENSITY_CUTOFF
 from .erk import build_distribution
 from .schedule import LayerwiseSparsityRamp
 
@@ -45,7 +45,7 @@ from .schedule import LayerwiseSparsityRamp
 #: (already masked) dense weights; ``auto`` picks CSR when the measured
 #: layer density drops below the dispatch cutoff (per-shape calibrated
 #: when a :class:`~repro.sparse.dispatch.CalibrationTable` is present,
-#: :data:`~repro.tensor.functional.STATIC_CSR_DENSITY_CUTOFF`
+#: :data:`~repro.sparse.dispatch.STATIC_CSR_DENSITY_CUTOFF`
 #: otherwise); ``csr`` forces the sparse kernels.
 EXECUTION_MODES = ("dense", "auto", "csr")
 
@@ -362,10 +362,31 @@ class MaskedParameter:
         if cache is None:
             return
         manager = self.manager
-        if manager is None or not manager.use_csr(self):
+        if manager is None or manager.route(self) != "csr":
             return
         cache.gather(self.parameter.data)
         self._values_dirty = False
+
+    @staticmethod
+    def products(state: Optional["MaskedParameter"], weight: np.ndarray):
+        """``(route, forward, input_grad)`` of a masked layer: the one dispatch.
+
+        ``state`` is the layer's state (``None`` when unbound), ``weight``
+        its ``(out, in)`` matrix.  The route is the manager's
+        :meth:`SparsityManager.route`, counted once in its
+        ``dispatch_counts``; ``forward(rows)`` is ``rows @ weight.T`` and
+        ``input_grad(grad_rows)`` is ``grad_rows @ weight``, by BLAS or
+        the layer's ``CSRPattern``.  No state or manager: dense, uncounted.
+        """
+        manager = None if state is None else state.manager
+        route = "dense" if manager is None else manager.route(state)
+        if manager is not None:
+            manager.dispatch_counts[route] += 1
+        if route == "dense":
+            return route, lambda rows: rows @ weight.T, lambda grad_rows: grad_rows @ weight
+        pattern, values = state.csr_pattern(), state.csr_values()
+        return (route, lambda rows: pattern.matmul(values, rows.T).T,
+                lambda grad_rows: pattern.t_matmul(values, grad_rows.T).T)
 
     def __repr__(self) -> str:
         return (
@@ -419,7 +440,7 @@ class SparsityManager:
         :class:`~repro.sparse.storage.CSRPattern` objects, each served
         by a maskless frozen :class:`MaskedParameter`; ``package`` is
         the :class:`~repro.sparse.packaging.PackedModel` they came from.
-        Routes follow :meth:`use_csr`, as for a trained manager.
+        Routes follow :meth:`route`, as for a trained manager.
         """
         parameters = dict(model.named_parameters())
         missing = [name for name in patterns if name not in parameters]
@@ -456,6 +477,9 @@ class SparsityManager:
         #: The :class:`~repro.sparse.packaging.PackedModel` a serving
         #: manager was loaded from; ``None`` for trained managers.
         self.package = None
+        #: Masked-layer calls per route (module forwards and plan ops),
+        #: counted by :meth:`MaskedParameter.products`.
+        self.dispatch_counts: Dict[str, int] = {"dense": 0, "csr": 0}
         self._bound = False
 
     # ------------------------------------------------------------------
@@ -592,19 +616,14 @@ class SparsityManager:
     # ------------------------------------------------------------------
     # Layer binding / execution dispatch
     # ------------------------------------------------------------------
-    def bind_layers(
-        self,
-        execution: Optional[str] = None,
-        calibrate: bool = False,
-    ) -> int:
+    def bind_layers(self, execution: Optional[str] = None) -> int:
         """Attach per-layer state to the owning nn modules.
 
         After binding, ``Linear``/``Conv2d`` forward passes consult the
         state and (under ``auto``/``csr`` execution) run the CSR fast
-        path.  ``calibrate=True`` additionally builds the measured
-        per-shape dispatch table for ``auto`` execution (opt-in: plain
-        binds keep the static threshold so cheap test harnesses never
-        pay for timing runs).  Returns the number of layers bound.
+        path.  Binding never calibrates: ``set_execution(...,
+        calibrate=True)`` or :meth:`calibrate` builds the measured table.
+        Returns the number of layers bound.
         """
         if execution is not None:
             self.set_execution(execution)
@@ -616,8 +635,6 @@ class SparsityManager:
                 object.__setattr__(module, "weight_state", by_parameter[id(weight)])
                 bound += 1
         self._bound = True
-        if calibrate and self.execution == "auto":
-            self.calibrate()
         return bound
 
     def unbind_layers(self) -> None:
@@ -656,13 +673,11 @@ class SparsityManager:
         self.calibration = table
         return table
 
-    def use_csr(self, state: MaskedParameter) -> bool:
-        """Dispatch decision for one layer, by measured density."""
-        if self.execution == "csr":
-            return True
+    def route(self, state: MaskedParameter) -> str:
+        """``"csr"`` or ``"dense"``: one layer's route, by measured density."""
         if self.execution == "auto":
-            return state.density() <= self._cutoff_for(state)[0]
-        return False
+            return "csr" if state.density() <= self._cutoff_for(state)[0] else "dense"
+        return "csr" if self.execution == "csr" else "dense"
 
     def _cutoff_for(self, state: MaskedParameter) -> Tuple[float, str]:
         """``auto`` density cutoff for one layer and where it came from."""
@@ -690,7 +705,7 @@ class SparsityManager:
             "cutoff": round(float(cutoff), 4),
             "cutoff_source": source,
             "execution": self.execution,
-            "route": "csr" if self.use_csr(state) else "dense",
+            "route": self.route(state),
         }
 
     # ------------------------------------------------------------------
@@ -733,10 +748,8 @@ class SparsityManager:
         Called after topology edits so the index rebuild and the value
         gather happen at the mask-update site, not on the next forward.
         """
-        if self.execution == "dense":
-            return
         for state in self.states.values():
-            if self.use_csr(state):
+            if self.route(state) == "csr":
                 state.csr_values()
 
     def __repr__(self) -> str:

@@ -38,7 +38,7 @@ def serving_storage_report(manager, precision: str = None) -> Dict[str, object]:
         pattern = state.csr_pattern()
         layers.append({
             "layer": name,
-            "route": "csr" if manager.use_csr(state) else "dense",
+            "route": manager.route(state),
             "density": round(state.density(), 4),
             "nonzeros": pattern.nnz,
             "csr_bits": csr_bits(pattern.nnz, pattern.shape[0]),

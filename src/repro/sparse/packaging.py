@@ -358,7 +358,7 @@ def write_package(
             "shape": list(pattern.shape),
             "orig_shape": list(pattern.orig_shape),
             "nnz": pattern.nnz,
-            "route": "csr" if manager.use_csr(state) else "dense",
+            "route": manager.route(state),
             "tensors": {
                 "indices": writer.add(varint_encode(deltas)),
                 "indptr": writer.add(pattern.indptr.astype(np.int32)),
@@ -695,7 +695,7 @@ def build_packed_runtime(
     if runtime == "f32":
         for entry in package.meta["layers"]:
             state = manager.states[entry["name"]]
-            route = "csr" if manager.use_csr(state) else "dense"
+            route = manager.route(state)
             if route != entry["route"]:
                 raise ValueError(
                     f"{package.path}: layer {state.name!r} routes {route} "

@@ -10,7 +10,7 @@ from .encoders import (
 from .adapt import AdaptiveStreamSession, OnlineAdaptation
 from .events import EventStream, ListSource, StreamEvent, StreamSource
 from .faults import StreamFaultInjector
-from .session import RejectedEvent, StreamResult, StreamSession
+from .session import RejectedEvent, StreamResult, StreamSession, WindowHookError
 
 __all__ = [
     "StreamEvent",
@@ -25,6 +25,7 @@ __all__ = [
     "StreamSession",
     "StreamResult",
     "RejectedEvent",
+    "WindowHookError",
     "AdaptiveStreamSession",
     "OnlineAdaptation",
     "StreamFaultInjector",

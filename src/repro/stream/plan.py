@@ -8,10 +8,11 @@ replays it as plain numpy on arrays — no ``Tensor`` objects, no
 module-tree walks, no state swapped in and out of the shared model.
 
 A plan fixes the chain of leaves and nothing else.  Each linear op does
-at every call what ``masked_linear`` does: it reads the layer's route
-(``_use_csr``), CSR pattern, value buffer, weight and bias then, so a
-manager thawed, edited, re-frozen or re-routed after compiling is run
-exactly as the module path would run it, and a plan cannot go stale.
+at every call what ``masked_linear`` does: it takes the layer's route and
+products from :meth:`~repro.sparse.engine.MaskedParameter.products`
+(which counts the route on the layer's manager) and reads the bias then,
+so a manager thawed, edited, re-frozen or re-routed after compiling is
+run exactly as the module path would run it, and a plan cannot go stale.
 Values are aliased, never copied; frozen CSR buffers may be views into
 an mmap'd package.
 
@@ -19,10 +20,8 @@ Neuron state is one flat tuple ``(v, o_prev, v, o_prev, ...)`` of
 arrays, a pair per neuron in plan order, one row per stream.  A step
 returns a new tuple and never writes the old one, so a session that
 drops a half-processed tick keeps its committed state.  Every op
-repeats the module path's op order on the same operand layouts (the
-dense route multiplies by the same transposed weight view
-``Tensor.matmul`` uses; the CSR route makes the same
-``CSRPattern.matmul`` call ``masked_linear`` makes), so a plan step is
+repeats the module path's op order on the same operand layouts (linear
+ops run the products ``masked_linear`` runs), so a plan step is
 bit-identical to ``model.forward_once``.
 
 One step can advance many streams at once: a session gathers their rows
@@ -48,8 +47,8 @@ import numpy as np
 from ..nn.layers import Linear
 from ..snn.functional import _stateful_modules
 from ..snn.neuron import IFNeuron, LIFNeuron
+from ..sparse.engine import MaskedParameter
 from ..tensor import Tensor, no_grad
-from ..tensor.functional import _use_csr
 
 #: Leaf module types a plan can run; anything else keeps the module path.
 SUPPORTED_LEAVES = (Linear, LIFNeuron, IFNeuron)
@@ -58,10 +57,10 @@ SUPPORTED_LEAVES = (Linear, LIFNeuron, IFNeuron)
 class _Linear:
     """One ``Linear`` as ``masked_linear`` runs it, read at each call.
 
-    The route, CSR pattern and values, weight and bias all come from the
-    layer when the op runs.  ``batched`` multiplies a dense stack in one
-    gemm, as ``masked_linear`` does on the same batch; otherwise each
-    row runs as a lone event would.
+    The route, its products and the bias all come from the layer when
+    the op runs.  ``batched`` multiplies a dense stack in one gemm, as
+    ``masked_linear`` does on the same batch; otherwise each row runs as
+    a lone event would.
     """
 
     __slots__ = ("layer",)
@@ -71,17 +70,13 @@ class _Linear:
 
     def __call__(self, x: np.ndarray, batched: bool) -> np.ndarray:
         layer = self.layer
-        state = layer.weight_state
-        if _use_csr(state):
-            out = state.csr_pattern().matmul(state.csr_values(), x.T).T
-        elif batched or len(x) == 1:
-            out = x @ layer.weight.data.T
+        route, forward, _ = MaskedParameter.products(layer.weight_state, layer.weight.data)
+        if route == "csr" or batched or len(x) == 1:
+            out = forward(x)
         else:
             # A gemm over the stack sums in another order than the lone
             # event's call, so each row runs alone, on a fresh (1, k) copy.
-            weight_t = layer.weight.data.T
-            out = np.concatenate([x[row:row + 1].copy() @ weight_t
-                                  for row in range(len(x))])
+            out = np.concatenate([forward(x[row:row + 1].copy()) for row in range(len(x))])
         if layer.bias is not None:
             out = out + layer.bias.data
         return out
@@ -176,7 +171,8 @@ def _record_leaf_calls(model, leaves, width: int):
     Each leaf's ``forward`` is wrapped on the instance for the duration
     of the call, so ``calls`` lists ``(module, args, kwargs, output)`` in
     execution order.  Neuron state and spike counters are put back
-    afterwards, so the probe leaves no trace on the model.
+    afterwards, and so are the dispatch counts of every leaf's manager,
+    so the probe leaves no trace on the model.
     """
     calls = []
 
@@ -192,6 +188,9 @@ def _record_leaf_calls(model, leaves, width: int):
     neurons = [module for _, module in leaves if type(module) is not Linear]
     saved = [(module.snapshot_state(), module.spike_count, module.neuron_steps)
              for module in neurons]
+    states = [getattr(module, "weight_state", None) for _, module in leaves]
+    counts = [(state.manager, dict(state.manager.dispatch_counts)) for state in states
+              if state is not None and state.manager is not None]
     for _, module in leaves:
         object.__setattr__(module, "forward", recorder(module))
     probe = Tensor(np.zeros((1, width), dtype=np.float32))
@@ -204,6 +203,8 @@ def _record_leaf_calls(model, leaves, width: int):
         for module, (snapshot, spikes, steps) in zip(neurons, saved):
             module.restore_state(snapshot)
             module.spike_count, module.neuron_steps = spikes, steps
+        for manager, counted in counts:
+            manager.dispatch_counts.update(counted)
     return probe, calls, output
 
 

@@ -96,6 +96,17 @@ class RejectedEvent(ValueError):
     differs from its stream's recorded width or from the plan's."""
 
 
+class WindowHookError(RuntimeError):
+    """The window hook raised after its event's tick committed, so the
+    event must not be retried: ``result`` is the committed readout and
+    ``__cause__`` the hook's error."""
+
+    def __init__(self, result: StreamResult) -> None:
+        super().__init__(f"window hook failed after {result.stream_id!r} "
+                         f"window {result.window_index} committed")
+        self.result = result
+
+
 class _StreamState:
     """One stream's bookkeeping.  While its window holds events
     (``count > 0``) its neuron state and logit sum live in row ``slot``
@@ -317,11 +328,12 @@ class StreamSession:
 
         Transactional: on exception the stream's committed state is
         unchanged, so the caller can safely retry the same event.  A
-        malformed event raises its :class:`RejectedEvent` (see
+        malformed event raises its :class:`RejectedEvent`, and a failed
+        window hook its :class:`WindowHookError` after the commit (see
         :meth:`process_many`).
         """
         output = self.process_many([event])[0]
-        if isinstance(output, RejectedEvent):
+        if isinstance(output, Exception):
             raise output
         return output
 
@@ -332,7 +344,10 @@ class StreamSession:
         event's :class:`StreamResult`, ``None`` when no window closed, or
         the :class:`RejectedEvent` refusing a malformed event: one whose
         width differs from its stream's recorded width or from the plan's
-        input width.  A rejected event leaves its stream untouched.
+        input width.  A rejected event leaves its stream untouched.  A
+        window whose :meth:`_after_window` hook raises is committed all
+        the same, and its output is a :class:`WindowHookError` carrying
+        the result.
 
         The accepted events' rows are gathered from the slot store and
         stepped (one plan step for all of them, or one module-path step
@@ -442,9 +457,13 @@ class StreamSession:
             if not stream.count:
                 self._release(stream)
         if closing:
-            for output in outputs:
+            for position, output in enumerate(outputs):
                 if isinstance(output, StreamResult):
-                    self._after_window(output)
+                    try:
+                        self._after_window(output)
+                    except Exception as error:
+                        outputs[position] = WindowHookError(output)
+                        outputs[position].__cause__ = error
         return outputs
 
     def _stream_of(self, event: StreamEvent) -> _StreamState:

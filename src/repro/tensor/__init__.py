@@ -14,8 +14,6 @@ from .conv import (
     max_pool2d,
 )
 from .functional import (
-    DISPATCH_COUNTS,
-    STATIC_CSR_DENSITY_CUTOFF,
     accuracy,
     cross_entropy,
     log_softmax,
@@ -40,13 +38,11 @@ __all__ = [
     "im2col_t",
     "col2im",
     "conv_output_shape",
-    "STATIC_CSR_DENSITY_CUTOFF",
     "log_softmax",
     "softmax",
     "cross_entropy",
     "masked_linear",
     "masked_conv2d",
-    "DISPATCH_COUNTS",
     "mse_loss",
     "nll_loss",
     "accuracy",

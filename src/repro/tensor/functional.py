@@ -1,12 +1,13 @@
-"""Loss functions, classification helpers and the sparse op dispatch.
+"""Loss functions, classification helpers and the masked layer ops.
 
-Besides the losses, this module hosts the dense-vs-CSR dispatch shim
-for masked layers: :func:`masked_linear` and :func:`masked_conv2d`
-inspect the layer's :class:`~repro.sparse.engine.MaskedParameter`
-state (if any) and route the computation through the CSR kernels when
-the owning :class:`~repro.sparse.engine.SparsityManager` decides the
-measured density warrants it.  Unmasked layers take the dense route,
-so masked and unmasked models share one code path.
+:func:`masked_linear` and :func:`masked_conv2d` are the autograd nodes
+of every ``Linear`` and ``Conv2d``.  Each asks
+:meth:`~repro.sparse.engine.MaskedParameter.products` for its layer's
+two row products (the forward ``rows @ W^T`` and the input gradient
+``grad_rows @ W``); that one function picks the dense or CSR route and
+counts it on the owning manager, so this module holds no dispatch
+policy.  Unmasked layers take the dense route, so masked and unmasked
+models share one code path.
 
 Gradient parity: the CSR route computes the *weight* gradient densely
 (the drop-and-grow methods score regrowth by dense gradient magnitude,
@@ -21,60 +22,37 @@ import numpy as np
 from .conv import _pair, col2im, conv_output_shape, im2col_t
 from .tensor import Tensor, is_grad_enabled
 
-#: Dispatch counters (reset freely in tests/benches): how many forward
-#: calls took each route since process start.
-DISPATCH_COUNTS = {"dense": 0, "csr": 0}
-
-#: Static fallback density cutoff for ``auto`` execution when no
-#: measured calibration table is available.  Deliberately conservative:
-#: ``BENCH_kernels.json`` shows CSR is a *slowdown* at 50% density and
-#: only clearly ahead below ~15–20%, so the uncalibrated dispatcher
-#: must never route a known-losing density through the sparse kernels.
-#: Calibrated dispatch (``repro.sparse.dispatch``) replaces this with a
-#: per-shape measured crossover.
-STATIC_CSR_DENSITY_CUTOFF = 0.15
-
-
-def _use_csr(state) -> bool:
-    if state is None or state.manager is None:
-        return False
-    return state.manager.use_csr(state)
-
 
 def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) -> Tensor:
-    """``y = x W^T + b`` with density-based dense/CSR dispatch.
+    """``y = x W^T + b`` on ``(N, in)`` rows: one autograd node, either route.
 
     ``state`` is the layer's :class:`MaskedParameter` (or ``None`` for
-    an unmasked layer); the dense route reproduces the historical
-    ``Linear.forward`` exactly.
+    an unmasked layer).  Both routes share the dense weight gradient
+    ``(x^T grad)^T`` and the bias gradient; they differ only in the
+    forward and input-gradient products.
     """
-    if not _use_csr(state):
-        DISPATCH_COUNTS["dense"] += 1
-        out = x.matmul(weight.T)
-        if bias is not None:
-            out = out + bias
-        return out
-    DISPATCH_COUNTS["csr"] += 1
-    pattern = state.csr_pattern()
-    data = state.csr_values()
-    out_data = pattern.matmul(data, x.data.T).T
+    if x.ndim != 2:
+        raise ValueError(f"masked_linear takes (N, in) rows, got shape {x.shape}")
+    from ..sparse.engine import MaskedParameter  # deferred: repro.sparse imports this package
+
+    _, forward, input_grad = MaskedParameter.products(state, weight.data)
+    out_data = forward(x.data)
     if bias is not None:
         out_data = out_data + bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires,
-                 _prev=parents if requires else (), _op="masked_linear")
+    out = x._make(out_data, parents, "masked_linear")
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
             # Dense weight gradient: regrowth criteria need scores at
-            # *inactive* positions too (exact parity with the dense path).
-            weight._accumulate(grad.T @ x.data, owned=True)
+            # *inactive* positions too.  The orientation is pinned, since
+            # BLAS sums in an order set by the operands' layout.
+            weight._accumulate((x.data.T @ grad).T, owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=0), owned=True)
         if x.requires_grad:
-            x._accumulate(pattern.t_matmul(data, grad.T).T, owned=True)
+            x._accumulate(input_grad(grad), owned=True)
 
     out._backward = backward
     return out
@@ -113,17 +91,10 @@ def masked_conv2d(
     # (tests/tensor/test_conv.py).  The dense route's channels-last output
     # is the layout batch norm reduces over without a copy.
     cols_t = im2col_t(x.data, (kh, kw), stride, padding)  # (K, N*L)
-    if _use_csr(state):
-        DISPATCH_COUNTS["csr"] += 1
-        pattern = state.csr_pattern()
-        data = state.csr_values()
-        out_rows = pattern.matmul(data, cols_t).T
-        input_grad = lambda grad_rows: pattern.t_matmul(data, grad_rows.T).T
-    else:
-        DISPATCH_COUNTS["dense"] += 1
-        w_mat = weight.data.reshape(f, -1)
-        out_rows = cols_t.T @ w_mat.T
-        input_grad = lambda grad_rows: grad_rows @ w_mat
+    from ..sparse.engine import MaskedParameter  # deferred: repro.sparse imports this package
+
+    _, forward, input_grad = MaskedParameter.products(state, weight.data.reshape(f, -1))
+    out_rows = forward(cols_t.T)
     out_data = out_rows.reshape(n, length, f).transpose(0, 2, 1).reshape(n, f, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, f, 1, 1)

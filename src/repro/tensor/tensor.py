@@ -534,23 +534,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions symmetrically."""
-        if padding == 0:
-            return self
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding), (padding, padding)]
-        out = self._make(np.pad(self.data, pad_width), (self,), "pad2d")
-
-        def backward(grad: np.ndarray) -> None:
-            slices = tuple(
-                slice(None) if before == 0 else slice(before, -after or None)
-                for before, after in pad_width
-            )
-            self._accumulate(grad[slices])
-
-        out._backward = backward
-        return out
-
     # ------------------------------------------------------------------
     # Linear algebra
     # ------------------------------------------------------------------

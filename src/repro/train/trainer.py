@@ -24,7 +24,6 @@ from ..optim import LRScheduler, Optimizer
 from ..snn.functional import reset_spike_stats, spike_rate
 from ..sparse.engine import SparseTrainingMethod
 from ..tensor import Tensor, cross_entropy
-from ..tensor.functional import DISPATCH_COUNTS
 from .hooks import CallbackList, ConsoleLogger, MethodCallback, TrainerCallback
 from .metrics import AverageMeter, evaluate
 
@@ -186,13 +185,14 @@ class Trainer:
         for epoch in range(start_epoch, epochs):
             self.callbacks.fire("on_epoch_start", self, epoch)
             reset_spike_stats(self.model)
-            dispatch_before = dict(DISPATCH_COUNTS)
+            masks = self.method.masks
+            counts = masks.dispatch_counts if masks is not None else {"dense": 0, "csr": 0}
+            before = dict(counts)
             train_loss, train_accuracy = self.train_epoch()
-            # Snapshot the dispatch counters around the training pass
-            # only, so evaluation passes don't dilute the share.
-            csr_calls = DISPATCH_COUNTS["csr"] - dispatch_before["csr"]
-            dense_calls = DISPATCH_COUNTS["dense"] - dispatch_before["dense"]
-            total_calls = csr_calls + dense_calls
+            # The method's own manager, counted around the training pass
+            # only: evaluation and other models' forwards leave the share.
+            csr_calls = counts["csr"] - before["csr"]
+            total_calls = csr_calls + counts["dense"] - before["dense"]
             epoch_spike_rate = spike_rate(self.model)
             if self.scheduler is not None:
                 self.scheduler.step()

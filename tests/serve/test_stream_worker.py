@@ -22,7 +22,7 @@ from repro.data.telemetry import make_telemetry_stream
 from repro.serve import InferenceServer, StreamServer
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
-from repro.stream import AdaptiveStreamSession, StreamEvent, StreamSession
+from repro.stream import AdaptiveStreamSession, StreamEvent, StreamSession, WindowHookError
 
 CHANNELS = 6
 
@@ -43,6 +43,21 @@ def make_adaptive_session(seed=0, window=4):
     manager = SparsityManager(model, rng=np.random.default_rng(seed + 1))
     manager.init_random({name: 0.5 for name in manager.states})
     return AdaptiveStreamSession(model, manager, adapt_every=1, window=window, encoder="rate")
+
+
+def fail_first_round(session):
+    """Make an adaptive session's first round raise; later rounds run."""
+    update = session.method.update_topology
+    calls = []
+
+    def flaky(iteration):
+        calls.append(iteration)
+        if len(calls) == 1:
+            raise RuntimeError("injected adaptation failure")
+        return update(iteration)
+
+    session.method.update_topology = flaky
+    return session
 
 
 def make_feed(streams=3, events=8, seed=0):
@@ -301,6 +316,43 @@ class TestRestartWithoutLoss:
         assert stats["failed"] == len(bad)
         assert stats["completed"] == len(feed)
         assert "device-99" not in stats["streams"]
+
+    def test_a_raising_window_hook_fails_the_event_after_its_commit(self):
+        session = fail_first_round(make_adaptive_session(window=2))
+        feed = make_feed(streams=1, events=4)
+        assert session.process(feed[0]) is None
+        with pytest.raises(WindowHookError) as failure:
+            session.process(feed[1])
+        # The window was committed before the hook ran: the error carries
+        # its readout and chains the hook's error.
+        assert failure.value.result.window_index == 0
+        assert isinstance(failure.value.__cause__, RuntimeError)
+        assert session.stats()[feed[0].stream_id]["events"] == 2
+        # The next window opens normally and its hook runs.
+        assert session.process(feed[2]) is None
+        assert session.process(feed[3]).window_index == 1
+        assert session.adaptation_rounds == 2
+        assert len(session.method.history) == 1
+
+    def test_a_raising_window_hook_fails_its_event_without_a_retry(self):
+        # A retry would apply the committed window's events twice, so the
+        # event's future fails by name and the worker lives on.
+        feed = make_feed(streams=1, events=4)
+        stream_id = feed[0].stream_id
+        with StreamServer(lambda: fail_first_round(make_adaptive_session(window=2)),
+                          workers=1) as server:
+            first = [server.submit(event) for event in feed[:2]]
+            assert first[0].result(timeout=30.0) is None
+            with pytest.raises(WindowHookError):
+                first[1].result(timeout=30.0)
+            stats = server.stats()
+            assert stats["streams"][stream_id]["events"] == 2
+            assert stats["restarts"] == 0
+            second = [server.submit(event).result(timeout=30.0) for event in feed[2:]]
+            stats = server.stats()
+        assert second[0] is None and second[1].window_index == 1
+        # The hook's failed window was committed, so the server counts it.
+        assert stats["windows"] == stats["streams"][stream_id]["windows"] == 2
 
     def test_counters_hold_with_rejected_events_under_contention(self):
         # More shards than cores and a tiny switch interval: a counter

@@ -2,8 +2,8 @@
 
 Covers the :class:`~repro.sparse.storage.CSRPattern` kernels (float32,
 plus the float16/int8 stored values and per-row scales packed artifacts
-serve) and the dense-vs-CSR dispatch shim in
-:mod:`repro.tensor.functional`.
+serve) and the dense-vs-CSR dispatch of the masked layer ops
+(:meth:`repro.sparse.engine.MaskedParameter.products`).
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from scipy.sparse import csr_matrix
 from repro.nn.layers import Conv2d, Linear
 from repro.sparse import CSRPattern, SparsityManager
 from repro.tensor import (
-    DISPATCH_COUNTS,
     Tensor,
     check_gradients,
     masked_conv2d,
@@ -38,9 +37,10 @@ class FakeManager:
 
     def __init__(self, csr=True):
         self.csr = csr
+        self.dispatch_counts = {"dense": 0, "csr": 0}
 
-    def use_csr(self, state):
-        return self.csr
+    def route(self, state):
+        return "csr" if self.csr else "dense"
 
 
 class FakeState:
@@ -209,6 +209,12 @@ class TestCSRPatternKernels:
 
 
 class TestMaskedLinearCSR:
+    @pytest.mark.parametrize("shape", [(16,), (2, 4, 16)])
+    def test_rejects_inputs_that_are_not_rows(self, shape):
+        weight, _, state = masked_layer_pair((12, 16), 0.5, seed=10)
+        with pytest.raises(ValueError, match="takes \\(N, in\\) rows"):
+            masked_linear(Tensor(np.zeros(shape, dtype=np.float32)), weight, None, state)
+
     @pytest.mark.parametrize("sparsity", SPARSITIES)
     def test_forward_matches_dense_path(self, sparsity):
         weight, _, state = masked_layer_pair((12, 16), sparsity, seed=10)
@@ -402,22 +408,28 @@ class TestDispatch:
         manager.init_distribution("uniform", 0.05)
         manager.bind_layers(execution="auto")
         x = Tensor(rng.standard_normal((4, 32)).astype(np.float32))
-        before = dict(DISPATCH_COUNTS)
         model(x)
-        assert DISPATCH_COUNTS["csr"] == before["csr"] + 1
+        assert manager.dispatch_counts == {"dense": 0, "csr": 1}
         # Re-densify: auto dispatch falls back to the dense kernels.
         manager.init_distribution("uniform", 0.9)
-        before = dict(DISPATCH_COUNTS)
         model(x)
-        assert DISPATCH_COUNTS["dense"] == before["dense"] + 1
+        assert manager.dispatch_counts == {"dense": 1, "csr": 1}
 
-    def test_unmasked_layers_take_dense_route(self):
-        layer = Conv2d(2, 4, 3, rng=np.random.default_rng(41))
-        x = Tensor(np.random.default_rng(42).standard_normal((1, 2, 6, 6)).astype(np.float32))
-        before = dict(DISPATCH_COUNTS)
-        layer(x)
-        assert DISPATCH_COUNTS["dense"] == before["dense"] + 1
-        assert DISPATCH_COUNTS["csr"] == before["csr"]
+    @pytest.mark.parametrize("make_layer,shape", [
+        (lambda rng: Conv2d(2, 4, 3, rng=rng), (2, 2, 6, 6)),
+        (lambda rng: Linear(12, 5, rng=rng), (3, 12)),
+    ], ids=["conv2d", "linear"])
+    def test_unmasked_layers_take_dense_route(self, make_layer, shape):
+        # An unbound layer counts nowhere, so its route shows in its bits:
+        # they equal the same layer's output when bound on the dense route.
+        layer = make_layer(np.random.default_rng(41))
+        x = Tensor(np.random.default_rng(42).standard_normal(shape).astype(np.float32))
+        unbound = layer(x).data
+        manager = SparsityManager(layer)
+        manager.bind_layers(execution="dense")
+        bound = layer(x).data
+        assert manager.dispatch_counts == {"dense": 1, "csr": 0}
+        assert np.array_equal(unbound, bound)
 
     def test_training_parity_dense_vs_csr_execution(self):
         # One backward step under each execution mode: same loss, same grads.

@@ -211,15 +211,15 @@ class TestManagerCalibration:
     def test_calibrate_builds_table_and_overrides_static(self, cache_dir):
         layer, manager = make_bound_manager(density=0.3)
         state = layer.weight_state
-        assert not manager.use_csr(state)  # static cutoff is 0.15
+        assert manager.route(state) == "dense"  # static cutoff is 0.15
         manager.calibrate(measure=fake_measure(0.5))
-        assert manager.use_csr(state)  # calibrated cutoff 0.5 > density 0.3
+        assert manager.route(state) == "csr"  # calibrated cutoff 0.5 > density 0.3
 
     def test_plain_bind_does_not_measure(self, cache_dir):
         _, manager = make_bound_manager()
         assert manager.calibration is None
 
-    def test_bind_with_calibrate_measures(self, cache_dir, monkeypatch):
+    def test_set_execution_with_calibrate_measures(self, cache_dir, monkeypatch):
         import repro.sparse.dispatch as dispatch
 
         monkeypatch.setattr(dispatch, "measure_crossover", fake_measure(0.2))
@@ -227,7 +227,7 @@ class TestManagerCalibration:
         model = _Wrapper(Linear(32, 16, rng=rng))
         manager = SparsityManager(model, rng=rng)
         manager.init_distribution("uniform", 0.05)
-        manager.bind_layers(execution="auto", calibrate=True)
+        manager.set_execution("auto", calibrate=True)
         assert manager.calibration is not None
         assert manager.calibration.cutoff_for((16, 32)) == 0.2
 

@@ -28,7 +28,7 @@ from repro.sparse import (
     SparsityManager,
     StructuredFilterPruning,
 )
-from repro.tensor import DISPATCH_COUNTS, Tensor, cross_entropy
+from repro.tensor import Tensor, cross_entropy
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_masks.json")
 ITERS, FREQ = 24, 6
@@ -137,9 +137,8 @@ class TestGoldenMasks:
         method = NDSNN(initial_sparsity=0.5, final_sparsity=0.95,
                        total_iterations=ITERS, update_frequency=FREQ,
                        rng=np.random.default_rng(9))
-        csr_before = DISPATCH_COUNTS["csr"]
         train(model, method, input_shape=(8, 2, 8, 8), execution=execution)
-        took_csr = DISPATCH_COUNTS["csr"] > csr_before
+        took_csr = method.masks.dispatch_counts["csr"] > 0
         assert took_csr == (execution == "auto")
         assert mask_digests(method.masks.copy_masks()) == golden[f"ndsnn_convnet_{execution}"]
 
@@ -246,13 +245,13 @@ class TestSparsityManager:
         _, manager = self._manager()
         manager.init_distribution("uniform", 0.1)
         state = next(iter(manager.states.values()))
-        assert not manager.use_csr(state)  # dense by default
+        assert manager.route(state) == "dense"  # dense by default
         manager.set_execution("auto")
-        assert manager.use_csr(state)  # 10% density < threshold
+        assert manager.route(state) == "csr"  # 10% density < threshold
         manager.init_distribution("uniform", 0.9)
-        assert not manager.use_csr(state)  # too dense for auto
+        assert manager.route(state) == "dense"  # too dense for auto
         manager.set_execution("csr")
-        assert manager.use_csr(state)
+        assert manager.route(state) == "csr"
 
     def test_rejects_unknown_execution(self):
         _, manager = self._manager()

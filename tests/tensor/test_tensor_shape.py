@@ -53,17 +53,6 @@ class TestIndexing:
         out.backward(np.ones(3, dtype=np.float32))
         assert np.allclose(a.grad, [2.0, 0.0, 1.0])
 
-    def test_pad2d(self):
-        a = make((1, 1, 3, 3), seed=6)
-        padded = a.pad2d(2)
-        assert padded.shape == (1, 1, 7, 7)
-        assert np.allclose(padded.data[0, 0, 2:5, 2:5], a.data[0, 0])
-        check_gradients(lambda: (a.pad2d(1) ** 2).sum(), [a])
-
-    def test_pad2d_zero_is_identity(self):
-        a = make((1, 1, 3, 3), seed=7)
-        assert a.pad2d(0) is a
-
 
 class TestCombinators:
     def test_stack_forward_backward(self):

@@ -89,6 +89,7 @@ def fit_digest(model_name: str, execution: str, neuron: str) -> str:
     return digest.hexdigest()
 
 
+@pytest.mark.smoke
 @pytest.mark.parametrize("model_name,execution,neuron", sorted(DIGESTS))
 def test_fit_digest(model_name, execution, neuron):
     assert fit_digest(model_name, execution, neuron) == DIGESTS[(model_name, execution, neuron)]

@@ -15,8 +15,10 @@ Two modes:
   including a per-call value refresh (the historical CSR tax), plus the
   transposed product used by the input gradient, the standalone refresh
   cost amortized over a training step, direct sparse-filter convolution
-  cells, and the routing an ``--execution auto`` run would take per
-  cell under measured calibration;
+  cells, the routing an ``--execution auto`` run would take per
+  cell under measured calibration, and a report-only table of spike
+  products: ``matmul`` against the event-driven kernel per firing rate
+  (no headline, no gate);
 * a regression gate over the committed numbers::
 
       PYTHONPATH=src python benchmarks/bench_kernels.py --check BENCH_kernels.json
@@ -133,6 +135,11 @@ COMPARISON_SPARSITIES = (0.5, 0.9, 0.99)
 #: Direct sparse-filter convolution cells: (filters, channels, kernel,
 #: height, width, batch), padded same, stride 1.
 CONV_SHAPES = ((32, 16, 3, 16, 16, 8),)
+#: Report-only spike-product cells: (rows, cols) at 90% sparsity, the
+#: operand row counts and the input firing rates.
+SPIKE_SHAPES = ((768, 768), (256, 256))
+SPIKE_ROWS = (1, 8, 16)
+SPIKE_RATES = (0.0, 0.005, 0.02, 0.05, 0.10, 0.20)
 #: SNN timesteps over which one optimizer-step refresh amortizes (the
 #: reproduction's default temporal window).
 DEFAULT_TIMESTEPS = 5
@@ -296,6 +303,44 @@ def compare_masked_conv(filters, channels, kernel, height, width, batch,
     }
 
 
+def compare_spike_products(rows, cols, batch, rate, repeats=50, seed=0):
+    """One report-only cell: ``matmul`` vs the event-driven kernel on
+    ``batch`` rows of spikes firing at ``rate``, and what the rule picks.
+
+    The event-driven column always runs the kernel (whatever the live
+    share), so the table shows where it loses; ``rule`` is the kernel
+    :meth:`~repro.sparse.storage.CSRPattern.spike_matmul` takes.
+    """
+    rng = np.random.default_rng(seed)
+    keep = max(1, int(round(0.1 * rows * cols)))
+    mask = np.zeros(rows * cols, dtype=np.float32)
+    mask[rng.choice(rows * cols, size=keep, replace=False)] = 1.0
+    pattern = CSRPattern.from_mask(mask.reshape(rows, cols))
+    pattern.gather(rng.standard_normal((rows, cols)).astype(np.float32))
+    values = pattern.freeze().values
+    spikes = (rng.random((batch, cols)) < rate).astype(np.float32)
+    want = pattern.matmul(values, spikes.T)
+    if pattern._event_matmul(values, spikes, 1.0).tobytes() != want.tobytes():
+        raise AssertionError(f"event-driven kernel diverges from matmul at {rows}x{cols}")
+    matmul_s, event_s = _mean_seconds([
+        lambda: pattern.matmul(values, spikes.T),
+        lambda: pattern._event_matmul(values, spikes, 1.0),
+    ], repeats)
+    colptr = pattern._column_index()[0]
+    live = spikes.any(axis=0)
+    return {
+        "rows": rows,
+        "cols": cols,
+        "batch": batch,
+        "firing_rate": rate,
+        "live_share": float(np.diff(colptr)[live].sum() / pattern.nnz),
+        "matmul_us": matmul_s * 1e6,
+        "event_us": event_s * 1e6,
+        "speedup": matmul_s / event_s,
+        "rule": "event" if pattern.spike_matmul(values, spikes)[1] else "matmul",
+    }
+
+
 def auto_route_cells(matmul_cells):
     """Per-cell routing an ``--execution auto`` run would take.
 
@@ -331,6 +376,7 @@ def run_comparison(
     conv_shapes=CONV_SHAPES,
     repeats=50,
     timesteps=DEFAULT_TIMESTEPS,
+    spike_shapes=SPIKE_SHAPES,
 ):
     """Full dense-vs-CSR grid; returns the BENCH_kernels payload."""
     cells = []
@@ -351,6 +397,10 @@ def run_comparison(
                 )
             )
     auto_cells = auto_route_cells(cells)
+    spike_cells = [
+        compare_spike_products(rows, cols, batch, rate, repeats=repeats)
+        for rows, cols in spike_shapes for batch in SPIKE_ROWS for rate in SPIKE_RATES
+    ]
     at_90 = [c for c in cells if c["sparsity"] == 0.9]
     conv_at_90 = [c for c in conv_cells if c["sparsity"] == 0.9]
     return {
@@ -360,6 +410,7 @@ def run_comparison(
         "cells": cells,
         "conv_cells": conv_cells,
         "auto_cells": auto_cells,
+        "spike_cells": spike_cells,
         "best_speedup_at_90": max(c["speedup_kernel"] for c in at_90),
         "best_speedup_with_refresh_at_90": max(
             c["speedup_with_refresh"] for c in at_90
@@ -396,6 +447,13 @@ def main(argv=None):
             f"auto {cell['rows']}x{cell['cols']} density={cell['density']:.2f} "
             f"cutoff={cell['cutoff']:.2f} -> {cell['route']} "
             f"({cell['speedup_auto']:.2f}x)"
+        )
+    for cell in payload["spike_cells"]:
+        print(
+            f"spikes {cell['rows']}x{cell['cols']} rows={cell['batch']:2d} "
+            f"firing={100 * cell['firing_rate']:4.1f}% live={cell['live_share']:.3f}: "
+            f"matmul {cell['matmul_us']:7.1f}us  event {cell['event_us']:7.1f}us "
+            f"({cell['speedup']:.2f}x) -> {cell['rule']}"
         )
     print(f"best speedup at 90% sparsity: {payload['best_speedup_at_90']:.2f}x")
     print(f"refresh overhead at 90% sparsity: {100 * payload['refresh_overhead_at_90']:.1f}%")

@@ -30,6 +30,7 @@ mechanisms guarantee it:
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from typing import Dict, Iterable, Optional, Tuple
@@ -66,9 +67,7 @@ _PROCESS_CACHE: Dict[Tuple[Optional[str], int, int], float] = {}
 
 def matrix_shape(shape: Tuple[int, ...]) -> Tuple[int, int]:
     """Reduce a weight-tensor shape to the paper's 2-D convention."""
-    if len(shape) == 2:
-        return (int(shape[0]), int(shape[1]))
-    return (int(shape[0]), int(np.prod(shape[1:])))
+    return (int(shape[0]), math.prod(map(int, shape[1:])))
 
 
 def measure_crossover(

@@ -368,7 +368,7 @@ class MaskedParameter:
         self._values_dirty = False
 
     @staticmethod
-    def products(state: Optional["MaskedParameter"], weight: np.ndarray):
+    def products(state: Optional["MaskedParameter"], weight: np.ndarray, spikes: bool = False):
         """``(route, forward, input_grad)`` of a masked layer: the one dispatch.
 
         ``state`` is the layer's state (``None`` when unbound), ``weight``
@@ -377,6 +377,12 @@ class MaskedParameter:
         ``dispatch_counts``; ``forward(rows)`` is ``rows @ weight.T`` and
         ``input_grad(grad_rows)`` is ``grad_rows @ weight``, by BLAS or
         the layer's ``CSRPattern``.  No state or manager: dense, uncounted.
+
+        ``spikes`` says the forward's rows are a neuron's exact 0/1
+        output.  On the CSR route the forward then runs
+        :meth:`~repro.sparse.storage.CSRPattern.spike_matmul`, with the
+        same bits, and counts the kernel it took in the manager's
+        ``spike_product_counts``.
         """
         manager = None if state is None else state.manager
         route = "dense" if manager is None else manager.route(state)
@@ -385,8 +391,17 @@ class MaskedParameter:
         if route == "dense":
             return route, lambda rows: rows @ weight.T, lambda grad_rows: grad_rows @ weight
         pattern, values = state.csr_pattern(), state.csr_values()
-        return (route, lambda rows: pattern.matmul(values, rows.T).T,
-                lambda grad_rows: pattern.t_matmul(values, grad_rows.T).T)
+        if spikes:
+            counts = manager.spike_product_counts
+
+            def forward(rows):
+                out, event_driven = pattern.spike_matmul(values, rows)
+                counts["event" if event_driven else "matmul"] += 1
+                return out.T
+        else:
+            def forward(rows):
+                return pattern.matmul(values, rows.T).T
+        return route, forward, lambda grad_rows: pattern.t_matmul(values, grad_rows.T).T
 
     def __repr__(self) -> str:
         return (
@@ -480,6 +495,9 @@ class SparsityManager:
         #: Masked-layer calls per route (module forwards and plan ops),
         #: counted by :meth:`MaskedParameter.products`.
         self.dispatch_counts: Dict[str, int] = {"dense": 0, "csr": 0}
+        #: The CSR calls among those whose rows were spikes, by the kernel
+        #: that ran: ``"event"``-driven or ``"matmul"``.
+        self.spike_product_counts: Dict[str, int] = {"event": 0, "matmul": 0}
         self._bound = False
 
     # ------------------------------------------------------------------

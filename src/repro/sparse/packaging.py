@@ -608,7 +608,9 @@ def _assign_dense_entries(package: PackedModel, model) -> None:
 
     Float entries stay float16 **views into the map** — stored and
     served at f16 end-to-end; numpy upcasts them on use.  Integer
-    buffers keep their dtype.
+    buffers keep their dtype.  An entry naming no parameter or buffer
+    of the model, or whose tensor has another shape than its target,
+    raises the ``ValueError`` of :meth:`PackedModel.field_error`.
     """
     parameters = dict(model.named_parameters())
     buffer_owners = {}
@@ -616,18 +618,26 @@ def _assign_dense_entries(package: PackedModel, model) -> None:
         for buffer_name in module._buffers:
             full = f"{module_name}.{buffer_name}" if module_name else buffer_name
             buffer_owners[full] = (module, buffer_name)
-    for entry in package.meta["dense"]:
+    for index, entry in enumerate(package.meta["dense"]):
         view = package.tensor(entry["tensor"])
-        name = entry["name"]
-        if entry["kind"] == "param":
-            if name not in parameters:
-                raise KeyError(f"package dense entry {name!r} not in model")
+        name, is_param = entry["name"], entry["kind"] == "param"
+        if is_param and name in parameters:
+            target = parameters[name].data
+        elif not is_param and name in buffer_owners:
+            module, buffer_name = buffer_owners[name]
+            target = module._buffers[buffer_name]
+        else:
+            kind = "parameter" if is_param else "buffer"
+            raise package.field_error(f"dense[{index}].name",
+                                      f"is {name!r}, not a {kind} of the model")
+        if view.shape != target.shape:
+            raise package.field_error(
+                f"dense[{index}].tensor",
+                f"has shape {list(view.shape)}, not the {list(target.shape)} of {name!r}")
+        if is_param:
             parameters[name].data = view
             parameters[name].requires_grad = False
         else:
-            if name not in buffer_owners:
-                raise KeyError(f"package buffer {name!r} not in model")
-            module, buffer_name = buffer_owners[name]
             module.update_buffer(buffer_name, view)
 
 

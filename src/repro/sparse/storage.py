@@ -17,15 +17,43 @@ no SciPy matrix object in between.  The same pattern serves
 packed artifacts at their stored value precision: f16 or int8 values
 go straight to SciPy (which accumulates in float32), and int8 rows are
 rescaled by an optional per-row ``scales`` array after the product.
+
+A frozen pattern also runs event-driven products
+(:meth:`CSRPattern.spike_matmul`): fed rows of spikes, it reads only the
+weight columns of inputs that fired, through a column index built once
+per topology, and returns the bits :meth:`CSRPattern.matmul` returns.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.sparse import _sparsetools
 from scipy.sparse._sputils import upcast_char
+
+
+#: A product of fewer columns runs SciPy's one-column kernel once per
+#: column: its multi-column kernel is up to 2x slower at 2-3 columns and
+#: sums each column in the same order, so the bits are the same.
+MATVECS_MIN_COLUMNS = 4
+
+#: Below this many multiply-adds (``nnz x rows``) a spike product runs
+#: :meth:`CSRPattern.matmul` without looking at its input: finding the
+#: live columns costs ~10 us, which a smaller product cannot win back
+#: unless every input is silent (see ``benchmarks/bench_kernels.py``).
+EVENT_MIN_WORK = 1 << 17
+
+#: The event-driven kernel runs while the live columns hold at most
+#: this share of the non-zeros.  Gathering a live non-zero costs ~6 ns
+#: whatever the row count, while a one-row CSR product costs ~0.8 ns
+#: per non-zero, so past ~8% a one-row product is faster as it is.
+EVENT_MAX_SHARE = 1 / 16
+
+# Serializes the first build of a pattern's column index, so workers
+# sharing a frozen pattern publish one index.
+_COLUMN_INDEX_LOCK = threading.Lock()
 
 
 def _as_matrix(tensor: np.ndarray) -> np.ndarray:
@@ -53,10 +81,15 @@ class CSRPattern:
     ``scales`` (``None`` unless set) is a per-row float32 multiplier
     applied to the product, ``W = diag(scales) @ Q``: packed int8
     values are served this way without dequantizing them.
+
+    A frozen pattern whose values are all finite and whose rows list
+    their columns in order can run :meth:`spike_matmul` event-driven; it
+    builds a column index (``colptr``, row indices and a permutation into
+    ``values``, all int32) on first use and reads the values through it.
     """
 
     __slots__ = ("shape", "orig_shape", "indices", "indptr", "flat_index", "nnz",
-                 "values", "scales", "frozen")
+                 "values", "scales", "frozen", "_event_values", "_columns")
 
     def __init__(self, mask: np.ndarray) -> None:
         matrix = _as_matrix(np.asarray(mask))
@@ -75,6 +108,8 @@ class CSRPattern:
         self.values = np.empty(self.nnz, dtype=np.float32)
         self.scales: Optional[np.ndarray] = None
         self.frozen = False
+        self._event_values: Optional[np.ndarray] = None
+        self._columns: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "CSRPattern":
@@ -122,6 +157,8 @@ class CSRPattern:
             self.values = np.empty(self.nnz, dtype=np.float32)
         self.scales = None
         self.frozen = False
+        self._event_values = None
+        self._columns = None
         return self
 
     @property
@@ -139,15 +176,28 @@ class CSRPattern:
         :meth:`gather` and any in-place refresh raise instead of
         silently mutating the weights a server is concurrently reading.
         The index structure was already immutable.  Idempotent.
+
+        Freezing also decides whether :meth:`spike_matmul` may skip the
+        terms of silent inputs.  A skipped term is ``w * 0``, which adds
+        nothing to a sum only when ``w`` is finite (``inf * 0`` is nan),
+        and the column index sums each row's terms in column order, which
+        is the pattern's own order only when every row lists its columns
+        in order.
         """
         self.values.setflags(write=False)
         self.frozen = True
+        steps = np.diff(self.indices)
+        row_starts = self.indptr[1:-1]
+        steps[row_starts[(row_starts > 0) & (row_starts < self.nnz)] - 1] = 0
+        ordered = (steps >= 0).all()
+        self._event_values = self.values if ordered and np.isfinite(self.values).all() else None
         return self
 
     def thaw(self) -> "CSRPattern":
         """Reverse :meth:`freeze`; the pattern is trainable again."""
         self.values.setflags(write=True)
         self.frozen = False
+        self._event_values = None
         return self
 
     # ------------------------------------------------------------------
@@ -182,23 +232,33 @@ class CSRPattern:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def _product(self, kernel: str, data: np.ndarray, dense: np.ndarray,
-                 rows: int, cols: int) -> np.ndarray:
-        """One call into SciPy's compiled ``<kernel>_matvec(s)``.
+    def _product(self, kernel: str, pointers: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray, dense: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """One call into SciPy's compiled ``<kernel>_matvecs``, or one
+        ``<kernel>_matvec`` per column below :data:`MATVECS_MIN_COLUMNS`.
 
         These are the calls ``csr_matrix @`` (``kernel="csr"``) and its
         ``.T @`` (``"csc"``: the same arrays, shape swapped) make for the
-        same operands, so the bits are SciPy's.
+        same operands, so the bits are SciPy's.  ``pointers`` and
+        ``indices`` are the compressed arrays the kernel walks; the
+        result is a C-ordered ``(rows, columns)`` array either way.
         """
         columns = dense.shape[1]
-        out = np.zeros((rows, columns), dtype=upcast_char(data.dtype.char, dense.dtype.char))
+        dtype = upcast_char(data.dtype.char, dense.dtype.char)
         if columns == 1:
+            out = np.zeros((rows, 1), dtype=dtype)
             getattr(_sparsetools, kernel + "_matvec")(
-                rows, cols, self.indptr, self.indices, data, dense.ravel(), out.ravel())
-        else:
-            getattr(_sparsetools, kernel + "_matvecs")(
-                rows, cols, columns, self.indptr, self.indices, data,
-                dense.ravel(), out.ravel())
+                rows, cols, pointers, indices, data, dense.ravel(), out.ravel())
+            return out
+        if columns < MATVECS_MIN_COLUMNS:
+            matvec = getattr(_sparsetools, kernel + "_matvec")
+            out = np.zeros((columns, rows), dtype=dtype)
+            for vector, result in zip(dense.T, out):
+                matvec(rows, cols, pointers, indices, data, np.ascontiguousarray(vector), result)
+            return np.ascontiguousarray(out.T)
+        out = np.zeros((rows, columns), dtype=dtype)
+        getattr(_sparsetools, kernel + "_matvecs")(
+            rows, cols, columns, pointers, indices, data, dense.ravel(), out.ravel())
         return out
 
     def _check_operands(self, data: np.ndarray, dense: np.ndarray, length: int) -> None:
@@ -220,10 +280,83 @@ class CSRPattern:
         """
         rows, cols = self.shape
         self._check_operands(data, dense, cols)
-        out = self._product("csr", data, dense, rows, cols)
+        out = self._product("csr", self.indptr, self.indices, data, dense, rows, cols)
         if self.scales is not None:
             out *= self.scales[:, None]
         return out
+
+    def spike_matmul(self, data: np.ndarray, spikes: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """``(W @ spikes.T, event_driven)`` for rows of exact 0/1 values.
+
+        ``spikes`` has shape ``(m, cols)``; the product is
+        :meth:`matmul`'s ``(rows, m)``, bit for bit.  The event-driven
+        kernel runs when the product has at least :data:`EVENT_MIN_WORK`
+        multiply-adds, ``data`` is the values of a pattern :meth:`freeze`
+        cleared for it, and the live columns (non-zero in some row) hold
+        at most :data:`EVENT_MAX_SHARE` of the non-zeros; otherwise
+        :meth:`matmul` runs and ``event_driven`` is false.
+        """
+        if self.nnz * len(spikes) >= EVENT_MIN_WORK and data is self._event_values:
+            out = self._event_matmul(data, spikes, EVENT_MAX_SHARE)
+            if out is not None:
+                return out, True
+        return self.matmul(data, spikes.T), False
+
+    def _event_matmul(self, data: np.ndarray, spikes: np.ndarray,
+                      max_share: float) -> Optional[np.ndarray]:
+        """The event-driven ``W @ spikes.T``, or ``None`` when the live
+        columns hold more than ``max_share`` of the non-zeros.
+
+        One SciPy ``csc_matvec(s)`` call over only the live columns,
+        reading ``data`` through the column index; with no live column
+        the kernel is skipped.  Each output sums its remaining terms in
+        the pattern's column order, and a skipped term is ``w * 0``,
+        which leaves a float32 sum started at ``+0.0`` as it is for a
+        finite ``w``.  ``w * 1`` rounds like ``w`` even fused, so the
+        bits are :meth:`matmul`'s.
+        """
+        dense = spikes.T
+        rows, cols = self.shape
+        self._check_operands(data, dense, cols)
+        live = np.flatnonzero(spikes.any(axis=0))
+        colptr, row_index, order = self._column_index()
+        starts = colptr[live]
+        counts = colptr[live + 1] - starts
+        live_nnz = int(counts.sum())
+        if live_nnz > max_share * self.nnz:
+            return None
+        if live_nnz == 0:
+            out = np.zeros((rows, len(spikes)), dtype=upcast_char(data.dtype.char, dense.dtype.char))
+        else:
+            pointers = np.zeros(live.size + 1, dtype=np.int32)
+            np.cumsum(counts, out=pointers[1:])
+            # Positions of the live columns' entries in the column index.
+            at = np.repeat((starts - pointers[:-1]).astype(np.intp), counts)
+            at += np.arange(live_nnz)
+            out = self._product("csc", pointers, row_index.take(at),
+                                data.take(order.take(at)), dense.take(live, axis=0),
+                                rows, live.size)
+        if self.scales is not None:
+            out *= self.scales[:, None]
+        return out
+
+    def _column_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(colptr, row indices, value order)``: the pattern by column.
+
+        A stable sort keeps each column's entries in row order.  Built on
+        first use and published in one assignment under a lock, so
+        concurrent first calls on a shared frozen pattern see one index.
+        """
+        if self._columns is None:
+            with _COLUMN_INDEX_LOCK:
+                if self._columns is None:
+                    rows, cols = self.shape
+                    order = np.argsort(self.indices, kind="stable").astype(np.int32)
+                    row_of = np.repeat(np.arange(rows, dtype=np.int32), np.diff(self.indptr))
+                    colptr = np.zeros(cols + 1, dtype=np.int32)
+                    np.cumsum(np.bincount(self.indices, minlength=cols), out=colptr[1:])
+                    self._columns = (colptr, row_of[order], order)
+        return self._columns
 
     def t_matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
         """``W^T @ dense``; ``dense`` is ``(rows, m)``, returns ``(cols, m)``."""
@@ -231,7 +364,7 @@ class CSRPattern:
         self._check_operands(data, dense, rows)
         if self.scales is not None:
             dense = self.scales[:, None] * dense
-        return self._product("csc", data, dense, cols, rows)
+        return self._product("csc", self.indptr, self.indices, data, dense, cols, rows)
 
 
 def csr_bits(nnz: int, rows: int, value_bits: int = 32, index_bits: int = 32) -> int:

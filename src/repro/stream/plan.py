@@ -60,17 +60,20 @@ class _Linear:
     The route, its products and the bias all come from the layer when
     the op runs.  ``batched`` multiplies a dense stack in one gemm, as
     ``masked_linear`` does on the same batch; otherwise each row runs as
-    a lone event would.
+    a lone event would.  ``spikes`` marks an op fed by a neuron: its CSR
+    product may read only the weight columns of inputs that fired.
     """
 
-    __slots__ = ("layer",)
+    __slots__ = ("layer", "spikes")
 
-    def __init__(self, layer: Linear) -> None:
+    def __init__(self, layer: Linear, spikes: bool) -> None:
         self.layer = layer
+        self.spikes = spikes
 
     def __call__(self, x: np.ndarray, batched: bool) -> np.ndarray:
         layer = self.layer
-        route, forward, _ = MaskedParameter.products(layer.weight_state, layer.weight.data)
+        route, forward, _ = MaskedParameter.products(
+            layer.weight_state, layer.weight.data, self.spikes)
         if route == "csr" or batched or len(x) == 1:
             out = forward(x)
         else:
@@ -250,7 +253,8 @@ def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
         if kwargs or len(args) != 1 or args[0] is not previous:
             return None, f"leaf calls do not form a straight chain at {paths[id(module)]}"
         is_neuron = type(module) is not Linear
-        ops.append((module if is_neuron else _Linear(module), is_neuron))
+        fed_by_neuron = bool(ops) and ops[-1][1]
+        ops.append((module if is_neuron else _Linear(module, fed_by_neuron), is_neuron))
         previous = result
     if previous is not output:
         return None, "forward_once does not return the last leaf's output"

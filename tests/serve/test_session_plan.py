@@ -133,6 +133,28 @@ def test_plan_predict_matches_module_path(tmp_path, neuron, source, max_batch):
     assert all(spikes > 0 for spikes, _ in spike_counters(session.model))
 
 
+def test_a_firing_plan_runs_both_kernels_bit_identically():
+    # Every LIF layer fires (3-5%); the 512 x 512 products of quiet
+    # timesteps take the event-driven kernel, the others matmul.
+    def build():
+        model = SpikingMLP(IN_FEATURES, CLASSES, hidden=(512, 512), timesteps=TIMESTEPS,
+                           v_threshold=0.5, rng=np.random.default_rng(0))
+        manager = SparsityManager(model, rng=np.random.default_rng(1))
+        first, second, head = manager.states
+        manager.init_random({first: 0.5, second: 0.8, head: 0.5})
+        manager.set_execution("csr")
+        return model, manager
+
+    session = InferenceSession(*build(), max_batch=4)
+    reference = InferenceSession(*build(), max_batch=4)
+    assert session.execution == "plan"
+    batch = 0.4 * np.random.default_rng(2).random((16, IN_FEATURES), dtype=np.float32)
+    assert_matches_module_path(session, reference, [batch, batch[:3]])
+    assert all(spikes >= 0.01 * steps for spikes, steps in spike_counters(session.model))
+    counts = session.manager.spike_product_counts
+    assert counts["event"] > 0 and counts["matmul"] > 0
+
+
 def test_the_direct_encoded_prefix_runs_once_per_chunk(tmp_path, monkeypatch):
     session = InferenceSession(*factory(tmp_path, "lif", "dense")(), max_batch=8)
     first = session.model.body[0]

@@ -186,6 +186,9 @@ class TestCalibrationTable:
     def test_matrix_shape_reduction(self):
         assert matrix_shape((6, 7)) == (6, 7)
         assert matrix_shape((6, 3, 2, 2)) == (6, 12)
+        # NumPy shape entries reduce to the same plain ints.
+        reduced = matrix_shape((np.int64(6), np.int64(3), 2, 2))
+        assert reduced == (6, 12) and all(type(size) is int for size in reduced)
 
 
 class _Wrapper(Module):

@@ -460,6 +460,30 @@ class TestManifestFieldErrors:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_packed_runtime(package)
 
+    def dense_doctored(self, tmp_path, edit):
+        _, _, path, _ = make_packaged_mlp(tmp_path, precision="int8")
+        rewrite_manifest(path, lambda meta: edit(meta["dense"][0]))
+        return PackedModel(path)
+
+    def test_dense_entry_naming_no_parameter(self, tmp_path):
+        package = self.dense_doctored(
+            tmp_path, lambda entry: entry.update(name="body.9.bias"))
+        message = f"{package.path}: manifest field 'dense[0].name' is 'body.9.bias'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_packed_runtime(package)
+
+    def test_dense_tensor_of_another_shape(self, tmp_path):
+        # The same bytes seen as a column: the view decodes, but would
+        # bind a wrongly shaped bias without the check.
+        def as_column(entry):
+            entry["tensor"]["shape"] = entry["tensor"]["shape"] + [1]
+
+        package = self.dense_doctored(tmp_path, as_column)
+        name = package.meta["dense"][0]["name"]
+        message = f"{package.path}: manifest field 'dense[0].tensor' has shape"
+        with pytest.raises(ValueError, match=re.escape(message) + f".*{re.escape(repr(name))}"):
+            build_packed_runtime(package)
+
 
 # ----------------------------------------------------------------------
 # Stored-precision runtime: one CSRPattern runtime for every precision

@@ -275,6 +275,33 @@ class TestStackedTicks:
             assert sum(per["stale_resets"] for per in ticked.stats().values()) > 0
 
 
+class TestFiringPlan:
+    """A model whose every LIF layer fires: the spike-fed CSR products
+    take the event-driven kernel on quiet steps and ``matmul`` on busy
+    ones, and the plan stays bit-identical to the module path."""
+
+    def test_both_kernels_run_bit_identically(self):
+        built = []
+
+        def build():
+            # 512 x 512 at 80%: one row is past the event-driven floor.
+            model = SpikingMLP(CHANNELS, CLASSES, hidden=(512, 512), timesteps=4,
+                               v_threshold=0.9, rng=np.random.default_rng(0))
+            manager = SparsityManager(model, rng=np.random.default_rng(1))
+            first, second, head = manager.states
+            manager.init_random({first: 0.5, second: 0.8, head: 0.5})
+            manager.set_execution("csr")
+            built.append((model, manager))
+            return model, manager.freeze()
+
+        assert_plan_matches_modules(build, make_feed(events=10), window=4)
+        model, manager = built[0]  # the planned session's
+        assert all(spikes >= 0.01 * steps for spikes, steps in spike_counters(model))
+        counts = manager.spike_product_counts
+        assert counts["event"] > 0 and counts["matmul"] > 0
+        assert built[1][1].spike_product_counts == {"event": 0, "matmul": 0}
+
+
 class TestEditedManagers:
     """A plan reads routes, patterns and values per call: a manager
     thawed, edited and re-frozen under a live session is served fresh."""

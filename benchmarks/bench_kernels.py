@@ -36,7 +36,7 @@ import pytest
 from repro.optim import SGD
 from repro.snn import LIFNeuron, reset_net
 from repro.snn.models import SpikingConvNet
-from repro.sparse import NDSNN, CSRPattern, SparsityManager
+from repro.sparse import NDSNN, CSRPattern, MaskedParameter, SparsityManager
 from repro.tensor import Tensor, cross_entropy, masked_conv2d
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -236,6 +236,8 @@ def compare_masked_matmul(
 
 class _BenchState:
     """Minimal MaskedParameter stand-in forcing the CSR conv route."""
+
+    products = MaskedParameter.products
 
     class _Manager:
         dispatch_counts = {"dense": 0, "csr": 0}

@@ -2,7 +2,6 @@
 
 from .augment import (
     Compose,
-    GaussianNoise,
     Normalize,
     RandomCrop,
     RandomHorizontalFlip,
@@ -34,6 +33,5 @@ __all__ = [
     "RandomCrop",
     "RandomHorizontalFlip",
     "Normalize",
-    "GaussianNoise",
     "standard_train_transform",
 ]

@@ -78,21 +78,6 @@ class Normalize:
         return (batch - self.mean) / self.std
 
 
-class GaussianNoise:
-    """Additive Gaussian noise (robustness-testing augmentation)."""
-
-    def __init__(self, sigma: float = 0.05, rng: Optional[np.random.Generator] = None) -> None:
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        self.sigma = sigma
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def __call__(self, batch: np.ndarray) -> np.ndarray:
-        if self.sigma == 0:
-            return batch
-        return batch + self.rng.normal(0.0, self.sigma, size=batch.shape).astype(batch.dtype)
-
-
 def standard_train_transform(
     padding: int = 4, rng: Optional[np.random.Generator] = None
 ) -> Compose:

@@ -155,10 +155,6 @@ class SyntheticImageDataset:
     def num_classes(self) -> int:
         return self.spec.num_classes
 
-    @property
-    def image_shape(self) -> Tuple[int, int, int]:
-        return (self.spec.in_channels, self.spec.image_size, self.spec.image_size)
-
 
 class ArrayDataset:
     """Wrap pre-built arrays as a dataset."""

@@ -86,9 +86,6 @@ class Module:
         for _, module in self.named_modules():
             yield module
 
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
-
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         for name, value in self._buffers.items():
             yield (prefix + name, value)

@@ -1,15 +1,11 @@
-"""Optimizers and learning-rate schedulers."""
+"""Optimizers and the learning-rate scheduler."""
 
-from .lr_scheduler import ConstantLR, CosineAnnealingLR, LRScheduler, MultiStepLR, StepLR
+from .lr_scheduler import CosineAnnealingLR
 from .sgd import SGD, Adam, Optimizer
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "LRScheduler",
     "CosineAnnealingLR",
-    "StepLR",
-    "MultiStepLR",
-    "ConstantLR",
 ]

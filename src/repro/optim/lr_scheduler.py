@@ -1,38 +1,25 @@
-"""Learning-rate schedulers (the paper uses cosine annealing, [24])."""
+"""The learning-rate schedule: cosine annealing, as in the paper ([24])."""
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
 
 from .sgd import Optimizer
 
 
-class LRScheduler:
-    """Base scheduler; call :meth:`step` once per epoch."""
+class CosineAnnealingLR:
+    """SGDR-style cosine decay from the base LR to ``eta_min``.
 
-    def __init__(self, optimizer: Optimizer) -> None:
+    Call :meth:`step` once per epoch.  ``last_epoch`` is the position a
+    checkpoint saves and restores.
+    """
+
+    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
+        if t_max < 1:
+            raise ValueError("t_max must be >= 1")
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.last_epoch = -1
-
-    def get_lr(self, epoch: int) -> float:
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.last_epoch += 1
-        lr = self.get_lr(self.last_epoch)
-        self.optimizer.lr = lr
-        return lr
-
-
-class CosineAnnealingLR(LRScheduler):
-    """SGDR-style cosine decay from the base LR to ``eta_min``."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max < 1:
-            raise ValueError("t_max must be >= 1")
         self.t_max = int(t_max)
         self.eta_min = float(eta_min)
 
@@ -42,36 +29,8 @@ class CosineAnnealingLR(LRScheduler):
             1.0 + math.cos(math.pi * progress)
         )
 
-
-class StepLR(LRScheduler):
-    """Decay the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class MultiStepLR(LRScheduler):
-    """Decay the LR by ``gamma`` at each milestone epoch."""
-
-    def __init__(self, optimizer: Optimizer, milestones: Sequence[int], gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        self.milestones: List[int] = sorted(int(m) for m in milestones)
-        self.gamma = float(gamma)
-
-    def get_lr(self, epoch: int) -> float:
-        passed = sum(1 for milestone in self.milestones if epoch >= milestone)
-        return self.base_lr * self.gamma ** passed
-
-
-class ConstantLR(LRScheduler):
-    """Keeps the base LR (useful as a default)."""
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr
+    def step(self) -> float:
+        self.last_epoch += 1
+        lr = self.get_lr(self.last_epoch)
+        self.optimizer.lr = lr
+        return lr

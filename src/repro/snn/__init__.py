@@ -4,23 +4,17 @@ from .encoding import DirectEncoder, LatencyEncoder, PoissonEncoder, build_encod
 from .functional import (
     reset_net,
     reset_spike_stats,
-    set_spike_tracking,
     spike_rate,
     spike_rates_per_layer,
 )
 from .neuron import (
+    AdaptiveLIFNeuron,
     BaseNeuron,
     IFNeuron,
     LIFNeuron,
     ParametricLIFNeuron,
     build_neuron,
     spike_function,
-)
-from .extensions import (
-    AdaptiveLIFNeuron,
-    RecurrentSpikingLayer,
-    ThresholdDependentBatchNorm2d,
-    spike_rate_loss,
 )
 from .surrogate import (
     ATan,
@@ -35,9 +29,6 @@ from .surrogate import (
 
 __all__ = [
     "AdaptiveLIFNeuron",
-    "RecurrentSpikingLayer",
-    "ThresholdDependentBatchNorm2d",
-    "spike_rate_loss",
     "LIFNeuron",
     "IFNeuron",
     "ParametricLIFNeuron",
@@ -60,5 +51,4 @@ __all__ = [
     "reset_spike_stats",
     "spike_rate",
     "spike_rates_per_layer",
-    "set_spike_tracking",
 ]

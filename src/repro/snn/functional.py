@@ -1,4 +1,8 @@
-"""Network-level utilities for stateful spiking models."""
+"""Network-level utilities for stateful spiking models.
+
+Neurons are the only modules with temporal state, so every walk here is
+one walk over the :class:`~repro.snn.neuron.BaseNeuron` modules.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +12,10 @@ from ..nn.module import Module
 from .neuron import BaseNeuron
 
 
-def _stateful_modules(model: Module):
-    """(path, module) pairs carrying temporal state.
-
-    Duck-typed on ``snapshot_state`` so non-neuron stateful components
-    (e.g. :class:`~repro.snn.extensions.RecurrentSpikingLayer`'s
-    feedback buffer) participate in reset/snapshot/restore alongside
-    :class:`~repro.snn.neuron.BaseNeuron` subclasses.
-    """
+def _neurons(model: Module):
+    """(path, neuron) pairs of every spiking neuron in ``model``."""
     for name, module in model.named_modules():
-        if hasattr(module, "snapshot_state"):
+        if isinstance(module, BaseNeuron):
             yield name, module
 
 
@@ -27,46 +25,45 @@ def reset_net(model: Module) -> None:
     Must be called between independent input samples (the spiking state
     is part of the computation graph and must not leak across batches).
     """
-    for _, module in _stateful_modules(model):
-        module.reset_state()
+    for _, neuron in _neurons(model):
+        neuron.reset_state()
 
 
 def snapshot_net_state(model: Module) -> Dict[str, Dict]:
-    """Detached copy of every stateful module's temporal state.
+    """Detached copy of every neuron's temporal state.
 
     Keys are module paths (as in ``named_modules``), values the dicts
-    returned by each module's ``snapshot_state``.  The streaming layer
+    returned by each neuron's ``snapshot_state``.  The streaming layer
     stores one snapshot per stream and swaps them in and out of a
     single model instance; the round-trip through
     :func:`restore_net_state` is bit-exact.
     """
-    return {name: module.snapshot_state() for name, module in _stateful_modules(model)}
+    return {name: neuron.snapshot_state() for name, neuron in _neurons(model)}
 
 
 def restore_net_state(model: Module, state: Dict[str, Dict]) -> None:
     """Inverse of :func:`snapshot_net_state`.
 
-    The snapshot must cover exactly the model's stateful modules — a
-    mismatch means the snapshot came from a different architecture and
-    restoring it silently would corrupt inference.
+    The snapshot must cover exactly the model's neurons — a mismatch
+    means the snapshot came from a different architecture and restoring
+    it silently would corrupt inference.
     """
-    modules = dict(_stateful_modules(model))
-    if set(modules) != set(state):
-        missing = sorted(set(modules) - set(state))
-        extra = sorted(set(state) - set(modules))
+    neurons = dict(_neurons(model))
+    if set(neurons) != set(state):
+        missing = sorted(set(neurons) - set(state))
+        extra = sorted(set(state) - set(neurons))
         raise ValueError(
             f"state snapshot does not match model: missing {missing}, "
             f"unexpected {extra}"
         )
-    for name, module in modules.items():
-        module.restore_state(state[name])
+    for name, neuron in neurons.items():
+        neuron.restore_state(state[name])
 
 
 def reset_spike_stats(model: Module) -> None:
     """Zero spike-rate counters of every neuron in ``model``."""
-    for module in model.modules():
-        if isinstance(module, BaseNeuron):
-            module.reset_spike_stats()
+    for _, neuron in _neurons(model):
+        neuron.reset_spike_stats()
 
 
 def spike_rate(model: Module) -> float:
@@ -77,10 +74,9 @@ def spike_rate(model: Module) -> float:
     """
     total_spikes = 0.0
     total_steps = 0
-    for module in model.modules():
-        if isinstance(module, BaseNeuron):
-            total_spikes += module.spike_count
-            total_steps += module.neuron_steps
+    for _, neuron in _neurons(model):
+        total_spikes += neuron.spike_count
+        total_steps += neuron.neuron_steps
     if total_steps == 0:
         return 0.0
     return total_spikes / total_steps
@@ -88,15 +84,5 @@ def spike_rate(model: Module) -> float:
 
 def spike_rates_per_layer(model: Module) -> Dict[str, float]:
     """Per-neuron-layer spike rate, keyed by module path."""
-    rates: Dict[str, float] = {}
-    for name, module in model.named_modules():
-        if isinstance(module, BaseNeuron):
-            rates[name or module.__class__.__name__] = module.spike_rate
-    return rates
-
-
-def set_spike_tracking(model: Module, enabled: bool) -> None:
-    """Enable/disable spike counting on every neuron (tiny speedup off)."""
-    for module in model.modules():
-        if isinstance(module, BaseNeuron):
-            module.track_spikes = enabled
+    return {name or neuron.__class__.__name__: neuron.spike_rate
+            for name, neuron in _neurons(model)}

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..nn.module import Module
+from ..nn.module import Module, Parameter
 from ..tensor import Tensor, is_grad_enabled
 from ..tensor.tensor import _unbroadcast
 from .surrogate import FastInverse, SurrogateFunction, get_surrogate
@@ -60,12 +60,10 @@ class BaseNeuron(Module):
         self,
         v_threshold: float = 1.0,
         surrogate: Optional[SurrogateFunction] = None,
-        track_spikes: bool = True,
     ) -> None:
         super().__init__()
         self.v_threshold = float(v_threshold)
         self.surrogate = surrogate if surrogate is not None else FastInverse()
-        self.track_spikes = track_spikes
         self.v: Optional[Tensor] = None
         self.o_prev: Optional[Tensor] = None
         self.spike_count = 0.0
@@ -104,8 +102,7 @@ class BaseNeuron(Module):
         self.neuron_steps = 0
 
     def _record(self, spikes: np.ndarray) -> None:
-        if self.track_spikes:
-            self.add_spike_counts(float(spikes.sum()), spikes.size)
+        self.add_spike_counts(float(spikes.sum()), spikes.size)
 
     def add_spike_counts(self, spikes: float, steps: int) -> None:
         """Add ``spikes`` fired over ``steps`` neuron-steps to the counters.
@@ -230,9 +227,8 @@ class LIFNeuron(BaseNeuron):
         alpha: float = 0.5,
         v_threshold: float = 1.0,
         surrogate: Optional[SurrogateFunction] = None,
-        track_spikes: bool = True,
     ) -> None:
-        super().__init__(v_threshold=v_threshold, surrogate=surrogate, track_spikes=track_spikes)
+        super().__init__(v_threshold=v_threshold, surrogate=surrogate)
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         self.alpha = float(alpha)
@@ -242,6 +238,70 @@ class LIFNeuron(BaseNeuron):
 
     def __repr__(self) -> str:
         return f"LIFNeuron(alpha={self.alpha}, threshold={self.v_threshold})"
+
+
+class AdaptiveLIFNeuron(LIFNeuron):
+    """LIF with spike-triggered threshold adaptation (ALIF).
+
+    The effective threshold is ``theta + beta * a[t]`` where the
+    adaptation trace ``a`` integrates past spikes with decay ``rho``:
+
+        a[t] = rho * a[t-1] + o[t-1]
+
+    Neurons that fire often become harder to fire, providing longer
+    memory and sparser activity — both useful on neuromorphic targets.
+    The trace lives on the module, outside the ``(v, o_prev)`` state
+    that :meth:`forward_arrays` takes, so stream plans do not run ALIF.
+    """
+
+    def __init__(
+        self,
+        alpha: float = 0.5,
+        v_threshold: float = 1.0,
+        beta: float = 0.2,
+        rho: float = 0.9,
+        surrogate: Optional[SurrogateFunction] = None,
+    ) -> None:
+        super().__init__(alpha, v_threshold, surrogate)
+        if not 0.0 <= rho < 1.0:
+            raise ValueError("rho must lie in [0, 1)")
+        if beta < 0.0:
+            raise ValueError("beta must be non-negative")
+        self.beta = float(beta)
+        self.rho = float(rho)
+        self.adaptation: Optional[np.ndarray] = None
+
+    def reset_state(self) -> None:
+        super().reset_state()
+        self.adaptation = None
+
+    def snapshot_state(self):
+        state = super().snapshot_state()
+        state["adaptation"] = (
+            None if self.adaptation is None else self.adaptation.copy()
+        )
+        return state
+
+    def restore_state(self, state) -> None:
+        super().restore_state(state)
+        adaptation = state["adaptation"]
+        self.adaptation = None if adaptation is None else adaptation.copy()
+
+    def _threshold(self, shape):
+        if self.adaptation is None:
+            self.adaptation = np.zeros(shape, dtype=np.float32)
+        return self.v_threshold + self.beta * self.adaptation
+
+    def _fired(self, spikes: np.ndarray) -> None:
+        # The adaptation trace is treated as a constant w.r.t. the tape
+        # (standard ALIF practice: no gradient through the threshold).
+        self.adaptation = self.rho * self.adaptation + spikes
+
+    def __repr__(self) -> str:
+        return (
+            f"AdaptiveLIFNeuron(alpha={self.alpha}, beta={self.beta}, "
+            f"rho={self.rho}, threshold={self.v_threshold})"
+        )
 
 
 class IFNeuron(BaseNeuron):
@@ -264,11 +324,8 @@ class ParametricLIFNeuron(BaseNeuron):
         init_alpha: float = 0.5,
         v_threshold: float = 1.0,
         surrogate: Optional[SurrogateFunction] = None,
-        track_spikes: bool = True,
     ) -> None:
-        super().__init__(v_threshold=v_threshold, surrogate=surrogate, track_spikes=track_spikes)
-        from ..nn.module import Parameter  # local import to avoid cycle at module load
-
+        super().__init__(v_threshold=v_threshold, surrogate=surrogate)
         if not 0.0 < init_alpha < 1.0:
             raise ValueError("init_alpha must lie in (0, 1)")
         logit = np.log(init_alpha / (1.0 - init_alpha)).astype(np.float32)
@@ -293,8 +350,6 @@ def build_neuron(
     ``alpha`` is the LIF/ALIF decay and PLIF's initial decay; IF has no
     leak and ignores it.  ``surrogate`` may be an instance or a name.
     """
-    from .extensions import AdaptiveLIFNeuron  # extensions imports this module
-
     if isinstance(surrogate, str):
         surrogate = get_surrogate(surrogate)
     if kind == "if":

@@ -7,7 +7,6 @@ from .analysis import (
     degree_statistics,
     input_output_connectivity,
     layer_chain_graph,
-    mask_bipartite_graph,
     topology_change,
 )
 from .engine import (
@@ -73,7 +72,6 @@ __all__ = [
     "DegreeStats",
     "degree_statistics",
     "analyze_masks",
-    "mask_bipartite_graph",
     "layer_chain_graph",
     "input_output_connectivity",
     "topology_change",

@@ -29,10 +29,6 @@ class DegreeStats:
     dead_outputs: int
     dead_inputs: int
 
-    @property
-    def has_dead_units(self) -> bool:
-        return self.dead_outputs > 0 or self.dead_inputs > 0
-
 
 def degree_statistics(mask: np.ndarray) -> DegreeStats:
     """Degree statistics of one layer's mask.
@@ -50,20 +46,6 @@ def degree_statistics(mask: np.ndarray) -> DegreeStats:
         dead_outputs=int((out_degree == 0).sum()),
         dead_inputs=int((in_degree == 0).sum()),
     )
-
-
-def mask_bipartite_graph(mask: np.ndarray) -> nx.Graph:
-    """Bipartite graph of one layer: inputs <-> outputs via active weights.
-
-    Output nodes are ``("out", i)``, input nodes ``("in", j)``.
-    """
-    matrix = _as_matrix(np.asarray(mask))
-    graph = nx.Graph()
-    graph.add_nodes_from([("out", i) for i in range(matrix.shape[0])], bipartite=0)
-    graph.add_nodes_from([("in", j) for j in range(matrix.shape[1])], bipartite=1)
-    rows, cols = np.nonzero(matrix)
-    graph.add_edges_from((("out", int(r)), ("in", int(c))) for r, c in zip(rows, cols))
-    return graph
 
 
 def layer_chain_graph(masks: Sequence[np.ndarray]) -> nx.DiGraph:

@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..nn.module import Module, Parameter
+from ..tensor import dense_products
 from .dispatch import STATIC_CSR_DENSITY_CUTOFF
 from .erk import build_distribution
 from .schedule import LayerwiseSparsityRamp
@@ -367,16 +368,15 @@ class MaskedParameter:
         cache.gather(self.parameter.data)
         self._values_dirty = False
 
-    @staticmethod
-    def products(state: Optional["MaskedParameter"], weight: np.ndarray, spikes: bool = False):
-        """``(route, forward, input_grad)`` of a masked layer: the one dispatch.
+    def products(self, weight: np.ndarray, spikes: bool = False):
+        """``(route, forward, input_grad)`` of this layer: the one dispatch.
 
-        ``state`` is the layer's state (``None`` when unbound), ``weight``
-        its ``(out, in)`` matrix.  The route is the manager's
-        :meth:`SparsityManager.route`, counted once in its
+        ``weight`` is the layer's ``(out, in)`` matrix.  The route is the
+        manager's :meth:`SparsityManager.route`, counted once in its
         ``dispatch_counts``; ``forward(rows)`` is ``rows @ weight.T`` and
-        ``input_grad(grad_rows)`` is ``grad_rows @ weight``, by BLAS or
-        the layer's ``CSRPattern``.  No state or manager: dense, uncounted.
+        ``input_grad(grad_rows)`` is ``grad_rows @ weight``, by BLAS
+        (:func:`~repro.tensor.functional.dense_products`) or the layer's
+        ``CSRPattern``.  No manager: dense, uncounted.
 
         ``spikes`` says the forward's rows are a neuron's exact 0/1
         output.  On the CSR route the forward then runs
@@ -384,13 +384,13 @@ class MaskedParameter:
         same bits, and counts the kernel it took in the manager's
         ``spike_product_counts``.
         """
-        manager = None if state is None else state.manager
-        route = "dense" if manager is None else manager.route(state)
+        manager = self.manager
+        route = "dense" if manager is None else manager.route(self)
         if manager is not None:
             manager.dispatch_counts[route] += 1
         if route == "dense":
-            return route, lambda rows: rows @ weight.T, lambda grad_rows: grad_rows @ weight
-        pattern, values = state.csr_pattern(), state.csr_values()
+            return (route, *dense_products(weight))
+        pattern, values = self.csr_pattern(), self.csr_values()
         if spikes:
             counts = manager.spike_product_counts
 
@@ -654,13 +654,6 @@ class SparsityManager:
                 bound += 1
         self._bound = True
         return bound
-
-    def unbind_layers(self) -> None:
-        """Detach layer state (layers fall back to the dense path)."""
-        for module in self.model.modules():
-            if getattr(module, "weight_state", None) is not None:
-                object.__setattr__(module, "weight_state", None)
-        self._bound = False
 
     def set_execution(self, execution: str, calibrate: bool = False) -> None:
         if execution not in EXECUTION_MODES:

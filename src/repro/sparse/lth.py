@@ -89,16 +89,6 @@ class LTHSNN:
         keep = (1.0 - self.target_sparsity) ** (round_index / self.rounds)
         return 1.0 - keep
 
-    def training_sparsity_for_round(self, round_index: int) -> float:
-        """Sparsity the model *trains at* during round ``round_index``.
-
-        Round 1 trains dense; round ``r`` trains under the mask produced
-        after round ``r - 1``.
-        """
-        if round_index <= 1:
-            return 0.0
-        return self.sparsity_for_round(round_index - 1)
-
     # ------------------------------------------------------------------
     # Prune / rewind
     # ------------------------------------------------------------------

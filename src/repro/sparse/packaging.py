@@ -190,9 +190,11 @@ def quantize_rows_int8(
     """Per-row absmax int8 quantization of CSR-ordered values.
 
     Every row gets ``scale = max(|row|) / 127``; values are rounded to
-    ``[-127, 127]``.  The reconstruction error is bounded by
-    ``scale / 2`` per row (rounding never clips: the extreme value maps
-    to exactly ±127).  Rows with no non-zeros (or all zeros) get scale 0.
+    ``[-127, 127]``.  The reconstruction error of a value ``v`` is at
+    most ``scale / 2`` plus the float32 rounding of ``v / scale`` and of
+    the restored ``q * scale``: about one ulp of the restored value
+    (rounding never clips: the extreme value maps to exactly ±127).
+    Rows with no non-zeros (or all zeros) get scale 0.
     """
     vals = np.ascontiguousarray(np.asarray(values), dtype=np.float32)
     ptr = np.asarray(indptr, dtype=np.int64)

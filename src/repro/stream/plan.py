@@ -9,8 +9,10 @@ module-tree walks, no state swapped in and out of the shared model.
 
 A plan fixes the chain of leaves and nothing else.  Each linear op does
 at every call what ``masked_linear`` does: it takes the layer's route and
-products from :meth:`~repro.sparse.engine.MaskedParameter.products`
-(which counts the route on the layer's manager) and reads the bias then,
+products from its bound state's
+:meth:`~repro.sparse.engine.MaskedParameter.products` (which counts the
+route on the layer's manager), or the dense pair when it has none, and
+reads the bias then,
 so a manager thawed, edited, re-frozen or re-routed after compiling is
 run exactly as the module path would run it, and a plan cannot go stale.
 Values are aliased, never copied; frozen CSR buffers may be views into
@@ -45,10 +47,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..nn.layers import Linear
-from ..snn.functional import _stateful_modules
 from ..snn.neuron import IFNeuron, LIFNeuron
-from ..sparse.engine import MaskedParameter
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor, dense_products, no_grad
 
 #: Leaf module types a plan can run; anything else keeps the module path.
 SUPPORTED_LEAVES = (Linear, LIFNeuron, IFNeuron)
@@ -71,9 +71,11 @@ class _Linear:
         self.spikes = spikes
 
     def __call__(self, x: np.ndarray, batched: bool) -> np.ndarray:
-        layer = self.layer
-        route, forward, _ = MaskedParameter.products(
-            layer.weight_state, layer.weight.data, self.spikes)
+        layer, state = self.layer, self.layer.weight_state
+        if state is None:
+            route, (forward, _) = "dense", dense_products(layer.weight.data)
+        else:
+            route, forward, _ = state.products(layer.weight.data, self.spikes)
         if route == "csr" or batched or len(x) == 1:
             out = forward(x)
         else:
@@ -160,9 +162,8 @@ class StreamPlan:
                 held = len(following)
                 v, x = op.forward_arrays(state[held], state[held + 1], x)
                 following += (v, x)
-                if op.track_spikes:
-                    self._spikes[held // 2] += float(x.sum())
-                    self._steps[held // 2] += x.size
+                self._spikes[held // 2] += float(x.sum())
+                self._steps[held // 2] += x.size
             else:
                 x = op(x, batched)
         return x, tuple(following)
@@ -217,10 +218,10 @@ def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
     Eligibility is decided here, once: what the plan later reads per
     call (routes, patterns, values) may change, the chain may not.
     ``reason`` names why the model keeps the module path: a thawed
-    manager, the first unsupported leaf (in registration order), a
-    stateful container (its state can route later steps differently
-    from the recorded one), or a recorded call sequence that is not one
-    straight chain ending in the ``forward_once`` output.
+    manager, the first unsupported leaf (in registration order), or a
+    recorded call sequence that is not one straight chain ending in the
+    ``forward_once`` output.  Neurons are the only modules with temporal
+    state and every one is a leaf, so the leaf check covers them.
     """
     if manager is not None and not manager.frozen:
         return None, "manager is thawed"
@@ -229,9 +230,6 @@ def compile_plan(model, manager=None) -> Tuple[Optional[StreamPlan], str]:
     for path, module in leaves:
         if type(module) not in SUPPORTED_LEAVES:
             return None, f"unsupported leaf {path} ({type(module).__name__})"
-    for path, module in _stateful_modules(model):
-        if type(module) not in SUPPORTED_LEAVES:
-            return None, f"unsupported stateful module {path} ({type(module).__name__})"
     for path, module in leaves:
         # A layer bound to a thawed manager is still adapting, and an
         # adaptive session reads the live module state after each step.

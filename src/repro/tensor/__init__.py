@@ -16,11 +16,10 @@ from .conv import (
 from .functional import (
     accuracy,
     cross_entropy,
+    dense_products,
     log_softmax,
     masked_conv2d,
     masked_linear,
-    mse_loss,
-    nll_loss,
     one_hot,
     softmax,
 )
@@ -41,10 +40,9 @@ __all__ = [
     "log_softmax",
     "softmax",
     "cross_entropy",
+    "dense_products",
     "masked_linear",
     "masked_conv2d",
-    "mse_loss",
-    "nll_loss",
     "accuracy",
     "one_hot",
     "check_gradients",

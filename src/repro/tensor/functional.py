@@ -1,13 +1,14 @@
 """Loss functions, classification helpers and the masked layer ops.
 
 :func:`masked_linear` and :func:`masked_conv2d` are the autograd nodes
-of every ``Linear`` and ``Conv2d``.  Each asks
-:meth:`~repro.sparse.engine.MaskedParameter.products` for its layer's
-two row products (the forward ``rows @ W^T`` and the input gradient
-``grad_rows @ W``); that one function picks the dense or CSR route and
-counts it on the owning manager, so this module holds no dispatch
-policy.  Unmasked layers take the dense route, so masked and unmasked
-models share one code path.
+of every ``Linear`` and ``Conv2d``.  Each needs its layer's two row
+products: the forward ``rows @ W^T`` and the input gradient
+``grad_rows @ W``.  An unmasked layer (``state is None``) takes the
+dense pair, :func:`dense_products`.  A masked layer asks its bound state
+(:meth:`~repro.sparse.engine.MaskedParameter.products`), which picks
+the dense or CSR route and counts it on the owning manager, so this
+module holds no dispatch policy and imports nothing from
+:mod:`repro.sparse`.
 
 Gradient parity: the CSR route computes the *weight* gradient densely
 (the drop-and-grow methods score regrowth by dense gradient magnitude,
@@ -23,6 +24,15 @@ from .conv import _pair, col2im, conv_output_shape, im2col_t
 from .tensor import Tensor, is_grad_enabled
 
 
+def dense_products(weight: np.ndarray):
+    """The dense ``(forward, input_grad)`` pair of an ``(out, in)`` matrix.
+
+    ``forward(rows)`` is ``rows @ weight.T`` and ``input_grad(grad_rows)``
+    is ``grad_rows @ weight``, both one BLAS call.
+    """
+    return (lambda rows: rows @ weight.T), (lambda grad_rows: grad_rows @ weight)
+
+
 def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) -> Tensor:
     """``y = x W^T + b`` on ``(N, in)`` rows: one autograd node, either route.
 
@@ -33,9 +43,8 @@ def masked_linear(x: Tensor, weight: Tensor, bias: Tensor = None, state=None) ->
     """
     if x.ndim != 2:
         raise ValueError(f"masked_linear takes (N, in) rows, got shape {x.shape}")
-    from ..sparse.engine import MaskedParameter  # deferred: repro.sparse imports this package
-
-    _, forward, input_grad = MaskedParameter.products(state, weight.data)
+    matrix = weight.data
+    forward, input_grad = dense_products(matrix) if state is None else state.products(matrix)[1:]
     out_data = forward(x.data)
     if bias is not None:
         out_data = out_data + bias.data
@@ -91,9 +100,8 @@ def masked_conv2d(
     # (tests/tensor/test_conv.py).  The dense route's channels-last output
     # is the layout batch norm reduces over without a copy.
     cols_t = im2col_t(x.data, (kh, kw), stride, padding)  # (K, N*L)
-    from ..sparse.engine import MaskedParameter  # deferred: repro.sparse imports this package
-
-    _, forward, input_grad = MaskedParameter.products(state, weight.data.reshape(f, -1))
+    matrix = weight.data.reshape(f, -1)
+    forward, input_grad = dense_products(matrix) if state is None else state.products(matrix)[1:]
     out_rows = forward(cols_t.T)
     out_data = out_rows.reshape(n, length, f).transpose(0, 2, 1).reshape(n, f, out_h, out_w)
     if bias is not None:
@@ -170,21 +178,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, label_smoothing: float = 
 
     out._backward = backward
     return out
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error loss."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target_t
-    return (diff * diff).mean()
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Negative log-likelihood over precomputed log-probabilities."""
-    targets = np.asarray(targets)
-    n = log_probs.shape[0]
-    picked = log_probs[np.arange(n), targets]
-    return -picked.mean()
 
 
 def accuracy(logits: Tensor, targets: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from .hooks import (
     CallbackList,
     ConsoleLogger,
     MethodCallback,
-    TopologyAudit,
     TrainerCallback,
 )
 from .faults import (
@@ -24,7 +23,7 @@ from .faults import (
     inject_weight_noise,
     restore,
 )
-from .logging import read_history_csv, write_history_csv, write_history_json
+from .logging import write_history_csv
 from .cost import (
     CostAccountingCallback,
     CostBreakdown,
@@ -42,7 +41,7 @@ from .memory import (
     model_footprint,
     training_footprint_bits,
 )
-from .metrics import AverageMeter, confusion_matrix, evaluate, top_k_accuracy
+from .metrics import AverageMeter, evaluate
 from .trainer import EpochStats, Trainer, TrainingResult
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "CallbackList",
     "MethodCallback",
     "ConsoleLogger",
-    "TopologyAudit",
     "FaultInjectionCallback",
     "CostAccountingCallback",
     "inject_weight_noise",
@@ -65,16 +63,12 @@ __all__ = [
     "inject_dead_neurons",
     "restore",
     "write_history_csv",
-    "read_history_csv",
-    "write_history_json",
     "load_checkpoint",
     "Trainer",
     "TrainingResult",
     "EpochStats",
     "AverageMeter",
     "evaluate",
-    "confusion_matrix",
-    "top_k_accuracy",
     "CostBreakdown",
     "epoch_costs",
     "relative_training_cost",

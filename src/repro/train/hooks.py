@@ -116,18 +116,3 @@ class ConsoleLogger(TrainerCallback):
             f"sparsity {stats.sparsity:.3f}  spikes {stats.spike_rate:.3f}"
         )
 
-
-class TopologyAudit(TrainerCallback):
-    """Collects every mask-update record seen during a run.
-
-    Useful for tests and benches that want drop/grow traces without
-    reaching into method internals.
-    """
-
-    def __init__(self) -> None:
-        self.records: List[Optional[UpdateRecord]] = []
-        self.iterations: List[int] = []
-
-    def on_mask_update(self, trainer, iteration: int, record: Optional[UpdateRecord]) -> None:
-        self.records.append(record)
-        self.iterations.append(iteration)

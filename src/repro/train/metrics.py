@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..nn.module import Module
-from ..tensor import Tensor, no_grad
+from ..tensor import no_grad
 
 
 class AverageMeter:
@@ -52,24 +50,3 @@ def evaluate(model: Module, loader, max_batches: Optional[int] = None) -> float:
         return 0.0
     return correct / seen
 
-
-def confusion_matrix(model: Module, loader, num_classes: int) -> np.ndarray:
-    """Row-normalizable confusion counts ``matrix[true, predicted]``."""
-    was_training = model.training
-    model.eval()
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    with no_grad():
-        for images, labels in loader:
-            predictions = model(images).data.argmax(axis=1)
-            for truth, guess in zip(labels, predictions):
-                matrix[int(truth), int(guess)] += 1
-    if was_training:
-        model.train()
-    return matrix
-
-
-def top_k_accuracy(logits: Tensor, targets: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose true class is in the top-``k`` logits."""
-    top = np.argsort(logits.data, axis=1)[:, -k:]
-    hits = (top == np.asarray(targets)[:, None]).any(axis=1)
-    return float(hits.mean())

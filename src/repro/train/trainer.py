@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..nn.module import Module
-from ..optim import LRScheduler, Optimizer
+from ..optim import CosineAnnealingLR, Optimizer
 from ..snn.functional import reset_spike_stats, spike_rate
 from ..sparse.engine import SparseTrainingMethod
 from ..tensor import Tensor, cross_entropy
@@ -104,7 +104,7 @@ class Trainer:
         optimizer: Optimizer,
         train_loader,
         test_loader=None,
-        scheduler: Optional[LRScheduler] = None,
+        scheduler: Optional[CosineAnnealingLR] = None,
         loss_fn: Callable[[Tensor, np.ndarray], Tensor] = cross_entropy,
         grad_clip: Optional[float] = None,
         callbacks: Optional[Sequence[TrainerCallback]] = None,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.data import (
     Compose,
-    GaussianNoise,
     Normalize,
     RandomCrop,
     RandomHorizontalFlip,
@@ -82,16 +81,7 @@ class TestNormalize:
             Normalize(mean=[0.0], std=[0.0])
 
 
-class TestNoiseAndCompose:
-    def test_gaussian_noise_changes_data(self):
-        transform = GaussianNoise(sigma=0.5, rng=np.random.default_rng(4))
-        data = batch()
-        assert not np.allclose(transform(data), data)
-
-    def test_zero_sigma_identity(self):
-        data = batch()
-        assert np.allclose(GaussianNoise(sigma=0.0)(data), data)
-
+class TestCompose:
     def test_compose_order(self):
         double = lambda b: b * 2  # noqa: E731
         add_one = lambda b: b + 1  # noqa: E731

@@ -85,7 +85,6 @@ class TestGeneration:
     def test_properties(self):
         dataset = make_dataset("cifar10", num_samples=20, image_size=8)
         assert dataset.num_classes == 10
-        assert dataset.image_shape == (3, 8, 8)
 
 
 class TestArrayDataset:

@@ -38,7 +38,6 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.module import Module, Parameter
-from repro.snn import ThresholdDependentBatchNorm2d
 from repro.sparse.engine import SparsityManager, _kept_count
 from repro.tensor import Tensor, avg_pool2d, masked_conv2d, masked_linear, max_pool2d
 
@@ -217,14 +216,6 @@ class RefBatchNorm2d(Module):
     def compact(self, keep):
         ref_compact_batchnorm(self, keep)
         return self
-
-
-class RefThresholdDependentBatchNorm2d(RefBatchNorm2d):
-    def __init__(self, num_features, v_threshold=1.0, alpha_td=1.0, eps=1e-5, momentum=0.1):
-        super().__init__(num_features, eps=eps, momentum=momentum)
-        self.v_threshold = float(v_threshold)
-        self.alpha_td = float(alpha_td)
-        self.weight.data[:] = alpha_td * v_threshold
 
 
 class RefBatchNorm1d(Module):
@@ -597,20 +588,6 @@ def test_batchnorm_train_eval_and_compact(lib_cls, ref_cls, shape):
         layer.train()
     run_bn(lib, ref, x[:, keep], seed=12)
     assert raised(lambda: lib.compact([5])) == raised(lambda: ref.compact([5]))
-
-
-def test_threshold_dependent_batchnorm():
-    kwargs = dict(v_threshold=0.5, alpha_td=1.5, momentum=0.3)
-    lib = ThresholdDependentBatchNorm2d(8, **kwargs)
-    ref = RefThresholdDependentBatchNorm2d(8, **kwargs)
-    same(lib.weight.data, ref.weight.data)
-    rng = np.random.default_rng(9)
-    for step in range(3):
-        x = (rng.standard_normal((16, 8, 6, 6)) * 1.5 - 0.3).astype(np.float32)
-        run_bn(lib, ref, x, seed=step)
-    for layer in (lib, ref):
-        layer.eval()
-    run_bn(lib, ref, x, seed=5)
 
 
 def with_layout(array, layout):

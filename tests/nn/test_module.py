@@ -35,10 +35,6 @@ class TestRegistration:
         names = [name for name, _ in model.named_modules()]
         assert "" in names and "linear" in names
 
-    def test_children(self):
-        model = Branchy()
-        assert len(list(model.children())) == 1
-
     def test_count_parameters(self):
         model = Branchy()
         assert model.count_parameters() == 4 * 3 + 3 + 2

@@ -1,10 +1,10 @@
-"""Learning-rate schedulers."""
+"""The learning-rate scheduler."""
 
 import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.optim import SGD, ConstantLR, CosineAnnealingLR, MultiStepLR, StepLR
+from repro.optim import SGD, CosineAnnealingLR
 
 
 def optimizer(lr=1.0):
@@ -42,30 +42,3 @@ class TestCosine:
         with pytest.raises(ValueError):
             CosineAnnealingLR(optimizer(), t_max=0)
 
-
-class TestStep:
-    def test_decays_every_step_size(self):
-        opt = optimizer(lr=1.0)
-        scheduler = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [scheduler.step() for _ in range(5)]
-        assert np.allclose(lrs, [1.0, 1.0, 0.1, 0.1, 0.01])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(optimizer(), step_size=0)
-
-
-class TestMultiStep:
-    def test_milestones(self):
-        opt = optimizer(lr=1.0)
-        scheduler = MultiStepLR(opt, milestones=[2, 4], gamma=0.5)
-        lrs = [scheduler.step() for _ in range(5)]
-        assert np.allclose(lrs, [1.0, 1.0, 0.5, 0.5, 0.25])
-
-
-class TestConstant:
-    def test_constant(self):
-        opt = optimizer(lr=0.7)
-        scheduler = ConstantLR(opt)
-        for _ in range(3):
-            assert scheduler.step() == 0.7

@@ -7,7 +7,6 @@ from repro.snn import (
     LIFNeuron,
     reset_net,
     reset_spike_stats,
-    set_spike_tracking,
     spike_rate,
     spike_rates_per_layer,
 )
@@ -61,13 +60,3 @@ class TestAggregation:
         reset_net(net)
         assert net.first.v is None
         assert net.first.spike_count == count
-
-    def test_tracking_toggle_round_trip(self):
-        net = TwoNeuronNet()
-        set_spike_tracking(net, False)
-        net(Tensor(np.full((1, 2), 2.0, dtype=np.float32)))
-        assert spike_rate(net) == 0.0
-        set_spike_tracking(net, True)
-        reset_net(net)
-        net(Tensor(np.full((1, 2), 2.0, dtype=np.float32)))
-        assert spike_rate(net) > 0.0

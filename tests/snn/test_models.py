@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.snn import reset_spike_stats, set_spike_tracking, spike_rate, spike_rates_per_layer
+from repro.snn import reset_spike_stats, spike_rate, spike_rates_per_layer
 from repro.snn.models import (
     MODEL_REGISTRY,
     SpikingConvNet,
@@ -101,12 +101,6 @@ class TestSpikeAccounting:
         model = SpikingConvNet(num_classes=3, in_channels=1, image_size=8, channels=(4,), timesteps=2)
         model(batch((1, 1, 8, 8), seed=7))
         reset_spike_stats(model)
-        assert spike_rate(model) == 0.0
-
-    def test_tracking_toggle(self):
-        model = SpikingConvNet(num_classes=3, in_channels=1, image_size=8, channels=(4,), timesteps=2)
-        set_spike_tracking(model, False)
-        model(batch((1, 1, 8, 8), seed=8))
         assert spike_rate(model) == 0.0
 
 

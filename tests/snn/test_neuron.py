@@ -101,11 +101,6 @@ class TestSpikeStats:
         neuron.reset_spike_stats()
         assert neuron.spike_rate == 0.0
 
-    def test_tracking_disabled(self):
-        neuron = LIFNeuron(track_spikes=False)
-        neuron(Tensor(np.full((4,), 2.0, dtype=np.float32)))
-        assert neuron.neuron_steps == 0
-
 
 class TestSurrogateGradient:
     def test_spike_function_forward_is_heaviside(self):
@@ -151,6 +146,54 @@ class TestParametricLIF:
     def test_rejects_init_alpha_outside_open_unit_interval(self, init_alpha):
         with pytest.raises(ValueError, match=r"init_alpha must lie in \(0, 1\)"):
             ParametricLIFNeuron(init_alpha=init_alpha)
+
+
+class TestAdaptiveLIF:
+    def test_threshold_rises_after_spiking(self):
+        neuron = AdaptiveLIFNeuron(alpha=1.0, v_threshold=1.0, beta=10.0, rho=0.9)
+        # First big input fires; adaptation then blocks an identical one
+        # that a plain LIF would pass (soft reset leaves v = 0.5; +1.5
+        # gives 2.0 >= 1.0, but threshold is now 1 + 10*1 = 11).
+        outputs = drive(neuron, [1.5, 1.5])
+        assert outputs[0] == 1.0
+        assert outputs[1] == 0.0
+
+    def test_zero_beta_matches_lif(self):
+        currents = list(np.random.default_rng(0).uniform(-0.5, 1.5, size=12))
+        alif = AdaptiveLIFNeuron(alpha=0.5, v_threshold=1.0, beta=0.0, rho=0.9)
+        lif = LIFNeuron(alpha=0.5, v_threshold=1.0)
+        assert drive(alif, currents) == drive(lif, currents)
+
+    def test_adaptation_decays(self):
+        neuron = AdaptiveLIFNeuron(alpha=0.5, v_threshold=1.0, beta=1.0, rho=0.5)
+        drive(neuron, [2.0])
+        assert neuron.adaptation[0] == 1.0
+        drive(neuron, [0.0, 0.0])
+        assert neuron.adaptation[0] == 0.25
+
+    def test_reset_clears_adaptation(self):
+        neuron = AdaptiveLIFNeuron()
+        drive(neuron, [2.0])
+        neuron.reset_state()
+        assert neuron.adaptation is None and neuron.v is None
+
+    def test_gradients_flow(self):
+        w = Tensor(np.array([0.9], dtype=np.float32), requires_grad=True)
+        neuron = AdaptiveLIFNeuron(alpha=0.5, beta=0.1)
+        total = None
+        for _ in range(3):
+            out = neuron(w * 1.0)
+            total = out if total is None else total + out
+        total.backward(np.array([1.0], dtype=np.float32))
+        assert w.grad is not None
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            AdaptiveLIFNeuron(alpha=0.0)
+        with pytest.raises(ValueError):
+            AdaptiveLIFNeuron(rho=1.0)
+        with pytest.raises(ValueError):
+            AdaptiveLIFNeuron(beta=-1.0)
 
 
 class TestFactoryAndReset:

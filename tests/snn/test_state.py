@@ -14,7 +14,6 @@ from repro.snn import (
     IFNeuron,
     LIFNeuron,
     ParametricLIFNeuron,
-    RecurrentSpikingLayer,
     reset_net,
 )
 from repro.snn.functional import restore_net_state, snapshot_net_state
@@ -82,33 +81,6 @@ class TestAdaptiveThresholdState:
         fresh = AdaptiveLIFNeuron(beta=0.5)
         fresh.restore_state(snapshot)
         assert np.array_equal(fresh.adaptation.data, neuron.adaptation.data)
-
-
-class TestRecurrentLayerState:
-    def make(self):
-        return RecurrentSpikingLayer(5, 7, rng=np.random.default_rng(3))
-
-    def test_feedback_buffer_round_trips(self):
-        currents = make_currents(6, seed=2)
-        golden = drive(self.make(), currents)
-
-        layer = self.make()
-        drive(layer, currents[:3])
-        # Whole-layer state = its own buffer + the inner neuron's path.
-        state = snapshot_net_state(layer)
-        drive(layer, currents[3:])
-        restore_net_state(layer, state)
-        replayed = drive(layer, currents[3:])
-        for want, got in zip(golden[3:], replayed):
-            assert np.array_equal(want, got)
-
-    def test_reset_net_clears_the_feedback_buffer(self):
-        layer = self.make()
-        drive(layer, make_currents(2, seed=4))
-        assert layer._last_spikes is not None
-        reset_net(layer)
-        assert layer._last_spikes is None
-        assert layer.neuron.v is None
 
 
 class TestNetworkStateRoundTrip:

@@ -8,7 +8,6 @@ from repro.sparse import (
     degree_statistics,
     input_output_connectivity,
     layer_chain_graph,
-    mask_bipartite_graph,
     topology_change,
 )
 
@@ -19,7 +18,6 @@ class TestDegreeStats:
         assert stats.mean_out == 6.0
         assert stats.mean_in == 4.0
         assert stats.dead_outputs == 0
-        assert not stats.has_dead_units
 
     def test_dead_units_detected(self):
         mask = np.ones((3, 3), dtype=np.float32)
@@ -28,7 +26,6 @@ class TestDegreeStats:
         stats = degree_statistics(mask)
         assert stats.dead_outputs == 1
         assert stats.dead_inputs == 1
-        assert stats.has_dead_units
 
     def test_conv_mask_collapsed(self):
         mask = np.zeros((2, 3, 2, 2), dtype=np.float32)
@@ -40,14 +37,6 @@ class TestDegreeStats:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             degree_statistics(np.ones(5))
-
-
-class TestBipartiteGraph:
-    def test_edges_match_nonzeros(self):
-        mask = np.array([[1, 0], [0, 1]], dtype=np.float32)
-        graph = mask_bipartite_graph(mask)
-        assert graph.number_of_edges() == 2
-        assert (("out", 0), ("in", 0)) in graph.edges or (("in", 0), ("out", 0)) in graph.edges
 
 
 class TestConnectivity:

@@ -11,7 +11,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from repro.nn.layers import Conv2d, Linear
-from repro.sparse import CSRPattern, SparsityManager
+from repro.sparse import CSRPattern, MaskedParameter, SparsityManager
 from repro.tensor import (
     Tensor,
     check_gradients,
@@ -48,7 +48,10 @@ class FakeState:
 
     ``csr_values`` gathers from ``weight`` on every call, so in-place
     weight edits (finite-difference probes) reach the CSR route.
+    Its products run :meth:`MaskedParameter.products` over these stubs.
     """
+
+    products = MaskedParameter.products
 
     def __init__(self, mask, weight, csr=True):
         self.mask = mask

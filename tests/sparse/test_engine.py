@@ -236,10 +236,6 @@ class TestSparsityManager:
             if isinstance(module, (Linear, Conv2d)) and module.weight_state is not None
         ]
         assert len(bound_states) == len(manager.states)
-        manager.unbind_layers()
-        assert all(
-            getattr(module, "weight_state", None) is None for module in model.modules()
-        )
 
     def test_execution_dispatch_by_density(self):
         _, manager = self._manager()

@@ -42,14 +42,6 @@ class TestSchedule:
         ratios = [keeps[i + 1] / keeps[i] for i in range(2)]
         assert np.allclose(ratios, ratios[0])
 
-    def test_training_sparsity_per_round(self):
-        model = make_model()
-        controller = LTHSNN(model, target_sparsity=0.9, rounds=3)
-        assert controller.training_sparsity_for_round(1) == 0.0
-        assert controller.training_sparsity_for_round(2) == pytest.approx(
-            controller.sparsity_for_round(1)
-        )
-
     def test_round_index_validation(self):
         controller = LTHSNN(make_model(), target_sparsity=0.9, rounds=2)
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -154,6 +154,9 @@ class TestQuantization:
         scale=st.floats(min_value=1e-3, max_value=1e3),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
+    # Restores 542.9017 for 538.0543: 1.48e-5 past ``scale / 2``, a
+    # quarter of the float32 spacing (6.1e-5) at that magnitude.
+    @example(rows=13, scale=577.0, seed=34681)
     def test_int8_error_within_half_scale_per_row(self, rows, scale, seed):
         rng = np.random.default_rng(seed)
         counts = rng.integers(0, 40, size=rows)
@@ -167,8 +170,14 @@ class TestQuantization:
         assert np.abs(quantized).max(initial=0) <= 127  # never clips
         restored = dequantize_rows(quantized, scales, indptr)
         row_of = np.repeat(np.arange(rows), counts)
-        bound = scales[row_of] / 2.0 + 1e-7
-        assert np.all(np.abs(restored - values) <= bound)
+        # ``q = rint(v / scale)`` and ``q * scale`` each round to float32,
+        # by at most the unit roundoff ``u`` of their result: together
+        # ``u * (|v| + |restored|)``, about one ulp of the restored value.
+        # The error is taken in float64, where the subtraction is exact.
+        u = np.finfo(np.float32).eps / 2
+        error = np.abs(restored.astype(np.float64) - values)
+        bound = scales[row_of] / 2.0 + u * (np.abs(values) + np.abs(restored))
+        assert np.all(error <= bound)
 
     def test_empty_and_zero_rows_get_zero_scale(self):
         indptr = np.array([0, 0, 2, 4], dtype=np.int64)

@@ -22,7 +22,6 @@ import pytest
 from repro.data.telemetry import make_telemetry_stream
 from repro.nn import Linear
 from repro.serve import MicroBatcher
-from repro.snn import RecurrentSpikingLayer
 from repro.snn.functional import reset_net, restore_net_state, snapshot_net_state
 from repro.snn.models import SpikingConvNet, SpikingMLP
 from repro.snn.models.base import SpikingModel
@@ -49,17 +48,6 @@ class ModulePathSession(StreamSession):
         with no_grad():
             out = self.model.forward_once(Tensor(frame))
         return out.data, snapshot_net_state(self.model)
-
-
-class RecurrentNet(SpikingModel):
-    def __init__(self):
-        super().__init__(timesteps=4)
-        rng = np.random.default_rng(0)
-        self.rec = RecurrentSpikingLayer(CHANNELS, 8, rng=rng)
-        self.head = Linear(8, CLASSES, rng=rng)
-
-    def forward_once(self, x):
-        return self.head(self.rec(x))
 
 
 class ChainNet(SpikingModel):
@@ -381,15 +369,7 @@ class TestExecution:
                                                rng=np.random.default_rng(0)))
         assert session.execution == "modules: unsupported leaf features.0 (Conv2d)"
 
-    def test_recurrent_layer_reports_its_feedback_state(self):
-        # Its first step is a straight Linear -> LIF chain; the feedback
-        # path only runs once it holds state, so recording cannot see it.
-        session = StreamSession(RecurrentNet())
-        assert session.execution == (
-            "modules: unsupported stateful module rec (RecurrentSpikingLayer)")
-
-    @pytest.mark.parametrize("build", [lambda: mlp((10,), "plif"), RecurrentNet],
-                             ids=["plif", "recurrent"])
+    @pytest.mark.parametrize("build", [lambda: mlp((10,), "plif")], ids=["plif"])
     def test_fallback_sessions_stay_bit_identical(self, build):
         session = StreamSession(build(), window=4, encoder="rate")
         results = [r for e in make_feed() if (r := session.process(e)) is not None]

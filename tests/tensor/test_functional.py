@@ -9,8 +9,6 @@ from repro.tensor import (
     check_gradients,
     cross_entropy,
     log_softmax,
-    mse_loss,
-    nll_loss,
     one_hot,
     softmax,
 )
@@ -71,21 +69,6 @@ class TestCrossEntropy:
             cross_entropy(Tensor(np.zeros((2, 3, 4), dtype=np.float32)), np.array([0, 1]))
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((2, 3), dtype=np.float32)), np.array([0]))
-
-
-class TestOtherLosses:
-    def test_mse(self):
-        prediction = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-        target = np.array([0.0, 0.0], dtype=np.float32)
-        loss = mse_loss(prediction, Tensor(target))
-        assert np.isclose(float(loss.data), 2.5)
-        check_gradients(lambda: mse_loss(prediction, Tensor(target)), [prediction])
-
-    def test_nll(self):
-        log_probs = Tensor(np.log(np.array([[0.7, 0.3], [0.2, 0.8]], dtype=np.float32)))
-        loss = nll_loss(log_probs, np.array([0, 1]))
-        expected = -(np.log(0.7) + np.log(0.8)) / 2
-        assert np.isclose(float(loss.data), expected, atol=1e-5)
 
 
 class TestHelpers:

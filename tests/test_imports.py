@@ -1,4 +1,5 @@
-"""Every ``repro.*`` module imports on its own, in a fresh process.
+"""Every ``repro.*`` module imports on its own, in a fresh process, and
+the lower layers never reach up into ``repro.sparse``.
 
 An import cycle only bites when a module is the *first* one imported:
 the test suite, the benches and ``check_all.py`` each import in an
@@ -9,6 +10,7 @@ forks one child per module, which keeps the sweep to a few seconds.
 BLAS runs single-threaded there, so the forking process has no threads.
 """
 
+import ast
 import json
 import os
 import pkgutil
@@ -70,3 +72,57 @@ def test_every_module_imports_in_a_fresh_process():
     assert result.returncode == 0, result.stderr
     failures = [json.loads(line) for line in result.stdout.splitlines()]
     assert failures == []
+
+
+#: Packages below ``repro.sparse``: sparse imports them, never the reverse.
+LOWER_LAYERS = ("tensor", "nn", "snn")
+
+
+def _imported_modules(node, package):
+    """Absolute ``repro`` module names one import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level:
+        parts = package.split(".")
+        base = ".".join(parts[:len(parts) - node.level + 1])
+        module = f"{base}.{node.module}" if node.module else base
+    else:
+        module = node.module
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def _imports(tree, package):
+    """``(line, modules, in_function)`` for every import in ``tree``."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append((node.lineno, _imported_modules(node, package), in_function))
+        nested = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, nested)
+
+    visit(tree, False)
+    return found
+
+
+def test_lower_layers_never_import_sparse_or_defer_imports():
+    """No module under ``repro/tensor``, ``repro/nn`` or ``repro/snn``
+    imports ``repro.sparse``, at top level or inside a function, and none
+    imports a ``repro`` module inside a function (a deferred import is
+    how a package cycle hides)."""
+    root = Path(SRC_DIR) / "repro"
+    sparse_imports, deferred = [], []
+    for layer in LOWER_LAYERS:
+        for path in sorted((root / layer).rglob("*.py")):
+            # A module's package, and an ``__init__``'s own package.
+            package = ".".join(path.relative_to(SRC_DIR).parts[:-1])
+            where = str(path.relative_to(root))
+            for line, names, in_function in _imports(ast.parse(path.read_text()), package):
+                if any(name == "repro.sparse" or name.startswith("repro.sparse.")
+                       for name in names):
+                    sparse_imports.append(f"{where}:{line}")
+                if in_function and any(name.split(".")[0] == "repro" for name in names):
+                    deferred.append(f"{where}:{line}")
+    assert sparse_imports == []
+    assert deferred == []

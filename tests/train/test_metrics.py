@@ -4,8 +4,7 @@ import numpy as np
 
 from repro.data import ArrayDataset, DataLoader
 from repro.snn.models import SpikingMLP
-from repro.tensor import Tensor
-from repro.train import AverageMeter, confusion_matrix, evaluate, top_k_accuracy
+from repro.train import AverageMeter, evaluate
 
 
 class TestAverageMeter:
@@ -58,17 +57,3 @@ class TestEvaluate:
         model, _ = tiny_model_and_loader()
         assert evaluate(model, []) == 0.0
 
-
-class TestConfusionMatrix:
-    def test_counts_sum_to_samples(self):
-        model, loader = tiny_model_and_loader()
-        matrix = confusion_matrix(model, loader, num_classes=3)
-        assert matrix.sum() == 12
-        assert matrix.shape == (3, 3)
-
-
-class TestTopK:
-    def test_top_k(self):
-        logits = Tensor(np.array([[0.1, 0.5, 0.4], [0.9, 0.05, 0.05]], dtype=np.float32))
-        assert top_k_accuracy(logits, np.array([2, 0]), k=2) == 1.0
-        assert top_k_accuracy(logits, np.array([1, 1]), k=1) == 0.5

@@ -1,15 +1,18 @@
 """Network-level spiking utilities: rate aggregation math."""
 
 import numpy as np
+import pytest
 
 from repro.nn.module import Module
 from repro.snn import (
+    BaseNeuron,
     LIFNeuron,
     reset_net,
     reset_spike_stats,
     spike_rate,
     spike_rates_per_layer,
 )
+from repro.snn.models import SpikingMLP
 from repro.tensor import Tensor
 
 
@@ -60,3 +63,21 @@ class TestAggregation:
         reset_net(net)
         assert net.first.v is None
         assert net.first.spike_count == count
+
+
+@pytest.mark.parametrize("kind", ["lif", "if", "plif", "alif"])
+def test_every_neuron_kind_is_aggregated(kind):
+    model = SpikingMLP(6, 3, hidden=(10, 8), timesteps=3, neuron_kind=kind,
+                       rng=np.random.default_rng(2))
+    rng = np.random.default_rng(4)
+    model(Tensor(rng.uniform(0, 2, size=(2, 6)).astype(np.float32)))
+    neurons = {name: module for name, module in model.named_modules()
+               if isinstance(module, BaseNeuron)}
+    per_layer = spike_rates_per_layer(model)
+    assert set(per_layer) == set(neurons)
+    assert all(per_layer[name] == neuron.spike_rate for name, neuron in neurons.items())
+    spikes = sum(neuron.spike_count for neuron in neurons.values())
+    steps = sum(neuron.neuron_steps for neuron in neurons.values())
+    assert spikes > 0 and spike_rate(model) == spikes / steps
+    reset_spike_stats(model)
+    assert all(neuron.neuron_steps == 0 for neuron in neurons.values())

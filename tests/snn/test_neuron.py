@@ -101,6 +101,18 @@ class TestSpikeStats:
         neuron.reset_spike_stats()
         assert neuron.spike_rate == 0.0
 
+    @pytest.mark.parametrize("kind", ["lif", "if", "plif", "alif"])
+    def test_every_kind_counts_every_step(self, kind):
+        neuron = build_neuron(kind)
+        rng = np.random.default_rng(3)
+        fired = 0.0
+        for _ in range(5):
+            out = neuron(Tensor(rng.uniform(0.0, 2.0, size=(3, 4)).astype(np.float32)))
+            fired += float(out.data.sum())
+        assert fired > 0
+        assert neuron.spike_count == fired
+        assert neuron.neuron_steps == 5 * 12
+
 
 class TestSurrogateGradient:
     def test_spike_function_forward_is_heaviside(self):

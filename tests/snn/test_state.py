@@ -9,8 +9,10 @@ uninterrupted run, for every stateful module and for whole networks.
 import numpy as np
 import pytest
 
+from repro.nn.module import Module
 from repro.snn import (
     AdaptiveLIFNeuron,
+    BaseNeuron,
     IFNeuron,
     LIFNeuron,
     ParametricLIFNeuron,
@@ -132,3 +134,88 @@ class TestNetworkStateRoundTrip:
         extra["phantom.neuron"] = {"v": None, "o_prev": None}
         with pytest.raises(ValueError, match="unexpected"):
             restore_net_state(model, extra)
+
+
+KINDS = ["lif", "if", "plif", "alif"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestEveryNeuronKindInANetwork:
+    """The network walks reach every neuron kind, ALIF's adaptation
+    trace included: neurons are the only temporal state a model holds."""
+
+    def make_model(self, kind):
+        return SpikingMLP(6, 3, hidden=(10, 8), timesteps=4, neuron_kind=kind,
+                          rng=np.random.default_rng(5))
+
+    def frames(self, count, seed=6):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.uniform(0, 2, size=(2, 6)).astype(np.float32))
+                for _ in range(count)]
+
+    def test_mid_window_snapshot_continues_bit_identically(self, kind):
+        frames = self.frames(6)
+        golden_model = self.make_model(kind)
+        reset_net(golden_model)
+        golden = [golden_model.forward_once(f).data.copy() for f in frames]
+
+        model = self.make_model(kind)
+        reset_net(model)
+        [model.forward_once(f) for f in frames[:3]]
+        state = snapshot_net_state(model)
+        [model.forward_once(f) for f in frames[3:]]
+        restore_net_state(model, state)
+        replayed = [model.forward_once(f).data.copy() for f in frames[3:]]
+        for want, got in zip(golden[3:], replayed):
+            assert want.tobytes() == got.tobytes()
+
+    def test_snapshot_keys_are_exactly_the_neuron_paths(self, kind):
+        model = self.make_model(kind)
+        reset_net(model)
+        neurons = {name for name, module in model.named_modules()
+                   if isinstance(module, BaseNeuron)}
+        assert len(neurons) == 2
+        assert set(snapshot_net_state(model)) == neurons
+
+    def test_reset_net_clears_every_neuron(self, kind):
+        model = self.make_model(kind)
+        reset_net(model)
+        [model.forward_once(f) for f in self.frames(3)]
+        for entry in snapshot_net_state(model).values():
+            assert all(value is not None for value in entry.values())
+        reset_net(model)
+        for entry in snapshot_net_state(model).values():
+            assert all(value is None for value in entry.values())
+
+
+class TestOnlyNeuronsHoldState:
+    def test_a_module_with_the_state_methods_is_not_walked(self):
+        class Buffer(Module):
+            """Has the neuron state API but is not a neuron."""
+
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def reset_state(self):
+                self.calls.append("reset")
+
+            def snapshot_state(self):
+                self.calls.append("snapshot")
+                return {}
+
+            def restore_state(self, state):
+                self.calls.append("restore")
+
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                self.buffer = Buffer()
+                self.neuron = LIFNeuron()
+
+        net = Net()
+        reset_net(net)
+        state = snapshot_net_state(net)
+        restore_net_state(net, state)
+        assert set(state) == {"neuron"}
+        assert net.buffer.calls == []

@@ -369,13 +369,32 @@ class TestExecution:
                                                rng=np.random.default_rng(0)))
         assert session.execution == "modules: unsupported leaf features.0 (Conv2d)"
 
-    @pytest.mark.parametrize("build", [lambda: mlp((10,), "plif")], ids=["plif"])
+    def test_alif_reports_the_unsupported_neuron(self):
+        session = StreamSession(mlp((10,), "alif"))
+        assert session.execution == "modules: unsupported leaf body.1 (AdaptiveLIFNeuron)"
+
+    @pytest.mark.parametrize("build", [lambda: mlp((10,), "plif"), lambda: mlp((10,), "alif")],
+                             ids=["plif", "alif"])
     def test_fallback_sessions_stay_bit_identical(self, build):
         session = StreamSession(build(), window=4, encoder="rate")
         results = [r for e in make_feed() if (r := session.process(e)) is not None]
         assert results
         for result in results:
             assert np.array_equal(session.offline_reference(result.frames), result.logits)
+
+    @pytest.mark.parametrize("neuron", ["plif", "alif"])
+    def test_interleaved_fallback_streams_match_each_stream_alone(self, neuron):
+        # The module path swaps each stream's neuron state (ALIF's
+        # adaptation trace too) in and out of one model around every event.
+        feed = make_feed(streams=3, events=10)
+        shared = StreamSession(mlp((10,), neuron), window=4, stride=1)
+        interleaved = [r for e in feed if (r := shared.process(e)) is not None]
+        assert interleaved
+        for stream_id in sorted({event.stream_id for event in feed}):
+            alone = StreamSession(mlp((10,), neuron), window=4, stride=1)
+            own = [r for e in feed if e.stream_id == stream_id
+                   and (r := alone.process(e)) is not None]
+            assert_same_results(own, [r for r in interleaved if r.stream_id == stream_id])
 
     @pytest.mark.parametrize("forward, reason", [
         (lambda m, x: m.head(m.lif(m.fc(x)) * 2.0),

@@ -1,4 +1,4 @@
-"""Loss functions and classification helpers."""
+"""Loss functions, classification helpers and the dense layer products."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from repro.tensor import (
     accuracy,
     check_gradients,
     cross_entropy,
+    dense_products,
     log_softmax,
+    masked_linear,
     one_hot,
     softmax,
 )
@@ -81,3 +83,32 @@ class TestHelpers:
         out = one_hot(np.array([0, 2]), 3)
         assert np.allclose(out, [[1, 0, 0], [0, 0, 1]])
         assert out.dtype == np.float32
+
+
+class TestDenseProducts:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.weight = rng.standard_normal((5, 7)).astype(np.float32)
+        self.rows = rng.standard_normal((3, 7)).astype(np.float32)
+        self.grad_rows = rng.standard_normal((3, 5)).astype(np.float32)
+
+    def test_pair_is_the_two_row_products(self):
+        forward, input_grad = dense_products(self.weight)
+        assert forward(self.rows).tobytes() == (self.rows @ self.weight.T).tobytes()
+        assert input_grad(self.grad_rows).tobytes() == (self.grad_rows @ self.weight).tobytes()
+
+    def test_unmasked_linear_runs_the_dense_pair(self):
+        bias = np.arange(5, dtype=np.float32)
+        x = Tensor(self.rows, requires_grad=True)
+        weight = Tensor(self.weight, requires_grad=True)
+        b = Tensor(bias, requires_grad=True)
+        out = masked_linear(x, weight, b, None)
+        assert out.data.tobytes() == (self.rows @ self.weight.T + bias).tobytes()
+        out.backward(self.grad_rows)
+        assert x.grad.tobytes() == (self.grad_rows @ self.weight).tobytes()
+        assert np.allclose(weight.grad, self.grad_rows.T @ self.rows, rtol=1e-6, atol=1e-6)
+        assert np.allclose(b.grad, self.grad_rows.sum(axis=0))
+
+    def test_linear_refuses_input_that_is_not_rows(self):
+        with pytest.raises(ValueError, match="takes \\(N, in\\) rows"):
+            masked_linear(Tensor(self.rows[None]), Tensor(self.weight), None, None)

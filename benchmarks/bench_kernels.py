@@ -33,10 +33,11 @@ import sys
 import numpy as np
 import pytest
 
+from repro.nn.module import Module, Parameter
 from repro.optim import SGD
 from repro.snn import LIFNeuron, reset_net
 from repro.snn.models import SpikingConvNet
-from repro.sparse import NDSNN, CSRPattern, MaskedParameter, SparsityManager
+from repro.sparse import NDSNN, CSRPattern, SparsityManager
 from repro.tensor import Tensor, cross_entropy, masked_conv2d
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -234,29 +235,21 @@ def compare_masked_matmul(
     }
 
 
-class _BenchState:
-    """Minimal MaskedParameter stand-in forcing the CSR conv route."""
+def _csr_state(weight, mask):
+    """``weight`` as the one layer of a SparsityManager on the CSR route.
 
-    products = MaskedParameter.products
-
-    class _Manager:
-        dispatch_counts = {"dense": 0, "csr": 0}
-
-        @staticmethod
-        def route(state):
-            return "csr"
-
-    def __init__(self, mask, weight):
-        self.mask = mask
-        self.manager = self._Manager()
-        self._pattern = CSRPattern.from_mask(mask)
-        self._pattern.gather(weight)
-
-    def csr_pattern(self):
-        return self._pattern
-
-    def csr_values(self):
-        return self._pattern.values
+    Returns the layer's weight (gradient tracking off: the cells time
+    forwards) and its :class:`MaskedParameter`, values already gathered.
+    """
+    layer = Module()
+    layer.weight = Parameter(weight)
+    layer.weight.requires_grad = False
+    manager = SparsityManager(layer)
+    manager.load_masks({"weight": mask})
+    manager.set_execution("csr")
+    state = manager.states["weight"]
+    state.csr_values()
+    return layer.weight, state
 
 
 def compare_masked_conv(filters, channels, kernel, height, width, batch,
@@ -272,8 +265,7 @@ def compare_masked_conv(filters, channels, kernel, height, width, batch,
     mask = mask.reshape(shape)
     weight *= mask
     x = Tensor(rng.standard_normal((batch, channels, height, width)).astype(np.float32))
-    weight_t = Tensor(weight)
-    state = _BenchState(mask, weight)
+    weight_t, state = _csr_state(weight, mask)
     padding = kernel // 2
 
     dense_s, csr_s = _mean_seconds([

@@ -33,7 +33,7 @@ from repro.optim import SGD, CosineAnnealingLR
 from repro.serve import InferenceServer, InferenceSession, ModelRegistry
 from repro.snn.models import SpikingConvNet
 from repro.sparse import NDSNN
-from repro.train import Trainer
+from repro.train import ConsoleLogger, Trainer
 from repro.train.checkpoint import restore_manager, save_checkpoint
 
 
@@ -54,9 +54,10 @@ def train_checkpoint(path, seed, epochs, train_samples, test_samples):
     optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=5e-4)
     trainer = Trainer(model, method, optimizer, train_loader,
                       test_loader=test_loader,
-                      scheduler=CosineAnnealingLR(optimizer, t_max=epochs))
+                      scheduler=CosineAnnealingLR(optimizer, t_max=epochs),
+                      callbacks=[ConsoleLogger()])
     print("training sparse model ...")
-    trainer.fit(epochs, verbose=True)
+    trainer.fit(epochs)
     save_checkpoint(path, model, method)
     return test_loader
 

@@ -22,7 +22,7 @@ from repro.data import DataLoader, make_dataset
 from repro.optim import SGD, CosineAnnealingLR
 from repro.snn.models import SpikingConvNet
 from repro.sparse import NDSNN
-from repro.train import Trainer
+from repro.train import ConsoleLogger, Trainer
 
 
 def main() -> None:
@@ -70,12 +70,13 @@ def main() -> None:
     # results to dense execution, just faster at high sparsity; the
     # same knob is ``--execution {dense,auto,csr}`` on the CLI).
     trainer = Trainer(
-        model, method, optimizer, train_loader, test_loader=test_loader, scheduler=scheduler
+        model, method, optimizer, train_loader, test_loader=test_loader, scheduler=scheduler,
+        callbacks=[ConsoleLogger()],
     )
     method.set_execution("auto")
 
     # 5. Train.
-    result = trainer.fit(epochs, verbose=True)
+    result = trainer.fit(epochs)
 
     print()
     print(f"final test accuracy : {result.final_accuracy:.3f}")

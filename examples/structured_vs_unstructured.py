@@ -16,7 +16,7 @@ from repro.experiments.tables import format_table
 from repro.optim import SGD, CosineAnnealingLR
 from repro.snn.models import SpikingConvNet
 from repro.sparse import NDSNN, CSRPattern, StructuredFilterPruning
-from repro.train import Trainer
+from repro.train import ConsoleLogger, Trainer
 
 
 def train(method, seed=0, epochs=8):
@@ -33,8 +33,9 @@ def train(method, seed=0, epochs=8):
     optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=5e-4)
     scheduler = CosineAnnealingLR(optimizer, t_max=epochs)
     trainer = Trainer(model, method, optimizer, train_loader,
-                      test_loader=test_loader, scheduler=scheduler)
-    result = trainer.fit(epochs, verbose=True)
+                      test_loader=test_loader, scheduler=scheduler,
+                      callbacks=[ConsoleLogger()])
+    result = trainer.fit(epochs)
     return model, method, result
 
 

@@ -1,8 +1,8 @@
 """Watch the sparse topology evolve during NDSNN training.
 
-Uses `repro.sparse.analysis` (networkx-backed) to track, round by
-round, what the drop-and-grow process does to the connectivity graph:
-degree statistics, dead units, input-to-output reachability, and the
+Uses `repro.sparse.analysis` to track, round by round, what the
+drop-and-grow process does to the connectivity graph: degree
+statistics, dead units, input-to-output reachability, and the
 per-round topology churn.
 
 Run:  python examples/topology_evolution.py

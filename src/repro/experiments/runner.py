@@ -31,6 +31,7 @@ from ..sparse import (
 from ..sparse.packaging import build_spec_model
 from ..train import (
     CheckpointCallback,
+    ConsoleLogger,
     EpochStats,
     Trainer,
     evaluate,
@@ -267,7 +268,12 @@ def run_experiment(
     mid-run checkpoint seam, so LTH ignores ``checkpoint_path`` and
     ``resume`` (a re-claimed queue job recomputes it deterministically
     from scratch); ``extra_callbacks`` attach to every round's trainer.
+    ``verbose`` adds a :class:`~repro.train.hooks.ConsoleLogger` after
+    them: one line per epoch trained.
     """
+    observers = list(extra_callbacks or ())
+    if verbose:
+        observers.append(ConsoleLogger())
     train_loader, test_loader, train_set = build_loaders(config)
     model = build_experiment_model(config, train_set)
     if config.method == "lth":
@@ -284,9 +290,9 @@ def run_experiment(
                 config, model, controller.method_for_round(round_index),
                 train_loader, test_loader,
             )
-            for callback in extra_callbacks or ():
+            for callback in observers:
                 trainer.add_callback(callback)
-            result = trainer.fit(config.epochs, verbose=verbose)
+            result = trainer.fit(config.epochs)
             history.extend(result.history)
             best_accuracy = max(best_accuracy, result.best_accuracy)
             controller.prune(round_index)
@@ -328,13 +334,10 @@ def run_experiment(
                     resume=False, extra_callbacks=extra_callbacks,
                 )
         trainer.add_callback(CheckpointCallback(checkpoint_path, every=checkpoint_every))
-    for callback in extra_callbacks or ():
+    for callback in observers:
         trainer.add_callback(callback)
     result = trainer.fit(
-        config.epochs,
-        verbose=verbose,
-        start_epoch=start_epoch,
-        initial_history=initial_history,
+        config.epochs, start_epoch=start_epoch, initial_history=initial_history
     )
     return ExperimentOutcome(
         config=config,

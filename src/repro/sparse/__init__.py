@@ -6,7 +6,6 @@ from .analysis import (
     analyze_masks,
     degree_statistics,
     input_output_connectivity,
-    layer_chain_graph,
     topology_change,
 )
 from .engine import (
@@ -72,7 +71,6 @@ __all__ = [
     "DegreeStats",
     "degree_statistics",
     "analyze_masks",
-    "layer_chain_graph",
     "input_output_connectivity",
     "topology_change",
     "SparseTrainingMethod",

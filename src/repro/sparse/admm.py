@@ -126,7 +126,6 @@ class ADMMPruner(SparseTrainingMethod):
         """Magnitude-prune to the target distribution, freeze the mask."""
         self.masks.init_from_magnitude(self.densities)
         self.pruned = True
-        self._record_mask_update()
 
     def after_step(self, iteration: int) -> None:
         if self.pruned:

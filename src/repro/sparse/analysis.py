@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .storage import _as_matrix
@@ -48,46 +47,27 @@ def degree_statistics(mask: np.ndarray) -> DegreeStats:
     )
 
 
-def layer_chain_graph(masks: Sequence[np.ndarray]) -> nx.DiGraph:
-    """Directed unit graph of a chain of layers.
-
-    Node ``(k, i)`` is unit ``i`` at interface ``k`` (interface 0 is the
-    network input).  For conv masks, "units" are channels: an edge
-    exists if any kernel element connecting the channels is active.
-    """
-    graph = nx.DiGraph()
-    for k, mask in enumerate(masks):
-        mask = np.asarray(mask)
-        if mask.ndim == 4:
-            channel_mask = mask.reshape(mask.shape[0], mask.shape[1], -1).max(axis=2)
-        else:
-            channel_mask = mask
-        rows, cols = np.nonzero(channel_mask)
-        graph.add_edges_from(((k, int(c)), (k + 1, int(r))) for r, c in zip(rows, cols))
-    return graph
-
-
 def input_output_connectivity(masks: Sequence[np.ndarray]) -> float:
     """Fraction of output units reachable from at least one input unit.
 
-    A unit with no active path back to the input can never be driven;
-    drop-and-grow should keep this near 1.0.
+    ``masks`` is a chain of layers, each ``(out, in)`` or a conv
+    ``(out, in, kh, kw)`` whose units are channels (connected if any
+    kernel element between them is active).  Reachability is pushed
+    from every input of the first layer one layer at a time; a column
+    past the previous layer's width reads from no unit, so it is
+    unreachable.  A unit with no active path back to the input can
+    never be driven; drop-and-grow should keep this near 1.0.
     """
     if not masks:
         raise ValueError("need at least one mask")
-    graph = layer_chain_graph(masks)
-    depth = len(masks)
-    first = np.asarray(masks[0])
-    last = np.asarray(masks[-1])
-    num_inputs = first.shape[1] if first.ndim == 2 else first.shape[1]
-    num_outputs = last.shape[0]
-    reachable = set()
-    for j in range(num_inputs):
-        source = (0, j)
-        if source in graph:
-            reachable |= nx.descendants(graph, source)
-    connected = sum(1 for i in range(num_outputs) if (depth, i) in reachable)
-    return connected / num_outputs if num_outputs else 0.0
+    reachable = np.ones(np.asarray(masks[0]).shape[1], dtype=bool)
+    for mask in masks:
+        mask = np.asarray(mask)
+        if mask.ndim == 4:
+            mask = mask.reshape(mask.shape[0], mask.shape[1], -1).max(axis=2)
+        width = min(mask.shape[1], reachable.size)
+        reachable = (mask[:, :width][:, reachable[:width]] != 0).any(axis=1)
+    return float(reachable.sum()) / reachable.size if reachable.size else 0.0
 
 
 def analyze_masks(masks: Dict[str, np.ndarray]) -> Dict[str, DegreeStats]:

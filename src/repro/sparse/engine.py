@@ -121,8 +121,8 @@ class MaskedParameter:
             self._count_cache = None
             self._count_version = -1
         # Back-reference so code that mutates the raw parameter (the
-        # optimizer step, checkpoint restore, fault injection) can keep
-        # the CSR value cache coherent without knowing about managers.
+        # optimizer step, checkpoint restore) can keep the CSR value
+        # cache coherent without knowing about managers.
         try:
             parameter._masked_state = self
         except AttributeError:  # plain Tensor with __slots__: no cache
@@ -298,13 +298,13 @@ class MaskedParameter:
         return pattern.values
 
     def mark_values_dirty(self) -> None:
-        """Note an out-of-band weight mutation (checkpoint restore,
-        fault injection); the next :meth:`csr_values` re-gathers.
+        """Note an out-of-band weight mutation (checkpoint restore, an
+        in-place probe); the next :meth:`csr_values` re-gathers.
 
         Raises on a frozen state: out-of-band mutations (e.g.
-        ``load_state_dict`` into a serving model, fault injection) must
-        fail loudly instead of silently dirtying a buffer the inference
-        path will never refresh.
+        ``load_state_dict`` into a serving model) must fail loudly
+        instead of silently dirtying a buffer the inference path will
+        never refresh.
         """
         self._require_thawed("an out-of-band weight mutation")
         self._values_dirty = True
@@ -318,7 +318,7 @@ class MaskedParameter:
         Gathers the active values one final time, locks the CSR value
         buffer, and disables gradient tracking on the parameter.  Every
         subsequent mutation path — topology edits, write-through,
-        ``load_state_dict``, fault injection — raises a clear error
+        ``load_state_dict`` — raises a clear error
         instead of corrupting what a serving thread is reading.
         Idempotent.
         """
@@ -735,7 +735,7 @@ class SparsityManager:
         state: CSR values are gathered and their buffers made
         read-only, dense gradient tracking is switched off, and any
         further mutation — optimizer steps, ``load_state_dict``,
-        topology edits, fault injection — raises a clear error.
+        topology edits — raises a clear error.
         Returns at once when already frozen; reversed by :meth:`thaw`.
         """
         if self.frozen:
@@ -792,8 +792,8 @@ class UpdateRecord:
 class SparseTrainingMethod:
     """Base class for everything in the Table I method column.
 
-    The :class:`~repro.train.trainer.Trainer` drives methods through
-    hooks per iteration:
+    The :class:`~repro.train.trainer.Trainer` calls these hooks itself,
+    before any callback at the same point, per iteration:
 
     1. ``after_backward(iteration)`` — gradients for *all* weights
        (active and inactive) are available; dynamic methods may update
@@ -803,11 +803,10 @@ class SparseTrainingMethod:
     3. ``after_step(iteration)`` — re-enforce masks (momentum terms can
        perturb pruned weights).
 
-    Epoch-level hooks support methods with coarse phase structure
-    (ADMM's dual updates, LTH's round boundaries live outside single
-    runs).  Topology changes are announced through
-    :attr:`mask_update_count` / :attr:`last_update` so trainer callbacks
-    can observe ``on_mask_update`` events.
+    ``on_epoch_begin``/``on_epoch_end`` frame every epoch, for methods
+    with coarse phase structure (LTH's round boundaries live outside
+    single runs).  The drop-and-grow family logs every topology round
+    in its ``history``.
     """
 
     name = "base"
@@ -816,8 +815,6 @@ class SparseTrainingMethod:
         self.model: Optional[Module] = None
         self.optimizer = None
         self.masks: Optional[SparsityManager] = None
-        self.last_update: Optional[UpdateRecord] = None
-        self.mask_update_count = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -879,21 +876,24 @@ class SparseTrainingMethod:
         """Restore arrays saved by :meth:`state_arrays`."""
 
     def state_meta(self) -> Dict:
-        """JSON-able method state: RNG position and counters.
+        """JSON-able method state: the RNG position.
 
         Restoring this (plus the masks and :meth:`state_arrays`) into a
         freshly bound method puts it exactly where it was at the
         checkpointed epoch boundary, so a resumed run replays the same
         topology-update and growth decisions bit for bit.
         """
-        meta: Dict = {"mask_update_count": self.mask_update_count}
+        meta: Dict = {}
         if self.masks is not None:
             meta["rng_state"] = self.masks.rng.bit_generator.state
         return meta
 
     def load_state_meta(self, meta: Dict) -> None:
-        """Restore state saved by :meth:`state_meta`."""
-        self.mask_update_count = int(meta.get("mask_update_count", self.mask_update_count))
+        """Restore state saved by :meth:`state_meta`.
+
+        Keys this version no longer writes (``mask_update_count``) are
+        ignored.
+        """
         rng_state = meta.get("rng_state")
         if rng_state is not None and self.masks is not None:
             self.masks.rng.bit_generator.state = rng_state
@@ -914,11 +914,6 @@ class SparseTrainingMethod:
         if self.masks is None:
             return {}
         return self.masks.sparsity_distribution()
-
-    def _record_mask_update(self, record: Optional[UpdateRecord] = None) -> None:
-        """Announce a topology change to trainer callbacks."""
-        self.last_update = record
-        self.mask_update_count += 1
 
     def _reset_momentum(self, name: str, flat_indices: np.ndarray) -> None:
         """Zero optimizer state at newly-grown weight positions."""
@@ -1170,5 +1165,4 @@ class DropGrowMethod(SparseTrainingMethod):
         self.masks.refresh_values()
         record.sparsity_after = self.masks.sparsity()
         self.history.append(record)
-        self._record_mask_update(record)
         return record

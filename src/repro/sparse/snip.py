@@ -81,7 +81,6 @@ class SNIPSNN(SparseTrainingMethod):
                 mask[best] = 1.0
             state.set_mask(mask)
         self.masks.apply_masks()
-        self._record_mask_update()
 
     def sparsity(self) -> float:
         if not self._calibrated:

@@ -1,8 +1,8 @@
 """Stream fault model: channel dropout, stalls, mid-stream reconnect.
 
-Reuses the shared fault-spec vocabulary from :mod:`repro.train.faults`
-(one config surface for training-time and stream-time faults) and
-applies the stream-scope kinds as an event-feed transform:
+Faults are ``kind:key=value,key=value`` strings parsed by
+:func:`parse_fault_spec` (the ``repro stream --fault`` syntax) and
+applied as an event-feed transform:
 
 * ``channel_dropout`` — a random fraction of a faulted event's
   channels reads zero (dead sensor lines);
@@ -20,25 +20,63 @@ delivery of plausible corrupted input is this module's.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Sequence, Union
 
 import numpy as np
 
 from .events import StreamEvent
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..train.faults import FaultSpec
+#: kind -> {param: (type, default)}; every kind fires with probability ``p``.
+FAULT_VOCABULARY: Dict[str, Dict[str, tuple]] = {
+    "channel_dropout": {"fraction": (float, 0.25), "p": (float, 0.1)},
+    "stall": {"duration": (float, 1.0), "p": (float, 0.05)},
+    "reconnect": {"gap": (float, 1.0), "drop": (int, 1), "p": (float, 0.05)},
+}
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """One parsed fault: its kind and severity knobs."""
+
+    kind: str
+    params: Dict[str, object] = field(default_factory=dict)
+
+
+def parse_fault_spec(spec: str) -> FaultSpec:
+    """Parse ``"kind:key=value,key=value"`` into a :class:`FaultSpec`.
+
+    >>> parse_fault_spec("stall:duration=2.0").params
+    {'duration': 2.0, 'p': 0.05}
+    """
+    head, _, tail = spec.strip().partition(":")
+    kind = head.strip()
+    if kind not in FAULT_VOCABULARY:
+        raise ValueError(
+            f"unknown fault kind {kind!r}; available: {sorted(FAULT_VOCABULARY)}"
+        )
+    schema = FAULT_VOCABULARY[kind]
+    params = {name: default for name, (_, default) in schema.items()}
+    if tail.strip():
+        for item in tail.split(","):
+            key, sep, raw = item.partition("=")
+            key = key.strip()
+            if not sep or key not in schema:
+                raise ValueError(
+                    f"fault {kind!r} got bad parameter {item.strip()!r}; "
+                    f"available: {sorted(schema)}"
+                )
+            params[key] = schema[key][0](raw)
+    return FaultSpec(kind=kind, params=params)
 
 
 class StreamFaultInjector:
-    """Applies stream-scope fault specs to an event feed.
+    """Applies fault specs to an event feed.
 
     Parameters
     ----------
     specs:
-        Stream-scope fault specs (strings or :class:`FaultSpec`).
-        Weight-scope kinds are rejected — those belong to
-        :class:`~repro.train.faults.FaultInjectionCallback`.
+        Fault specs, as strings or parsed :class:`FaultSpec` objects.
     seed:
         Seed of the injector's own RNG stream (fault placement is
         deterministic and independent of model/encoder RNGs).
@@ -49,21 +87,11 @@ class StreamFaultInjector:
         specs: Sequence[Union[str, FaultSpec]],
         seed: int = 0,
     ) -> None:
-        # Imported here, not at module top: stream serving (and packed
-        # deployment in general) must not pull in the training stack.
-        from ..train.faults import parse_fault_spec
-
-        self.specs: List[FaultSpec] = []
-        for spec in specs:
-            parsed = parse_fault_spec(spec) if isinstance(spec, str) else spec
-            if parsed.scope != "stream":
-                raise ValueError(
-                    f"fault {parsed.kind!r} is a weight fault; use "
-                    "FaultInjectionCallback for training-time injection"
-                )
-            self.specs.append(parsed)
+        self.specs: List[FaultSpec] = [
+            parse_fault_spec(spec) if isinstance(spec, str) else spec for spec in specs
+        ]
         self.seed = int(seed)
-        self.counts: Dict[str, int] = {"channel_dropout": 0, "stall": 0, "reconnect": 0}
+        self.counts: Dict[str, int] = dict.fromkeys(FAULT_VOCABULARY, 0)
 
     def apply(self, events: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
         """Faulted view of ``events`` (a fresh deterministic pass)."""

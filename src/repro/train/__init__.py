@@ -1,4 +1,4 @@
-"""Training harness: hook-based trainer, metrics, cost/memory models."""
+"""Training harness: trainer and its callbacks, metrics, cost/memory models."""
 
 from .checkpoint import (
     CheckpointCallback,
@@ -9,25 +9,10 @@ from .checkpoint import (
     save_checkpoint,
     save_training_state,
 )
-from .hooks import (
-    CallbackList,
-    ConsoleLogger,
-    MethodCallback,
-    TrainerCallback,
-)
-from .faults import (
-    FaultInjectionCallback,
-    inject_bit_flips,
-    inject_dead_neurons,
-    inject_weight_dropout,
-    inject_weight_noise,
-    restore,
-)
+from .hooks import ConsoleLogger, TrainerCallback
 from .logging import write_history_csv
 from .cost import (
-    CostAccountingCallback,
     CostBreakdown,
-    dense_reference_cost,
     epoch_costs,
     relative_training_cost,
     training_flops_estimate,
@@ -52,16 +37,7 @@ __all__ = [
     "restore_manager",
     "has_training_state",
     "TrainerCallback",
-    "CallbackList",
-    "MethodCallback",
     "ConsoleLogger",
-    "FaultInjectionCallback",
-    "CostAccountingCallback",
-    "inject_weight_noise",
-    "inject_weight_dropout",
-    "inject_bit_flips",
-    "inject_dead_neurons",
-    "restore",
     "write_history_csv",
     "load_checkpoint",
     "Trainer",
@@ -72,7 +48,6 @@ __all__ = [
     "CostBreakdown",
     "epoch_costs",
     "relative_training_cost",
-    "dense_reference_cost",
     "training_flops_estimate",
     "FootprintReport",
     "training_footprint_bits",

@@ -22,9 +22,7 @@ cost is high.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-from .hooks import TrainerCallback
+from typing import List, Sequence
 
 
 @dataclass
@@ -80,56 +78,6 @@ def relative_training_cost(
     per_epoch = epoch_costs(spike_rates, densities, dense_spike_rates)
     total = sum(per_epoch) / len(dense_spike_rates)
     return CostBreakdown(method=method, per_epoch=per_epoch, total_relative_to_dense=total)
-
-
-def dense_reference_cost(dense_spike_rates: Sequence[float]) -> CostBreakdown:
-    """The dense run measured against itself (total = 1)."""
-    per_epoch = [1.0] * len(dense_spike_rates)
-    return CostBreakdown(method="dense", per_epoch=per_epoch, total_relative_to_dense=1.0)
-
-
-class CostAccountingCallback(TrainerCallback):
-    """Tracks the Section IV-C cost terms live during a training run.
-
-    Attach to a :class:`~repro.train.trainer.Trainer` and the per-epoch
-    ``(spike_rate, density)`` pairs — plus every topology-update event —
-    accumulate as training progresses; :meth:`breakdown` then prices the
-    run against a dense reference without re-reading the history.
-
-    Parameters
-    ----------
-    dense_spike_rates:
-        Optional per-epoch spike rates of the dense baseline.  May also
-        be supplied later to :meth:`breakdown`.
-    """
-
-    def __init__(self, dense_spike_rates: Optional[Sequence[float]] = None) -> None:
-        self.dense_spike_rates = list(dense_spike_rates) if dense_spike_rates else None
-        self.spike_rates: List[float] = []
-        self.densities: List[float] = []
-        self.mask_updates = 0
-        self.method_name = "sparse"
-
-    def on_train_begin(self, trainer, epochs: int) -> None:
-        self.method_name = getattr(trainer.method, "name", "sparse")
-
-    def on_mask_update(self, trainer, iteration, record) -> None:
-        self.mask_updates += 1
-
-    def on_epoch_end(self, trainer, epoch: int, stats) -> None:
-        self.spike_rates.append(stats.spike_rate)
-        self.densities.append(stats.density)
-
-    def breakdown(
-        self, dense_spike_rates: Optional[Sequence[float]] = None
-    ) -> CostBreakdown:
-        """Price the observed run against the dense reference."""
-        reference = dense_spike_rates or self.dense_spike_rates
-        if reference is None:
-            raise ValueError("no dense reference spike rates supplied")
-        return relative_training_cost(
-            self.spike_rates, self.densities, reference, method=self.method_name
-        )
 
 
 def training_flops_estimate(

@@ -1,11 +1,10 @@
 """Training loop for sparse spiking networks.
 
-The :class:`Trainer` is a hook pipeline: the loop itself only moves
-batches, runs backward, and steps the optimizer.  The sparse-training
-method, cost accounting, fault injection, logging and any custom
-instrumentation attach as :class:`~repro.train.hooks.TrainerCallback`
-objects; the method is adapted automatically through
-:class:`~repro.train.hooks.MethodCallback`.
+The :class:`Trainer` moves batches, runs backward, steps the optimizer
+and calls its sparse-training method's hooks at fixed points.
+Checkpointing, logging and custom instrumentation observe the run as
+:class:`~repro.train.hooks.TrainerCallback` objects, each fired after
+the method's hook at the same point.
 
 Per-epoch statistics — including the spike rate and density traces that
 feed the paper's Section IV-C training-cost model — are recorded by the
@@ -24,7 +23,7 @@ from ..optim import CosineAnnealingLR, Optimizer
 from ..snn.functional import reset_spike_stats, spike_rate
 from ..sparse.engine import SparseTrainingMethod
 from ..tensor import Tensor, cross_entropy
-from .hooks import CallbackList, ConsoleLogger, MethodCallback, TrainerCallback
+from .hooks import TrainerCallback
 from .metrics import AverageMeter, evaluate
 
 
@@ -83,8 +82,9 @@ class Trainer:
     ----------
     model, method, optimizer:
         The method is bound to the model/optimizer pair at construction
-        (mask initialisation happens here) and attached to the hook
-        pipeline as its first callback.
+        (mask initialisation happens here); the trainer calls its
+        ``on_epoch_begin``, ``after_backward``, ``after_step`` and
+        ``on_epoch_end`` hooks, looked up on the instance at each call.
     train_loader / test_loader:
         Mini-batch iterables of ``(Tensor images, labels)``.
     scheduler:
@@ -92,9 +92,8 @@ class Trainer:
     loss_fn:
         Defaults to cross-entropy on the temporal-mean logits.
     callbacks:
-        Extra :class:`TrainerCallback` objects (cost accounting, fault
-        injection, custom logging, ...) run after the method callback
-        in registration order.
+        :class:`TrainerCallback` observers (checkpointing, logging, ...),
+        fired in registration order after the method's hook.
     """
 
     def __init__(
@@ -122,15 +121,17 @@ class Trainer:
         #: :meth:`fit` so callbacks (checkpointing, logging) can see the
         #: history accumulated so far.
         self.result: Optional[TrainingResult] = None
-        self.callbacks = CallbackList([MethodCallback(method)])
-        for callback in callbacks or ():
-            self.callbacks.append(callback)
+        self.callbacks: List[TrainerCallback] = list(callbacks or ())
         method.bind(model, optimizer)
 
     def add_callback(self, callback: TrainerCallback) -> "Trainer":
         """Register one more callback (chainable)."""
         self.callbacks.append(callback)
         return self
+
+    def _fire(self, hook: str, *args) -> None:
+        for callback in self.callbacks:
+            getattr(callback, hook)(self, *args)
 
     # ------------------------------------------------------------------
     def _clip_gradients(self) -> None:
@@ -151,9 +152,10 @@ class Trainer:
             self.optimizer.zero_grad()
             loss.backward()
             self._clip_gradients()
-            self.callbacks.fire("after_backward", self, self.iteration)
+            self.method.after_backward(self.iteration)
             self.optimizer.step()
-            self.callbacks.fire("on_step_end", self, self.iteration)
+            self.method.after_step(self.iteration)
+            self._fire("on_step_end", self.iteration)
             self.iteration += 1
 
             batch = len(labels)
@@ -165,7 +167,6 @@ class Trainer:
     def fit(
         self,
         epochs: int,
-        verbose: bool = False,
         start_epoch: int = 0,
         initial_history: Optional[Sequence[EpochStats]] = None,
     ) -> TrainingResult:
@@ -177,13 +178,11 @@ class Trainer:
         the restored epochs followed by the newly trained ones, exactly
         as an uninterrupted run would have produced.
         """
-        if verbose and not any(isinstance(c, ConsoleLogger) for c in self.callbacks):
-            self.callbacks.append(ConsoleLogger())
         result = TrainingResult(history=list(initial_history or []))
         self.result = result
-        self.callbacks.fire("on_train_begin", self, epochs)
         for epoch in range(start_epoch, epochs):
-            self.callbacks.fire("on_epoch_start", self, epoch)
+            self.method.on_epoch_begin(epoch)
+            self._fire("on_epoch_start", epoch)
             reset_spike_stats(self.model)
             masks = self.method.masks
             counts = masks.dispatch_counts if masks is not None else {"dense": 0, "csr": 0}
@@ -211,6 +210,6 @@ class Trainer:
                 csr_dispatch_share=(csr_calls / total_calls) if total_calls else 0.0,
             )
             result.history.append(stats)
-            self.callbacks.fire("on_epoch_end", self, epoch, stats)
-        self.callbacks.fire("on_train_end", self, result)
+            self.method.on_epoch_end(epoch)
+            self._fire("on_epoch_end", epoch, stats)
         return result

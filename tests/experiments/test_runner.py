@@ -89,6 +89,17 @@ class TestRunners:
         assert len(outcome.history) == 2
         assert abs(outcome.final_sparsity - 0.9) < 0.05
 
+    def test_verbose_prints_one_line_per_epoch_of_every_round(self, capsys):
+        config = scaled_config("cifar10", "convnet", "lth", 0.9,
+                               **{**FAST, "epochs": 2}, lth_rounds=2)
+        outcome = run_experiment(config, verbose=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["epoch", "0"], ["epoch", "1"]] * 2
+        for line, stats in zip(lines, outcome.history):
+            assert f"loss {stats.train_loss:.4f}" in line
+        run_experiment(config)
+        assert capsys.readouterr().out == ""
+
     def test_run_lth_ignores_checkpoint(self, tmp_path):
         config = scaled_config("cifar10", "convnet", "lth", 0.9, **FAST, lth_rounds=2)
         outcome = run_experiment(config, checkpoint_path=tmp_path / "ckpt")

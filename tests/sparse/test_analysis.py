@@ -1,5 +1,7 @@
 """Sparse-topology analysis utilities."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro.sparse import (
     analyze_masks,
     degree_statistics,
     input_output_connectivity,
-    layer_chain_graph,
     topology_change,
 )
 
@@ -60,9 +61,45 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             input_output_connectivity([])
 
-    def test_chain_graph_nodes(self):
-        graph = layer_chain_graph([np.ones((2, 3))])
-        assert (0, 0) in graph and (1, 1) in graph
+    def test_column_past_previous_width_is_unreachable(self):
+        layer1 = np.ones((2, 3))
+        layer2 = np.zeros((2, 4)); layer2[0, 3] = 1; layer2[1, 1] = 1
+        assert input_output_connectivity([layer1, layer2]) == 0.5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_breadth_first_search(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            depth = int(rng.integers(1, 5))
+            widths = rng.integers(1, 9, size=depth + 1)
+            masks = []
+            for k in range(depth):
+                # Now and then a width that disagrees with the layer below.
+                cols = int(widths[k]) if rng.random() < 0.8 else int(rng.integers(1, 10))
+                shape = (int(widths[k + 1]), cols) + ((2, 2) if rng.random() < 0.3 else ())
+                masks.append((rng.random(shape) < rng.random()).astype(np.float32))
+            assert input_output_connectivity(masks) == bfs_connectivity(masks)
+
+
+def bfs_connectivity(masks):
+    """Oracle: breadth-first search over ``(interface, unit)`` nodes.
+
+    Unit ``c`` at interface ``k`` feeds unit ``r`` at ``k + 1`` when any
+    kernel element of ``masks[k][r, c]`` is active.
+    """
+    edges = {}
+    for k, mask in enumerate(masks):
+        for r, c in zip(*np.nonzero(mask.reshape(mask.shape[0], mask.shape[1], -1).any(axis=2))):
+            edges.setdefault((k, int(c)), []).append((k + 1, int(r)))
+    frontier = deque((0, j) for j in range(masks[0].shape[1]))
+    seen = set(frontier)
+    while frontier:
+        for node in edges.get(frontier.popleft(), ()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    outputs = masks[-1].shape[0]
+    return sum((len(masks), i) in seen for i in range(outputs)) / outputs
 
 
 class TestChurn:

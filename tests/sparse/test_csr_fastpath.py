@@ -11,7 +11,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from repro.nn.layers import Conv2d, Linear
-from repro.sparse import CSRPattern, MaskedParameter, SparsityManager
+from repro.nn.module import Module, Parameter
+from repro.sparse import CSRPattern, SparsityManager
 from repro.tensor import (
     Tensor,
     check_gradients,
@@ -32,49 +33,17 @@ def random_mask(shape, sparsity, seed=0):
     return mask.reshape(shape)
 
 
-class FakeManager:
-    """Minimal manager stub forcing one dispatch decision."""
-
-    def __init__(self, csr=True):
-        self.csr = csr
-        self.dispatch_counts = {"dense": 0, "csr": 0}
-
-    def route(self, state):
-        return "csr" if self.csr else "dense"
-
-
-class FakeState:
-    """MaskedParameter stand-in for direct kernel testing.
-
-    ``csr_values`` gathers from ``weight`` on every call, so in-place
-    weight edits (finite-difference probes) reach the CSR route.
-    Its products run :meth:`MaskedParameter.products` over these stubs.
-    """
-
-    products = MaskedParameter.products
-
-    def __init__(self, mask, weight, csr=True):
-        self.mask = mask
-        self.weight = weight
-        self.manager = FakeManager(csr)
-        self._pattern = None
-
-    def csr_pattern(self):
-        if self._pattern is None:
-            self._pattern = CSRPattern.from_mask(self.mask)
-        return self._pattern
-
-    def csr_values(self):
-        return self.csr_pattern().gather(self.weight.data)
-
-
 def masked_layer_pair(shape, sparsity, seed):
-    """A masked weight tensor plus its CSR state."""
+    """A masked weight, its mask, and the weight's real MaskedParameter
+    in a one-layer SparsityManager under ``csr`` execution."""
     rng = np.random.default_rng(seed)
     mask = random_mask(shape, sparsity, seed=seed + 1)
-    weight = Tensor((rng.standard_normal(shape) * 0.5).astype(np.float32) * mask,
-                    requires_grad=True)
-    return weight, mask, FakeState(mask, weight)
+    layer = Module()
+    layer.weight = Parameter((rng.standard_normal(shape) * 0.5).astype(np.float32) * mask)
+    manager = SparsityManager(layer)
+    manager.load_masks({"weight": mask})
+    manager.set_execution("csr")
+    return layer.weight, mask, manager.states["weight"]
 
 
 class TestCSRPatternKernels:
@@ -250,7 +219,10 @@ class TestMaskedLinearCSR:
         weight, mask, state = masked_layer_pair((5, 7), sparsity, seed=16)
         x = Tensor(np.random.default_rng(17).standard_normal((3, 7)).astype(np.float32),
                    requires_grad=True)
-        fn = lambda: (masked_linear(x, weight, None, state) ** 2).sum()
+        def fn():
+            state.mark_values_dirty()  # the weight probe edits values in place
+            return (masked_linear(x, weight, None, state) ** 2).sum()
+
         check_gradients(fn, [x])
         # The weight gradient is dense by design (regrowth scoring), so
         # finite differences only apply at the *active* positions that
@@ -307,7 +279,10 @@ class TestMaskedConvCSR:
         weight, mask, state = masked_layer_pair((3, 2, 3, 3), sparsity, seed=25)
         x = Tensor(np.random.default_rng(26).standard_normal((1, 2, 5, 5)).astype(np.float32),
                    requires_grad=True)
-        fn = lambda: (masked_conv2d(x, weight, None, stride=1, padding=1, state=state) ** 2).sum()
+        def fn():
+            state.mark_values_dirty()  # the weight probe edits values in place
+            return (masked_conv2d(x, weight, None, stride=1, padding=1, state=state) ** 2).sum()
+
         check_gradients(fn, [x])
         weight.zero_grad(); x.zero_grad()
         fn().backward()

@@ -8,9 +8,9 @@ never re-gathers.  These tests pin the contract:
   cache produces byte-identical weights, masks and losses to the same
   run with the cache disabled (every forward re-gathers) — for all
   eight methods plus LTH;
-* every out-of-band weight mutation (checkpoint restore via
-  ``load_state_dict``, fault injection) marks the cache stale so the
-  next forward re-gathers instead of reading stale values.
+* an out-of-band weight mutation (checkpoint restore via
+  ``load_state_dict``) marks the cache stale so the next forward
+  re-gathers instead of reading stale values.
 """
 
 import numpy as np
@@ -22,13 +22,6 @@ from repro.optim import SGD, Adam
 from repro.sparse import LTHSNN, MaskedParameter, SparsityManager
 from repro.sparse.engine import MaskedParameter as EngineMaskedParameter
 from repro.tensor import Tensor, cross_entropy
-from repro.train.faults import (
-    inject_bit_flips,
-    inject_dead_neurons,
-    inject_weight_dropout,
-    inject_weight_noise,
-    restore,
-)
 
 from test_engine import ITERS, METHOD_FACTORIES, make_model, mask_digests
 
@@ -181,25 +174,6 @@ class TestStaleness:
             state.csr_values(), pattern.gather(model.fc.weight.data)
         )
 
-    @pytest.mark.parametrize(
-        "injector",
-        [
-            lambda m: inject_weight_noise(m, 0.5, rng=np.random.default_rng(0)),
-            lambda m: inject_weight_dropout(m, 0.5, rng=np.random.default_rng(0)),
-            lambda m: inject_bit_flips(m, 3, rng=np.random.default_rng(0)),
-            lambda m: inject_dead_neurons(m, 0.5, rng=np.random.default_rng(0)),
-        ],
-        ids=["noise", "dropout", "bit_flips", "dead_neurons"],
-    )
-    def test_fault_injection_marks_stale(self, injector):
-        model, state = sandbox_state()
-        snapshot = injector(model)
-        assert state._values_dirty
-        state.csr_values()
-        assert not state._values_dirty
-        restore(model, snapshot)
-        assert state._values_dirty  # restore is also out-of-band
-
     def test_topology_edit_rebuilds_index_and_values(self):
         _, state = sandbox_state()
         pattern_before = state.csr_pattern()
@@ -248,16 +222,6 @@ REFUSED_MUTATIONS = {
     "grow_random": lambda model, manager, state: state.grow_random(2, manager.rng),
     "load_state_dict": lambda model, manager, state: model.load_state_dict(
         {name: value * 2.0 for name, value in model.state_dict().items()}),
-    "inject_weight_noise": lambda model, manager, state: inject_weight_noise(
-        model, sigma=0.5, rng=np.random.default_rng(0)),
-    "inject_weight_dropout": lambda model, manager, state: inject_weight_dropout(
-        model, fraction=0.5, rng=np.random.default_rng(0)),
-    "inject_bit_flips": lambda model, manager, state: inject_bit_flips(
-        model, flips_per_layer=3, rng=np.random.default_rng(0)),
-    "inject_dead_neurons": lambda model, manager, state: inject_dead_neurons(
-        model, fraction=0.5, rng=np.random.default_rng(0)),
-    "restore": lambda model, manager, state: restore(
-        model, {state.name: np.zeros(state.shape, dtype=np.float32)}),
 }
 
 

@@ -1,4 +1,5 @@
-"""Stream fault model: dropout, stalls, reconnects, and TTL interplay."""
+"""Stream fault model: the spec parser, dropout, stalls, reconnects, and
+TTL interplay."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from repro.data.telemetry import make_telemetry_stream
 from repro.snn.models import SpikingMLP
 from repro.sparse import SparsityManager
 from repro.stream import StreamFaultInjector, StreamSession
-from repro.train.faults import parse_fault_spec
+from repro.stream.faults import FAULT_VOCABULARY, parse_fault_spec
 
 CHANNELS = 6
 
@@ -18,9 +19,46 @@ def make_feed(streams=1, events=12, seed=0):
     ))
 
 
+class TestFaultSpecParser:
+    """The ``kind:key=value`` vocabulary behind ``repro stream --fault``."""
+
+    def test_parses_kind_and_parameters(self):
+        spec = parse_fault_spec("stall:duration=2.0,p=0.5")
+        assert spec.kind == "stall"
+        assert spec.params == {"duration": 2.0, "p": 0.5}
+
+    def test_defaults_fill_omitted_parameters(self):
+        for kind, schema in FAULT_VOCABULARY.items():
+            spec = parse_fault_spec(kind)
+            assert spec.params == {
+                name: default for name, (_, default) in schema.items()
+            }
+
+    def test_types_are_coerced(self):
+        spec = parse_fault_spec("reconnect:gap=2.5,drop=3")
+        assert spec.params["gap"] == 2.5
+        assert spec.params["drop"] == 3
+        assert isinstance(spec.params["drop"], int)
+
+    def test_unknown_kind_lists_vocabulary(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            parse_fault_spec("gremlins:count=3")
+
+    def test_bad_parameter_is_rejected(self):
+        with pytest.raises(ValueError, match="bad parameter"):
+            parse_fault_spec("stall:volume=11")
+        with pytest.raises(ValueError, match="bad parameter"):
+            parse_fault_spec("stall:duration")  # missing '='
+
+    def test_spec_is_immutable(self):
+        spec = parse_fault_spec("stall")
+        with pytest.raises(AttributeError):
+            spec.kind = "other"
+
+
 class TestSpecHandling:
-    def test_weight_scope_specs_are_rejected(self):
-        with pytest.raises(ValueError, match="FaultInjectionCallback"):
+    def test_weight_fault_kinds_are_unknown(self):
+        with pytest.raises(ValueError, match="unknown fault kind 'noise'"):
             StreamFaultInjector(["noise:sigma=0.1"])
 
     def test_accepts_strings_and_parsed_specs(self):

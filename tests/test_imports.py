@@ -1,5 +1,6 @@
-"""Every ``repro.*`` module imports on its own, in a fresh process, and
-the lower layers never reach up into ``repro.sparse``.
+"""Every ``repro.*`` module imports on its own, in a fresh process; the
+lower layers never reach up into ``repro.sparse``, streaming never
+reaches into training, and no module needs ``networkx``.
 
 An import cycle only bites when a module is the *first* one imported:
 the test suite, the benches and ``check_all.py`` each import in an
@@ -126,3 +127,44 @@ def test_lower_layers_never_import_sparse_or_defer_imports():
                     deferred.append(f"{where}:{line}")
     assert sparse_imports == []
     assert deferred == []
+
+
+def _package_imports(subdir=""):
+    """``(where, line, modules)`` for every import under ``repro/<subdir>``."""
+    root = Path(SRC_DIR) / "repro"
+    for path in sorted((root / subdir).rglob("*.py")):
+        package = ".".join(path.relative_to(SRC_DIR).parts[:-1])
+        where = str(path.relative_to(root))
+        for line, names, _ in _imports(ast.parse(path.read_text()), package):
+            yield where, line, names
+
+
+def test_stream_never_imports_train():
+    """Streaming serves packed models; it must not load the training
+    stack, at top level or inside a function."""
+    found = [
+        f"{where}:{line}" for where, line, names in _package_imports("stream")
+        if any(name == "repro.train" or name.startswith("repro.train.") for name in names)
+    ]
+    assert found == []
+
+
+def test_no_module_imports_networkx():
+    """``setup.py`` installs numpy and scipy only."""
+    found = [
+        f"{where}:{line}" for where, line, names in _package_imports()
+        if any(name.split(".")[0] == "networkx" for name in names)
+    ]
+    assert found == []
+
+
+def test_serving_import_loads_no_networkx():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.serve; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

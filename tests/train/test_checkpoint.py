@@ -164,6 +164,40 @@ class TestTrainingStateResume:
         assert metadata["iteration"] == 3 * config.epochs  # 48/16 batches
         assert metadata["loader_rng_state"]["bit_generator"] == "PCG64"
         assert len(metadata["history"]) == config.epochs
+        assert "mask_update_count" not in metadata["method"]
+
+    def test_resumes_a_checkpoint_that_holds_mask_update_count(
+        self, tmp_path, monkeypatch
+    ):
+        """Checkpoints written before the counter went carry it in the
+        method metadata; they load and resume bit-identically."""
+        from repro.sparse import SparseTrainingMethod
+        from repro.utils import load_json
+
+        config = scaled_config("cifar10", "convnet", "ndsnn", 0.9, **FAST)
+        golden = run_experiment(config)
+        checkpoint = tmp_path / "job"
+        state_meta = SparseTrainingMethod.state_meta
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseTrainingMethod, "state_meta",
+                          lambda self: {**state_meta(self), "mask_update_count": 3})
+            with pytest.raises(_InterruptTraining):
+                run_experiment(config, checkpoint_path=checkpoint,
+                               extra_callbacks=[_StopAfter(1)])
+        assert load_json(checkpoint.with_suffix(".json"))["method"]["mask_update_count"] == 3
+        trained = []
+
+        class Count(TrainerCallback):
+            def on_epoch_end(self, trainer, epoch, stats):
+                trained.append(epoch)
+
+        resumed = run_experiment(config, checkpoint_path=checkpoint, resume=True,
+                                 extra_callbacks=[Count()])
+        assert trained == list(range(1, config.epochs))  # resumed, not recomputed
+        assert [s.as_dict() for s in resumed.history] == [
+            s.as_dict() for s in golden.history
+        ]
+        assert resumed.final_accuracy == golden.final_accuracy
 
 
 def point_calibration_world(monkeypatch, directory, cutoff):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.train import (
-    dense_reference_cost,
     epoch_costs,
     relative_training_cost,
     training_flops_estimate,
@@ -32,7 +31,9 @@ class TestEpochCosts:
 
 class TestRelativeCost:
     def test_dense_against_itself_is_one(self):
-        breakdown = dense_reference_cost([0.3, 0.3, 0.3])
+        rates = [0.3, 0.3, 0.3]
+        breakdown = relative_training_cost(rates, [1.0] * 3, rates, method="dense")
+        assert breakdown.per_epoch == [1.0, 1.0, 1.0]
         assert breakdown.total_relative_to_dense == 1.0
         assert breakdown.percent_of_dense == 100.0
 

@@ -222,6 +222,10 @@ REFUSED_MUTATIONS = {
     "grow_random": lambda model, manager, state: state.grow_random(2, manager.rng),
     "load_state_dict": lambda model, manager, state: model.load_state_dict(
         {name: value * 2.0 for name, value in model.state_dict().items()}),
+    "load_masks": lambda model, manager, state: manager.load_masks(
+        {state.name: np.ones(state.shape, dtype=np.float32)}),
+    "mark_values_dirty": lambda model, manager, state: state.mark_values_dirty(),
+    "write_through": lambda model, manager, state: state.write_through(),
 }
 
 

@@ -57,9 +57,13 @@ class TestFaultSpecParser:
 
 
 class TestSpecHandling:
-    def test_weight_fault_kinds_are_unknown(self):
-        with pytest.raises(ValueError, match="unknown fault kind 'noise'"):
-            StreamFaultInjector(["noise:sigma=0.1"])
+    @pytest.mark.parametrize("spec", [
+        "noise:sigma=0.1", "dropout:fraction=0.1", "bitflip:flips=1", "dead:fraction=0.1",
+    ])
+    def test_weight_fault_kinds_are_unknown(self, spec):
+        kind = spec.partition(":")[0]
+        with pytest.raises(ValueError, match=f"unknown fault kind '{kind}'"):
+            StreamFaultInjector([spec])
 
     def test_accepts_strings_and_parsed_specs(self):
         injector = StreamFaultInjector(

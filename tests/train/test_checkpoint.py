@@ -166,15 +166,16 @@ class TestTrainingStateResume:
         assert len(metadata["history"]) == config.epochs
         assert "mask_update_count" not in metadata["method"]
 
+    @pytest.mark.parametrize("method", ["ndsnn", "set", "rigl", "gmp", "admm", "snip"])
     def test_resumes_a_checkpoint_that_holds_mask_update_count(
-        self, tmp_path, monkeypatch
+        self, method, tmp_path, monkeypatch
     ):
         """Checkpoints written before the counter went carry it in the
         method metadata; they load and resume bit-identically."""
         from repro.sparse import SparseTrainingMethod
         from repro.utils import load_json
 
-        config = scaled_config("cifar10", "convnet", "ndsnn", 0.9, **FAST)
+        config = scaled_config("cifar10", "convnet", method, 0.9, **FAST)
         golden = run_experiment(config)
         checkpoint = tmp_path / "job"
         state_meta = SparseTrainingMethod.state_meta

@@ -3,11 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.data import ArrayDataset, DataLoader
+from repro.optim import SGD
+from repro.snn.models import SpikingMLP
+from repro.sparse import NDSNN, DenseMethod
 from repro.train import (
+    Trainer,
     epoch_costs,
     relative_training_cost,
     training_flops_estimate,
 )
+
+
+def fit_tiny(method, epochs=3):
+    rng = np.random.default_rng(0)
+    data = ArrayDataset(rng.standard_normal((32, 12)).astype(np.float32),
+                        np.arange(32) % 3)
+    model = SpikingMLP(in_features=12, num_classes=3, hidden=(16,), timesteps=2,
+                       rng=np.random.default_rng(1))
+    loader = DataLoader(data, batch_size=16, shuffle=True, rng=np.random.default_rng(2))
+    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    return Trainer(model, method, optimizer, loader).fit(epochs)
 
 
 class TestEpochCosts:
@@ -53,6 +69,23 @@ class TestRelativeCost:
         ndsnn = relative_training_cost([0.3] * 10, [0.15] * 10, dense_rates, method="ndsnn")
         assert lth.total_relative_to_dense > 1.0
         assert ndsnn.total_relative_to_dense < lth.total_relative_to_dense
+
+    def test_prices_a_trained_run_from_its_result(self):
+        dense = fit_tiny(DenseMethod())
+        sparse = fit_tiny(NDSNN(initial_sparsity=0.3, final_sparsity=0.7,
+                                total_iterations=6, update_frequency=2,
+                                rng=np.random.default_rng(3)))
+        breakdown = relative_training_cost(
+            sparse.spike_rates, sparse.densities, dense.spike_rates, method="ndsnn"
+        )
+        assert len(breakdown.per_epoch) == 3
+        assert np.allclose(breakdown.per_epoch, [
+            rate * density / dense_rate for rate, density, dense_rate
+            in zip(sparse.spike_rates, sparse.densities, dense.spike_rates)
+        ])
+        assert 0.0 < breakdown.total_relative_to_dense
+        assert dense.densities == [1.0, 1.0, 1.0]
+        assert max(sparse.densities) < 1.0
 
     def test_lower_spike_rate_lowers_cost(self):
         dense_rates = [0.4] * 5

@@ -7,7 +7,16 @@ import pytest
 from repro.data import ArrayDataset, DataLoader
 from repro.optim import SGD
 from repro.snn.models import SpikingMLP
-from repro.sparse import DenseMethod, NDSNN
+from repro.sparse import (
+    ADMMPruner,
+    DenseMethod,
+    GMPSNN,
+    NDSNN,
+    RigLSNN,
+    SETSNN,
+    SNIPSNN,
+    StructuredFilterPruning,
+)
 from repro.train import CheckpointCallback, ConsoleLogger, Trainer, TrainerCallback
 
 
@@ -144,3 +153,89 @@ class TestCallbackPipeline:
         out = capsys.readouterr().out
         assert out.count("epoch") == 2
         assert "sparsity" in out
+
+
+#: Every sparse method the trainer drives, sized for ``build_trainer``'s
+#: 2 iterations per epoch and a 4-epoch fit (8 iterations).
+METHOD_FACTORIES = {
+    "dense": lambda rng: DenseMethod(),
+    "ndsnn": lambda rng: NDSNN(initial_sparsity=0.3, final_sparsity=0.7,
+                               total_iterations=8, update_frequency=2, rng=rng),
+    "set": lambda rng: SETSNN(sparsity=0.7, total_iterations=8,
+                              update_frequency=2, rng=rng),
+    "rigl": lambda rng: RigLSNN(sparsity=0.7, total_iterations=8,
+                                update_frequency=2, rng=rng),
+    "gmp": lambda rng: GMPSNN(final_sparsity=0.8, total_iterations=8,
+                              update_frequency=2, rng=rng),
+    "structured": lambda rng: StructuredFilterPruning(
+        final_sparsity=0.5, total_iterations=8, update_frequency=2, rng=rng),
+    "snip": lambda rng: SNIPSNN(sparsity=0.7, rng=rng),
+    "admm": lambda rng: ADMMPruner(sparsity=0.7, total_iterations=8,
+                                   admm_fraction=0.5, update_frequency=2, rng=rng),
+}
+
+DROP_GROW_METHODS = ["ndsnn", "set", "rigl", "gmp", "structured"]
+
+
+def trace_on_instance(method, hook, calls, trainer):
+    """Replace ``method.<hook>`` on the instance with a wrapper that logs
+    ``(hook, trainer.iteration)`` before calling the original."""
+    original = getattr(method, hook)
+
+    def traced(*args):
+        calls.append((hook, trainer.iteration))
+        return original(*args)
+
+    setattr(method, hook, traced)
+
+
+class TestEveryMethod:
+    """The trainer drives each method's hooks itself, in one order."""
+
+    @pytest.mark.parametrize("name", sorted(METHOD_FACTORIES))
+    def test_method_hooks_run_before_callbacks(self, name):
+        recorder = RecordingCallback()
+        method = METHOD_FACTORIES[name](np.random.default_rng(2))
+        trainer = build_trainer(method, callbacks=[recorder])
+        for hook in ("on_epoch_begin", "after_backward", "after_step", "on_epoch_end"):
+            original = getattr(method, hook)
+
+            def traced(value, _hook=hook, _original=original):
+                recorder.events.append((f"method.{_hook}", value))
+                return _original(value)
+
+            setattr(method, hook, traced)
+        trainer.fit(2)
+        expected = []
+        for epoch, steps in ((0, (0, 1)), (1, (2, 3))):
+            expected += [("method.on_epoch_begin", epoch), ("epoch_start", epoch)]
+            for step in steps:
+                expected += [("method.after_backward", step),
+                             ("method.after_step", step), ("step_end", step)]
+            expected += [("method.on_epoch_end", epoch), ("epoch_end", epoch)]
+        assert recorder.events == expected
+
+    @pytest.mark.parametrize("name", DROP_GROW_METHODS)
+    def test_every_round_lands_in_history(self, name):
+        calls = []
+        method = METHOD_FACTORIES[name](np.random.default_rng(3))
+        trainer = build_trainer(method)
+        trace_on_instance(method, "update_topology", calls, trainer)
+        trainer.fit(4)
+        rounds = [iteration for _, iteration in calls]
+        assert rounds  # the schedule asks for rounds inside 8 iterations
+        assert [record.iteration for record in method.history] == rounds
+        assert method.history[-1].sparsity_after == pytest.approx(method.sparsity())
+
+    @pytest.mark.parametrize("name, hook, at", [
+        ("snip", "_prune_by_sensitivity", 0),
+        ("admm", "_hard_prune", 4),
+    ])
+    def test_one_shot_pruning_runs_once(self, name, hook, at):
+        calls = []
+        method = METHOD_FACTORIES[name](np.random.default_rng(4))
+        trainer = build_trainer(method)
+        trace_on_instance(method, hook, calls, trainer)
+        trainer.fit(4)
+        assert calls == [(hook, at)]
+        assert method.sparsity() == pytest.approx(0.7, abs=0.05)
